@@ -6,11 +6,14 @@
 use super::load_instance;
 use crate::report::Report;
 use crate::Config;
-use graft_core::{solve_from, Algorithm, MsBfsOptions, SolveOptions};
+use graft_core::trace::{replay, MemorySink};
+use graft_core::{solve_from_traced, Algorithm, SolveOptions, Tracer};
 use graft_gen::suite::by_name;
+use std::sync::Arc;
 
 /// Prints the phase-by-phase trace of MS-BFS-Graft on the coPapersDBLP
-/// and wikipedia analogs (one high-, one low-matching-number instance).
+/// and wikipedia analogs (one high-, one low-matching-number instance),
+/// replayed from the run's trace events.
 pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
     let mut r = Report::new(
         "anatomy_phases",
@@ -32,20 +35,33 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
     for name in ["coPapersDBLP", "wikipedia"] {
         let entry = by_name(name).expect("suite graph");
         let inst = load_instance(entry, cfg);
-        let opts = SolveOptions {
-            ms_bfs: MsBfsOptions {
-                record_phases: true,
-                ..MsBfsOptions::graft()
-            },
-            ..SolveOptions::default()
-        };
-        let out = solve_from(&inst.graph, inst.init.clone(), Algorithm::MsBfsGraft, &opts);
-        let last = out.stats.phase_traces.len();
-        for (i, t) in out.stats.phase_traces.iter().enumerate() {
-            let avg_p = if t.augmenting_paths == 0 {
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::to_sink(sink.clone());
+        solve_from_traced(
+            &inst.graph,
+            inst.init.clone(),
+            Algorithm::MsBfsGraft,
+            &SolveOptions::default(),
+            &tracer,
+        );
+        let run = replay(&sink.take())
+            .expect("an engine trace replays")
+            .pop()
+            .expect("the traced solve is one run");
+        for t in &run.phases {
+            let avg_p = if t.augmentations == 0 {
                 0.0
             } else {
-                t.path_edges as f64 / t.augmenting_paths as f64
+                t.path_edges as f64 / t.augmentations as f64
+            };
+            // The last phase finds no path and makes no graft decision.
+            let (active_x, renewable_y, next) = match t.graft {
+                None => (0, 0, "done"),
+                Some(g) => (
+                    g.active_x,
+                    g.renewable_y,
+                    if g.grafted { "graft" } else { "rebuild" },
+                ),
             };
             r.row(vec![
                 name.into(),
@@ -54,17 +70,11 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
                 t.bottom_up_levels.to_string(),
                 t.frontier_peak.to_string(),
                 t.edges_traversed.to_string(),
-                t.augmenting_paths.to_string(),
+                t.augmentations.to_string(),
                 format!("{avg_p:.1}"),
-                t.active_x.to_string(),
-                t.renewable_y.to_string(),
-                if i + 1 == last {
-                    "done".into()
-                } else if t.grafted {
-                    "graft".into()
-                } else {
-                    "rebuild".into()
-                },
+                active_x.to_string(),
+                renewable_y.to_string(),
+                next.into(),
             ]);
         }
     }

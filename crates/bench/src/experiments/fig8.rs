@@ -4,14 +4,16 @@
 use super::load_instance;
 use crate::report::Report;
 use crate::Config;
-use graft_core::{solve_from, Algorithm, MsBfsOptions, SolveOptions};
+use graft_core::trace::{MemorySink, TraceEvent};
+use graft_core::{solve_from_traced, Algorithm, SolveOptions, Tracer};
 use graft_gen::suite::by_name;
+use std::sync::Arc;
 
-/// Records the frontier-size history of MS-BFS and MS-BFS-Graft and
-/// prints the per-level sizes of two mid-run phases (the paper shows
-/// phases 2 and 4). Grafting should start each phase with a large
-/// frontier that only shrinks; without grafting each phase restarts small,
-/// grows, then shrinks.
+/// Traces MS-BFS and MS-BFS-Graft and prints the per-level frontier sizes
+/// (the `Level` events) of two mid-run phases (the paper shows phases 2
+/// and 4). Grafting should start each phase with a large frontier that
+/// only shrinks; without grafting each phase restarts small, grows, then
+/// shrinks.
 pub fn fig8(cfg: &Config) -> std::io::Result<()> {
     let entry = by_name("coPapersDBLP").expect("suite graph");
     let inst = load_instance(entry, cfg);
@@ -24,30 +26,41 @@ pub fn fig8(cfg: &Config) -> std::io::Result<()> {
         ("MS-BFS", Algorithm::MsBfs),
         ("MS-BFS-Graft", Algorithm::MsBfsGraft),
     ] {
-        let opts = SolveOptions {
-            ms_bfs: MsBfsOptions {
-                record_frontier: true,
-                ..MsBfsOptions::graft()
-            },
-            ..SolveOptions::default()
-        };
-        let out = solve_from(&inst.graph, inst.init.clone(), alg, &opts);
-        let max_phase = out
-            .stats
-            .frontier_history
-            .iter()
-            .map(|s| s.phase)
-            .max()
-            .unwrap_or(1);
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::to_sink(sink.clone());
+        solve_from_traced(
+            &inst.graph,
+            inst.init.clone(),
+            alg,
+            &SolveOptions::default(),
+            &tracer,
+        );
+        // (phase, level, frontier size, bottom-up) of every BFS level.
+        let levels: Vec<(u64, u64, u64, bool)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                TraceEvent::Level {
+                    phase,
+                    level,
+                    frontier,
+                    bottom_up,
+                    ..
+                } => Some((phase, level, frontier, bottom_up)),
+                _ => None,
+            })
+            .collect();
+        let of_phase = |p: u64| levels.iter().filter(move |l| l.0 == p);
+        let max_phase = levels.iter().map(|l| l.0).max().unwrap_or(1);
         // The paper plots phases 2 and 4; clamp for short runs.
-        for phase in [2u32.min(max_phase), 4u32.min(max_phase)] {
-            for s in out.stats.frontier_of_phase(phase) {
+        for phase in [2.min(max_phase), 4.min(max_phase)] {
+            for &(_, level, size, bottom_up) in of_phase(phase) {
                 r.row(vec![
                     name.into(),
-                    s.phase.to_string(),
-                    s.level.to_string(),
-                    s.size.to_string(),
-                    if s.bottom_up {
+                    phase.to_string(),
+                    level.to_string(),
+                    size.to_string(),
+                    if bottom_up {
                         "bottom-up".into()
                     } else {
                         "top-down".into()
@@ -56,29 +69,22 @@ pub fn fig8(cfg: &Config) -> std::io::Result<()> {
             }
         }
         // Summary: total forest work per phase (area under the curve).
-        let total: usize = out.stats.frontier_history.iter().map(|s| s.size).sum();
+        let total: u64 = levels.iter().map(|l| l.2).sum();
         r.note(format!(
             "{name}: {} phases, total frontier volume {} (area under the curves)",
             max_phase, total
         ));
         // ASCII rendition of the paper's curves: one bar row per level.
-        let peak = out
-            .stats
-            .frontier_history
-            .iter()
-            .map(|s| s.size)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        for phase in [2u32.min(max_phase), 4u32.min(max_phase)] {
-            for s in out.stats.frontier_of_phase(phase) {
-                let width = (s.size * 40).div_ceil(peak);
+        let peak = levels.iter().map(|l| l.2).max().unwrap_or(1).max(1);
+        for phase in [2.min(max_phase), 4.min(max_phase)] {
+            for &(_, level, size, _) in of_phase(phase) {
+                let width = (size * 40).div_ceil(peak) as usize;
                 r.note(format!(
                     "{name:>12} p{} L{:<2} |{:<40}| {}",
-                    s.phase,
-                    s.level,
+                    phase,
+                    level,
                     "█".repeat(width),
-                    s.size
+                    size
                 ));
             }
         }

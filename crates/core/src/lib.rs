@@ -35,7 +35,6 @@
 
 pub mod augment;
 pub mod diff;
-pub mod frontier;
 pub mod init;
 mod matching;
 pub mod ms_bfs;
@@ -76,21 +75,16 @@ pub use augment::{
 };
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use ms_bfs::{
-    ms_bfs_serial, ms_bfs_serial_traced, ms_bfs_serial_traced_in, MsBfsOptions, NowHook, PhaseHook,
-};
-pub use par::{
-    ms_bfs_graft_parallel, ms_bfs_graft_parallel_traced, ms_bfs_graft_parallel_traced_in,
-};
-pub use pothen_fan::{pothen_fan, pothen_fan_traced, pothen_fan_traced_in};
+pub use ms_bfs::{ms_bfs_serial, ms_bfs_serial_traced_in, MsBfsOptions, NowHook, PhaseHook};
+pub use par::{ms_bfs_graft_parallel, ms_bfs_graft_parallel_traced_in};
+pub use pothen_fan::{pothen_fan, pothen_fan_traced_in};
 pub use pothen_fan_par::pothen_fan_parallel;
 // Search internals for the graft-check model suite; invisible otherwise.
 #[cfg(graft_check)]
 #[doc(hidden)]
 pub use pothen_fan_par::check_api as pf_check_api;
 pub use push_relabel::{
-    push_relabel, push_relabel_parallel, push_relabel_traced, push_relabel_traced_in, PrOrder,
-    PushRelabelOptions,
+    push_relabel, push_relabel_parallel, push_relabel_traced_in, PrOrder, PushRelabelOptions,
 };
 pub use ss::{ss_bfs, ss_dfs};
 pub use trace::Tracer;
@@ -343,17 +337,14 @@ pub fn solve_from(
 fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsOptions> {
     match algorithm {
         Algorithm::MsBfs => Some(MsBfsOptions {
-            record_frontier: opts.ms_bfs.record_frontier,
-            deadline: opts.ms_bfs.deadline,
-            phase_hook: opts.ms_bfs.phase_hook,
-            ..MsBfsOptions::plain()
+            direction_optimizing: false,
+            grafting: false,
+            ..opts.ms_bfs
         }),
         Algorithm::MsBfsDirOpt => Some(MsBfsOptions {
-            record_frontier: opts.ms_bfs.record_frontier,
-            alpha: opts.ms_bfs.alpha,
-            deadline: opts.ms_bfs.deadline,
-            phase_hook: opts.ms_bfs.phase_hook,
-            ..MsBfsOptions::dir_opt_only()
+            direction_optimizing: true,
+            grafting: false,
+            ..opts.ms_bfs
         }),
         Algorithm::MsBfsGraft | Algorithm::MsBfsGraftParallel => Some(opts.ms_bfs),
         _ => None,
@@ -494,6 +485,33 @@ mod tests {
     fn parallel_flags() {
         assert!(Algorithm::MsBfsGraftParallel.is_parallel());
         assert!(!Algorithm::MsBfsGraft.is_parallel());
+    }
+
+    #[test]
+    fn every_ms_algorithm_reads_the_deadline_through_now_hook() {
+        // The deadline is an hour away on the real clock but already past
+        // on the hook's clock, so every engine that honors deadlines must
+        // stop before its first phase.
+        use std::time::{Duration, Instant};
+        let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
+        let opts = SolveOptions {
+            ms_bfs: MsBfsOptions {
+                deadline: Some(Instant::now() + Duration::from_secs(3600)),
+                now_hook: Some(NowHook(&|| Instant::now() + Duration::from_secs(7200))),
+                ..MsBfsOptions::default()
+            },
+            ..SolveOptions::default()
+        };
+        let ms_algorithms: Vec<_> = Algorithm::ALL
+            .into_iter()
+            .filter(|a| a.supports_deadline())
+            .collect();
+        assert_eq!(ms_algorithms.len(), 4);
+        for alg in ms_algorithms {
+            let out = solve(&g, alg, &opts);
+            assert!(out.stats.timed_out, "{} ignored now_hook", alg.name());
+            assert_eq!(out.stats.phases, 0, "{}", alg.name());
+        }
     }
 
     #[test]

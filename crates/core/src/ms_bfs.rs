@@ -36,7 +36,7 @@
 
 use crate::ss::reconstruct_into;
 use crate::stats::{SearchStats, Step};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{emit_phase, GraftSummary, PhaseSummary, TraceEvent, Tracer};
 use crate::workspace::{MsBuffers, SolveWorkspace};
 use crate::{Matching, RunOutcome};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
@@ -103,10 +103,6 @@ pub struct MsBfsOptions {
     pub direction_optimizing: bool,
     /// Enable tree grafting between phases.
     pub grafting: bool,
-    /// Record per-level frontier sizes into the stats (Fig. 8).
-    pub record_frontier: bool,
-    /// Record per-phase summaries ([`crate::stats::PhaseTrace`]).
-    pub record_phases: bool,
     /// Cooperative cancellation: when set, the engine checks the clock at
     /// every phase boundary and stops early once the deadline has passed,
     /// returning the (valid, maximal-so-far) matching with
@@ -130,8 +126,6 @@ impl Default for MsBfsOptions {
             alpha: 5.0,
             direction_optimizing: true,
             grafting: true,
-            record_frontier: false,
-            record_phases: false,
             deadline: None,
             phase_hook: None,
             now_hook: None,
@@ -195,28 +189,17 @@ struct Engine<'a> {
 /// assert!(out.stats.phases >= 1);
 /// ```
 pub fn ms_bfs_serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
-    ms_bfs_serial_traced(g, m, opts, &Tracer::disabled())
+    ms_bfs_serial_traced_in(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
 }
 
 /// [`ms_bfs_serial`] with a [`Tracer`] observing every level, phase, and
-/// graft decision. Event closures only read engine state; a disabled
-/// tracer makes this identical to `ms_bfs_serial` (pinned by
-/// `tests/trace_noninterference.rs`).
-pub fn ms_bfs_serial_traced(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &MsBfsOptions,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    ms_bfs_serial_traced_in(g, m, opts, tracer, &mut ws)
-}
-
-/// [`ms_bfs_serial_traced`] solving in a caller-provided
-/// [`SolveWorkspace`]: on a warm workspace the engine performs no heap
-/// allocation at all (pinned by `tests/workspace_alloc.rs`), and the
-/// result is identical to a fresh-workspace solve (pinned by
-/// `tests/workspace_reuse.rs`).
+/// graft decision, solving in a caller-provided [`SolveWorkspace`].
+/// Event closures only read engine state; a disabled tracer makes this
+/// identical to `ms_bfs_serial` (pinned by
+/// `tests/trace_noninterference.rs`). On a warm workspace the engine
+/// performs no heap allocation at all (pinned by
+/// `tests/workspace_alloc.rs`), and the result is identical to a
+/// fresh-workspace solve (pinned by `tests/workspace_reuse.rs`).
 pub fn ms_bfs_serial_traced_in(
     g: &BipartiteCsr,
     m: Matching,
@@ -274,9 +257,8 @@ impl Engine<'_> {
                 hook.call(self.stats.phases);
             }
             self.stats.phases += 1;
-            let phase = self.stats.phases;
-            let mut trace = crate::stats::PhaseTrace {
-                phase,
+            let mut p = PhaseSummary {
+                phase: u64::from(self.stats.phases),
                 ..Default::default()
             };
             let edges_at_start = self.stats.edges_traversed;
@@ -286,23 +268,18 @@ impl Engine<'_> {
             let phase_t0 = self.tracer.is_enabled().then(Instant::now);
 
             // ---- Step 1: grow the alternating BFS forest. ----
-            let mut level: u32 = 0;
             while !frontier.is_empty() {
                 let bottom_up = self.opts.direction_optimizing
                     && (frontier.len() as f64) >= self.num_unvisited_y as f64 / self.opts.alpha;
-                if self.opts.record_frontier {
-                    self.stats
-                        .record_frontier(phase, level, frontier.len(), bottom_up);
-                }
                 self.tracer.emit(|| TraceEvent::Level {
-                    phase: u64::from(phase),
-                    level: u64::from(level),
+                    phase: p.phase,
+                    level: p.levels,
                     frontier: frontier.len() as u64,
                     unvisited_y: self.num_unvisited_y as u64,
                     bottom_up,
                 });
-                trace.frontier_peak = trace.frontier_peak.max(frontier.len());
-                trace.bottom_up_levels += u32::from(bottom_up);
+                p.frontier_peak = p.frontier_peak.max(frontier.len() as u64);
+                p.bottom_up_levels += u64::from(bottom_up);
                 let t0 = Instant::now();
                 next.clear();
                 let step = if bottom_up {
@@ -314,57 +291,29 @@ impl Engine<'_> {
                 };
                 self.stats.breakdown.add(step, t0.elapsed());
                 std::mem::swap(&mut frontier, &mut next);
-                level += 1;
+                p.levels += 1;
             }
-            trace.levels = level;
 
             // ---- Step 2: augment along one path per renewable tree. ----
             let t0 = Instant::now();
-            let augmented = self.augment_all();
+            p.augmentations = self.augment_all();
             self.stats.breakdown.add(Step::Augment, t0.elapsed());
-            trace.augmenting_paths = augmented;
-            trace.path_edges = self.stats.total_augmenting_path_edges - path_edges_at_start;
-            if augmented == 0 {
-                trace.edges_traversed = self.stats.edges_traversed - edges_at_start;
-                self.emit_phase_end(&trace, phase_t0);
-                if self.opts.record_phases {
-                    self.stats.phase_traces.push(trace);
-                }
-                break; // no augmenting path in this phase: maximum reached
-            }
+            p.path_edges = self.stats.total_augmenting_path_edges - path_edges_at_start;
 
-            // ---- Step 3: rebuild the frontier (Algorithm 7). ----
-            let (active_x, renewable_y, grafted) = self.rebuild_frontier(&mut frontier);
-            trace.active_x = active_x;
-            trace.renewable_y = renewable_y;
-            trace.grafted = grafted;
-            trace.edges_traversed = self.stats.edges_traversed - edges_at_start;
-            self.emit_phase_end(&trace, phase_t0);
-            self.tracer.emit(|| TraceEvent::Graft {
-                phase: u64::from(phase),
-                active_x: active_x as u64,
-                renewable_y: renewable_y as u64,
-                grafted,
-            });
-            if self.opts.record_phases {
-                self.stats.phase_traces.push(trace);
+            // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
+            // without augmenting paths proves the matching maximum. ----
+            if p.augmentations > 0 {
+                p.graft = Some(self.rebuild_frontier(&mut frontier));
+            }
+            p.edges_traversed = self.stats.edges_traversed - edges_at_start;
+            p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+            emit_phase(&self.tracer, &p);
+            if p.graft.is_none() {
+                break;
             }
         }
         self.ws.frontier = frontier;
         self.ws.next = next;
-    }
-
-    fn emit_phase_end(&self, trace: &crate::stats::PhaseTrace, phase_t0: Option<Instant>) {
-        self.tracer.emit(|| TraceEvent::PhaseEnd {
-            phase: u64::from(trace.phase),
-            levels: u64::from(trace.levels),
-            bottom_up_levels: u64::from(trace.bottom_up_levels),
-            frontier_peak: trace.frontier_peak as u64,
-            augmentations: trace.augmenting_paths,
-            path_edges: trace.path_edges,
-            edges_traversed: trace.edges_traversed,
-            elapsed_us: phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-        });
     }
 
     /// Algorithm 4: expand the frontier top-down into `next`.
@@ -461,8 +410,9 @@ impl Engine<'_> {
 
     /// Algorithm 7: construct the next phase's frontier (into `frontier`)
     /// by tree grafting, or destroy the forest and restart from the
-    /// unmatched vertices. Returns `(|activeX|, |renewableY|, grafted)`.
-    fn rebuild_frontier(&mut self, frontier: &mut Vec<VertexId>) -> (usize, usize, bool) {
+    /// unmatched vertices. Returns the decision and the statistics that
+    /// drove it.
+    fn rebuild_frontier(&mut self, frontier: &mut Vec<VertexId>) -> GraftSummary {
         // -- Statistics driving the decision (timed separately: Fig. 6). --
         let t_stats = Instant::now();
         let active_x = (0..self.g.num_x() as VertexId)
@@ -532,7 +482,11 @@ impl Engine<'_> {
         }
         self.ws.renewable = renewable_y;
         self.stats.breakdown.add(Step::Graft, t_graft.elapsed());
-        (active_x, renewable_count, graft_profitable)
+        GraftSummary {
+            active_x: active_x as u64,
+            renewable_y: renewable_count as u64,
+            grafted: graft_profitable,
+        }
     }
 }
 
@@ -671,42 +625,37 @@ mod tests {
     }
 
     #[test]
-    fn frontier_history_recorded() {
-        let g = fig2_graph();
-        let opts = MsBfsOptions {
-            record_frontier: true,
-            ..MsBfsOptions::graft()
-        };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
-        assert!(!out.stats.frontier_history.is_empty());
-        assert_eq!(out.stats.frontier_history[0].level, 0);
-    }
-
-    #[test]
     fn fig2_phase_trace_is_stable() {
         // Regression pin of the engine's deterministic behavior on the
         // paper's Fig. 2 instance: with direction optimization both free
         // roots resolve in one phase (two disjoint augmenting paths of
         // lengths 1 and 3), and the second phase certifies termination.
+        use crate::trace::{replay, MemorySink};
+        use crate::{solve_from_traced, Algorithm, SolveOptions};
         let g = fig2_graph();
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 1);
         m0.match_pair(2, 0);
         m0.match_pair(3, 3);
         m0.match_pair(4, 4);
-        let opts = MsBfsOptions {
-            record_phases: true,
-            ..MsBfsOptions::graft()
-        };
-        let out = ms_bfs_serial(&g, m0, &opts);
+        let sink = std::sync::Arc::new(MemorySink::new());
+        let out = solve_from_traced(
+            &g,
+            m0,
+            Algorithm::MsBfsGraft,
+            &SolveOptions::default(),
+            &Tracer::to_sink(sink.clone()),
+        );
         assert_eq!(out.matching.cardinality(), 6);
-        let t = &out.stats.phase_traces;
+        let runs = replay(&sink.take()).expect("trace replays");
+        let t = &runs[0].phases;
         assert_eq!(t.len(), 2);
-        assert_eq!(t[0].augmenting_paths, 2);
+        assert_eq!(t[0].augmentations, 2);
         assert_eq!(t[0].path_edges, 4); // lengths 1 + 3
-        assert_eq!(t[0].renewable_y, 5);
-        assert_eq!(t[0].active_x, 0); // every tree found a path
-        assert_eq!(t[1].augmenting_paths, 0); // certification phase
+        let graft = t[0].graft.expect("phase 1 decides graft vs rebuild");
+        assert_eq!(graft.renewable_y, 5);
+        assert_eq!(graft.active_x, 0); // every tree found a path
+        assert_eq!(t[1].augmentations, 0); // certification phase
     }
 
     #[test]

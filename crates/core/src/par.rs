@@ -38,7 +38,7 @@
 
 use crate::ms_bfs::MsBfsOptions;
 use crate::stats::{SearchStats, Step, Stopwatch};
-use crate::trace::{TraceEvent, Tracer};
+use crate::trace::{emit_phase, GraftSummary, PhaseSummary, TraceEvent, Tracer};
 use crate::workspace::{pack, unpack, SolveWorkspace};
 use crate::{Matching, RunOutcome};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
@@ -57,30 +57,26 @@ pub fn ms_bfs_graft_parallel(
     opts: &MsBfsOptions,
     threads: usize,
 ) -> RunOutcome {
-    ms_bfs_graft_parallel_traced(g, m, opts, threads, &Tracer::disabled())
+    ms_bfs_graft_parallel_traced_in(
+        g,
+        m,
+        opts,
+        threads,
+        &Tracer::disabled(),
+        &mut SolveWorkspace::new(),
+    )
 }
 
 /// [`ms_bfs_graft_parallel`] with a [`Tracer`] observing every level,
-/// phase, and graft decision. All events are emitted from the driving
-/// thread at level/phase boundaries — the parallel regions are untouched —
-/// so enabling tracing cannot change scheduling-visible behavior.
-pub fn ms_bfs_graft_parallel_traced(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &MsBfsOptions,
-    threads: usize,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    ms_bfs_graft_parallel_traced_in(g, m, opts, threads, tracer, &mut ws)
-}
-
-/// [`ms_bfs_graft_parallel_traced`] against a caller-owned
-/// [`SolveWorkspace`]: the large atomic per-vertex arrays are reused
-/// across solves under the epoch scheme (the visited claim becomes a
-/// `compare_exchange(stale, epoch)`). The fold/reduce frontier
-/// accumulators still allocate — they are inherent to the private-queue
-/// scheme — so this engine is *allocation-light*, not allocation-free.
+/// phase, and graft decision, against a caller-owned [`SolveWorkspace`].
+/// All events are emitted from the driving thread at level/phase
+/// boundaries — the parallel regions are untouched — so enabling tracing
+/// cannot change scheduling-visible behavior. The large atomic per-vertex
+/// arrays are reused across solves under the epoch scheme (the visited
+/// claim becomes a `compare_exchange(stale, epoch)`). The fold/reduce
+/// frontier accumulators still allocate — they are inherent to the
+/// private-queue scheme — so this engine is *allocation-light*, not
+/// allocation-free.
 pub fn ms_bfs_graft_parallel_traced_in(
     g: &BipartiteCsr,
     m: Matching,
@@ -297,9 +293,8 @@ fn run(
             hook.call(stats.phases);
         }
         stats.phases += 1;
-        let phase = stats.phases;
-        let mut trace = crate::stats::PhaseTrace {
-            phase,
+        let mut p = PhaseSummary {
+            phase: u64::from(stats.phases),
             ..Default::default()
         };
         let edges_at_start = stats.edges_traversed;
@@ -309,22 +304,18 @@ fn run(
         let phase_t0 = tracer.is_enabled().then(Instant::now);
 
         // ---- Step 1: grow the alternating BFS forest. ----
-        let mut level: u32 = 0;
         while !frontier.is_empty() {
             let bottom_up = opts.direction_optimizing
                 && (frontier.len() as f64) >= num_unvisited_y as f64 / opts.alpha;
-            if opts.record_frontier {
-                stats.record_frontier(phase, level, frontier.len(), bottom_up);
-            }
             tracer.emit(|| TraceEvent::Level {
-                phase: u64::from(phase),
-                level: u64::from(level),
+                phase: p.phase,
+                level: p.levels,
                 frontier: frontier.len() as u64,
                 unvisited_y: num_unvisited_y as u64,
                 bottom_up,
             });
-            trace.frontier_peak = trace.frontier_peak.max(frontier.len());
-            trace.bottom_up_levels += u32::from(bottom_up);
+            p.frontier_peak = p.frontier_peak.max(frontier.len() as u64);
+            p.bottom_up_levels += u64::from(bottom_up);
             let (next, newly_visited, edges) = if bottom_up {
                 let _t = Stopwatch::start(&mut stats.breakdown, Step::BottomUp);
                 let r = match unvisited_cache.take() {
@@ -344,12 +335,11 @@ fn run(
             num_unvisited_y -= newly_visited as usize;
             stats.edges_traversed += edges;
             frontier = next;
-            level += 1;
+            p.levels += 1;
         }
-        trace.levels = level;
 
         // ---- Step 2: parallel augmentation, one path per renewable tree. ----
-        let augmented = {
+        {
             let _t = Stopwatch::start(&mut stats.breakdown, Step::Augment);
             let roots: Vec<VertexId> = (0..g.num_x() as VertexId)
                 .into_par_iter()
@@ -365,97 +355,88 @@ fn run(
                 .reduce(|| (0u64, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
             stats.augmenting_paths += count;
             stats.total_augmenting_path_edges += path_edges;
-            count
-        };
-        trace.augmenting_paths = augmented;
-        trace.path_edges = stats.total_augmenting_path_edges - path_edges_at_start;
-        if augmented == 0 {
-            trace.edges_traversed = stats.edges_traversed - edges_at_start;
-            emit_phase_end(tracer, &trace, phase_t0);
-            if opts.record_phases {
-                stats.phase_traces.push(trace);
-            }
-            break;
+            p.augmentations = count;
         }
+        p.path_edges = stats.total_augmenting_path_edges - path_edges_at_start;
 
-        // ---- Step 3: rebuild the frontier (Algorithm 7). ----
-        // Statistics gathering (timed separately, Fig. 6's "Statistics").
-        let (active_x_count, renewable_y) = {
-            let _t = Stopwatch::start(&mut stats.breakdown, Step::Statistics);
-            let active_x_count = (0..g.num_x() as VertexId)
-                .into_par_iter()
-                .filter(|&x| sh.x_is_active(x))
-                .count();
-            let renewable_y: Vec<VertexId> = (0..g.num_y() as VertexId)
-                .into_par_iter()
-                .filter(|&y| {
-                    // The visited check must come first: `root_y` is only
-                    // meaningful (and only guaranteed in-range after a
-                    // graph change) for current-epoch vertices.
-                    if !sh.is_visited(y) {
-                        return false;
+        // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
+        // without augmenting paths proves the matching maximum. ----
+        if p.augmentations > 0 {
+            // Statistics gathering (timed separately, Fig. 6's "Statistics").
+            let (active_x_count, renewable_y) = {
+                let _t = Stopwatch::start(&mut stats.breakdown, Step::Statistics);
+                let active_x_count = (0..g.num_x() as VertexId)
+                    .into_par_iter()
+                    .filter(|&x| sh.x_is_active(x))
+                    .count();
+                let renewable_y: Vec<VertexId> = (0..g.num_y() as VertexId)
+                    .into_par_iter()
+                    .filter(|&y| {
+                        // The visited check must come first: `root_y` is only
+                        // meaningful (and only guaranteed in-range after a
+                        // graph change) for current-epoch vertices.
+                        if !sh.is_visited(y) {
+                            return false;
+                        }
+                        let r = sh.root_y[y as usize].load(Ordering::Relaxed);
+                        r != NONE && sh.leaf_of(r) != NONE
+                    })
+                    .collect();
+                (active_x_count, renewable_y)
+            };
+
+            let _t = Stopwatch::start(&mut stats.breakdown, Step::Graft);
+            // The resets below un-visit vertices: invalidate the cache.
+            // (Un-visits store 0 — epoch 0 is never issued — and happen only
+            // in this join-delimited region, never concurrently with claims.)
+            unvisited_cache = None;
+            // Reset renewable Y vertices for reuse.
+            renewable_y.par_iter().for_each(|&y| {
+                sh.visited[y as usize].store(0, Ordering::Relaxed);
+                sh.root_y[y as usize].store(NONE, Ordering::Relaxed);
+                sh.parent_y[y as usize].store(NONE, Ordering::Relaxed);
+            });
+            num_unvisited_y += renewable_y.len();
+
+            let graft_profitable =
+                opts.grafting && active_x_count as f64 > renewable_y.len() as f64 / opts.alpha;
+            p.graft = Some(GraftSummary {
+                active_x: active_x_count as u64,
+                renewable_y: renewable_y.len() as u64,
+                grafted: graft_profitable,
+            });
+            frontier = if graft_profitable {
+                let (next, newly_visited, edges) = sh.bottom_up(&renewable_y);
+                num_unvisited_y -= newly_visited as usize;
+                stats.edges_traversed += edges;
+                next
+            } else {
+                // Destroy the forest and restart from the unmatched vertices.
+                (0..g.num_y() as VertexId).into_par_iter().for_each(|y| {
+                    if sh.is_visited(y) {
+                        sh.visited[y as usize].store(0, Ordering::Relaxed);
+                        sh.root_y[y as usize].store(NONE, Ordering::Relaxed);
+                        sh.parent_y[y as usize].store(NONE, Ordering::Relaxed);
                     }
-                    let r = sh.root_y[y as usize].load(Ordering::Relaxed);
-                    r != NONE && sh.leaf_of(r) != NONE
-                })
-                .collect();
-            (active_x_count, renewable_y)
-        };
-
-        let _t = Stopwatch::start(&mut stats.breakdown, Step::Graft);
-        // The resets below un-visit vertices: invalidate the cache.
-        // (Un-visits store 0 — epoch 0 is never issued — and happen only
-        // in this join-delimited region, never concurrently with claims.)
-        unvisited_cache = None;
-        // Reset renewable Y vertices for reuse.
-        renewable_y.par_iter().for_each(|&y| {
-            sh.visited[y as usize].store(0, Ordering::Relaxed);
-            sh.root_y[y as usize].store(NONE, Ordering::Relaxed);
-            sh.parent_y[y as usize].store(NONE, Ordering::Relaxed);
-        });
-        num_unvisited_y += renewable_y.len();
-
-        trace.active_x = active_x_count;
-        trace.renewable_y = renewable_y.len();
-        let graft_profitable =
-            opts.grafting && active_x_count as f64 > renewable_y.len() as f64 / opts.alpha;
-        trace.grafted = graft_profitable;
-        frontier = if graft_profitable {
-            let (next, newly_visited, edges) = sh.bottom_up(&renewable_y);
-            num_unvisited_y -= newly_visited as usize;
-            stats.edges_traversed += edges;
-            next
-        } else {
-            // Destroy the forest and restart from the unmatched vertices.
-            (0..g.num_y() as VertexId).into_par_iter().for_each(|y| {
-                if sh.is_visited(y) {
-                    sh.visited[y as usize].store(0, Ordering::Relaxed);
-                    sh.root_y[y as usize].store(NONE, Ordering::Relaxed);
-                    sh.parent_y[y as usize].store(NONE, Ordering::Relaxed);
-                }
-            });
-            (0..g.num_x()).into_par_iter().for_each(|x| {
-                sh.root_x[x].store(0, Ordering::Relaxed);
-                sh.leaf[x].store(0, Ordering::Relaxed);
-            });
-            num_unvisited_y = g.num_y();
-            let f: Vec<VertexId> = (0..g.num_x() as VertexId)
-                .into_par_iter()
-                .filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE)
-                .collect();
-            f.par_iter().for_each(|&x| sh.set_root_x(x, x));
-            f
-        };
-        trace.edges_traversed = stats.edges_traversed - edges_at_start;
-        emit_phase_end(tracer, &trace, phase_t0);
-        tracer.emit(|| TraceEvent::Graft {
-            phase: u64::from(phase),
-            active_x: trace.active_x as u64,
-            renewable_y: trace.renewable_y as u64,
-            grafted: trace.grafted,
-        });
-        if opts.record_phases {
-            stats.phase_traces.push(trace);
+                });
+                (0..g.num_x()).into_par_iter().for_each(|x| {
+                    sh.root_x[x].store(0, Ordering::Relaxed);
+                    sh.leaf[x].store(0, Ordering::Relaxed);
+                });
+                num_unvisited_y = g.num_y();
+                let f: Vec<VertexId> = (0..g.num_x() as VertexId)
+                    .into_par_iter()
+                    .filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE)
+                    .collect();
+                f.par_iter().for_each(|&x| sh.set_root_x(x, x));
+                f
+            };
+        }
+        p.edges_traversed = stats.edges_traversed - edges_at_start;
+        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        emit_phase(tracer, &p);
+        if p.graft.is_none() {
+            break;
         }
     }
 
@@ -471,19 +452,6 @@ fn run(
     stats.final_cardinality = matching.cardinality();
     stats.elapsed = start.elapsed();
     RunOutcome { matching, stats }
-}
-
-fn emit_phase_end(tracer: &Tracer, trace: &crate::stats::PhaseTrace, phase_t0: Option<Instant>) {
-    tracer.emit(|| TraceEvent::PhaseEnd {
-        phase: u64::from(trace.phase),
-        levels: u64::from(trace.levels),
-        bottom_up_levels: u64::from(trace.bottom_up_levels),
-        frontier_peak: trace.frontier_peak as u64,
-        augmentations: trace.augmenting_paths,
-        path_edges: trace.path_edges,
-        edges_traversed: trace.edges_traversed,
-        elapsed_us: phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-    });
 }
 
 /// Flips the unique augmenting path of the renewable tree rooted at `x0`.
@@ -631,16 +599,5 @@ mod tests {
         assert!(out.stats.timed_out);
         assert_eq!(out.stats.phases, 0);
         assert_eq!(out.matching.cardinality(), 0);
-    }
-
-    #[test]
-    fn frontier_recording_in_parallel() {
-        let g = chain(50);
-        let opts = MsBfsOptions {
-            record_frontier: true,
-            ..MsBfsOptions::graft()
-        };
-        let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &opts, 2);
-        assert!(!out.stats.frontier_history.is_empty());
     }
 }

@@ -25,19 +25,14 @@ use std::time::Instant;
 
 /// Maximum matching by serial Pothen-Fan with fairness and lookahead.
 pub fn pothen_fan(g: &BipartiteCsr, m: Matching) -> RunOutcome {
-    pothen_fan_traced(g, m, &Tracer::disabled())
+    pothen_fan_traced_in(g, m, &Tracer::disabled(), &mut SolveWorkspace::new())
 }
 
 /// [`pothen_fan`] with a [`Tracer`] observing each phase (PF has no BFS
-/// levels, so phases are the only inner structure it reports).
-pub fn pothen_fan_traced(g: &BipartiteCsr, m: Matching, tracer: &Tracer) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    pothen_fan_traced_in(g, m, tracer, &mut ws)
-}
-
-/// [`pothen_fan_traced`] against a caller-owned [`SolveWorkspace`]: warm
-/// solves reuse the visited stamps, lookahead cursors, root list and DFS
-/// stack, performing no heap allocations.
+/// levels, so phases are the only inner structure it reports), against a
+/// caller-owned [`SolveWorkspace`]: warm solves reuse the visited stamps,
+/// lookahead cursors, root list and DFS stack, performing no heap
+/// allocations.
 pub fn pothen_fan_traced_in(
     g: &BipartiteCsr,
     mut m: Matching,

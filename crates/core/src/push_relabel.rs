@@ -174,27 +174,17 @@ fn global_relabel(
 /// Maximum matching by serial FIFO push-relabel with double pushes,
 /// second-minimum relabeling and periodic global relabeling.
 pub fn push_relabel(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
-    push_relabel_traced(g, m, opts, &Tracer::disabled())
+    push_relabel_traced_in(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
 }
 
-/// [`push_relabel`] with a [`Tracer`] observing each phase. A PR "phase"
-/// is the span opened by one global relabel: its event reports the pushes
-/// that landed on a free `Y` vertex (the cardinality gains) and the edges
-/// scanned — relabel sweep included — before the next relabel.
-pub fn push_relabel_traced(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &PushRelabelOptions,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    push_relabel_traced_in(g, m, opts, tracer, &mut ws)
-}
-
-/// [`push_relabel_traced`] against a caller-owned [`SolveWorkspace`]: warm
-/// solves reuse the label array, the relabel scratch and the active set,
-/// performing no heap allocations. PR needs no epoch versioning — the
-/// solve-opening global relabel fully reinitializes every buffer.
+/// [`push_relabel`] with a [`Tracer`] observing each phase, against a
+/// caller-owned [`SolveWorkspace`]. A PR "phase" is the span opened by one
+/// global relabel: its event reports the pushes that landed on a free `Y`
+/// vertex (the cardinality gains) and the edges scanned — relabel sweep
+/// included — before the next relabel. Warm solves reuse the label array,
+/// the relabel scratch and the active set, performing no heap
+/// allocations. PR needs no epoch versioning — the solve-opening global
+/// relabel fully reinitializes every buffer.
 pub fn push_relabel_traced_in(
     g: &BipartiteCsr,
     mut m: Matching,
@@ -544,8 +534,6 @@ fn merge_stats(a: SearchStats, b: SearchStats) -> SearchStats {
         final_cardinality: b.final_cardinality,
         elapsed: a.elapsed + b.elapsed,
         breakdown: a.breakdown,
-        frontier_history: a.frontier_history,
-        phase_traces: a.phase_traces,
         timed_out: a.timed_out || b.timed_out,
     }
 }

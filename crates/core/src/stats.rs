@@ -9,7 +9,9 @@
 //! * **Fig. 4** — search rate in MTEPS (traversed edges / second);
 //! * **Fig. 6** — per-step runtime breakdown (TopDown, BottomUp, Augment,
 //!   Tree-Grafting, Statistics);
-//! * **Fig. 8** — frontier size per BFS level per phase.
+//! * **Fig. 8** — frontier size per BFS level per phase, which is not an
+//!   end-of-run counter: the MS-BFS engines stream it as
+//!   [`TraceEvent::Level`](crate::trace::TraceEvent::Level) events.
 //!
 //! Every solver in this crate fills in a [`SearchStats`]; counters that do
 //! not apply to an algorithm stay zero.
@@ -94,49 +96,6 @@ impl Breakdown {
     }
 }
 
-/// One frontier-size sample: level `level` of phase `phase` contained
-/// `size` `X` vertices (Fig. 8).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrontierSample {
-    /// Phase number, starting at 1.
-    pub phase: u32,
-    /// BFS level within the phase, starting at 0.
-    pub level: u32,
-    /// Number of `X` vertices in the frontier at this level.
-    pub size: usize,
-    /// Whether this level ran bottom-up (`true`) or top-down (`false`).
-    pub bottom_up: bool,
-}
-
-/// Summary of one phase of an MS-BFS engine (recorded when
-/// `record_phases` is enabled): the anatomy behind Figs. 7 and 8 —
-/// which phases grafted, how much forest each rebuilt, and what each
-/// phase paid and gained.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseTrace {
-    /// Phase number, starting at 1.
-    pub phase: u32,
-    /// BFS levels executed in this phase.
-    pub levels: u32,
-    /// How many of those levels ran bottom-up.
-    pub bottom_up_levels: u32,
-    /// Peak frontier size over the phase's levels.
-    pub frontier_peak: usize,
-    /// Edges traversed during this phase (BFS + grafting).
-    pub edges_traversed: u64,
-    /// Augmenting paths applied at the end of the phase.
-    pub augmenting_paths: u64,
-    /// Total length in edges of those paths.
-    pub path_edges: u64,
-    /// `|activeX|` at the grafting decision (Algorithm 7 line 2).
-    pub active_x: usize,
-    /// `|renewableY|` at the grafting decision.
-    pub renewable_y: usize,
-    /// Whether the next frontier was built by grafting (`true`) or by
-    /// destroying the forest (`false`). Meaningless for the final phase.
-    pub grafted: bool,
-}
-
 /// Counters and timings collected during one solver run.
 #[derive(Clone, Debug, Default)]
 pub struct SearchStats {
@@ -158,12 +117,6 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Per-step time attribution (meaningful for the MS-BFS engines).
     pub breakdown: Breakdown,
-    /// Frontier-size history, recorded when the engine is configured with
-    /// `record_frontier = true`.
-    pub frontier_history: Vec<FrontierSample>,
-    /// Per-phase summaries, recorded when the engine is configured with
-    /// `record_phases = true`.
-    pub phase_traces: Vec<PhaseTrace>,
     /// Set when the solver stopped at a phase boundary because the
     /// configured deadline ([`MsBfsOptions::deadline`]) passed. The
     /// returned matching is valid but not certified maximum.
@@ -201,25 +154,6 @@ impl SearchStats {
         } else {
             self.breakdown.search_time().as_secs_f64() / t
         }
-    }
-
-    /// Records one frontier sample.
-    pub fn record_frontier(&mut self, phase: u32, level: u32, size: usize, bottom_up: bool) {
-        self.frontier_history.push(FrontierSample {
-            phase,
-            level,
-            size,
-            bottom_up,
-        });
-    }
-
-    /// Frontier samples belonging to the given phase.
-    pub fn frontier_of_phase(&self, phase: u32) -> Vec<FrontierSample> {
-        self.frontier_history
-            .iter()
-            .copied()
-            .filter(|s| s.phase == phase)
-            .collect()
     }
 }
 
@@ -302,17 +236,6 @@ mod tests {
         assert!((s.mteps() - 2.0).abs() < 1e-9);
         s.elapsed = Duration::ZERO;
         assert_eq!(s.mteps(), 0.0);
-    }
-
-    #[test]
-    fn frontier_history_by_phase() {
-        let mut s = SearchStats::default();
-        s.record_frontier(1, 0, 10, false);
-        s.record_frontier(1, 1, 20, true);
-        s.record_frontier(2, 0, 5, false);
-        assert_eq!(s.frontier_of_phase(1).len(), 2);
-        assert_eq!(s.frontier_of_phase(2)[0].size, 5);
-        assert!(s.frontier_of_phase(3).is_empty());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! algorithms — the mechanisms behind Figs. 1, 7 and 8.
 
 use ms_bfs_graft::prelude::*;
+use std::sync::Arc;
 
 /// Solve from the empty matching: the phase dynamics of the paper's
 /// figures only appear when the solver has real augmenting work to do
@@ -14,6 +15,32 @@ fn solve_stats(g: &BipartiteCsr, alg: Algorithm) -> matching::stats::SearchStats
         ..SolveOptions::default()
     };
     solve(g, alg, &opts).stats
+}
+
+/// Solves with a memory trace sink and returns the outcome together with
+/// the Fig. 8 record of the run: `(phase, frontier size, bottom_up)` for
+/// every BFS level, read from the `Level` trace events.
+fn solve_levels(
+    g: &BipartiteCsr,
+    alg: Algorithm,
+    opts: &SolveOptions,
+) -> (RunOutcome, Vec<(u64, u64, bool)>) {
+    let sink = Arc::new(matching::trace::MemorySink::new());
+    let out = solve_traced(g, alg, opts, &Tracer::to_sink(sink.clone()));
+    let levels = sink
+        .take()
+        .into_iter()
+        .filter_map(|ev| match ev {
+            matching::trace::TraceEvent::Level {
+                phase,
+                frontier,
+                bottom_up,
+                ..
+            } => Some((phase, frontier, bottom_up)),
+            _ => None,
+        })
+        .collect();
+    (out, levels)
 }
 
 #[test]
@@ -105,24 +132,23 @@ fn grafted_frontiers_start_large_and_shrink() {
         .build(gen::Scale::Tiny);
     let opts = SolveOptions {
         initializer: matching::init::Initializer::None,
-        ms_bfs: MsBfsOptions {
-            record_frontier: true,
-            ..MsBfsOptions::graft()
-        },
         ..SolveOptions::default()
     };
-    let out = solve(&g, Algorithm::MsBfsGraft, &opts);
-    let history = &out.stats.frontier_history;
+    let (_, history) = solve_levels(&g, Algorithm::MsBfsGraft, &opts);
     assert!(!history.is_empty());
     // Find a grafted phase (phase ≥ 2) and check its first level is its
     // maximum (the shrink-only shape).
-    let max_phase = history.iter().map(|s| s.phase).max().unwrap();
+    let max_phase = history.iter().map(|s| s.0).max().unwrap();
     let mut saw_grafted_phase = false;
     for phase in 2..=max_phase {
-        let levels = out.stats.frontier_of_phase(phase);
+        let levels: Vec<u64> = history
+            .iter()
+            .filter(|s| s.0 == phase)
+            .map(|s| s.1)
+            .collect();
         if levels.len() >= 2 {
-            let first = levels[0].size;
-            let peak = levels.iter().map(|s| s.size).max().unwrap();
+            let first = levels[0];
+            let peak = *levels.iter().max().unwrap();
             if first == peak {
                 saw_grafted_phase = true;
             }
@@ -168,27 +194,18 @@ fn alpha_parameter_affects_direction_choice() {
             initializer: matching::init::Initializer::None,
             ms_bfs: MsBfsOptions {
                 alpha,
-                record_frontier: true,
                 ..MsBfsOptions::graft()
             },
             ..SolveOptions::default()
         };
-        solve(&g, Algorithm::MsBfsGraft, &opts)
+        solve_levels(&g, Algorithm::MsBfsGraft, &opts)
     };
     // Top-down is used while |F| < unvisitedY/α: a tiny α makes the
     // threshold huge (always top-down); a huge α forces bottom-up.
-    let tiny_alpha = run(1e-9);
-    let huge_alpha = run(1e9);
-    assert!(tiny_alpha
-        .stats
-        .frontier_history
-        .iter()
-        .all(|s| !s.bottom_up));
-    assert!(huge_alpha
-        .stats
-        .frontier_history
-        .iter()
-        .all(|s| s.bottom_up));
+    let (tiny_alpha, tiny_levels) = run(1e-9);
+    let (huge_alpha, huge_levels) = run(1e9);
+    assert!(tiny_levels.iter().all(|s| !s.2));
+    assert!(huge_levels.iter().all(|s| s.2));
     assert_eq!(
         tiny_alpha.matching.cardinality(),
         huge_alpha.matching.cardinality(),

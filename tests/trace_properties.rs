@@ -114,3 +114,46 @@ proptest! {
         prop_assert_eq!(parsed, events);
     }
 }
+
+/// The paper's engine at two real threads. The trace is the only
+/// per-phase record of a run, so under genuine concurrency, not just on
+/// one thread, every stream must replay, close with the run's own
+/// counters, and account every traversed edge to exactly one phase.
+#[test]
+fn two_thread_parallel_graft_traces_replay_and_add_up() {
+    let suite = |name| gen::suite::by_name(name).unwrap().build(gen::Scale::Tiny);
+    let graphs = [
+        ("kkt_power:tiny", suite("kkt_power")),
+        ("coPapersDBLP:tiny", suite("coPapersDBLP")),
+        (
+            "preferential_attachment(600, 600, 3, 0.5, 7)",
+            gen::preferential_attachment(600, 600, 3, 0.5, 7),
+        ),
+    ];
+    let opts = SolveOptions {
+        threads: 2,
+        ..SolveOptions::default()
+    };
+    for (name, g) in &graphs {
+        for rep in 0..8 {
+            let ctx = format!("{name} rep {rep}");
+            let sink = Arc::new(MemorySink::new());
+            let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
+            let out = solve_traced(g, Algorithm::MsBfsGraftParallel, &opts, &tracer);
+            let runs = replay(&sink.take()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(runs.len(), 1, "{ctx}");
+            let run = &runs[0];
+            assert_eq!(run.total_phases, u64::from(out.stats.phases), "{ctx}");
+            assert_eq!(run.phases.len() as u64, run.total_phases, "{ctx}");
+            assert_eq!(run.augmenting_paths, out.stats.augmenting_paths, "{ctx}");
+            assert_eq!(run.edges_traversed, out.stats.edges_traversed, "{ctx}");
+            assert_eq!(
+                run.final_cardinality,
+                out.matching.cardinality() as u64,
+                "{ctx}"
+            );
+            let phase_edges: u64 = run.phases.iter().map(|p| p.edges_traversed).sum();
+            assert_eq!(phase_edges, run.edges_traversed, "{ctx}");
+        }
+    }
+}

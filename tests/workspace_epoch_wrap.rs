@@ -10,6 +10,19 @@
 
 use ms_bfs_graft::prelude::*;
 
+/// Runs `body` on an installed 1-thread pool. Byte-exact equality is a
+/// property of the sequential schedule only: at two or more threads the
+/// parallel engines race (CAS claims, the benign `leaf` race) and may
+/// return a different maximum matching each run. Every test here states
+/// that contract itself, so it holds whatever `GRAFT_THREADS` says.
+fn on_one_thread<R>(body: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(body)
+}
+
 fn assert_same_outcome(alg: Algorithm, stage: &str, a: &RunOutcome, b: &RunOutcome) {
     let ctx = format!("{} at stage `{stage}`", alg.name());
     assert_eq!(
@@ -36,52 +49,56 @@ fn assert_same_outcome(alg: Algorithm, stage: &str, a: &RunOutcome, b: &RunOutco
 /// the full clear (not epoch staleness) is what hides them.
 #[test]
 fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
-    let big = gen::preferential_attachment(1600, 1400, 4, 0.6, 42);
-    let small = gen::preferential_attachment(700, 900, 3, 0.4, 7);
-    let m0_small = matching::init::Initializer::KarpSipser.run(&small, 0xBEEF);
-    let opts = SolveOptions {
-        initializer: matching::init::Initializer::None,
-        ..SolveOptions::default()
-    };
-    for &alg in &Algorithm::ALL {
-        let mut ws = SolveWorkspace::new();
-        // Fill the buffers with real marks from the bigger graph, then
-        // pin the counters at the wrap point.
-        solve_in(&big, alg, &SolveOptions::default(), &mut ws);
-        ws.force_epoch_wrap();
-        let fresh = solve_from(&small, m0_small.clone(), alg, &opts);
-        let wrapped = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
-        assert_same_outcome(alg, "the wrapping solve", &fresh, &wrapped);
-        // Life after the wrap: the restarted epoch stream stays exact.
-        for rep in 0..3 {
-            let again = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
-            assert_same_outcome(alg, &format!("post-wrap rep {rep}"), &fresh, &again);
+    on_one_thread(|| {
+        let big = gen::preferential_attachment(1600, 1400, 4, 0.6, 42);
+        let small = gen::preferential_attachment(700, 900, 3, 0.4, 7);
+        let m0_small = matching::init::Initializer::KarpSipser.run(&small, 0xBEEF);
+        let opts = SolveOptions {
+            initializer: matching::init::Initializer::None,
+            ..SolveOptions::default()
+        };
+        for &alg in &Algorithm::ALL {
+            let mut ws = SolveWorkspace::new();
+            // Fill the buffers with real marks from the bigger graph, then
+            // pin the counters at the wrap point.
+            solve_in(&big, alg, &SolveOptions::default(), &mut ws);
+            ws.force_epoch_wrap();
+            let fresh = solve_from(&small, m0_small.clone(), alg, &opts);
+            let wrapped = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
+            assert_same_outcome(alg, "the wrapping solve", &fresh, &wrapped);
+            // Life after the wrap: the restarted epoch stream stays exact.
+            for rep in 0..3 {
+                let again = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
+                assert_same_outcome(alg, &format!("post-wrap rep {rep}"), &fresh, &again);
+            }
         }
-    }
+    });
 }
 
 /// Wrapping repeatedly (every single solve) is pathological but must
 /// still be correct — the clear itself must leave no residue.
 #[test]
 fn back_to_back_wraps_stay_exact() {
-    let g = gen::preferential_attachment(1000, 1000, 3, 0.5, 11);
-    let m0 = matching::init::Initializer::Greedy.run(&g, 3);
-    let opts = SolveOptions {
-        initializer: matching::init::Initializer::None,
-        ..SolveOptions::default()
-    };
-    for &alg in &[
-        Algorithm::MsBfsGraft,
-        Algorithm::MsBfsGraftParallel,
-        Algorithm::PothenFan,
-        Algorithm::HopcroftKarp,
-    ] {
-        let fresh = solve_from(&g, m0.clone(), alg, &opts);
-        let mut ws = SolveWorkspace::new();
-        for rep in 0..4 {
-            ws.force_epoch_wrap();
-            let wrapped = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
-            assert_same_outcome(alg, &format!("wrap {rep}"), &fresh, &wrapped);
+    on_one_thread(|| {
+        let g = gen::preferential_attachment(1000, 1000, 3, 0.5, 11);
+        let m0 = matching::init::Initializer::Greedy.run(&g, 3);
+        let opts = SolveOptions {
+            initializer: matching::init::Initializer::None,
+            ..SolveOptions::default()
+        };
+        for &alg in &[
+            Algorithm::MsBfsGraft,
+            Algorithm::MsBfsGraftParallel,
+            Algorithm::PothenFan,
+            Algorithm::HopcroftKarp,
+        ] {
+            let fresh = solve_from(&g, m0.clone(), alg, &opts);
+            let mut ws = SolveWorkspace::new();
+            for rep in 0..4 {
+                ws.force_epoch_wrap();
+                let wrapped = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
+                assert_same_outcome(alg, &format!("wrap {rep}"), &fresh, &wrapped);
+            }
         }
-    }
+    });
 }

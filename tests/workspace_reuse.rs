@@ -6,10 +6,9 @@
 
 use ms_bfs_graft::prelude::*;
 
-/// The engines that are deterministic under this build (the rayon shim
-/// executes sequentially, so even the parallel engines are reproducible
-/// here) — every one must be workspace-oblivious in its observable
-/// behavior.
+/// Every engine, the parallel ones included: on one thread all of them
+/// are deterministic, and each must be workspace-oblivious in its
+/// observable behavior.
 const ENGINES: &[Algorithm] = &[
     Algorithm::SsDfs,
     Algorithm::SsBfs,
@@ -38,6 +37,19 @@ fn graphs() -> Vec<BipartiteCsr> {
         ),
         gen::preferential_attachment(1000, 1300, 3, 0.3, 7),
     ]
+}
+
+/// Runs `body` on an installed 1-thread pool. Byte-exact equality is a
+/// property of the sequential schedule only: at two or more threads the
+/// parallel engines race (CAS claims, the benign `leaf` race) and may
+/// return a different maximum matching each run. Every test here states
+/// that contract itself, so it holds whatever `GRAFT_THREADS` says.
+fn on_one_thread<R>(body: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap()
+        .install(body)
 }
 
 fn assert_same_outcome(alg: Algorithm, round: usize, gi: usize, a: &RunOutcome, b: &RunOutcome) {
@@ -74,27 +86,29 @@ fn assert_same_outcome(alg: Algorithm, round: usize, gi: usize, a: &RunOutcome, 
 /// solves all matching their fresh twins exactly.
 #[test]
 fn recycled_workspace_matches_fresh_solves_exactly() {
-    let gs = graphs();
-    let inits: Vec<Matching> = gs
-        .iter()
-        .map(|g| matching::init::Initializer::KarpSipser.run(g, 0xBEEF))
-        .collect();
-    let opts = SolveOptions {
-        initializer: matching::init::Initializer::None,
-        ..SolveOptions::default()
-    };
-    let mut ws = SolveWorkspace::new();
-    for round in 0..3 {
-        // Interleave: engines in the inner loop so consecutive solves on
-        // the shared workspace switch engine AND graph every time.
-        for (gi, (g, m0)) in gs.iter().zip(&inits).enumerate() {
-            for &alg in ENGINES {
-                let fresh = solve_from(g, m0.clone(), alg, &opts);
-                let reused = solve_from_in(g, m0.clone(), alg, &opts, &mut ws);
-                assert_same_outcome(alg, round, gi, &fresh, &reused);
+    on_one_thread(|| {
+        let gs = graphs();
+        let inits: Vec<Matching> = gs
+            .iter()
+            .map(|g| matching::init::Initializer::KarpSipser.run(g, 0xBEEF))
+            .collect();
+        let opts = SolveOptions {
+            initializer: matching::init::Initializer::None,
+            ..SolveOptions::default()
+        };
+        let mut ws = SolveWorkspace::new();
+        for round in 0..3 {
+            // Interleave: engines in the inner loop so consecutive solves on
+            // the shared workspace switch engine AND graph every time.
+            for (gi, (g, m0)) in gs.iter().zip(&inits).enumerate() {
+                for &alg in ENGINES {
+                    let fresh = solve_from(g, m0.clone(), alg, &opts);
+                    let reused = solve_from_in(g, m0.clone(), alg, &opts, &mut ws);
+                    assert_same_outcome(alg, round, gi, &fresh, &reused);
+                }
             }
         }
-    }
+    });
 }
 
 /// Three consecutive recycled solves of the *same* instance are
@@ -102,35 +116,39 @@ fn recycled_workspace_matches_fresh_solves_exactly() {
 /// runs on an already-warm workspace).
 #[test]
 fn consecutive_warm_solves_are_reproducible() {
-    let g = gen::preferential_attachment(1200, 1200, 4, 0.5, 11);
-    let m0 = matching::init::Initializer::Greedy.run(&g, 3);
-    let opts = SolveOptions {
-        initializer: matching::init::Initializer::None,
-        ..SolveOptions::default()
-    };
-    for &alg in ENGINES {
-        let mut ws = SolveWorkspace::new();
-        let first = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
-        for rep in 1..3 {
-            let again = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
-            assert_same_outcome(alg, rep, 0, &first, &again);
+    on_one_thread(|| {
+        let g = gen::preferential_attachment(1200, 1200, 4, 0.5, 11);
+        let m0 = matching::init::Initializer::Greedy.run(&g, 3);
+        let opts = SolveOptions {
+            initializer: matching::init::Initializer::None,
+            ..SolveOptions::default()
+        };
+        for &alg in ENGINES {
+            let mut ws = SolveWorkspace::new();
+            let first = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
+            for rep in 1..3 {
+                let again = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
+                assert_same_outcome(alg, rep, 0, &first, &again);
+            }
         }
-    }
+    });
 }
 
 /// `solve_in` (initializer inside) agrees with `solve` for a recycled
 /// workspace, and shrink() between solves is harmless.
 #[test]
 fn solve_in_and_shrink_roundtrip() {
-    let g = gen::preferential_attachment(900, 1100, 3, 0.4, 5);
-    let opts = SolveOptions::default();
-    let mut ws = SolveWorkspace::new();
-    for &alg in &[Algorithm::MsBfsGraft, Algorithm::PothenFan] {
-        let fresh = solve(&g, alg, &opts);
-        let reused = solve_in(&g, alg, &opts, &mut ws);
-        assert_eq!(fresh.matching.mates_x(), reused.matching.mates_x());
-        ws.shrink();
-        let after_shrink = solve_in(&g, alg, &opts, &mut ws);
-        assert_eq!(fresh.matching.mates_x(), after_shrink.matching.mates_x());
-    }
+    on_one_thread(|| {
+        let g = gen::preferential_attachment(900, 1100, 3, 0.4, 5);
+        let opts = SolveOptions::default();
+        let mut ws = SolveWorkspace::new();
+        for &alg in &[Algorithm::MsBfsGraft, Algorithm::PothenFan] {
+            let fresh = solve(&g, alg, &opts);
+            let reused = solve_in(&g, alg, &opts, &mut ws);
+            assert_eq!(fresh.matching.mates_x(), reused.matching.mates_x());
+            ws.shrink();
+            let after_shrink = solve_in(&g, alg, &opts, &mut ws);
+            assert_eq!(fresh.matching.mates_x(), after_shrink.matching.mates_x());
+        }
+    });
 }
