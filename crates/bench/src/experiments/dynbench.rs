@@ -23,15 +23,12 @@
 //! a workflow artifact.
 
 use super::load_instance;
-use super::perf_gate::{git_sha, json_escape, json_secs};
-use crate::report::{dur, Report};
-use crate::sysinfo::SystemInfo;
+use crate::report::{dur, secs, Artifact, Report};
 use crate::Config;
 use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
 use graft_dyn::{DynConfig, DynamicMatching};
 use graft_graph::{BipartiteCsr, VertexId};
 use std::collections::HashSet;
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in the JSON artifact; bump on layout change.
@@ -221,67 +218,17 @@ pub fn dynbench(cfg: &Config) -> std::io::Result<()> {
     }
     rep.emit(&cfg.out_dir)?;
 
-    let sys = SystemInfo::collect();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"{}\",\n",
-        json_escape(DYNBENCH_SCHEMA)
-    ));
-    json.push_str(&format!(
-        "  \"git_sha\": \"{}\",\n",
-        json_escape(&git_sha())
-    ));
-    json.push_str(&format!("  \"scale\": \"{:?}\",\n", cfg.scale));
-    json.push_str(&format!(
-        "  \"system\": {{\"cpu_model\": \"{}\", \"logical_cpus\": {}, \"physical_cores\": {}, \"memory_gib\": {:.1}, \"os\": \"{}\"}},\n",
-        json_escape(&sys.cpu_model),
-        sys.logical_cpus,
-        sys.physical_cores,
-        sys.memory_gib,
-        json_escape(&sys.os)
-    ));
-    json.push_str(&format!(
-        "  \"graph\": \"kkt_power\", \"ops\": {ops}, \"adds\": {adds}, \"dels\": {dels},\n"
-    ));
-    json.push_str(&format!(
-        "  \"incremental_total_s\": {}, \"full_total_s\": {}, \"speedup\": {:.2},\n",
-        json_secs(incr_total),
-        json_secs(full_total),
-        speedup
-    ));
-    json.push_str(&format!(
-        "  \"rebuilds\": {}, \"final_cardinality\": {},\n",
-        dm.rebuilds(),
-        dm.cardinality()
-    ));
-    json.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{}\"", json_escape(v)));
-    }
-    json.push_str("],\n");
-    json.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    json.push_str("}\n");
-
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let path = cfg.out_dir.join(DYNBENCH_FILE);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(json.as_bytes())?;
-    f.flush()?;
-    println!("  → {}", path.display());
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(std::io::Error::other(format!(
-            "dynbench: {} relative-invariant violation(s): {}",
-            violations.len(),
-            violations.join("; ")
-        )))
-    }
+    let mut artifact = Artifact::new(DYNBENCH_SCHEMA, cfg.scale);
+    artifact.field("graph", "\"kkt_power\"");
+    artifact.field("ops", ops);
+    artifact.field("adds", adds);
+    artifact.field("dels", dels);
+    artifact.field("incremental_total_s", secs(incr_total));
+    artifact.field("full_total_s", secs(full_total));
+    artifact.field("speedup", format_args!("{speedup:.2}"));
+    artifact.field("rebuilds", dm.rebuilds());
+    artifact.field("final_cardinality", dm.cardinality());
+    artifact.write(&cfg.out_dir, DYNBENCH_FILE, "dynbench", &violations)
 }
 
 #[cfg(test)]

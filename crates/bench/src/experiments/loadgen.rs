@@ -40,9 +40,7 @@
 //! keeping a diffable history of throughput/latency alongside the
 //! BENCH_4 solve-time history.
 
-use super::perf_gate::{git_sha, json_escape, json_secs};
-use crate::report::Report;
-use crate::sysinfo::SystemInfo;
+use crate::report::{percentile, secs, Artifact, Report};
 use crate::Config;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -175,16 +173,6 @@ fn cardinality_of(reply: &str) -> Option<u64> {
         .split_whitespace()
         .find_map(|tok| tok.strip_prefix("cardinality="))
         .and_then(|v| v.parse().ok())
-}
-
-/// Nearest-rank percentile over a sorted sample; `q` in (0, 1].
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
 }
 
 /// What one connection thread brings home from a pass: its latencies,
@@ -662,116 +650,75 @@ pub fn loadgen(cfg: &Config, opts: &LoadgenOptions) -> std::io::Result<()> {
     rep.emit(&cfg.out_dir)?;
 
     // Machine-readable artifact.
-    let sys = SystemInfo::collect();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"{}\",\n",
-        json_escape(LOADGEN_SCHEMA)
-    ));
-    json.push_str(&format!(
-        "  \"git_sha\": \"{}\",\n",
-        json_escape(&git_sha())
-    ));
-    json.push_str(&format!("  \"scale\": \"{:?}\",\n", cfg.scale));
-    json.push_str(&format!(
-        "  \"workload\": {{\"connections\": {}, \"requests_per_conn\": {}, \"batch_size\": {}, \"seed\": {}, \"graphs\": [\"kkt_power\", \"RMAT\"], \"algorithms\": [\"ms-bfs-graft\", \"ms-bfs\", \"hk\", \"pf\"]}},\n",
-        opts.connections, opts.requests_per_conn, opts.batch_size, opts.seed
-    ));
-    json.push_str(&format!(
-        "  \"system\": {{\"cpu_model\": \"{}\", \"logical_cpus\": {}, \"physical_cores\": {}, \"memory_gib\": {:.1}, \"os\": \"{}\"}},\n",
-        json_escape(&sys.cpu_model),
-        sys.logical_cpus,
-        sys.physical_cores,
-        sys.memory_gib,
-        json_escape(&sys.os)
-    ));
+    let mut artifact = Artifact::new(LOADGEN_SCHEMA, cfg.scale);
+    artifact.field(
+        "workload",
+        format_args!(
+            "{{\"connections\": {}, \"requests_per_conn\": {}, \"batch_size\": {}, \
+             \"seed\": {}, \"graphs\": [\"kkt_power\", \"RMAT\"], \
+             \"algorithms\": [\"ms-bfs-graft\", \"ms-bfs\", \"hk\", \"pf\"]}}",
+            opts.connections, opts.requests_per_conn, opts.batch_size, opts.seed
+        ),
+    );
     for (mode, tput, r) in [
         ("sequential", seq_tput, &seq),
         ("pipelined", pipe_tput, &pipe),
     ] {
         let (p50, p95, p99) = pcts(&r.latencies);
-        json.push_str(&format!(
-            "  \"{mode}\": {{\"throughput_rps\": {}, \"elapsed_s\": {}, \"p50_s\": {}, \"p95_s\": {}, \"p99_s\": {}, \"errors\": {}}},\n",
-            json_secs(tput),
-            json_secs(r.elapsed_s),
-            json_secs(p50),
-            json_secs(p95),
-            json_secs(p99),
-            r.errors.len()
-        ));
+        artifact.field(
+            mode,
+            format_args!(
+                "{{\"throughput_rps\": {}, \"elapsed_s\": {}, \"p50_s\": {}, \
+                 \"p95_s\": {}, \"p99_s\": {}, \"errors\": {}}}",
+                secs(tput),
+                secs(r.elapsed_s),
+                secs(p50),
+                secs(p95),
+                secs(p99),
+                r.errors.len()
+            ),
+        );
     }
     if let Some((rate, (ref lats, achieved))) = open {
         let (p50, p95, p99) = pcts(lats);
-        json.push_str(&format!(
-            "  \"open_loop\": {{\"target_rps\": {}, \"achieved_rps\": {}, \"p50_s\": {}, \"p95_s\": {}, \"p99_s\": {}}},\n",
-            json_secs(rate),
-            json_secs(achieved),
-            json_secs(p50),
-            json_secs(p95),
-            json_secs(p99)
-        ));
+        artifact.field(
+            "open_loop",
+            format_args!(
+                "{{\"target_rps\": {}, \"achieved_rps\": {}, \"p50_s\": {}, \
+                 \"p95_s\": {}, \"p99_s\": {}}}",
+                secs(rate),
+                secs(achieved),
+                secs(p50),
+                secs(p95),
+                secs(p99)
+            ),
+        );
     }
     if let Some((rate, (ref lats, achieved))) = open_virtual {
         let (p50, p95, p99) = pcts(lats);
-        json.push_str(&format!(
-            "  \"open_loop_virtual\": {{\"target_rps\": {}, \"achieved_rps\": {}, \"p50_s\": {}, \"p95_s\": {}, \"p99_s\": {}, \"max_s\": {}}},\n",
-            json_secs(rate),
-            json_secs(achieved),
-            json_secs(p50),
-            json_secs(p95),
-            json_secs(p99),
-            json_secs(lats.last().copied().unwrap_or(0.0))
-        ));
+        artifact.field(
+            "open_loop_virtual",
+            format_args!(
+                "{{\"target_rps\": {}, \"achieved_rps\": {}, \"p50_s\": {}, \
+                 \"p95_s\": {}, \"p99_s\": {}, \"max_s\": {}}}",
+                secs(rate),
+                secs(achieved),
+                secs(p50),
+                secs(p95),
+                secs(p99),
+                secs(lats.last().copied().unwrap_or(0.0))
+            ),
+        );
     }
-    json.push_str(&format!("  \"speedup\": {},\n", json_secs(speedup)));
-    json.push_str(&format!(
-        "  \"speedup_gate_min\": {},\n",
-        json_secs(PIPELINE_SPEEDUP_MIN)
-    ));
-    json.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{}\"", json_escape(v)));
-    }
-    json.push_str("],\n");
-    json.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    json.push_str("}\n");
-
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let path = cfg.out_dir.join(LOADGEN_FILE);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(json.as_bytes())?;
-    f.flush()?;
-    println!("  → {}", path.display());
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(std::io::Error::other(format!(
-            "loadgen: {} relative-invariant violation(s): {}",
-            violations.len(),
-            violations.join("; ")
-        )))
-    }
+    artifact.field("speedup", secs(speedup));
+    artifact.field("speedup_gate_min", secs(PIPELINE_SPEEDUP_MIN));
+    artifact.write(&cfg.out_dir, LOADGEN_FILE, "loadgen", &violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graft_gen::Scale;
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.50), 50.0);
-        assert_eq!(percentile(&v, 0.95), 95.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-    }
 
     #[test]
     fn workload_is_seeded_and_stable() {

@@ -23,11 +23,10 @@
 //! itself never fails on absolute numbers.
 
 use super::load_instance;
-use crate::report::{dur, Report};
-use crate::sysinfo::SystemInfo;
+use crate::report::{dur, median, percentile, secs, sorted, Artifact, Report};
 use crate::Config;
+use graft_core::json::escape;
 use graft_core::{solve_from, solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in the JSON artifact; bump on layout change.
@@ -53,69 +52,6 @@ struct GateRow {
     fresh_p90: f64,
     reused_median: f64,
     reused_p90: f64,
-}
-
-/// Median of a sample (mean of the two middle values for even n).
-pub(crate) fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-/// Nearest-rank p90 (the value ≥ 90% of the sample).
-pub(crate) fn p90(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let rank = ((0.9 * n as f64).ceil() as usize).clamp(1, n);
-    sorted[rank - 1]
-}
-
-pub(crate) fn sorted(mut v: Vec<f64>) -> Vec<f64> {
-    v.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    v
-}
-
-/// Best-effort short commit hash; "unknown" outside a git checkout.
-pub(crate) fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Seconds with microsecond resolution — enough for tiny-scale solves,
-/// and locale-proof (always a plain `1.234567` literal).
-pub(crate) fn json_secs(v: f64) -> String {
-    format!("{v:.6}")
 }
 
 /// Runs the gate: measure, write `BENCH_4.json`, then fail (`Err`) iff a
@@ -171,9 +107,9 @@ pub fn perf_gate(cfg: &Config) -> std::io::Result<()> {
                 engine: alg.name(),
                 cardinality: want_card,
                 fresh_median: median(&fresh),
-                fresh_p90: p90(&fresh),
+                fresh_p90: percentile(&fresh, 0.9),
                 reused_median: median(&reused),
-                reused_p90: p90(&reused),
+                reused_p90: percentile(&reused, 0.9),
             });
         }
     }
@@ -253,94 +189,33 @@ pub fn perf_gate(cfg: &Config) -> std::io::Result<()> {
     rep.emit(&cfg.out_dir)?;
 
     // Machine-readable artifact.
-    let sys = SystemInfo::collect();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"{}\",\n",
-        json_escape(BENCH_SCHEMA)
-    ));
-    json.push_str(&format!(
-        "  \"git_sha\": \"{}\",\n",
-        json_escape(&git_sha())
-    ));
-    json.push_str(&format!("  \"scale\": \"{:?}\",\n", cfg.scale));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"system\": {{\"cpu_model\": \"{}\", \"logical_cpus\": {}, \"physical_cores\": {}, \"memory_gib\": {:.1}, \"os\": \"{}\"}},\n",
-        json_escape(&sys.cpu_model),
-        sys.logical_cpus,
-        sys.physical_cores,
-        sys.memory_gib,
-        json_escape(&sys.os)
-    ));
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"engine\": \"{}\", \"cardinality\": {}, \
-             \"fresh_median_s\": {}, \"fresh_p90_s\": {}, \
-             \"reused_median_s\": {}, \"reused_p90_s\": {}}}{}\n",
-            json_escape(r.graph),
-            json_escape(r.engine),
-            r.cardinality,
-            json_secs(r.fresh_median),
-            json_secs(r.fresh_p90),
-            json_secs(r.reused_median),
-            json_secs(r.reused_p90),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{}\"", json_escape(v)));
-    }
-    json.push_str("],\n");
-    json.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    json.push_str("}\n");
-
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let path = cfg.out_dir.join(BENCH_FILE);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(json.as_bytes())?;
-    f.flush()?;
-    println!("  → {}", path.display());
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(std::io::Error::other(format!(
-            "perf-gate: {} relative-invariant violation(s): {}",
-            violations.len(),
-            violations.join("; ")
-        )))
-    }
+    let mut artifact = Artifact::new(BENCH_SCHEMA, cfg.scale);
+    artifact.field("reps", reps);
+    let entries: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"graph\": \"{}\", \"engine\": \"{}\", \"cardinality\": {}, \
+                 \"fresh_median_s\": {}, \"fresh_p90_s\": {}, \
+                 \"reused_median_s\": {}, \"reused_p90_s\": {}}}",
+                escape(r.graph),
+                escape(r.engine),
+                r.cardinality,
+                secs(r.fresh_median),
+                secs(r.fresh_p90),
+                secs(r.reused_median),
+                secs(r.reused_p90),
+            )
+        })
+        .collect();
+    artifact.field("entries", format_args!("[\n{}\n  ]", entries.join(",\n")));
+    artifact.write(&cfg.out_dir, BENCH_FILE, "perf-gate", &violations)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graft_gen::Scale;
-
-    #[test]
-    fn median_and_p90() {
-        assert_eq!(median(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(median(&[1.0, 2.0, 3.0, 4.0]), 2.5);
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(p90(&[1.0, 2.0, 3.0]), 3.0);
-        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
-        assert_eq!(p90(&ten), 9.0);
-        assert_eq!(p90(&[]), 0.0);
-    }
-
-    #[test]
-    fn json_escape_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn perf_gate_runs_and_emits_artifact_at_tiny_scale() {

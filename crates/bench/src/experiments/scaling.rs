@@ -27,12 +27,10 @@
 //! scaling curves are diffable across commits.
 
 use super::load_instance;
-use super::perf_gate::{git_sha, json_escape, json_secs, median, p90, sorted};
-use crate::report::{dur, Report};
-use crate::sysinfo::SystemInfo;
+use crate::report::{dur, median, percentile, secs, sorted, Artifact, Report};
 use crate::Config;
+use graft_core::json::escape;
 use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in the JSON artifact; bump on layout change.
@@ -118,7 +116,7 @@ pub fn scaling(cfg: &Config) -> std::io::Result<()> {
                     cardinality: want_card,
                     best: times[0],
                     median: median(&times),
-                    p90: p90(&times),
+                    p90: percentile(&times, 0.9),
                 });
             }
         }
@@ -198,80 +196,36 @@ pub fn scaling(cfg: &Config) -> std::io::Result<()> {
     rep.emit(&cfg.out_dir)?;
 
     // Machine-readable artifact.
-    let sys = SystemInfo::collect();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"schema\": \"{}\",\n",
-        json_escape(SCALING_SCHEMA)
-    ));
-    json.push_str(&format!(
-        "  \"git_sha\": \"{}\",\n",
-        json_escape(&git_sha())
-    ));
-    json.push_str(&format!("  \"scale\": \"{:?}\",\n", cfg.scale));
-    json.push_str(&format!("  \"reps\": {reps},\n"));
-    json.push_str(&format!(
-        "  \"system\": {{\"cpu_model\": \"{}\", \"logical_cpus\": {}, \"physical_cores\": {}, \"memory_gib\": {:.1}, \"os\": \"{}\"}},\n",
-        json_escape(&sys.cpu_model),
-        sys.logical_cpus,
-        sys.physical_cores,
-        sys.memory_gib,
-        json_escape(&sys.os)
-    ));
-    json.push_str("  \"entries\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let base = rows
-            .iter()
-            .find(|b| b.graph == r.graph && b.engine == r.engine && b.threads == 1)
-            .expect("1-thread baseline exists");
-        let speedup = if r.best > 0.0 {
-            base.best / r.best
-        } else {
-            0.0
-        };
-        json.push_str(&format!(
-            "    {{\"graph\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
-             \"cardinality\": {}, \"best_s\": {}, \"median_s\": {}, \
-             \"p90_s\": {}, \"speedup\": {speedup:.3}}}{}\n",
-            json_escape(r.graph),
-            json_escape(r.engine),
-            r.threads,
-            r.cardinality,
-            json_secs(r.best),
-            json_secs(r.median),
-            json_secs(r.p90),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            json.push_str(", ");
-        }
-        json.push_str(&format!("\"{}\"", json_escape(v)));
-    }
-    json.push_str("],\n");
-    json.push_str(&format!("  \"pass\": {}\n", violations.is_empty()));
-    json.push_str("}\n");
-
-    std::fs::create_dir_all(&cfg.out_dir)?;
-    let path = cfg.out_dir.join(SCALING_FILE);
-    let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-    f.write_all(json.as_bytes())?;
-    f.flush()?;
-    println!("  → {}", path.display());
-
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(std::io::Error::other(format!(
-            "scaling: {} relative-invariant violation(s): {}",
-            violations.len(),
-            violations.join("; ")
-        )))
-    }
+    let mut artifact = Artifact::new(SCALING_SCHEMA, cfg.scale);
+    artifact.field("reps", reps);
+    let entries: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let base = rows
+                .iter()
+                .find(|b| b.graph == r.graph && b.engine == r.engine && b.threads == 1)
+                .expect("1-thread baseline exists");
+            let speedup = if r.best > 0.0 {
+                base.best / r.best
+            } else {
+                0.0
+            };
+            format!(
+                "    {{\"graph\": \"{}\", \"engine\": \"{}\", \"threads\": {}, \
+                 \"cardinality\": {}, \"best_s\": {}, \"median_s\": {}, \
+                 \"p90_s\": {}, \"speedup\": {speedup:.3}}}",
+                escape(r.graph),
+                escape(r.engine),
+                r.threads,
+                r.cardinality,
+                secs(r.best),
+                secs(r.median),
+                secs(r.p90),
+            )
+        })
+        .collect();
+    artifact.field("entries", format_args!("[\n{}\n  ]", entries.join(",\n")));
+    artifact.write(&cfg.out_dir, SCALING_FILE, "scaling", &violations)
 }
 
 #[cfg(test)]

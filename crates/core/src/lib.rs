@@ -36,6 +36,7 @@
 pub mod augment;
 pub mod diff;
 pub mod init;
+pub mod json;
 mod matching;
 pub mod ms_bfs;
 mod par;

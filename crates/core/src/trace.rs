@@ -28,7 +28,8 @@
 //!
 //! ## Event schema
 //!
-//! One JSON object per line, discriminated by `"ev"` (see DESIGN.md §10):
+//! One flat JSON object per line, discriminated by `"ev"` and encoded
+//! and parsed by [`crate::json`] (see DESIGN.md §10):
 //!
 //! ```text
 //! {"ev":"run_start","algorithm":"ms-bfs-graft","nx":6,"ny":6,"edges":12,
@@ -45,11 +46,12 @@
 //! *validates* the invariants the engines guarantee: levels strictly
 //! increase within a phase, the recorded direction decision matches
 //! `frontier ≥ unvisitedY / α`, the grafting decision matches
-//! `activeX > renewableY / α`, and phase-reported augmentations sum to
-//! the run's cardinality delta.
+//! `activeX > renewableY / α`, and phase-reported augmentations sum
+//! (without overflow) to the run's cardinality delta.
 //!
 //! [`SearchStats`]: crate::stats::SearchStats
 
+use crate::json::{self, Writer};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -207,43 +209,7 @@ impl TraceEvent {
 
     /// Serializes the event as one flat JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"ev\":\"");
-        s.push_str(self.kind());
-        s.push('"');
-        let field_str = |s: &mut String, k: &str, v: &str| {
-            s.push_str(",\"");
-            s.push_str(k);
-            s.push_str("\":\"");
-            for c in v.chars() {
-                match c {
-                    '"' => s.push_str("\\\""),
-                    '\\' => s.push_str("\\\\"),
-                    '\n' => s.push_str("\\n"),
-                    '\r' => s.push_str("\\r"),
-                    '\t' => s.push_str("\\t"),
-                    c if (c as u32) < 0x20 => {
-                        s.push_str(&format!("\\u{:04x}", c as u32));
-                    }
-                    c => s.push(c),
-                }
-            }
-            s.push('"');
-        };
-        fn field_u64(s: &mut String, k: &str, v: u64) {
-            use fmt::Write;
-            let _ = write!(s, ",\"{k}\":{v}");
-        }
-        fn field_bool(s: &mut String, k: &str, v: bool) {
-            use fmt::Write;
-            let _ = write!(s, ",\"{k}\":{v}");
-        }
-        fn field_f64(s: &mut String, k: &str, v: f64) {
-            use fmt::Write;
-            // `{:?}` prints the shortest representation that round-trips
-            // ("5.0", not "5"), keeping the value a JSON number.
-            let _ = write!(s, ",\"{k}\":{v:?}");
-        }
+        let w = Writer::new().str("ev", self.kind());
         match self {
             TraceEvent::RunStart {
                 algorithm,
@@ -254,29 +220,27 @@ impl TraceEvent {
                 alpha,
                 direction_optimizing,
                 grafting,
-            } => {
-                field_str(&mut s, "algorithm", algorithm);
-                field_u64(&mut s, "nx", *nx);
-                field_u64(&mut s, "ny", *ny);
-                field_u64(&mut s, "edges", *edges);
-                field_u64(&mut s, "initial_cardinality", *initial_cardinality);
-                field_f64(&mut s, "alpha", *alpha);
-                field_bool(&mut s, "direction_optimizing", *direction_optimizing);
-                field_bool(&mut s, "grafting", *grafting);
-            }
+            } => w
+                .str("algorithm", algorithm)
+                .u64("nx", *nx)
+                .u64("ny", *ny)
+                .u64("edges", *edges)
+                .u64("initial_cardinality", *initial_cardinality)
+                .f64("alpha", *alpha)
+                .bool("direction_optimizing", *direction_optimizing)
+                .bool("grafting", *grafting),
             TraceEvent::Level {
                 phase,
                 level,
                 frontier,
                 unvisited_y,
                 bottom_up,
-            } => {
-                field_u64(&mut s, "phase", *phase);
-                field_u64(&mut s, "level", *level);
-                field_u64(&mut s, "frontier", *frontier);
-                field_u64(&mut s, "unvisited_y", *unvisited_y);
-                field_bool(&mut s, "bottom_up", *bottom_up);
-            }
+            } => w
+                .u64("phase", *phase)
+                .u64("level", *level)
+                .u64("frontier", *frontier)
+                .u64("unvisited_y", *unvisited_y)
+                .bool("bottom_up", *bottom_up),
             TraceEvent::PhaseEnd {
                 phase,
                 levels,
@@ -286,27 +250,25 @@ impl TraceEvent {
                 path_edges,
                 edges_traversed,
                 elapsed_us,
-            } => {
-                field_u64(&mut s, "phase", *phase);
-                field_u64(&mut s, "levels", *levels);
-                field_u64(&mut s, "bottom_up_levels", *bottom_up_levels);
-                field_u64(&mut s, "frontier_peak", *frontier_peak);
-                field_u64(&mut s, "augmentations", *augmentations);
-                field_u64(&mut s, "path_edges", *path_edges);
-                field_u64(&mut s, "edges_traversed", *edges_traversed);
-                field_u64(&mut s, "elapsed_us", *elapsed_us);
-            }
+            } => w
+                .u64("phase", *phase)
+                .u64("levels", *levels)
+                .u64("bottom_up_levels", *bottom_up_levels)
+                .u64("frontier_peak", *frontier_peak)
+                .u64("augmentations", *augmentations)
+                .u64("path_edges", *path_edges)
+                .u64("edges_traversed", *edges_traversed)
+                .u64("elapsed_us", *elapsed_us),
             TraceEvent::Graft {
                 phase,
                 active_x,
                 renewable_y,
                 grafted,
-            } => {
-                field_u64(&mut s, "phase", *phase);
-                field_u64(&mut s, "active_x", *active_x);
-                field_u64(&mut s, "renewable_y", *renewable_y);
-                field_bool(&mut s, "grafted", *grafted);
-            }
+            } => w
+                .u64("phase", *phase)
+                .u64("active_x", *active_x)
+                .u64("renewable_y", *renewable_y)
+                .bool("grafted", *grafted),
             TraceEvent::RunEnd {
                 final_cardinality,
                 phases,
@@ -314,14 +276,13 @@ impl TraceEvent {
                 edges_traversed,
                 elapsed_us,
                 timed_out,
-            } => {
-                field_u64(&mut s, "final_cardinality", *final_cardinality);
-                field_u64(&mut s, "phases", *phases);
-                field_u64(&mut s, "augmenting_paths", *augmenting_paths);
-                field_u64(&mut s, "edges_traversed", *edges_traversed);
-                field_u64(&mut s, "elapsed_us", *elapsed_us);
-                field_bool(&mut s, "timed_out", *timed_out);
-            }
+            } => w
+                .u64("final_cardinality", *final_cardinality)
+                .u64("phases", *phases)
+                .u64("augmenting_paths", *augmenting_paths)
+                .u64("edges_traversed", *edges_traversed)
+                .u64("elapsed_us", *elapsed_us)
+                .bool("timed_out", *timed_out),
             TraceEvent::DynAugment {
                 x,
                 y,
@@ -329,140 +290,104 @@ impl TraceEvent {
                 path_len,
                 edges_traversed,
                 cardinality,
-            } => {
-                field_u64(&mut s, "x", *x);
-                field_u64(&mut s, "y", *y);
-                field_bool(&mut s, "augmented", *augmented);
-                field_u64(&mut s, "path_len", *path_len);
-                field_u64(&mut s, "edges_traversed", *edges_traversed);
-                field_u64(&mut s, "cardinality", *cardinality);
-            }
+            } => w
+                .u64("x", *x)
+                .u64("y", *y)
+                .bool("augmented", *augmented)
+                .u64("path_len", *path_len)
+                .u64("edges_traversed", *edges_traversed)
+                .u64("cardinality", *cardinality),
             TraceEvent::DynRepair {
                 x,
                 y,
                 repaired,
                 edges_traversed,
                 cardinality,
-            } => {
-                field_u64(&mut s, "x", *x);
-                field_u64(&mut s, "y", *y);
-                field_bool(&mut s, "repaired", *repaired);
-                field_u64(&mut s, "edges_traversed", *edges_traversed);
-                field_u64(&mut s, "cardinality", *cardinality);
-            }
+            } => w
+                .u64("x", *x)
+                .u64("y", *y)
+                .bool("repaired", *repaired)
+                .u64("edges_traversed", *edges_traversed)
+                .u64("cardinality", *cardinality),
             TraceEvent::DynRebuild {
                 edges,
                 tombstones,
                 cardinality,
                 elapsed_us,
-            } => {
-                field_u64(&mut s, "edges", *edges);
-                field_u64(&mut s, "tombstones", *tombstones);
-                field_u64(&mut s, "cardinality", *cardinality);
-                field_u64(&mut s, "elapsed_us", *elapsed_us);
-            }
+            } => w
+                .u64("edges", *edges)
+                .u64("tombstones", *tombstones)
+                .u64("cardinality", *cardinality)
+                .u64("elapsed_us", *elapsed_us),
         }
-        s.push('}');
-        s
+        .finish()
     }
 
     /// Parses one event from its JSON-line encoding.
     pub fn from_json(line: &str) -> Result<TraceEvent, String> {
-        let fields = parse_flat_object(line)?;
-        let get = |k: &str| -> Result<&JsonValue, String> {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field `{k}`"))
-        };
-        let s = |k: &str| -> Result<String, String> {
-            match get(k)? {
-                JsonValue::Str(v) => Ok(v.clone()),
-                other => Err(format!("field `{k}` is not a string: {other:?}")),
-            }
-        };
-        let u = |k: &str| -> Result<u64, String> {
-            match get(k)? {
-                JsonValue::U64(v) => Ok(*v),
-                other => Err(format!("field `{k}` is not an integer: {other:?}")),
-            }
-        };
-        let f = |k: &str| -> Result<f64, String> {
-            match get(k)? {
-                JsonValue::U64(v) => Ok(*v as f64),
-                JsonValue::F64(v) => Ok(*v),
-                other => Err(format!("field `{k}` is not a number: {other:?}")),
-            }
-        };
-        let b = |k: &str| -> Result<bool, String> {
-            match get(k)? {
-                JsonValue::Bool(v) => Ok(*v),
-                other => Err(format!("field `{k}` is not a bool: {other:?}")),
-            }
-        };
-        let ev = match s("ev")?.as_str() {
+        let o = json::parse(line)?;
+        let ev = match o.str("ev")? {
             "run_start" => TraceEvent::RunStart {
-                algorithm: s("algorithm")?,
-                nx: u("nx")?,
-                ny: u("ny")?,
-                edges: u("edges")?,
-                initial_cardinality: u("initial_cardinality")?,
-                alpha: f("alpha")?,
-                direction_optimizing: b("direction_optimizing")?,
-                grafting: b("grafting")?,
+                algorithm: o.str("algorithm")?.to_string(),
+                nx: o.u64("nx")?,
+                ny: o.u64("ny")?,
+                edges: o.u64("edges")?,
+                initial_cardinality: o.u64("initial_cardinality")?,
+                alpha: o.f64("alpha")?,
+                direction_optimizing: o.bool("direction_optimizing")?,
+                grafting: o.bool("grafting")?,
             },
             "level" => TraceEvent::Level {
-                phase: u("phase")?,
-                level: u("level")?,
-                frontier: u("frontier")?,
-                unvisited_y: u("unvisited_y")?,
-                bottom_up: b("bottom_up")?,
+                phase: o.u64("phase")?,
+                level: o.u64("level")?,
+                frontier: o.u64("frontier")?,
+                unvisited_y: o.u64("unvisited_y")?,
+                bottom_up: o.bool("bottom_up")?,
             },
             "phase_end" => TraceEvent::PhaseEnd {
-                phase: u("phase")?,
-                levels: u("levels")?,
-                bottom_up_levels: u("bottom_up_levels")?,
-                frontier_peak: u("frontier_peak")?,
-                augmentations: u("augmentations")?,
-                path_edges: u("path_edges")?,
-                edges_traversed: u("edges_traversed")?,
-                elapsed_us: u("elapsed_us")?,
+                phase: o.u64("phase")?,
+                levels: o.u64("levels")?,
+                bottom_up_levels: o.u64("bottom_up_levels")?,
+                frontier_peak: o.u64("frontier_peak")?,
+                augmentations: o.u64("augmentations")?,
+                path_edges: o.u64("path_edges")?,
+                edges_traversed: o.u64("edges_traversed")?,
+                elapsed_us: o.u64("elapsed_us")?,
             },
             "graft" => TraceEvent::Graft {
-                phase: u("phase")?,
-                active_x: u("active_x")?,
-                renewable_y: u("renewable_y")?,
-                grafted: b("grafted")?,
+                phase: o.u64("phase")?,
+                active_x: o.u64("active_x")?,
+                renewable_y: o.u64("renewable_y")?,
+                grafted: o.bool("grafted")?,
             },
             "run_end" => TraceEvent::RunEnd {
-                final_cardinality: u("final_cardinality")?,
-                phases: u("phases")?,
-                augmenting_paths: u("augmenting_paths")?,
-                edges_traversed: u("edges_traversed")?,
-                elapsed_us: u("elapsed_us")?,
-                timed_out: b("timed_out")?,
+                final_cardinality: o.u64("final_cardinality")?,
+                phases: o.u64("phases")?,
+                augmenting_paths: o.u64("augmenting_paths")?,
+                edges_traversed: o.u64("edges_traversed")?,
+                elapsed_us: o.u64("elapsed_us")?,
+                timed_out: o.bool("timed_out")?,
             },
             "dyn_augment" => TraceEvent::DynAugment {
-                x: u("x")?,
-                y: u("y")?,
-                augmented: b("augmented")?,
-                path_len: u("path_len")?,
-                edges_traversed: u("edges_traversed")?,
-                cardinality: u("cardinality")?,
+                x: o.u64("x")?,
+                y: o.u64("y")?,
+                augmented: o.bool("augmented")?,
+                path_len: o.u64("path_len")?,
+                edges_traversed: o.u64("edges_traversed")?,
+                cardinality: o.u64("cardinality")?,
             },
             "dyn_repair" => TraceEvent::DynRepair {
-                x: u("x")?,
-                y: u("y")?,
-                repaired: b("repaired")?,
-                edges_traversed: u("edges_traversed")?,
-                cardinality: u("cardinality")?,
+                x: o.u64("x")?,
+                y: o.u64("y")?,
+                repaired: o.bool("repaired")?,
+                edges_traversed: o.u64("edges_traversed")?,
+                cardinality: o.u64("cardinality")?,
             },
             "dyn_rebuild" => TraceEvent::DynRebuild {
-                edges: u("edges")?,
-                tombstones: u("tombstones")?,
-                cardinality: u("cardinality")?,
-                elapsed_us: u("elapsed_us")?,
+                edges: o.u64("edges")?,
+                tombstones: o.u64("tombstones")?,
+                cardinality: o.u64("cardinality")?,
+                elapsed_us: o.u64("elapsed_us")?,
             },
             other => return Err(format!("unknown event kind `{other}`")),
         };
@@ -503,122 +428,6 @@ pub fn read_jsonl<R: BufRead>(reader: R) -> Result<Vec<TraceEvent>, TraceParseEr
         );
     }
     Ok(events)
-}
-
-// ---------------------------------------------------------------------------
-// Minimal flat-JSON parsing (the schema needs no nesting or arrays)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Str(String),
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-}
-
-/// Parses `{"key":value,...}` where values are strings, numbers, or
-/// booleans. Rejects nesting — the trace schema is deliberately flat.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut chars = s.trim().chars().peekable();
-    let mut out = Vec::new();
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::Chars>| {
-        while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
-            chars.next();
-        }
-    };
-    let parse_string =
-        |chars: &mut std::iter::Peekable<std::str::Chars>| -> Result<String, String> {
-            if chars.next() != Some('"') {
-                return Err("expected `\"`".into());
-            }
-            let mut v = String::new();
-            loop {
-                match chars.next() {
-                    None => return Err("unterminated string".into()),
-                    Some('"') => return Ok(v),
-                    Some('\\') => match chars.next() {
-                        Some('"') => v.push('"'),
-                        Some('\\') => v.push('\\'),
-                        Some('/') => v.push('/'),
-                        Some('n') => v.push('\n'),
-                        Some('r') => v.push('\r'),
-                        Some('t') => v.push('\t'),
-                        Some('u') => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let d = chars
-                                    .next()
-                                    .and_then(|c| c.to_digit(16))
-                                    .ok_or("bad \\u escape")?;
-                                code = code * 16 + d;
-                            }
-                            v.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        }
-                        other => return Err(format!("bad escape `\\{other:?}`")),
-                    },
-                    Some(c) => v.push(c),
-                }
-            }
-        };
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected `{`".into());
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars)?;
-            skip_ws(&mut chars);
-            if chars.next() != Some(':') {
-                return Err(format!("expected `:` after key `{key}`"));
-            }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => JsonValue::Str(parse_string(&mut chars)?),
-                Some('t' | 'f') => {
-                    let mut word = String::new();
-                    while matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                        word.push(chars.next().unwrap());
-                    }
-                    match word.as_str() {
-                        "true" => JsonValue::Bool(true),
-                        "false" => JsonValue::Bool(false),
-                        other => return Err(format!("bad literal `{other}`")),
-                    }
-                }
-                Some(c) if c.is_ascii_digit() || *c == '-' => {
-                    let mut num = String::new();
-                    while matches!(chars.peek(),
-                        Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                    {
-                        num.push(chars.next().unwrap());
-                    }
-                    if num.contains(['.', 'e', 'E']) || num.starts_with('-') {
-                        JsonValue::F64(num.parse().map_err(|e| format!("bad number: {e}"))?)
-                    } else {
-                        JsonValue::U64(num.parse().map_err(|e| format!("bad number: {e}"))?)
-                    }
-                }
-                other => return Err(format!("unexpected value start {other:?} for `{key}`")),
-            };
-            out.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if chars.next().is_some() {
-        return Err("trailing garbage after object".into());
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -1236,7 +1045,11 @@ pub fn replay(events: &[TraceEvent]) -> Result<Vec<RunSummary>, ReplayError> {
                 // augmentation to a phase: the phase-reported sum must
                 // equal both the cardinality delta and the run total.
                 if !s.phases.is_empty() {
-                    let phase_augs: u64 = s.phases.iter().map(|p| p.augmentations).sum();
+                    let phase_augs = s
+                        .phases
+                        .iter()
+                        .try_fold(0u64, |sum, p| sum.checked_add(p.augmentations))
+                        .ok_or_else(|| err(i, "phase augmentations overflow a u64".into()))?;
                     let delta = *final_cardinality - s.initial_cardinality;
                     if phase_augs != delta {
                         return Err(err(
@@ -1371,17 +1184,34 @@ mod tests {
                 edges: 900,
                 tombstones: 250,
                 cardinality: 41,
-                elapsed_us: 120,
+                elapsed_us: u64::MAX,
             },
         ]
     }
 
+    /// The exact lines `to_json` writes for [`sample_events`] and
+    /// [`dyn_events`]. Trace files written by earlier builds must keep
+    /// parsing, so these bytes may never change.
+    const PINNED_JSON: [&str; 10] = [
+        r#"{"ev":"run_start","algorithm":"ms-bfs-graft","nx":6,"ny":6,"edges":12,"initial_cardinality":4,"alpha":5.0,"direction_optimizing":true,"grafting":true}"#,
+        r#"{"ev":"level","phase":1,"level":0,"frontier":2,"unvisited_y":6,"bottom_up":true}"#,
+        r#"{"ev":"level","phase":1,"level":1,"frontier":2,"unvisited_y":3,"bottom_up":true}"#,
+        r#"{"ev":"phase_end","phase":1,"levels":2,"bottom_up_levels":2,"frontier_peak":2,"augmentations":2,"path_edges":4,"edges_traversed":14,"elapsed_us":11}"#,
+        r#"{"ev":"graft","phase":1,"active_x":0,"renewable_y":5,"grafted":false}"#,
+        r#"{"ev":"phase_end","phase":2,"levels":0,"bottom_up_levels":0,"frontier_peak":0,"augmentations":0,"path_edges":0,"edges_traversed":0,"elapsed_us":1}"#,
+        r#"{"ev":"run_end","final_cardinality":6,"phases":2,"augmenting_paths":2,"edges_traversed":20,"elapsed_us":35,"timed_out":false}"#,
+        r#"{"ev":"dyn_augment","x":3,"y":7,"augmented":true,"path_len":5,"edges_traversed":19,"cardinality":42}"#,
+        r#"{"ev":"dyn_repair","x":3,"y":7,"repaired":false,"edges_traversed":8,"cardinality":41}"#,
+        r#"{"ev":"dyn_rebuild","edges":900,"tombstones":250,"cardinality":41,"elapsed_us":18446744073709551615}"#,
+    ];
+
     #[test]
     fn json_round_trip_every_variant() {
-        for ev in sample_events().into_iter().chain(dyn_events()) {
-            let json = ev.to_json();
-            let back = TraceEvent::from_json(&json).unwrap_or_else(|e| panic!("{json}: {e}"));
-            assert_eq!(ev, back, "round-trip of {json}");
+        let events: Vec<_> = sample_events().into_iter().chain(dyn_events()).collect();
+        assert_eq!(events.len(), PINNED_JSON.len());
+        for (ev, pinned) in events.iter().zip(PINNED_JSON) {
+            assert_eq!(ev.to_json(), pinned);
+            assert_eq!(&TraceEvent::from_json(pinned).unwrap(), ev, "{pinned}");
         }
     }
 
@@ -1399,7 +1229,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_are_reversible() {
+    fn string_escapes_round_trip() {
         let ev = TraceEvent::RunStart {
             algorithm: "we\"ird\\name\nwith\tctrl\u{1}".into(),
             nx: 0,
@@ -1410,8 +1240,12 @@ mod tests {
             direction_optimizing: false,
             grafting: false,
         };
-        let back = TraceEvent::from_json(&ev.to_json()).unwrap();
-        assert_eq!(ev, back);
+        let json = ev.to_json();
+        assert_eq!(
+            json,
+            r#"{"ev":"run_start","algorithm":"we\"ird\\name\nwith\tctrl\u0001","nx":0,"ny":0,"edges":0,"initial_cardinality":0,"alpha":0.5,"direction_optimizing":false,"grafting":false}"#
+        );
+        assert_eq!(TraceEvent::from_json(&json).unwrap(), ev);
     }
 
     #[test]
@@ -1535,6 +1369,43 @@ mod tests {
         }
         let e = replay(&evs).unwrap_err();
         assert!(e.msg.contains("cardinality"), "{}", e.msg);
+    }
+
+    #[test]
+    fn replay_rejects_overflowing_augmentation_sum() {
+        // u64::MAX + 2 wraps to 1, which would match the cardinality
+        // delta, the run total and the phase count below.
+        let phase = |phase, augmentations| TraceEvent::PhaseEnd {
+            phase,
+            levels: 0,
+            bottom_up_levels: 0,
+            frontier_peak: 0,
+            augmentations,
+            path_edges: 0,
+            edges_traversed: 0,
+            elapsed_us: 0,
+        };
+        let mut evs = sample_events()[..1].to_vec();
+        if let TraceEvent::RunStart {
+            initial_cardinality,
+            ..
+        } = &mut evs[0]
+        {
+            *initial_cardinality = 0;
+        }
+        evs.push(phase(1, u64::MAX));
+        evs.push(phase(2, 2));
+        evs.push(TraceEvent::RunEnd {
+            final_cardinality: 1,
+            phases: 2,
+            augmenting_paths: 1,
+            edges_traversed: 0,
+            elapsed_us: 0,
+            timed_out: false,
+        });
+        let e = replay(&evs).unwrap_err();
+        assert_eq!(e.index, 3);
+        assert!(e.msg.contains("overflow"), "{}", e.msg);
     }
 
     #[test]

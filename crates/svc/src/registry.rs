@@ -14,9 +14,10 @@
 //! once the cached matching is maximum).
 //!
 //! Snapshot restore goes through [`GraphRegistry::restore`], which
-//! remembers sources and warm matchings **without materializing** any
-//! graph — boot stays fast, and the first `SOLVE` of a restored name
-//! lazily materializes and reports `warm=true`.
+//! remembers sources and warm starts **without materializing** anything
+//! — boot stays fast, and the first `SOLVE` of a restored name lazily
+//! materializes the graph, then builds the warm matching only if the
+//! warm start's dimensions match it, and reports `warm=true`.
 
 use crate::error::SvcError;
 use crate::faults::{FaultPlan, FaultSite};
@@ -82,10 +83,11 @@ pub struct RegistryStats {
 struct Inner {
     cache: LruCache<CacheEntry>,
     sources: HashMap<String, GraphSource>,
-    /// Warm matchings restored from a snapshot, waiting for their graph
-    /// to be materialized (at which point they move into the cache entry,
-    /// after being validated against the real graph dimensions).
-    pending_warm: HashMap<String, Arc<Matching>>,
+    /// Warm starts restored from a snapshot, waiting for their graph to
+    /// be materialized. Only then are they checked against the real
+    /// graph dimensions and built into a matching, so a journal's `ny`
+    /// never sizes an allocation on its own.
+    pending_warm: HashMap<String, WarmStart>,
     reloads: u64,
 }
 
@@ -244,13 +246,16 @@ impl GraphRegistry {
         let bytes = approx_graph_bytes(&graph);
         let mut inner = self.lock();
         inner.reloads += 1;
-        // A snapshot-restored warm matching attaches on the first
+        // A snapshot-restored warm start attaches on the first
         // materialization — if it still fits the graph (the source file
-        // may have changed since the snapshot was written).
+        // may have changed since the snapshot was written) and pairs
+        // vertices consistently.
         let warm = inner
             .pending_warm
             .remove(name)
-            .filter(|m| m.mates_x().len() == graph.num_x() && m.mates_y().len() == graph.num_y());
+            .filter(|w| w.mate_x.len() == graph.num_x() && w.ny == graph.num_y())
+            .and_then(|w| w.to_matching().ok())
+            .map(Arc::new);
         inner.cache.insert(
             name.to_string(),
             CacheEntry {
@@ -263,14 +268,14 @@ impl GraphRegistry {
     }
 
     /// Remembers `name` from a snapshot without materializing anything:
-    /// the source is registered, and `warm` (if any) is attached lazily
-    /// on the first [`get`](Self::get).
-    pub fn restore(&self, name: &str, source: GraphSource, warm: Option<Matching>) {
+    /// the source is registered, and `warm` (if any) is checked and
+    /// attached lazily on the first [`get`](Self::get).
+    pub fn restore(&self, name: &str, source: GraphSource, warm: Option<WarmStart>) {
         let mut inner = self.lock();
         inner.sources.insert(name.to_string(), source);
         match warm {
-            Some(m) => {
-                inner.pending_warm.insert(name.to_string(), Arc::new(m));
+            Some(w) => {
+                inner.pending_warm.insert(name.to_string(), w);
             }
             None => {
                 inner.pending_warm.remove(name);
@@ -292,8 +297,8 @@ impl GraphRegistry {
                     .cache
                     .peek(name)
                     .and_then(|e| e.warm.as_deref())
-                    .or_else(|| inner.pending_warm.get(name).map(|m| &**m))
-                    .map(WarmStart::from_matching);
+                    .map(WarmStart::from_matching)
+                    .or_else(|| inner.pending_warm.get(name).cloned());
                 SnapshotEntry {
                     name: name.clone(),
                     source: inner.sources[name].clone(),
@@ -443,11 +448,7 @@ mod tests {
         // Second life: restore without materializing, then the first get
         // returns the warm matching.
         let r2 = GraphRegistry::new(usize::MAX);
-        r2.restore(
-            "g",
-            entries[0].source.clone(),
-            Some(warm.to_matching().unwrap()),
-        );
+        r2.restore("g", entries[0].source.clone(), Some(warm.clone()));
         assert_eq!(r2.stats().registered, 1);
         assert_eq!(r2.stats().entries, 0, "restore must not materialize");
         let (_, warm2) = r2.get("g").unwrap();
@@ -459,20 +460,35 @@ mod tests {
 
     #[test]
     fn restored_warm_with_wrong_shape_is_dropped() {
-        let r = GraphRegistry::new(usize::MAX);
-        let bogus = Matching::empty(3, 3);
-        r.restore("g", tiny_suite_source(), Some(bogus));
-        let (_, warm) = r.get("g").unwrap();
-        assert!(
-            warm.is_none(),
-            "shape-mismatched warm start must be dropped"
-        );
+        let info = GraphRegistry::new(usize::MAX)
+            .register("g", tiny_suite_source())
+            .unwrap();
+        let mut shared_partner = vec![-1; info.nx];
+        shared_partner[..2].fill(0);
+        for (why, mate_x, ny) in [
+            ("too few X", vec![-1; 3], info.ny),
+            // Never allocated: the shape check runs first.
+            ("huge ny", vec![-1; info.nx], 1 << 62),
+            ("shared partner", shared_partner, info.ny),
+        ] {
+            let r = GraphRegistry::new(usize::MAX);
+            r.restore("g", tiny_suite_source(), Some(WarmStart { ny, mate_x }));
+            let (_, warm) = r.get("g").unwrap();
+            assert!(
+                warm.is_none(),
+                "{why}: mismatched warm start must be dropped"
+            );
+        }
     }
 
     #[test]
     fn snapshot_entries_are_name_sorted_and_include_pending() {
         let r = GraphRegistry::new(usize::MAX);
-        r.restore("zz", tiny_suite_source(), Some(Matching::empty(2, 2)));
+        let pending = WarmStart {
+            ny: 2,
+            mate_x: vec![-1, -1],
+        };
+        r.restore("zz", tiny_suite_source(), Some(pending));
         r.register("aa", tiny_suite_source()).unwrap();
         let entries = r.snapshot_entries();
         let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();

@@ -676,31 +676,19 @@ impl Server {
                             restored.insert(d.name.clone(), d);
                         }
                     }
-                    let mut entry_names = Vec::new();
-                    for e in snap.entries {
-                        let warm = match &e.warm {
-                            None => None,
-                            Some(w) => match w.to_matching() {
-                                Ok(m) => Some(m),
-                                Err(err) => {
-                                    eprintln!(
-                                        "graft-svc: dropping warm start for `{}`: {err}",
-                                        e.name
-                                    );
-                                    None
-                                }
-                            },
-                        };
-                        entry_names.push(e.name.clone());
-                        registry.restore(&e.name, e.source, warm);
-                    }
+                    let entry_names: Vec<String> = snap
+                        .entries
+                        .into_iter()
+                        .map(|e| {
+                            registry.restore(&e.name, e.source, e.warm);
+                            e.name
+                        })
+                        .collect();
                     let j = journal.as_ref().expect("state_dir implies journal");
-                    let needs_rewrite = report.truncated.is_some()
-                        || matches!(report.version, Some(v) if v < snapshot::SNAPSHOT_VERSION);
-                    if needs_rewrite {
-                        // Migration (v1/v2 file) or a truncated v3:
-                        // rewrite once at boot so the on-disk format is
-                        // current and appendable.
+                    if report.truncated.is_some() {
+                        // Rewrite a truncated journal once at boot so the
+                        // file on disk is a clean prefix again, ready for
+                        // appends.
                         let snap = Snapshot {
                             entries: registry.snapshot_entries(),
                             deltas: dyn_store.deltas(),
@@ -722,8 +710,8 @@ impl Server {
                             }
                         }
                     } else if report.version == Some(snapshot::SNAPSHOT_VERSION) {
-                        // Clean current-version file: append onto it
-                        // instead of rewriting.
+                        // Clean journal: append onto it instead of
+                        // rewriting.
                         if let Err(e) = j.adopt(entry_names) {
                             eprintln!("graft-svc: could not adopt journal for appends: {e}");
                         }

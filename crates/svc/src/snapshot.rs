@@ -11,49 +11,39 @@
 //!
 //! ## Format
 //!
-//! One JSON object per line. The objects are *flat* — strings, integers,
-//! and integer arrays only — which keeps the hand-rolled reader (this
-//! build environment has no serde) honest and the format diffable:
+//! One flat JSON object per line, written and parsed by
+//! [`graft_core::json`] (the workspace has no serde dependency), which
+//! keeps the format diffable. Every line is sealed with a trailing
+//! `"crc"` field: the CRC32 (IEEE) of the line's bytes up to (not
+//! including) the `,"crc"` suffix.
 //!
 //! ```text
-//! {"kind":"header","version":2}
-//! {"kind":"graph","name":"g","source":"suite","suite":"kkt_power","scale":"tiny"}
-//! {"kind":"graph","name":"m","source":"mtx","path":"data/m.mtx"}
-//! {"kind":"warm","name":"g","ny":1500,"mate_x":[3,-1,7]}
-//! {"kind":"delta","name":"g","adds":[0,5,3,1],"dels":[2,2]}
-//! {"kind":"rebuilds","count":4}
+//! {"kind":"header","version":3,"crc":2496352055}
+//! {"kind":"graph","name":"g","source":"suite","suite":"kkt_power","scale":"tiny","crc":N}
+//! {"kind":"graph","name":"m","source":"mtx","path":"data/m.mtx","crc":N}
+//! {"kind":"warm","name":"g","ny":1500,"mate_x":[3,-1,7],"crc":N}
+//! {"kind":"delta","name":"g","adds":[0,5,3,1],"dels":[2,2],"crc":N}
+//! {"kind":"rebuilds","count":4,"crc":N}
+//! {"kind":"update","name":"g","op":"add","x":0,"y":5,"crc":N}
 //! ```
 //!
 //! `mate_x[x]` is the matched Y partner or `-1`; `ny` sizes the rebuilt
 //! `mate_y` side. A `warm` line always refers to a `graph` line earlier
-//! in the file.
+//! in the file. `delta` lines record a graph's pending edge updates
+//! relative to its registered source as flat `[x0,y0,x1,y1,...]` pairs
+//! (`adds` inserted, `dels` deleted), and one `rebuilds` line carries the
+//! service-wide overlay-compaction counter. A full save writes those
+//! kinds; between full rewrites each accepted `UPDATE` is *appended* as
+//! an `update` record. Updates replay with the same add/del cancellation
+//! semantics as the server's live journal, so append-then-load equals the
+//! state the server acked.
 //!
-//! Version 2 added the dynamic-update state: `delta` lines record a
-//! graph's pending edge updates relative to its registered source as
-//! flat `[x0,y0,x1,y1,...]` pairs (`adds` inserted, `dels` deleted), and
-//! one `rebuilds` line carries the service-wide overlay-compaction
-//! counter. Version 1 files load fine (no deltas).
-//!
-//! Version 3 seals **every** line with a trailing `"crc"` field — the
-//! CRC32 (IEEE) of the line's bytes up to (not including) the `,"crc"`
-//! suffix — and adds the `update` record kind so single accepted
-//! `UPDATE`s can be *appended* to the live journal between full
-//! rewrites:
-//!
-//! ```text
-//! {"kind":"header","version":3,"crc":123456}
-//! {"kind":"update","name":"g","op":"add","x":0,"y":5,"crc":654321}
-//! ```
-//!
-//! `update` records replay with the same add/del cancellation semantics
-//! as the server's live journal, so append-then-load equals the state
-//! the server acked. v3 recovery **truncates at the first bad record**
-//! (CRC mismatch, unparseable line, unknown kind, semantic error) and
-//! returns everything before it — replacing v2's skip-corrupt-deltas
-//! policy, which could silently replay later deltas against a wrong
-//! base. v1/v2 files keep their original load semantics bit-for-bit
-//! (including the skip-bad-deltas degradation); the first save after
-//! loading one rewrites the file as v3.
+//! The journal has one grammar. A first record that is not a parseable
+//! header, or a header of any version other than 3, is a
+//! [`SnapshotError::Corrupt`] at that line. After the header, recovery
+//! **truncates at the first bad record** (CRC mismatch, unparseable line,
+//! unknown kind, semantic error) and returns everything before it; a
+//! header that fails its own CRC truncates to nothing.
 //!
 //! ## Crash safety
 //!
@@ -69,6 +59,7 @@
 use crate::error::SvcError;
 use crate::faults::{FaultPlan, FaultSite};
 use crate::registry::GraphSource;
+use graft_core::json::{self, Object, Writer};
 use graft_core::Matching;
 use graft_gen::Scale;
 use graft_graph::{VertexId, NONE};
@@ -79,9 +70,6 @@ use std::path::{Path, PathBuf};
 
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u64 = 3;
-
-/// Oldest version [`load`] still accepts (pre-delta snapshots).
-pub const SNAPSHOT_MIN_VERSION: u64 = 1;
 
 /// File name inside the state directory.
 pub const SNAPSHOT_FILE: &str = "registry.jsonl";
@@ -233,214 +221,45 @@ impl WarmStart {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The values our flat lines can hold.
-#[derive(Debug, PartialEq)]
-enum Value {
-    Str(String),
-    Int(i64),
-    Ints(Vec<i64>),
-}
-
-impl Value {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-}
-
-/// Minimal parser for one flat JSON object line (string/int/int-array
-/// values only). Returns `(key, value)` pairs in order.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut pairs = Vec::new();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while matches!(chars.peek(), Some(c) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-    ) -> Result<String, String> {
-        if chars.next() != Some('"') {
-            return Err("expected string".into());
-        }
-        let mut s = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(s),
-                Some('\\') => match chars.next() {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('n') => s.push('\n'),
-                    Some('r') => s.push('\r'),
-                    Some('t') => s.push('\t'),
-                    Some('u') => {
-                        let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                        s.push(char::from_u32(code).ok_or("bad codepoint")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => s.push(c),
-            }
-        }
-    }
-
-    fn parse_int(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<i64, String> {
-        let mut s = String::new();
-        if chars.peek() == Some(&'-') {
-            s.push(chars.next().unwrap());
-        }
-        while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-            s.push(chars.next().unwrap());
-        }
-        s.parse::<i64>().map_err(|_| format!("bad integer `{s}`"))
-    }
-
-    skip_ws(&mut chars);
-    if chars.next() != Some('{') {
-        return Err("expected `{`".into());
-    }
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return Ok(pairs);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next() != Some(':') {
-            return Err(format!("expected `:` after key `{key}`"));
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some('"') => Value::Str(parse_string(&mut chars)?),
-            Some('[') => {
-                chars.next();
-                let mut ints = Vec::new();
-                skip_ws(&mut chars);
-                if chars.peek() == Some(&']') {
-                    chars.next();
-                } else {
-                    loop {
-                        skip_ws(&mut chars);
-                        ints.push(parse_int(&mut chars)?);
-                        skip_ws(&mut chars);
-                        match chars.next() {
-                            Some(',') => continue,
-                            Some(']') => break,
-                            other => return Err(format!("bad array separator {other:?}")),
-                        }
-                    }
-                }
-                Value::Ints(ints)
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => Value::Int(parse_int(&mut chars)?),
-            other => return Err(format!("unsupported value start {other:?}")),
-        };
-        pairs.push((key, value));
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some(',') => continue,
-            Some('}') => break,
-            other => return Err(format!("expected `,` or `}}`, got {other:?}")),
-        }
-    }
-    Ok(pairs)
-}
-
-fn field<'a>(pairs: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
+/// The record bodies of one entry: its `graph` line, then its `warm`
+/// line if it has a warm start.
 fn entry_bodies(entry: &SnapshotEntry, out: &mut Vec<String>) {
-    use std::fmt::Write;
-    let name = json_escape(&entry.name);
-    match &entry.source {
-        GraphSource::MtxFile(path) => {
-            out.push(format!(
-                "{{\"kind\":\"graph\",\"name\":\"{name}\",\"source\":\"mtx\",\"path\":\"{}\"}}",
-                json_escape(&path.display().to_string())
-            ));
+    let graph = Writer::new().str("kind", "graph").str("name", &entry.name);
+    out.push(
+        match &entry.source {
+            GraphSource::MtxFile(path) => graph
+                .str("source", "mtx")
+                .str("path", &path.display().to_string()),
+            GraphSource::Suite { name, scale } => graph
+                .str("source", "suite")
+                .str("suite", name)
+                .str("scale", scale.name()),
         }
-        GraphSource::Suite {
-            name: suite_name,
-            scale,
-        } => {
-            out.push(format!(
-                "{{\"kind\":\"graph\",\"name\":\"{name}\",\"source\":\"suite\",\"suite\":\"{}\",\"scale\":\"{}\"}}",
-                json_escape(suite_name),
-                scale.name()
-            ));
-        }
-    }
+        .finish(),
+    );
     if let Some(warm) = &entry.warm {
-        let mut line = format!(
-            "{{\"kind\":\"warm\",\"name\":\"{name}\",\"ny\":{},\"mate_x\":[",
-            warm.ny
+        out.push(
+            Writer::new()
+                .str("kind", "warm")
+                .str("name", &entry.name)
+                .u64("ny", warm.ny as u64)
+                .ints("mate_x", warm.mate_x.iter().copied())
+                .finish(),
         );
-        for (i, m) in warm.mate_x.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
-            let _ = write!(line, "{m}");
-        }
-        line.push_str("]}");
-        out.push(line);
     }
 }
 
-fn render_pairs(out: &mut String, pairs: &[(u32, u32)]) {
-    use std::fmt::Write;
-    out.push('[');
-    for (i, (x, y)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x},{y}");
-    }
-    out.push(']');
+/// Edge pairs flattened to `x0,y0,x1,y1,...`.
+fn flat_pairs(pairs: &[(u32, u32)]) -> impl Iterator<Item = u32> + '_ {
+    pairs.iter().flat_map(|&(x, y)| [x, y])
 }
 
 /// The unsealed record bodies of `snap`, in file order.
 fn record_bodies(snap: &Snapshot) -> Vec<String> {
-    let mut bodies = vec![format!(
-        "{{\"kind\":\"header\",\"version\":{SNAPSHOT_VERSION}}}"
-    )];
+    let mut bodies = vec![Writer::new()
+        .str("kind", "header")
+        .u64("version", SNAPSHOT_VERSION)
+        .finish()];
     for e in &snap.entries {
         entry_bodies(e, &mut bodies);
     }
@@ -448,21 +267,22 @@ fn record_bodies(snap: &Snapshot) -> Vec<String> {
         if d.adds.is_empty() && d.dels.is_empty() {
             continue;
         }
-        let mut line = format!(
-            "{{\"kind\":\"delta\",\"name\":\"{}\",\"adds\":",
-            json_escape(&d.name)
+        bodies.push(
+            Writer::new()
+                .str("kind", "delta")
+                .str("name", &d.name)
+                .ints("adds", flat_pairs(&d.adds))
+                .ints("dels", flat_pairs(&d.dels))
+                .finish(),
         );
-        render_pairs(&mut line, &d.adds);
-        line.push_str(",\"dels\":");
-        render_pairs(&mut line, &d.dels);
-        line.push('}');
-        bodies.push(line);
     }
     if snap.rebuilds > 0 {
-        bodies.push(format!(
-            "{{\"kind\":\"rebuilds\",\"count\":{}}}",
-            snap.rebuilds
-        ));
+        bodies.push(
+            Writer::new()
+                .str("kind", "rebuilds")
+                .u64("count", snap.rebuilds)
+                .finish(),
+        );
     }
     bodies
 }
@@ -482,12 +302,15 @@ pub fn render(snap: &Snapshot) -> String {
 /// accepted edge update, appended to the live journal by the fsync
 /// policy machinery.
 pub fn render_update_record(name: &str, add: bool, x: u32, y: u32) -> String {
-    let body = format!(
-        "{{\"kind\":\"update\",\"name\":\"{}\",\"op\":\"{}\",\"x\":{x},\"y\":{y}}}",
-        json_escape(name),
-        if add { "add" } else { "del" }
-    );
-    seal_record(&body)
+    seal_record(
+        &Writer::new()
+            .str("kind", "update")
+            .str("name", name)
+            .str("op", if add { "add" } else { "del" })
+            .u64("x", x.into())
+            .u64("y", y.into())
+            .finish(),
+    )
 }
 
 /// Atomically writes `snap` to `dir/registry.jsonl` on `disk` (tmp +
@@ -569,160 +392,18 @@ fn corrupt(line: usize, message: impl Into<String>) -> SnapshotError {
     }
 }
 
-/// Decodes a flat `[x0,y0,x1,y1,...]` delta array; `None` on odd
-/// length or out-of-`u32` values (the caller skips the delta line).
-fn decode_pairs(v: &Value) -> Option<Vec<(u32, u32)>> {
-    let ints = match v {
-        Value::Ints(ints) => ints,
-        _ => return None,
-    };
-    if ints.len() % 2 != 0 {
-        return None;
-    }
-    let mut pairs = Vec::with_capacity(ints.len() / 2);
-    for chunk in ints.chunks_exact(2) {
-        let x = u32::try_from(chunk[0]).ok()?;
-        let y = u32::try_from(chunk[1]).ok()?;
-        pairs.push((x, y));
-    }
-    Some(pairs)
+/// Decodes the flat `[x0,y0,x1,y1,...]` array `key` into edge pairs.
+fn pairs(o: &Object, key: &str) -> Result<BTreeSet<(u32, u32)>, String> {
+    let ints = o.ints(key)?;
+    let pair = |c: &[i64]| Some((u32::try_from(c[0]).ok()?, u32::try_from(c[1]).ok()?));
+    (ints.len() % 2 == 0)
+        .then(|| ints.chunks_exact(2).map(pair).collect())
+        .flatten()
+        .ok_or_else(|| format!("`{key}` must hold u32 x,y pairs"))
 }
 
-/// Decodes one `delta` line; `None` means "skip it, start that graph's
-/// dynamic state cold" (the ISSUE-mandated degradation: a bad delta must
-/// not brick the registry).
-fn decode_delta(pairs: &[(String, Value)], entries: &[SnapshotEntry]) -> Option<SnapshotDelta> {
-    let name = field(pairs, "name").ok()?.as_str()?.to_string();
-    // A delta for a graph the snapshot does not register cannot be
-    // replayed against anything.
-    entries.iter().find(|e| e.name == name)?;
-    let adds = decode_pairs(field(pairs, "adds").ok()?)?;
-    let dels = decode_pairs(field(pairs, "dels").ok()?)?;
-    Some(SnapshotDelta { name, adds, dels })
-}
-
-/// The v1/v2 loader, preserved bit-for-bit from before schema v3:
-/// tolerant delta/rebuilds skipping, hard [`SnapshotError::Corrupt`] on
-/// structural damage.
-fn load_legacy(text: &str) -> Result<Snapshot, SnapshotError> {
-    let mut entries: Vec<SnapshotEntry> = Vec::new();
-    let mut deltas: Vec<SnapshotDelta> = Vec::new();
-    let mut rebuilds = 0u64;
-    let mut saw_header = false;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let pairs = parse_flat_object(line).map_err(|m| corrupt(lineno, m))?;
-        let kind = field(&pairs, "kind")
-            .and_then(|v| v.as_str().ok_or("`kind` must be a string".into()))
-            .map_err(|m| corrupt(lineno, m))?
-            .to_string();
-        match kind.as_str() {
-            "header" => {
-                let version = field(&pairs, "version")
-                    .and_then(|v| v.as_int().ok_or("`version` must be an integer".into()))
-                    .map_err(|m| corrupt(lineno, m))?;
-                if version < SNAPSHOT_MIN_VERSION as i64 || version > SNAPSHOT_VERSION as i64 {
-                    return Err(corrupt(lineno, format!("unsupported version {version}")));
-                }
-                saw_header = true;
-            }
-            "graph" => {
-                if !saw_header {
-                    return Err(corrupt(lineno, "graph line before header"));
-                }
-                let name = field(&pairs, "name")
-                    .and_then(|v| v.as_str().ok_or("`name` must be a string".into()))
-                    .map_err(|m| corrupt(lineno, m))?
-                    .to_string();
-                let source_kind = field(&pairs, "source")
-                    .and_then(|v| v.as_str().ok_or("`source` must be a string".into()))
-                    .map_err(|m| corrupt(lineno, m))?;
-                let source = match source_kind {
-                    "mtx" => {
-                        let path = field(&pairs, "path")
-                            .and_then(|v| v.as_str().ok_or("`path` must be a string".into()))
-                            .map_err(|m| corrupt(lineno, m))?;
-                        GraphSource::MtxFile(PathBuf::from(path))
-                    }
-                    "suite" => {
-                        let suite = field(&pairs, "suite")
-                            .and_then(|v| v.as_str().ok_or("`suite` must be a string".into()))
-                            .map_err(|m| corrupt(lineno, m))?;
-                        let scale_name = field(&pairs, "scale")
-                            .and_then(|v| v.as_str().ok_or("`scale` must be a string".into()))
-                            .map_err(|m| corrupt(lineno, m))?;
-                        let scale = Scale::parse(scale_name).ok_or_else(|| {
-                            corrupt(lineno, format!("unknown scale `{scale_name}`"))
-                        })?;
-                        GraphSource::Suite {
-                            name: suite.to_string(),
-                            scale,
-                        }
-                    }
-                    other => return Err(corrupt(lineno, format!("unknown source kind `{other}`"))),
-                };
-                entries.push(SnapshotEntry {
-                    name,
-                    source,
-                    warm: None,
-                });
-            }
-            "warm" => {
-                let name = field(&pairs, "name")
-                    .and_then(|v| v.as_str().ok_or("`name` must be a string".into()))
-                    .map_err(|m| corrupt(lineno, m))?;
-                let ny = field(&pairs, "ny")
-                    .and_then(|v| v.as_int().ok_or("`ny` must be an integer".into()))
-                    .map_err(|m| corrupt(lineno, m))?;
-                if ny < 0 {
-                    return Err(corrupt(lineno, "`ny` must be non-negative"));
-                }
-                let mate_x = match field(&pairs, "mate_x").map_err(|m| corrupt(lineno, m))? {
-                    Value::Ints(v) => v.clone(),
-                    _ => return Err(corrupt(lineno, "`mate_x` must be an integer array")),
-                };
-                let entry = entries.iter_mut().find(|e| e.name == name).ok_or_else(|| {
-                    corrupt(lineno, format!("warm line for unknown graph `{name}`"))
-                })?;
-                entry.warm = Some(WarmStart {
-                    ny: ny as usize,
-                    mate_x,
-                });
-            }
-            "delta" => {
-                if !saw_header {
-                    return Err(corrupt(lineno, "delta line before header"));
-                }
-                // Degrade, don't brick: an undecodable delta only costs
-                // that graph its replayable updates.
-                if let Some(delta) = decode_delta(&pairs, &entries) {
-                    deltas.retain(|d| d.name != delta.name);
-                    deltas.push(delta);
-                }
-            }
-            "rebuilds" => {
-                if !saw_header {
-                    return Err(corrupt(lineno, "rebuilds line before header"));
-                }
-                if let Some(count) = field(&pairs, "count")
-                    .ok()
-                    .and_then(|v| v.as_int())
-                    .and_then(|v| u64::try_from(v).ok())
-                {
-                    rebuilds = count;
-                }
-            }
-            other => return Err(corrupt(lineno, format!("unknown line kind `{other}`"))),
-        }
-    }
-    Ok(Snapshot {
-        entries,
-        deltas,
-        rebuilds,
-    })
+fn u32_field(o: &Object, key: &str) -> Result<u32, String> {
+    u32::try_from(o.u64(key)?).map_err(|_| format!("`{key}` must be a u32"))
 }
 
 /// Where and why a v3 load stopped early.
@@ -790,8 +471,9 @@ fn is_blank(bytes: &[u8]) -> bool {
 /// Per-graph live delta sets during a v3 replay: (adds, dels).
 type LiveDeltas = BTreeMap<String, (BTreeSet<(u32, u32)>, BTreeSet<(u32, u32)>)>;
 
-/// The v3 loader: verify each record's CRC, parse it, apply it
-/// strictly; the first failure of any kind truncates the load there.
+/// Replays the records from the header on: verify each record's CRC,
+/// parse it, apply it strictly; the first failure of any kind truncates
+/// the load there.
 fn load_v3(lines: &[RawLine<'_>], header_idx: usize) -> LoadReport {
     let mut entries: Vec<SnapshotEntry> = Vec::new();
     let mut live: LiveDeltas = BTreeMap::new();
@@ -811,45 +493,23 @@ fn load_v3(lines: &[RawLine<'_>], header_idx: usize) -> LoadReport {
             let line =
                 std::str::from_utf8(raw.bytes).map_err(|_| "record is not UTF-8".to_string())?;
             verify_record(line)?;
-            let pairs = parse_flat_object(line)?;
-            let kind = field(&pairs, "kind")?
-                .as_str()
-                .ok_or("`kind` must be a string")?
-                .to_string();
-            match kind.as_str() {
+            let o = json::parse(line)?;
+            match o.str("kind")? {
                 "header" => {
                     if raw.lineno != lines[header_idx].lineno {
                         return Err("header record in mid-file".into());
                     }
                 }
                 "graph" => {
-                    let name = field(&pairs, "name")?
-                        .as_str()
-                        .ok_or("`name` must be a string")?
-                        .to_string();
-                    let source_kind = field(&pairs, "source")?
-                        .as_str()
-                        .ok_or("`source` must be a string")?;
-                    let source = match source_kind {
-                        "mtx" => {
-                            let path = field(&pairs, "path")?
-                                .as_str()
-                                .ok_or("`path` must be a string")?;
-                            GraphSource::MtxFile(PathBuf::from(path))
-                        }
+                    let name = o.str("name")?.to_string();
+                    let source = match o.str("source")? {
+                        "mtx" => GraphSource::MtxFile(PathBuf::from(o.str("path")?)),
                         "suite" => {
-                            let suite = field(&pairs, "suite")?
-                                .as_str()
-                                .ok_or("`suite` must be a string")?;
-                            let scale_name = field(&pairs, "scale")?
-                                .as_str()
-                                .ok_or("`scale` must be a string")?;
+                            let suite = o.str("suite")?.to_string();
+                            let scale_name = o.str("scale")?;
                             let scale = Scale::parse(scale_name)
                                 .ok_or_else(|| format!("unknown scale `{scale_name}`"))?;
-                            GraphSource::Suite {
-                                name: suite.to_string(),
-                                scale,
-                            }
+                            GraphSource::Suite { name: suite, scale }
                         }
                         other => return Err(format!("unknown source kind `{other}`")),
                     };
@@ -860,83 +520,46 @@ fn load_v3(lines: &[RawLine<'_>], header_idx: usize) -> LoadReport {
                     });
                 }
                 "warm" => {
-                    let name = field(&pairs, "name")?
-                        .as_str()
-                        .ok_or("`name` must be a string")?;
-                    let ny = field(&pairs, "ny")?
-                        .as_int()
-                        .ok_or("`ny` must be an integer")?;
-                    if ny < 0 {
-                        return Err("`ny` must be non-negative".into());
-                    }
-                    let mate_x = match field(&pairs, "mate_x")? {
-                        Value::Ints(v) => v.clone(),
-                        _ => return Err("`mate_x` must be an integer array".into()),
-                    };
+                    let name = o.str("name")?;
+                    let ny = usize::try_from(o.u64("ny")?).map_err(|_| "`ny` must fit a usize")?;
+                    let mate_x = o.ints("mate_x")?.to_vec();
                     let entry = entries
                         .iter_mut()
                         .find(|e| e.name == name)
                         .ok_or_else(|| format!("warm record for unknown graph `{name}`"))?;
-                    entry.warm = Some(WarmStart {
-                        ny: ny as usize,
-                        mate_x,
-                    });
+                    entry.warm = Some(WarmStart { ny, mate_x });
                 }
                 "delta" => {
-                    // v3 is strict: an undecodable delta truncates the
-                    // load instead of silently starting that graph cold.
-                    let delta = decode_delta(&pairs, &entries)
-                        .ok_or("undecodable delta record".to_string())?;
-                    live.insert(
-                        delta.name.clone(),
-                        (
-                            delta.adds.iter().copied().collect(),
-                            delta.dels.iter().copied().collect(),
-                        ),
-                    );
+                    let name = o.str("name")?;
+                    if !entries.iter().any(|e| e.name == name) {
+                        return Err(format!("delta record for unknown graph `{name}`"));
+                    }
+                    live.insert(name.to_string(), (pairs(&o, "adds")?, pairs(&o, "dels")?));
                 }
                 "update" => {
-                    let name = field(&pairs, "name")?
-                        .as_str()
-                        .ok_or("`name` must be a string")?
-                        .to_string();
+                    let name = o.str("name")?;
                     if !entries.iter().any(|e| e.name == name) {
                         return Err(format!("update record for unknown graph `{name}`"));
                     }
-                    let op = field(&pairs, "op")?
-                        .as_str()
-                        .ok_or("`op` must be a string")?;
-                    let add = match op {
+                    let add = match o.str("op")? {
                         "add" => true,
                         "del" => false,
                         other => return Err(format!("unknown update op `{other}`")),
                     };
-                    let x = field(&pairs, "x")?
-                        .as_int()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or("`x` must be a u32")?;
-                    let y = field(&pairs, "y")?
-                        .as_int()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or("`y` must be a u32")?;
-                    let (adds, dels) = live.entry(name).or_default();
+                    let edge = (u32_field(&o, "x")?, u32_field(&o, "y")?);
+                    let (adds, dels) = live.entry(name.to_string()).or_default();
                     // Same cancellation semantics as the server's live
                     // journal: an insert cancels a pending delete of the
                     // same edge and vice versa.
                     if add {
-                        if !dels.remove(&(x, y)) {
-                            adds.insert((x, y));
+                        if !dels.remove(&edge) {
+                            adds.insert(edge);
                         }
-                    } else if !adds.remove(&(x, y)) {
-                        dels.insert((x, y));
+                    } else if !adds.remove(&edge) {
+                        dels.insert(edge);
                     }
                 }
-                "rebuilds" => {
-                    rebuilds = field(&pairs, "count")?
-                        .as_int()
-                        .and_then(|v| u64::try_from(v).ok())
-                        .ok_or("`count` must be a non-negative integer")?;
-                }
+                "rebuilds" => rebuilds = o.u64("count")?,
                 other => return Err(format!("unknown record kind `{other}`")),
             }
             Ok(())
@@ -970,10 +593,11 @@ fn load_v3(lines: &[RawLine<'_>], header_idx: usize) -> LoadReport {
 }
 
 /// Loads `dir/registry.jsonl` from `disk`. A missing file is an empty
-/// snapshot (the cold-start case), not an error; a v3 file with a bad
-/// record loads as the prefix before it ([`LoadReport::truncated`]
-/// locates the cut); v1/v2 files keep their original all-or-nothing
-/// semantics. `faults` injects at [`FaultSite::SnapshotLoad`].
+/// snapshot (the cold-start case), not an error. A file whose first
+/// record is not a version-3 header is [`SnapshotError::Corrupt`]; after
+/// the header, a bad record loads as the prefix before it
+/// ([`LoadReport::truncated`] locates the cut). `faults` injects at
+/// [`FaultSite::SnapshotLoad`].
 pub fn load_on(
     disk: &dyn Disk,
     dir: &Path,
@@ -1006,77 +630,40 @@ pub fn load_on(
             truncated: None,
         });
     };
-
-    // Peek the header version to dispatch. Anything that fails to peek
-    // (bad UTF-8, unparseable line, not a header) goes to the legacy
-    // loader, which reproduces the original typed errors.
-    let peeked: Option<i64> = std::str::from_utf8(lines[first_idx].bytes)
-        .ok()
-        .and_then(|l| parse_flat_object(l).ok())
-        .and_then(|pairs| {
-            let kind = field(&pairs, "kind").ok()?.as_str()?.to_string();
-            (kind == "header").then(|| field(&pairs, "version").ok()?.as_int())?
-        });
-
-    match peeked {
-        Some(3) => {
-            let first = &lines[first_idx];
-            let header_ok = std::str::from_utf8(first.bytes)
-                .ok()
-                .is_some_and(|l| verify_record(l).is_ok());
-            if !header_ok {
-                // A v3 header that fails its own CRC: the whole file is
-                // untrustworthy — truncate to nothing.
-                return Ok(LoadReport {
-                    snapshot: Snapshot::default(),
-                    version: Some(3),
-                    existed: true,
-                    truncated: Some(Truncation {
-                        line: first.lineno,
-                        byte_offset: first.offset as u64,
-                        message: "header record failed its crc".into(),
-                    }),
-                });
-            }
-            Ok(load_v3(&lines, first_idx))
-        }
-        Some(v) if v >= SNAPSHOT_MIN_VERSION as i64 && v < 3 => {
-            let text = String::from_utf8(bytes).map_err(|_| {
-                SnapshotError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "snapshot is not valid UTF-8",
-                ))
-            })?;
-            load_legacy(&text).map(|snapshot| LoadReport {
-                snapshot,
-                version: Some(v as u64),
-                existed: true,
-                truncated: None,
-            })
-        }
-        Some(v) => Err(corrupt(
-            lines[first_idx].lineno,
-            format!("unsupported version {v}"),
-        )),
-        None => {
-            let text = String::from_utf8(bytes).map_err(|_| {
-                SnapshotError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "snapshot is not valid UTF-8",
-                ))
-            })?;
-            load_legacy(&text).map(|snapshot| LoadReport {
-                snapshot,
-                version: None,
-                existed: true,
-                truncated: None,
-            })
-        }
+    let first = &lines[first_idx];
+    let header = std::str::from_utf8(first.bytes)
+        .map_err(|_| corrupt(first.lineno, "record is not UTF-8"))?;
+    let version = json::parse(header)
+        .and_then(|o| match o.str("kind")? {
+            "header" => o.u64("version"),
+            other => Err(format!("first record is `{other}`, not a header")),
+        })
+        .map_err(|m| corrupt(first.lineno, m))?;
+    if version != SNAPSHOT_VERSION {
+        return Err(corrupt(
+            first.lineno,
+            format!("unsupported version {version}"),
+        ));
     }
+    if verify_record(header).is_err() {
+        // A header that fails its own CRC: the whole file is
+        // untrustworthy — truncate to nothing.
+        return Ok(LoadReport {
+            snapshot: Snapshot::default(),
+            version: Some(SNAPSHOT_VERSION),
+            existed: true,
+            truncated: Some(Truncation {
+                line: first.lineno,
+                byte_offset: first.offset as u64,
+                message: "header record failed its crc".into(),
+            }),
+        });
+    }
+    Ok(load_v3(&lines, first_idx))
 }
 
-/// [`load_on`] against the real filesystem, reduced to the snapshot —
-/// the pre-v3 API, kept for callers that don't manage the journal.
+/// [`load_on`] against the real filesystem, reduced to the snapshot, for
+/// callers that don't manage the journal.
 pub fn load(dir: &Path, faults: Option<&FaultPlan>) -> Result<Snapshot, SnapshotError> {
     load_on(&RealDisk, dir, faults).map(|r| r.snapshot)
 }
@@ -1136,6 +723,28 @@ mod tests {
         ]
     }
 
+    const HEADER: &str = r#"{"kind":"header","version":3}"#;
+    const GRAPH_G: &str =
+        r#"{"kind":"graph","name":"g","source":"suite","suite":"kkt_power","scale":"tiny"}"#;
+
+    /// A fresh, empty temp directory for one test.
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("graft-snap-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The journal text of `records`, each sealed with its crc.
+    fn sealed(records: &[&str]) -> String {
+        records.iter().map(|r| seal_record(r) + "\n").collect()
+    }
+
+    fn load_text(dir: &Path, text: &str) -> Result<LoadReport, SnapshotError> {
+        fs::write(dir.join(SNAPSHOT_FILE), text).unwrap();
+        load_on(&RealDisk, dir, None)
+    }
+
     #[test]
     fn round_trip_through_a_directory() {
         let dir = std::env::temp_dir().join(format!("graft-snap-{}", std::process::id()));
@@ -1193,64 +802,38 @@ mod tests {
     }
 
     #[test]
-    fn version_1_snapshots_still_load() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-v1-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":1}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n",
-        )
-        .unwrap();
-        let snap = load(&dir, None).unwrap();
-        assert_eq!(snap.entries.len(), 1);
-        assert!(snap.deltas.is_empty());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn bad_delta_and_rebuilds_lines_are_skipped_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-baddelta-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("baddelta");
         // Odd-length adds array, delta for an unregistered graph, negative
-        // coordinate, and a negative rebuilds count: all must degrade to
-        // "cold dynamic state", never a failed load.
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":2}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[0,1,2],\"dels\":[]}\n\
-             {\"kind\":\"delta\",\"name\":\"ghost\",\"adds\":[0,1],\"dels\":[]}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[-3,1],\"dels\":[]}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":\"zap\",\"dels\":[]}\n\
-             {\"kind\":\"rebuilds\",\"count\":-7}\n",
-        )
-        .unwrap();
-        let snap = load(&dir, None).unwrap();
-        assert_eq!(snap.entries.len(), 1);
-        assert!(snap.deltas.is_empty(), "all four deltas were undecodable");
-        assert_eq!(snap.rebuilds, 0);
+        // coordinate, non-array adds, and a negative rebuilds count: each
+        // truncates the load at its own line, keeping the graph before it.
+        for bad in [
+            r#"{"kind":"delta","name":"g","adds":[0,1,2],"dels":[]}"#,
+            r#"{"kind":"delta","name":"ghost","adds":[0,1],"dels":[]}"#,
+            r#"{"kind":"delta","name":"g","adds":[-3,1],"dels":[]}"#,
+            r#"{"kind":"delta","name":"g","adds":"zap","dels":[]}"#,
+            r#"{"kind":"rebuilds","count":-7}"#,
+        ] {
+            let report = load_text(&dir, &sealed(&[HEADER, GRAPH_G, bad])).unwrap();
+            assert_eq!(report.truncated.map(|t| t.line), Some(3), "{bad}");
+            assert_eq!(report.snapshot.entries.len(), 1);
+            assert!(report.snapshot.deltas.is_empty());
+            assert_eq!(report.snapshot.rebuilds, 0);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn later_delta_for_same_graph_wins() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-dupdelta-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":2}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[0,1],\"dels\":[]}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[5,6],\"dels\":[7,8]}\n",
-        )
-        .unwrap();
-        let snap = load(&dir, None).unwrap();
+        let dir = fresh_dir("dupdelta");
+        let text = sealed(&[
+            HEADER,
+            GRAPH_G,
+            r#"{"kind":"delta","name":"g","adds":[0,1],"dels":[]}"#,
+            r#"{"kind":"delta","name":"g","adds":[5,6],"dels":[7,8]}"#,
+        ]);
         assert_eq!(
-            snap.deltas,
+            load_text(&dir, &text).unwrap().snapshot.deltas,
             vec![SnapshotDelta {
                 name: "g".into(),
                 adds: vec![(5, 6)],
@@ -1262,61 +845,44 @@ mod tests {
 
     #[test]
     fn empty_journal_loads_as_a_cold_start() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-empty-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("empty");
         // A zero-byte file (crash between create and first write of some
         // external tool — our own save is rename-atomic) must behave
-        // exactly like a missing file: empty snapshot, no error.
-        fs::write(dir.join(SNAPSHOT_FILE), "").unwrap();
-        let snap = load(&dir, None).unwrap();
-        assert!(snap.entries.is_empty() && snap.deltas.is_empty() && snap.rebuilds == 0);
-        // Same for a header-only v2 file: a valid journal with no state.
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":2}\n",
-        )
-        .unwrap();
-        let snap = load(&dir, None).unwrap();
-        assert!(snap.entries.is_empty() && snap.deltas.is_empty() && snap.rebuilds == 0);
-        // Whitespace-only lines don't count as content either.
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":2}\n   \n\n",
-        )
-        .unwrap();
-        assert!(load(&dir, None).unwrap().entries.is_empty());
+        // exactly like a missing file: empty snapshot, no error. So must
+        // a header-only file, with or without trailing blank lines.
+        let header = sealed(&[HEADER]);
+        for text in [String::new(), header.clone(), format!("{header}   \n\n")] {
+            let report = load_text(&dir, &text).unwrap();
+            assert!(report.truncated.is_none(), "{text:?}");
+            let snap = report.snapshot;
+            assert!(snap.entries.is_empty() && snap.deltas.is_empty() && snap.rebuilds == 0);
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn truncated_final_delta_line_is_a_located_corrupt_error() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-trunc-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
+        let dir = fresh_dir("trunc");
         // The classic torn-journal artifact: the file ends mid-record.
-        // Saves are tmp+fsync+rename so our own crashes cannot produce
-        // this; if it appears anyway (external copy, disk-level damage)
-        // the load must fail *typed and located* — not half-restore, not
-        // silently treat the cut line as a skippable bad delta.
-        let full = "{\"kind\":\"header\",\"version\":2}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[0,5,3,1],\"dels\":[2,2]}\n";
+        // The load keeps the records before it and locates the cut.
+        let full = sealed(&[
+            HEADER,
+            GRAPH_G,
+            r#"{"kind":"delta","name":"g","adds":[0,5,3,1],"dels":[2,2]}"#,
+        ]);
         // Cut the final delta line at several byte offsets: mid-key,
         // mid-array, and just before the closing brace.
         let line_start = full.rfind("{\"kind\":\"delta\"").unwrap();
         for cut in [line_start + 10, line_start + 30, full.len() - 2] {
-            fs::write(dir.join(SNAPSHOT_FILE), &full[..cut]).unwrap();
-            match load(&dir, None) {
-                Err(SnapshotError::Corrupt { line, .. }) => {
-                    assert_eq!(line, 3, "cut at byte {cut} misattributed the corrupt line")
-                }
-                other => panic!("cut at byte {cut}: expected Corrupt, got {other:?}"),
-            }
+            let report = load_text(&dir, &full[..cut]).unwrap();
+            let t = report.truncated.expect("cut must be located");
+            assert_eq!(t.line, 3, "cut at byte {cut} misattributed the bad line");
+            assert_eq!(t.byte_offset, line_start as u64);
+            assert_eq!(report.snapshot.entries.len(), 1);
+            assert!(report.snapshot.deltas.is_empty());
         }
         // Sanity: the untruncated file loads and carries the delta.
-        fs::write(dir.join(SNAPSHOT_FILE), full).unwrap();
-        assert_eq!(load(&dir, None).unwrap().deltas.len(), 1);
+        assert_eq!(load_text(&dir, &full).unwrap().snapshot.deltas.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1334,7 +900,7 @@ mod tests {
             rebuilds: 9,
         };
         save(&dir, &snap, None).unwrap();
-        // Loading the same v2 file twice must not accumulate state
+        // Loading the same journal twice must not accumulate state
         // (deltas are absolute, not incremental).
         let first = load(&dir, None).unwrap();
         let second = load(&dir, None).unwrap();
@@ -1355,44 +921,29 @@ mod tests {
 
     #[test]
     fn corrupt_lines_are_located() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-corrupt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":1}\n{\"kind\":\"graph\",\"name\":\"g\"\n",
-        )
-        .unwrap();
-        match load(&dir, None) {
-            Err(SnapshotError::Corrupt { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
+        let dir = fresh_dir("corrupt");
+        let text = sealed(&[HEADER]) + "{\"kind\":\"graph\",\"name\":\"g\"\n";
+        let report = load_text(&dir, &text).unwrap();
+        assert_eq!(report.truncated.map(|t| t.line), Some(2));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn version_mismatch_and_orphan_warm_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-ver-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":99}\n",
-        )
-        .unwrap();
-        assert!(matches!(
-            load(&dir, None),
-            Err(SnapshotError::Corrupt { line: 1, .. })
-        ));
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":1}\n{\"kind\":\"warm\",\"name\":\"ghost\",\"ny\":1,\"mate_x\":[0]}\n",
-        )
-        .unwrap();
-        assert!(matches!(
-            load(&dir, None),
-            Err(SnapshotError::Corrupt { line: 2, .. })
-        ));
+        let dir = fresh_dir("ver");
+        for version in [1, 2, 99] {
+            let header = format!("{{\"kind\":\"header\",\"version\":{version}}}");
+            match load_text(&dir, &sealed(&[&header])) {
+                Err(SnapshotError::Corrupt { line: 1, message }) => {
+                    assert_eq!(message, format!("unsupported version {version}"))
+                }
+                other => panic!("version {version}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let orphan = r#"{"kind":"warm","name":"ghost","ny":1,"mate_x":[0]}"#;
+        let report = load_text(&dir, &sealed(&[HEADER, orphan])).unwrap();
+        assert_eq!(report.truncated.map(|t| t.line), Some(2));
+        assert!(report.snapshot.entries.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1457,63 +1008,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn v1_to_v3_migration_first_save_rewrites() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-mig1-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":1}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n",
-        )
-        .unwrap();
-        let report = load_on(&RealDisk, &dir, None).unwrap();
-        assert_eq!(report.version, Some(1));
-        assert!(report.existed && report.truncated.is_none());
-        assert_eq!(report.snapshot.entries.len(), 1);
-        // First save after loading a v1 file rewrites as sealed v3.
-        save(&dir, &report.snapshot, None).unwrap();
-        let text = fs::read_to_string(dir.join(SNAPSHOT_FILE)).unwrap();
-        assert!(text.starts_with("{\"kind\":\"header\",\"version\":3,"));
-        for line in text.lines() {
-            verify_record(line).expect("every rewritten line is sealed");
-        }
-        let again = load_on(&RealDisk, &dir, None).unwrap();
-        assert_eq!(again.version, Some(3));
-        assert_eq!(again.snapshot.entries.len(), 1);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn v2_to_v3_migration_preserves_deltas_and_rebuilds() {
-        let dir = std::env::temp_dir().join(format!("graft-snap-mig2-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(
-            dir.join(SNAPSHOT_FILE),
-            "{\"kind\":\"header\",\"version\":2}\n\
-             {\"kind\":\"graph\",\"name\":\"g\",\"source\":\"suite\",\"suite\":\"kkt_power\",\"scale\":\"tiny\"}\n\
-             {\"kind\":\"delta\",\"name\":\"g\",\"adds\":[0,5,3,1],\"dels\":[2,2]}\n\
-             {\"kind\":\"rebuilds\",\"count\":4}\n",
-        )
-        .unwrap();
-        let report = load_on(&RealDisk, &dir, None).unwrap();
-        assert_eq!(report.version, Some(2));
-        assert_eq!(report.snapshot.deltas.len(), 1);
-        assert_eq!(report.snapshot.rebuilds, 4);
-        save(&dir, &report.snapshot, None).unwrap();
-        let v3 = load_on(&RealDisk, &dir, None).unwrap();
-        assert_eq!(v3.version, Some(3));
-        assert_eq!(v3.snapshot.deltas, report.snapshot.deltas);
-        assert_eq!(v3.snapshot.rebuilds, 4);
-        // v3 load→save→load is byte-stable.
-        let once = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
-        save(&dir, &v3.snapshot, None).unwrap();
-        assert_eq!(once, fs::read(dir.join(SNAPSHOT_FILE)).unwrap());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

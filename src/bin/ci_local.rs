@@ -36,6 +36,17 @@ const GATES: &[Gate] = &[
         env: &[],
     },
     Gate {
+        name: "perfbench",
+        args: &[
+            "test",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+        ],
+        env: &[],
+    },
+    Gate {
         name: "doc",
         args: &["doc", "--workspace", "--no-deps", "-q"],
         env: &[("RUSTDOCFLAGS", "-D warnings")],

@@ -67,6 +67,40 @@ fn corpus() -> &'static [u8] {
     })
 }
 
+/// The corpus's exact bytes. Each record's CRC covers them, and journals
+/// written by earlier builds must keep loading, so the encoder may never
+/// change them.
+const PINNED_CORPUS: &str = r#"{"kind":"header","version":3,"crc":2496352055}
+{"kind":"graph","name":"ga","source":"suite","suite":"kkt_power","scale":"tiny","crc":2514380336}
+{"kind":"warm","name":"ga","ny":4,"mate_x":[2,-1,0,3],"crc":1094312895}
+{"kind":"graph","name":"gb","source":"mtx","path":"data/gb.mtx","crc":1984924316}
+{"kind":"delta","name":"ga","adds":[5,6],"dels":[7,8],"crc":694726429}
+{"kind":"rebuilds","count":2,"crc":1601110972}
+{"kind":"update","name":"ga","op":"add","x":10,"y":11,"crc":3471858081}
+{"kind":"update","name":"gb","op":"del","x":3,"y":4,"crc":1012567183}
+{"kind":"update","name":"ga","op":"del","x":5,"y":6,"crc":2221502154}
+{"kind":"update","name":"gb","op":"add","x":9,"y":9,"crc":375437236}
+"#;
+
+/// `render` of the state the corpus loads to: its updates folded into
+/// per-graph deltas.
+const PINNED_RECOVERED: &str = r#"{"kind":"header","version":3,"crc":2496352055}
+{"kind":"graph","name":"ga","source":"suite","suite":"kkt_power","scale":"tiny","crc":2514380336}
+{"kind":"warm","name":"ga","ny":4,"mate_x":[2,-1,0,3],"crc":1094312895}
+{"kind":"graph","name":"gb","source":"mtx","path":"data/gb.mtx","crc":1984924316}
+{"kind":"delta","name":"ga","adds":[10,11],"dels":[7,8],"crc":241829859}
+{"kind":"delta","name":"gb","adds":[9,9],"dels":[3,4],"crc":3388070829}
+{"kind":"rebuilds","count":2,"crc":1601110972}
+"#;
+
+#[test]
+fn corpus_encoding_is_pinned() {
+    assert_eq!(std::str::from_utf8(corpus()).unwrap(), PINNED_CORPUS);
+    let report = load_bytes(PINNED_CORPUS.as_bytes()).unwrap();
+    assert!(report.truncated.is_none(), "{:?}", report.truncated);
+    assert_eq!(snapshot::render(&report.snapshot), PINNED_RECOVERED);
+}
+
 /// Loads `bytes` as `state/registry.jsonl` on a fresh simulated disk.
 fn load_bytes(bytes: &[u8]) -> Result<snapshot::LoadReport, snapshot::SnapshotError> {
     let disk = SimDisk::new(SimDiskConfig {
@@ -111,8 +145,8 @@ fn prefix_states() -> &'static BTreeSet<String> {
 
 /// Byte offset just past the header line; corruption inside the header
 /// is the only region allowed to produce a typed error instead of a
-/// located truncation (an unreadable header can demote the file to the
-/// legacy loaders).
+/// located truncation (a header that no longer parses as version 3 is
+/// a typed error).
 fn header_end() -> usize {
     corpus().iter().position(|b| *b == b'\n').unwrap() + 1
 }

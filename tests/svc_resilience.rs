@@ -311,6 +311,45 @@ fn dynamic_deltas_survive_a_snapshot_restart() {
 }
 
 #[test]
+fn oversized_warm_start_in_the_journal_boots_cold() {
+    // A CRC-valid journal whose warm start claims |Y| = 2^62: boot must
+    // not size anything by it, and the first solve runs cold.
+    let dir = fresh_dir("huge_ny");
+    let local = gen::suite::by_name("kkt_power")
+        .unwrap()
+        .build(gen::Scale::Tiny);
+    let max_card = matching::solve(&local, Algorithm::HopcroftKarp, &SolveOptions::default())
+        .matching
+        .cardinality() as u64;
+    let journal = svc::snapshot::render(&svc::Snapshot::from_entries(vec![svc::SnapshotEntry {
+        name: "g".into(),
+        source: svc::registry::parse_gen_spec("kkt_power:tiny").unwrap(),
+        warm: Some(svc::WarmStart {
+            ny: 1 << 62,
+            mate_x: vec![-1; local.num_x()],
+        }),
+    }]));
+    std::fs::write(dir.join(svc::snapshot::SNAPSHOT_FILE), journal).unwrap();
+
+    let server = svc::Server::bind(&svc::ServeConfig {
+        state_dir: Some(dir.clone()),
+        snapshot_interval_ms: 0,
+        ..svc::ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut c = Client::connect(&addr);
+    let solved = c.req("SOLVE g ms-bfs-graft");
+    assert!(solved.starts_with("OK "), "{solved}");
+    assert_eq!(field(&solved, "warm"), "false", "{solved}");
+    assert_eq!(field_u64(&solved, "cardinality"), max_card, "{solved}");
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn admission_control_refuses_oversized_graphs_before_materializing() {
     let server = svc::Server::bind(&svc::ServeConfig {
         max_graph_bytes: 1 << 20,
