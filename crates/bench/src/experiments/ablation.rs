@@ -8,8 +8,8 @@ use crate::report::{dur, f3, Report};
 use crate::runner::time_algorithm;
 use crate::Config;
 use graft_core::{
-    init::Initializer, solve_from, Algorithm, MsBfsOptions, PrOrder, PushRelabelOptions,
-    SolveOptions,
+    init::Initializer, solve_from_in, Algorithm, MsBfsOptions, PrOrder, PushRelabelOptions,
+    SolveOptions, SolveWorkspace,
 };
 use graft_gen::suite::fig1_graphs;
 
@@ -84,11 +84,12 @@ pub fn ablation_init(cfg: &Config) -> std::io::Result<()> {
     );
     for inst in load_suite(cfg) {
         // True maximum from any run (they all agree; certified in tests).
-        let max = solve_from(
+        let max = solve_from_in(
             &inst.graph,
             inst.init.clone(),
             Algorithm::MsBfsGraft,
             &SolveOptions::default(),
+            &mut SolveWorkspace::new(),
         )
         .matching
         .cardinality() as f64;

@@ -7,7 +7,7 @@ use super::load_instance;
 use crate::report::Report;
 use crate::Config;
 use graft_core::trace::{replay, MemorySink};
-use graft_core::{solve_from_traced, Algorithm, SolveOptions, Tracer};
+use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Tracer};
 use graft_gen::suite::by_name;
 use std::sync::Arc;
 
@@ -37,12 +37,13 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
         let inst = load_instance(entry, cfg);
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::to_sink(sink.clone());
-        solve_from_traced(
+        solve_from_traced_in(
             &inst.graph,
             inst.init.clone(),
             Algorithm::MsBfsGraft,
             &SolveOptions::default(),
             &tracer,
+            &mut SolveWorkspace::new(),
         );
         let run = replay(&sink.take())
             .expect("an engine trace replays")

@@ -4,7 +4,7 @@
 use super::load_instance;
 use crate::report::{f2, Report};
 use crate::Config;
-use graft_core::{solve_from, Algorithm, SolveOptions};
+use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
 use graft_gen::suite::fig1_graphs;
 
 /// Runs the six serial algorithms (SS-DFS, SS-BFS, PF, HK, MS-BFS,
@@ -30,7 +30,13 @@ pub fn fig1(cfg: &Config) -> std::io::Result<()> {
         let inst = load_instance(entry, cfg);
         let mut results = Vec::new();
         for alg in Algorithm::SERIAL {
-            let out = solve_from(&inst.graph, inst.init.clone(), alg, &opts);
+            let out = solve_from_in(
+                &inst.graph,
+                inst.init.clone(),
+                alg,
+                &opts,
+                &mut SolveWorkspace::new(),
+            );
             results.push((alg, out));
         }
         let graft_edges = results

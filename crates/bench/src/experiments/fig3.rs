@@ -51,7 +51,6 @@ pub fn fig3(cfg: &Config) -> std::io::Result<()> {
                 push_relabel: PushRelabelOptions {
                     global_relabel_frequency: if threads > 1 { 16.0 } else { 2.0 },
                     queue_limit: 500,
-                    threads,
                     ..PushRelabelOptions::default()
                 },
                 ..SolveOptions::default()

@@ -3,7 +3,7 @@
 use super::load_suite;
 use crate::report::{f2, Report};
 use crate::Config;
-use graft_core::{solve_from, Algorithm, SolveOptions};
+use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
 
 /// Reports the fraction of runtime spent in TopDown / BottomUp / Augment /
 /// Tree-Grafting / Statistics for every suite graph, Fig. 6's stacked
@@ -29,11 +29,12 @@ pub fn fig6(cfg: &Config) -> std::io::Result<()> {
         ],
     );
     for inst in load_suite(cfg) {
-        let out = solve_from(
+        let out = solve_from_in(
             &inst.graph,
             inst.init.clone(),
             Algorithm::MsBfsGraftParallel,
             &opts,
+            &mut SolveWorkspace::new(),
         );
         let f = out.stats.breakdown.fractions();
         r.row(vec![

@@ -5,7 +5,7 @@ use super::load_instance;
 use crate::report::Report;
 use crate::Config;
 use graft_core::trace::{MemorySink, TraceEvent};
-use graft_core::{solve_from_traced, Algorithm, SolveOptions, Tracer};
+use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Tracer};
 use graft_gen::suite::by_name;
 use std::sync::Arc;
 
@@ -28,12 +28,13 @@ pub fn fig8(cfg: &Config) -> std::io::Result<()> {
     ] {
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::to_sink(sink.clone());
-        solve_from_traced(
+        solve_from_traced_in(
             &inst.graph,
             inst.init.clone(),
             alg,
             &SolveOptions::default(),
             &tracer,
+            &mut SolveWorkspace::new(),
         );
         // (phase, level, frontier size, bottom-up) of every BFS level.
         let levels: Vec<(u64, u64, u64, bool)> = sink

@@ -4,7 +4,7 @@
 use super::load_suite;
 use crate::report::{dur, f2, Report};
 use crate::Config;
-use graft_core::{solve_from, Algorithm, SolveOptions};
+use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
 
 /// Reports search time (top-down + bottom-up) as a fraction of total
 /// attributed time for the serial and parallel MS-BFS-Graft engines.
@@ -21,13 +21,14 @@ pub fn fig9(cfg: &Config) -> std::io::Result<()> {
         ],
     );
     for inst in load_suite(cfg) {
-        let s = solve_from(
+        let s = solve_from_in(
             &inst.graph,
             inst.init.clone(),
             Algorithm::MsBfsGraft,
             &SolveOptions::default(),
+            &mut SolveWorkspace::new(),
         );
-        let p = solve_from(
+        let p = solve_from_in(
             &inst.graph,
             inst.init.clone(),
             Algorithm::MsBfsGraftParallel,
@@ -35,6 +36,7 @@ pub fn fig9(cfg: &Config) -> std::io::Result<()> {
                 threads: cfg.max_threads(),
                 ..SolveOptions::default()
             },
+            &mut SolveWorkspace::new(),
         );
         r.row(vec![
             inst.entry.name.into(),

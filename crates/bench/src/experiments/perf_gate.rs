@@ -1,13 +1,12 @@
 //! `perf-gate` — the CI performance gate.
 //!
 //! Runs a pinned two-graph suite (kkt_power + RMAT) through every engine,
-//! timing each solve twice per repetition: once *fresh* (the classic
-//! `solve_from` path, which allocates a new [`SolveWorkspace`] internally)
-//! and once *reused* (the `solve_from_in` path against one long-lived
-//! workspace, as graft-svc workers run it). The gate then checks only
-//! **relative** invariants — ratios between measurements taken seconds
-//! apart on the same machine — because absolute wall-clock varies ~2×
-//! with CI runner load:
+//! timing each solve twice per repetition through `solve_from_in`: once
+//! *fresh* (against a new [`SolveWorkspace`] per solve) and once *reused*
+//! (against one long-lived workspace, as graft-svc workers run it). The
+//! gate then checks only **relative** invariants — ratios between
+//! measurements taken seconds apart on the same machine — because
+//! absolute wall-clock varies ~2× with CI runner load:
 //!
 //! 1. every fresh/reused pair produces the same matching cardinality;
 //! 2. the reused path is not slower than the fresh path (modulo a noise
@@ -26,7 +25,7 @@ use super::load_instance;
 use crate::report::{dur, median, percentile, secs, sorted, Artifact, Report};
 use crate::Config;
 use graft_core::json::escape;
-use graft_core::{solve_from, solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
+use graft_core::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
 use std::time::{Duration, Instant};
 
 /// Schema identifier embedded in the JSON artifact; bump on layout change.
@@ -84,7 +83,13 @@ pub fn perf_gate(cfg: &Config) -> std::io::Result<()> {
                 // Interleave fresh/reused so a load spike mid-run biases
                 // both sides equally instead of poisoning the ratio.
                 let t0 = Instant::now();
-                let out_f = solve_from(&inst.graph, inst.init.clone(), alg, &opts);
+                let out_f = solve_from_in(
+                    &inst.graph,
+                    inst.init.clone(),
+                    alg,
+                    &opts,
+                    &mut SolveWorkspace::new(),
+                );
                 fresh.push(t0.elapsed().as_secs_f64());
                 let t1 = Instant::now();
                 let out_r = solve_from_in(&inst.graph, inst.init.clone(), alg, &opts, &mut ws);

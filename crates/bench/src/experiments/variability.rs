@@ -5,7 +5,7 @@ use super::load_suite;
 use crate::report::{f2, Report};
 use crate::runner::Sample;
 use crate::Config;
-use graft_core::{solve_from, Algorithm, PushRelabelOptions, SolveOptions};
+use graft_core::{solve_from_in, Algorithm, PushRelabelOptions, SolveOptions, SolveWorkspace};
 use graft_graph::Relabeling;
 
 /// Runs each parallel algorithm 10 times per graph; between runs the
@@ -25,7 +25,6 @@ pub fn variability(cfg: &Config) -> std::io::Result<()> {
         push_relabel: PushRelabelOptions {
             global_relabel_frequency: 16.0,
             queue_limit: 500,
-            threads,
             ..PushRelabelOptions::default()
         },
         ..SolveOptions::default()
@@ -46,7 +45,7 @@ pub fn variability(cfg: &Config) -> std::io::Result<()> {
                 let rel = Relabeling::random(inst.graph.num_x(), inst.graph.num_y(), run as u64);
                 let h = rel.apply(&inst.graph);
                 let m0 = cfg.init.run(&h, run as u64);
-                let out = solve_from(&h, m0, alg, &opts);
+                let out = solve_from_in(&h, m0, alg, &opts, &mut SolveWorkspace::new());
                 secs.push(out.stats.elapsed.as_secs_f64());
             }
             let s = Sample::of(&secs);

@@ -1,7 +1,7 @@
 //! Timing helpers shared by the experiments: repeated runs, mean/σ, and
 //! the relative-speedup accounting the paper uses in Fig. 3.
 
-use graft_core::{solve_from, Algorithm, Matching, RunOutcome, SolveOptions};
+use graft_core::{solve_from_in, Algorithm, Matching, RunOutcome, SolveOptions, SolveWorkspace};
 use graft_graph::BipartiteCsr;
 use std::time::Duration;
 
@@ -78,7 +78,7 @@ pub fn time_algorithm(
     let mut seconds = Vec::with_capacity(reps);
     let mut last = None;
     for _ in 0..reps {
-        let out = solve_from(g, m0.clone(), alg, opts);
+        let out = solve_from_in(g, m0.clone(), alg, opts, &mut SolveWorkspace::new());
         seconds.push(out.stats.elapsed.as_secs_f64());
         last = Some(out);
     }

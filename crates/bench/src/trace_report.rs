@@ -121,7 +121,7 @@ fn print_run(index: usize, run: &RunSummary) {
 mod tests {
     use super::*;
     use graft_core::trace::{JsonlSink, TraceSink as _};
-    use graft_core::{solve_traced, Algorithm, SolveOptions, Tracer};
+    use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Tracer};
     use std::io::Write as _;
     use std::sync::Arc;
 
@@ -140,7 +140,10 @@ mod tests {
         let path = std::env::temp_dir().join("graft_trace_report_real.jsonl");
         let sink = Arc::new(JsonlSink::create(&path).unwrap());
         let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-        let out = solve_traced(&g, Algorithm::MsBfsGraft, &SolveOptions::default(), &tracer);
+        let opts = SolveOptions::default();
+        let m0 = opts.initializer.run(&g, opts.seed);
+        let alg = Algorithm::MsBfsGraft;
+        let out = solve_from_traced_in(&g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
         assert!(out.matching.cardinality() > 0);
         sink.flush().unwrap();
         run(&path).unwrap();

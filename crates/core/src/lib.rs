@@ -4,21 +4,23 @@
 //! Cardinality Matching in Bipartite Graphs"* (Azad, Buluç, Pothen,
 //! IPDPS 2015), together with every baseline the paper evaluates against:
 //!
-//! | algorithm | function | kind |
+//! | algorithm | [`Algorithm`] | kind |
 //! |---|---|---|
-//! | SS-DFS | [`ss_dfs`] | serial, single-source |
-//! | SS-BFS | [`ss_bfs`] | serial, single-source |
-//! | Pothen-Fan (fairness + lookahead) | [`pothen_fan`] / [`pothen_fan_parallel`] | serial / parallel multi-source DFS |
-//! | Hopcroft-Karp | [`hopcroft_karp`] | serial, `O(m√n)` oracle |
-//! | Push-relabel | [`push_relabel`] / [`push_relabel_parallel`] | serial / parallel |
-//! | MS-BFS (+ direction opt., + grafting) | [`ms_bfs_serial`] | serial engine with toggles |
-//! | **MS-BFS-Graft** | [`ms_bfs_graft_parallel`] | the paper's parallel contribution |
+//! | SS-DFS | `SsDfs` | serial, single-source |
+//! | SS-BFS | `SsBfs` | serial, single-source |
+//! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | serial / parallel multi-source DFS |
+//! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
+//! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | serial / parallel |
+//! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | serial engine with toggles |
+//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the paper's parallel contribution |
 //!
-//! All solvers take a [`Matching`] as the starting point — typically the
-//! Karp-Sipser maximal matching ([`init::Initializer`]) as in the paper —
-//! and return a [`RunOutcome`] bundling the final matching with the
-//! instrumentation ([`stats::SearchStats`]) that the experiment harness
-//! uses to regenerate the paper's figures.
+//! Every solve goes through one dispatcher, [`solve_from_traced_in`]: it
+//! starts from a [`Matching`] — typically the Karp-Sipser maximal matching
+//! ([`init::Initializer`]) as in the paper — sizes the thread pool for the
+//! parallel algorithms, and returns a [`RunOutcome`] bundling the final
+//! matching with the instrumentation ([`stats::SearchStats`]) that the
+//! experiment harness uses to regenerate the paper's figures. [`solve`]
+//! and [`solve_from_in`] are its two shorthands.
 //!
 //! ```
 //! use graft_core::{solve, Algorithm, SolveOptions};
@@ -76,20 +78,21 @@ pub use augment::{
 };
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use ms_bfs::{ms_bfs_serial, ms_bfs_serial_traced_in, MsBfsOptions, NowHook, PhaseHook};
-pub use par::{ms_bfs_graft_parallel, ms_bfs_graft_parallel_traced_in};
-pub use pothen_fan::{pothen_fan, pothen_fan_traced_in};
-pub use pothen_fan_par::pothen_fan_parallel;
+pub use ms_bfs::{MsBfsOptions, NowHook, PhaseHook};
 // Search internals for the graft-check model suite; invisible otherwise.
 #[cfg(graft_check)]
 #[doc(hidden)]
 pub use pothen_fan_par::check_api as pf_check_api;
-pub use push_relabel::{
-    push_relabel, push_relabel_parallel, push_relabel_traced_in, PrOrder, PushRelabelOptions,
-};
-pub use ss::{ss_bfs, ss_dfs};
+pub use push_relabel::{PrOrder, PushRelabelOptions};
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
+
+use ms_bfs::ms_bfs_serial;
+use par::ms_bfs_graft_parallel;
+use pothen_fan::pothen_fan;
+use pothen_fan_par::pothen_fan_parallel;
+use push_relabel::{push_relabel, push_relabel_parallel};
+use ss::{ss_bfs, ss_dfs};
 
 use graft_graph::BipartiteCsr;
 use stats::SearchStats;
@@ -207,29 +210,18 @@ impl Algorithm {
         let s = s.to_ascii_lowercase();
         Algorithm::ALL.into_iter().find(|a| a.cli_name() == s)
     }
-
-    /// Whether the algorithm honors [`MsBfsOptions::deadline`]
-    /// cooperatively at phase boundaries. Other algorithms only get a
-    /// deadline check before the solve starts (service layer).
-    pub fn supports_deadline(self) -> bool {
-        matches!(
-            self,
-            Algorithm::MsBfs
-                | Algorithm::MsBfsDirOpt
-                | Algorithm::MsBfsGraft
-                | Algorithm::MsBfsGraftParallel
-        )
-    }
 }
 
-/// Options for the [`solve`] dispatcher.
+/// Options for the [`solve_from_traced_in`] dispatcher.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
     /// Initial maximal matching (paper default: Karp-Sipser).
     pub initializer: init::Initializer,
     /// Seed for the initializer's random choices.
     pub seed: u64,
-    /// Thread count for parallel algorithms (0 = ambient rayon pool).
+    /// Thread count for the parallel algorithms: the dispatcher runs the
+    /// engine in a pool of this size (0 = the ambient rayon pool). The
+    /// serial algorithms ignore it and never get a pool.
     pub threads: usize,
     /// MS-BFS engine configuration.
     pub ms_bfs: MsBfsOptions,
@@ -249,37 +241,14 @@ impl Default for SolveOptions {
     }
 }
 
-/// Runs `algorithm` on `g` after computing the configured initial matching.
+/// Runs `algorithm` on `g` after computing the configured initial
+/// matching, in a fresh workspace and without a tracer.
 pub fn solve(g: &BipartiteCsr, algorithm: Algorithm, opts: &SolveOptions) -> RunOutcome {
     let m0 = opts.initializer.run(g, opts.seed);
-    solve_from(g, m0, algorithm, opts)
+    solve_from_in(g, m0, algorithm, opts, &mut SolveWorkspace::new())
 }
 
-/// [`solve`] with a [`Tracer`] observing the run (see [`solve_from_traced`]).
-pub fn solve_traced(
-    g: &BipartiteCsr,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_traced(g, m0, algorithm, opts, tracer)
-}
-
-/// [`solve`] against a caller-owned [`SolveWorkspace`]: repeated solves
-/// reuse the workspace's buffers instead of allocating per call (see
-/// [`solve_from_traced_in`] for which algorithms benefit).
-pub fn solve_in(
-    g: &BipartiteCsr,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_in(g, m0, algorithm, opts, ws)
-}
-
-/// [`solve_from`] against a caller-owned [`SolveWorkspace`].
+/// [`solve_from_traced_in`] without a tracer.
 pub fn solve_from_in(
     g: &BipartiteCsr,
     m0: Matching,
@@ -288,47 +257,6 @@ pub fn solve_from_in(
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
     solve_from_traced_in(g, m0, algorithm, opts, &Tracer::disabled(), ws)
-}
-
-/// [`solve_traced`] against a caller-owned [`SolveWorkspace`].
-pub fn solve_traced_in(
-    g: &BipartiteCsr,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    tracer: &Tracer,
-    ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_traced_in(g, m0, algorithm, opts, tracer, ws)
-}
-
-/// One-call maximum cardinality matching with the paper's default stack
-/// (Karp-Sipser initialization + parallel MS-BFS-Graft).
-///
-/// ```
-/// use graft_graph::BipartiteCsr;
-///
-/// let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-/// let m = graft_core::maximum_matching(&g);
-/// assert_eq!(m.cardinality(), 2);
-/// ```
-pub fn maximum_matching(g: &BipartiteCsr) -> Matching {
-    solve(g, Algorithm::MsBfsGraftParallel, &SolveOptions::default()).matching
-}
-
-/// The matching number of `g` (size of a maximum matching).
-pub fn matching_number(g: &BipartiteCsr) -> usize {
-    maximum_matching(g).cardinality()
-}
-
-/// Runs `algorithm` on `g` starting from the given matching.
-pub fn solve_from(
-    g: &BipartiteCsr,
-    m0: Matching,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-) -> RunOutcome {
-    solve_from_traced(g, m0, algorithm, opts, &Tracer::disabled())
 }
 
 /// The effective MS-BFS engine configuration for `algorithm` (None for
@@ -352,32 +280,26 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
     }
 }
 
-/// [`solve_from`] with a [`Tracer`] observing the run: a `run_start` /
-/// `run_end` pair around the solve, plus whatever inner events the
-/// algorithm's engine emits (levels and phases for the MS-BFS engines,
-/// phases for Pothen-Fan and serial push-relabel). With a disabled tracer
-/// this *is* `solve_from` — no event is built, no clock is read.
-pub fn solve_from_traced(
-    g: &BipartiteCsr,
-    m0: Matching,
-    algorithm: Algorithm,
-    opts: &SolveOptions,
-    tracer: &Tracer,
-) -> RunOutcome {
-    let mut ws = SolveWorkspace::new();
-    solve_from_traced_in(g, m0, algorithm, opts, tracer, &mut ws)
-}
-
-/// [`solve_from_traced`] against a caller-owned [`SolveWorkspace`].
+/// Runs `algorithm` on `g` starting from `m0`: the one function that calls
+/// an engine.
 ///
-/// Identical output to the fresh-allocation entry points — same matching,
-/// same [`stats::SearchStats`] counters — but the per-vertex arrays and
-/// frontier vectors live in `ws` and are recycled across calls via an
-/// epoch/versioned-visited scheme, so a warm solve performs no `O(n)`
-/// clears and (for the serial engines) no heap allocations at all. The
-/// serial MS-BFS family, Pothen-Fan, serial push-relabel, and the parallel
-/// MS-BFS-Graft engine draw on `ws`; the remaining algorithms ignore it
-/// (they are baselines/oracles, not service hot paths).
+/// `tracer` observes the run: a `run_start` / `run_end` pair around the
+/// solve, plus whatever inner events the algorithm's engine emits (levels
+/// and phases for the MS-BFS engines, phases for Pothen-Fan and serial
+/// push-relabel). A disabled tracer builds no event and reads no clock.
+///
+/// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
+/// that many threads, built for this call; with `threads = 0` it uses the
+/// caller's ambient pool. Serial algorithms never get a pool.
+///
+/// The per-vertex arrays and frontier vectors live in `ws` and are
+/// recycled across calls via an epoch/versioned-visited scheme, so a warm
+/// solve performs no `O(n)` clears and (for the serial engines) no heap
+/// allocations at all; the matching and [`stats::SearchStats`] counters
+/// are the same as from a fresh workspace. The serial MS-BFS family,
+/// Pothen-Fan, serial push-relabel, and the parallel MS-BFS-Graft engine
+/// draw on `ws`; the remaining algorithms ignore it (they are
+/// baselines/oracles, not service hot paths).
 pub fn solve_from_traced_in(
     g: &BipartiteCsr,
     m0: Matching,
@@ -397,32 +319,29 @@ pub fn solve_from_traced_in(
         direction_optimizing: ms_opts.is_some_and(|o| o.direction_optimizing),
         grafting: ms_opts.is_some_and(|o| o.grafting),
     });
-    let out = match algorithm {
+    let engine = || match algorithm {
         Algorithm::SsDfs => ss_dfs(g, m0),
         Algorithm::SsBfs => ss_bfs(g, m0),
-        Algorithm::PothenFan => pothen_fan_traced_in(g, m0, tracer, ws),
-        Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0, opts.threads),
+        Algorithm::PothenFan => pothen_fan(g, m0, tracer, ws),
+        Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0),
         Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
         Algorithm::MsBfs | Algorithm::MsBfsDirOpt | Algorithm::MsBfsGraft => {
-            ms_bfs_serial_traced_in(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
+            ms_bfs_serial(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
         }
-        Algorithm::MsBfsGraftParallel => ms_bfs_graft_parallel_traced_in(
-            g,
-            m0,
-            &ms_opts.expect("MS algorithm"),
-            opts.threads,
-            tracer,
-            ws,
-        ),
-        Algorithm::PushRelabel => push_relabel_traced_in(g, m0, &opts.push_relabel, tracer, ws),
-        Algorithm::PushRelabelParallel => push_relabel_parallel(
-            g,
-            m0,
-            &PushRelabelOptions {
-                threads: opts.threads,
-                ..opts.push_relabel
-            },
-        ),
+        Algorithm::MsBfsGraftParallel => {
+            ms_bfs_graft_parallel(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
+        }
+        Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, tracer, ws),
+        Algorithm::PushRelabelParallel => push_relabel_parallel(g, m0, &opts.push_relabel),
+    };
+    let out = if algorithm.is_parallel() && opts.threads > 0 {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(opts.threads)
+            .build()
+            .expect("failed to build rayon pool")
+            .install(engine)
+    } else {
+        engine()
     };
     tracer.emit(|| TraceEvent::RunEnd {
         final_cardinality: out.stats.final_cardinality as u64,
@@ -503,16 +422,40 @@ mod tests {
             },
             ..SolveOptions::default()
         };
-        let ms_algorithms: Vec<_> = Algorithm::ALL
-            .into_iter()
-            .filter(|a| a.supports_deadline())
-            .collect();
-        assert_eq!(ms_algorithms.len(), 4);
-        for alg in ms_algorithms {
+        for alg in [
+            Algorithm::MsBfs,
+            Algorithm::MsBfsDirOpt,
+            Algorithm::MsBfsGraft,
+            Algorithm::MsBfsGraftParallel,
+        ] {
             let out = solve(&g, alg, &opts);
             assert!(out.stats.timed_out, "{} ignored now_hook", alg.name());
             assert_eq!(out.stats.phases, 0, "{}", alg.name());
         }
+    }
+
+    #[test]
+    fn dispatcher_sizes_the_pool_only_for_parallel_algorithms() {
+        // The phase hook runs on the solve's driving thread, so it sees
+        // the pool the engine runs in.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SEEN: AtomicUsize = AtomicUsize::new(0);
+        let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
+        let opts = SolveOptions {
+            threads: 3,
+            ms_bfs: MsBfsOptions {
+                phase_hook: Some(PhaseHook(&|_| {
+                    SEEN.store(rayon::current_num_threads(), Ordering::Relaxed)
+                })),
+                ..MsBfsOptions::default()
+            },
+            ..SolveOptions::default()
+        };
+        solve(&g, Algorithm::MsBfsGraftParallel, &opts);
+        assert_eq!(SEEN.swap(0, Ordering::Relaxed), 3);
+        let ambient = rayon::current_num_threads();
+        solve(&g, Algorithm::MsBfsGraft, &opts);
+        assert_eq!(SEEN.load(Ordering::Relaxed), ambient);
     }
 
     #[test]

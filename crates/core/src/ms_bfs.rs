@@ -177,30 +177,15 @@ struct Engine<'a> {
     tracer: Tracer,
 }
 
-/// Maximum matching by the serial MS-BFS engine configured by `opts`.
-///
-/// ```
-/// use graft_core::{ms_bfs_serial, Matching, MsBfsOptions};
-/// use graft_graph::BipartiteCsr;
-///
-/// let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-/// let out = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
-/// assert_eq!(out.matching.cardinality(), 2);
-/// assert!(out.stats.phases >= 1);
-/// ```
-pub fn ms_bfs_serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
-    ms_bfs_serial_traced_in(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
-}
-
-/// [`ms_bfs_serial`] with a [`Tracer`] observing every level, phase, and
-/// graft decision, solving in a caller-provided [`SolveWorkspace`].
-/// Event closures only read engine state; a disabled tracer makes this
-/// identical to `ms_bfs_serial` (pinned by
+/// Maximum matching by the serial MS-BFS engine configured by `opts`,
+/// with `tracer` observing every level, phase, and graft decision and the
+/// per-vertex buffers drawn from `ws`. Event closures only read engine
+/// state, so a disabled tracer changes nothing (pinned by
 /// `tests/trace_noninterference.rs`). On a warm workspace the engine
 /// performs no heap allocation at all (pinned by
 /// `tests/workspace_alloc.rs`), and the result is identical to a
 /// fresh-workspace solve (pinned by `tests/workspace_reuse.rs`).
-pub fn ms_bfs_serial_traced_in(
+pub(crate) fn ms_bfs_serial(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
@@ -495,6 +480,10 @@ mod tests {
     use super::*;
     use crate::verify::is_maximum;
 
+    fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
+        ms_bfs_serial(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
+    }
+
     fn all_configs() -> [MsBfsOptions; 3] {
         [
             MsBfsOptions::plain(),
@@ -536,7 +525,7 @@ mod tests {
         m0.match_pair(3, 3);
         m0.match_pair(4, 4);
         for opts in all_configs() {
-            let out = ms_bfs_serial(&g, m0.clone(), &opts);
+            let out = serial(&g, m0.clone(), &opts);
             assert!(is_maximum(&g, &out.matching), "not maximum under {opts:?}");
             assert_eq!(out.matching.cardinality(), 6);
         }
@@ -570,7 +559,7 @@ mod tests {
                 .matching
                 .cardinality();
             for opts in all_configs() {
-                let out = ms_bfs_serial(g, Matching::for_graph(g), &opts);
+                let out = serial(g, Matching::for_graph(g), &opts);
                 assert_eq!(out.matching.cardinality(), oracle, "config {opts:?}");
                 assert!(is_maximum(g, &out.matching));
             }
@@ -593,7 +582,7 @@ mod tests {
             m0.match_pair(i, i - 1);
         }
         for opts in all_configs() {
-            let out = ms_bfs_serial(&g, m0.clone(), &opts);
+            let out = serial(&g, m0.clone(), &opts);
             assert_eq!(out.matching.cardinality(), k, "config {opts:?}");
         }
     }
@@ -613,8 +602,8 @@ mod tests {
             edges.push((i, 17 + i));
         }
         let g = BipartiteCsr::from_edges(nx as usize, 27, &edges);
-        let plain = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::plain());
-        let graft = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
+        let plain = serial(&g, Matching::for_graph(&g), &MsBfsOptions::plain());
+        let graft = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
         assert_eq!(plain.matching.cardinality(), graft.matching.cardinality());
         assert!(
             graft.stats.edges_traversed <= plain.stats.edges_traversed,
@@ -631,7 +620,7 @@ mod tests {
         // roots resolve in one phase (two disjoint augmenting paths of
         // lengths 1 and 3), and the second phase certifies termination.
         use crate::trace::{replay, MemorySink};
-        use crate::{solve_from_traced, Algorithm, SolveOptions};
+        use crate::{solve_from_traced_in, Algorithm, SolveOptions};
         let g = fig2_graph();
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 1);
@@ -639,12 +628,13 @@ mod tests {
         m0.match_pair(3, 3);
         m0.match_pair(4, 4);
         let sink = std::sync::Arc::new(MemorySink::new());
-        let out = solve_from_traced(
+        let out = solve_from_traced_in(
             &g,
             m0,
             Algorithm::MsBfsGraft,
             &SolveOptions::default(),
             &Tracer::to_sink(sink.clone()),
+            &mut SolveWorkspace::new(),
         );
         assert_eq!(out.matching.cardinality(), 6);
         let runs = replay(&sink.take()).expect("trace replays");
@@ -661,7 +651,7 @@ mod tests {
     #[test]
     fn stats_consistency() {
         let g = fig2_graph();
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
+        let out = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
         assert_eq!(
             out.stats.final_cardinality - out.stats.initial_cardinality,
             out.stats.augmenting_paths as usize
@@ -676,7 +666,7 @@ mod tests {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
+        let out = serial(&g, Matching::for_graph(&g), &opts);
         assert!(out.stats.timed_out);
         assert_eq!(out.stats.phases, 0);
         assert_eq!(out.matching.cardinality(), 0); // initial matching returned
@@ -689,7 +679,7 @@ mod tests {
             deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
+        let out = serial(&g, Matching::for_graph(&g), &opts);
         assert!(!out.stats.timed_out);
         assert_eq!(out.matching.cardinality(), 6);
     }
@@ -707,7 +697,7 @@ mod tests {
             ..MsBfsOptions::graft()
         };
         let g = fig2_graph();
-        let out = ms_bfs_serial(&g, Matching::for_graph(&g), &opts);
+        let out = serial(&g, Matching::for_graph(&g), &opts);
         assert_eq!(out.matching.cardinality(), 6);
         assert_eq!(CALLS.load(Ordering::Relaxed), out.stats.phases);
         assert_eq!(LAST.load(Ordering::Relaxed), out.stats.phases - 1);
@@ -721,7 +711,7 @@ mod tests {
         };
         let g = fig2_graph();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ms_bfs_serial(&g, Matching::for_graph(&g), &opts)
+            serial(&g, Matching::for_graph(&g), &opts)
         }));
         assert!(r.is_err());
     }
@@ -732,7 +722,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(0, 0);
         m0.match_pair(1, 1);
-        let out = ms_bfs_serial(&g, m0, &MsBfsOptions::graft());
+        let out = serial(&g, m0, &MsBfsOptions::graft());
         assert_eq!(out.stats.phases, 1); // one phase discovers nothing
         assert_eq!(out.stats.augmenting_paths, 0);
         assert_eq!(out.matching.cardinality(), 2);

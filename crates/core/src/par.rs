@@ -46,55 +46,6 @@ use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Maximum matching by the parallel MS-BFS-Graft engine.
-///
-/// `opts` carries the α threshold and the direction-optimization /
-/// grafting toggles (the Fig. 7 ablation axis also applies to the parallel
-/// engine). `threads = 0` uses the ambient rayon pool.
-pub fn ms_bfs_graft_parallel(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &MsBfsOptions,
-    threads: usize,
-) -> RunOutcome {
-    ms_bfs_graft_parallel_traced_in(
-        g,
-        m,
-        opts,
-        threads,
-        &Tracer::disabled(),
-        &mut SolveWorkspace::new(),
-    )
-}
-
-/// [`ms_bfs_graft_parallel`] with a [`Tracer`] observing every level,
-/// phase, and graft decision, against a caller-owned [`SolveWorkspace`].
-/// All events are emitted from the driving thread at level/phase
-/// boundaries — the parallel regions are untouched — so enabling tracing
-/// cannot change scheduling-visible behavior. The large atomic per-vertex
-/// arrays are reused across solves under the epoch scheme (the visited
-/// claim becomes a `compare_exchange(stale, epoch)`). The fold/reduce
-/// frontier accumulators still allocate — they are inherent to the
-/// private-queue scheme — so this engine is *allocation-light*, not
-/// allocation-free.
-pub fn ms_bfs_graft_parallel_traced_in(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &MsBfsOptions,
-    threads: usize,
-    tracer: &Tracer,
-    ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    if threads == 0 {
-        return run(g, m, opts, tracer, ws);
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool");
-    pool.install(|| run(g, m, opts, tracer, ws))
-}
-
 struct Shared<'a> {
     g: &'a BipartiteCsr,
     /// Current workspace epoch: `visited[y] == epoch` ⇔ visited this
@@ -231,7 +182,21 @@ impl Shared<'_> {
     }
 }
 
-fn run(
+/// Maximum matching by the parallel MS-BFS-Graft engine, on the ambient
+/// rayon pool (the dispatcher installs a sized one around the call).
+///
+/// `opts` carries the α threshold and the direction-optimization /
+/// grafting toggles (the Fig. 7 ablation axis also applies to the parallel
+/// engine). `tracer` observes every level, phase, and graft decision; all
+/// events are emitted from the driving thread at level/phase boundaries —
+/// the parallel regions are untouched — so enabling tracing cannot change
+/// scheduling-visible behavior. The large atomic per-vertex arrays live in
+/// `ws` and are reused across solves under the epoch scheme (the visited
+/// claim becomes a `compare_exchange(stale, epoch)`). The fold/reduce
+/// frontier accumulators still allocate — they are inherent to the
+/// private-queue scheme — so this engine is *allocation-light*, not
+/// allocation-free.
+pub(crate) fn ms_bfs_graft_parallel(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
@@ -483,6 +448,18 @@ fn augment_tree(sh: &Shared<'_>, x0: VertexId) -> (u64, u64) {
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+    use crate::{solve_from_in, Algorithm, SolveOptions};
+
+    /// One parallel solve in a `threads`-sized pool, through the dispatcher.
+    fn par(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions, threads: usize) -> RunOutcome {
+        let opts = SolveOptions {
+            threads,
+            ms_bfs: *opts,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::MsBfsGraftParallel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
 
     fn configs() -> [MsBfsOptions; 3] {
         [
@@ -506,7 +483,7 @@ mod tests {
     #[test]
     fn parallel_graft_simple() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
+        let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -515,7 +492,7 @@ mod tests {
     fn parallel_all_configs_on_chain() {
         let g = chain(120);
         for opts in configs() {
-            let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &opts, 4);
+            let out = par(&g, Matching::for_graph(&g), &opts, 4);
             assert_eq!(out.matching.cardinality(), 120, "{opts:?}");
             assert!(is_maximum(&g, &out.matching));
         }
@@ -533,7 +510,7 @@ mod tests {
             .matching
             .cardinality();
         for opts in configs() {
-            let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &opts, 3);
+            let out = par(&g, Matching::for_graph(&g), &opts, 3);
             assert_eq!(out.matching.cardinality(), oracle, "{opts:?}");
             assert!(is_maximum(&g, &out.matching));
         }
@@ -546,8 +523,14 @@ mod tests {
         for i in 1..64u32 {
             m0.match_pair(i, i - 1);
         }
-        let s = crate::ms_bfs::ms_bfs_serial(&g, m0.clone(), &MsBfsOptions::graft());
-        let p = ms_bfs_graft_parallel(&g, m0, &MsBfsOptions::graft(), 2);
+        let s = crate::ms_bfs::ms_bfs_serial(
+            &g,
+            m0.clone(),
+            &MsBfsOptions::graft(),
+            &Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        );
+        let p = par(&g, m0, &MsBfsOptions::graft(), 2);
         assert_eq!(s.matching.cardinality(), p.matching.cardinality());
         assert!(is_maximum(&g, &p.matching));
     }
@@ -556,7 +539,7 @@ mod tests {
     fn parallel_with_karp_sipser_init() {
         let g = chain(100);
         let m0 = crate::init::Initializer::KarpSipser.run(&g, 42);
-        let out = ms_bfs_graft_parallel(&g, m0, &MsBfsOptions::graft(), 2);
+        let out = par(&g, m0, &MsBfsOptions::graft(), 2);
         assert!(is_maximum(&g, &out.matching));
         assert_eq!(out.matching.cardinality(), 100);
     }
@@ -575,7 +558,7 @@ mod tests {
             .matching
             .cardinality();
         for _ in 0..5 {
-            let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 4);
+            let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 4);
             assert_eq!(out.matching.cardinality(), oracle);
             assert!(is_maximum(&g, &out.matching));
         }
@@ -584,7 +567,7 @@ mod tests {
     #[test]
     fn parallel_empty_graph() {
         let g = BipartiteCsr::from_edges(0, 5, &[]);
-        let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
+        let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
         assert_eq!(out.matching.cardinality(), 0);
     }
 
@@ -595,7 +578,7 @@ mod tests {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..MsBfsOptions::graft()
         };
-        let out = ms_bfs_graft_parallel(&g, Matching::for_graph(&g), &opts, 2);
+        let out = par(&g, Matching::for_graph(&g), &opts, 2);
         assert!(out.stats.timed_out);
         assert_eq!(out.stats.phases, 0);
         assert_eq!(out.matching.cardinality(), 0);

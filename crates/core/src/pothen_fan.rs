@@ -14,7 +14,7 @@
 //!   (this is the "PF with fairness" variant the paper benchmarks,
 //!   following Duff, Kaya & Uçar).
 //!
-//! The parallel variant lives in [`crate::pothen_fan_parallel`].
+//! The parallel variant lives in `pothen_fan_par.rs`.
 
 use crate::stats::SearchStats;
 use crate::trace::{TraceEvent, Tracer};
@@ -23,17 +23,12 @@ use crate::{Matching, RunOutcome};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::time::Instant;
 
-/// Maximum matching by serial Pothen-Fan with fairness and lookahead.
-pub fn pothen_fan(g: &BipartiteCsr, m: Matching) -> RunOutcome {
-    pothen_fan_traced_in(g, m, &Tracer::disabled(), &mut SolveWorkspace::new())
-}
-
-/// [`pothen_fan`] with a [`Tracer`] observing each phase (PF has no BFS
-/// levels, so phases are the only inner structure it reports), against a
-/// caller-owned [`SolveWorkspace`]: warm solves reuse the visited stamps,
-/// lookahead cursors, root list and DFS stack, performing no heap
-/// allocations.
-pub fn pothen_fan_traced_in(
+/// Maximum matching by serial Pothen-Fan with fairness and lookahead,
+/// with `tracer` observing each phase (PF has no BFS levels, so phases are
+/// the only inner structure it reports). Warm solves reuse the visited
+/// stamps, lookahead cursors, root list and DFS stack of `ws`, performing
+/// no heap allocations.
+pub(crate) fn pothen_fan(
     g: &BipartiteCsr,
     mut m: Matching,
     tracer: &Tracer,
@@ -198,10 +193,14 @@ mod tests {
     use super::*;
     use crate::verify::is_maximum;
 
+    fn run_pf(g: &BipartiteCsr, m: Matching) -> RunOutcome {
+        pothen_fan(g, m, &Tracer::disabled(), &mut SolveWorkspace::new())
+    }
+
     #[test]
     fn pf_simple_path() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = pothen_fan(&g, Matching::for_graph(&g));
+        let out = run_pf(&g, Matching::for_graph(&g));
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -217,7 +216,7 @@ mod tests {
             }
         }
         let g = BipartiteCsr::from_edges(5, 5, &edges);
-        let out = pothen_fan(&g, Matching::for_graph(&g));
+        let out = run_pf(&g, Matching::for_graph(&g));
         assert_eq!(out.matching.cardinality(), 5);
         assert_eq!(out.stats.total_augmenting_path_edges, 5);
     }
@@ -237,7 +236,7 @@ mod tests {
         for i in 1..k as VertexId {
             m0.match_pair(i, i - 1);
         }
-        let out = pothen_fan(&g, m0);
+        let out = run_pf(&g, m0);
         assert_eq!(out.matching.cardinality(), k);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -246,7 +245,7 @@ mod tests {
     fn pf_terminates_on_deficient_graph() {
         // 4 X vertices all competing for 2 Y vertices.
         let g = BipartiteCsr::from_edges(4, 2, &[(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]);
-        let out = pothen_fan(&g, Matching::for_graph(&g));
+        let out = run_pf(&g, Matching::for_graph(&g));
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -269,7 +268,7 @@ mod tests {
                 (2, 0),
             ],
         );
-        let pf = pothen_fan(&g, Matching::for_graph(&g));
+        let pf = run_pf(&g, Matching::for_graph(&g));
         let hk = crate::hopcroft_karp(&g, Matching::for_graph(&g));
         assert_eq!(pf.matching.cardinality(), hk.matching.cardinality());
     }
@@ -277,7 +276,7 @@ mod tests {
     #[test]
     fn pf_stats_phases_positive() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 1)]);
-        let out = pothen_fan(&g, Matching::for_graph(&g));
+        let out = run_pf(&g, Matching::for_graph(&g));
         assert!(out.stats.phases >= 1);
         assert_eq!(out.stats.augmenting_paths, 2);
     }

@@ -37,21 +37,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 #[cfg(graft_check)]
 use graft_check::sync::atomic::{AtomicU32, Ordering};
 
-/// Maximum matching by multithreaded Pothen-Fan with fairness + lookahead.
-///
-/// `threads = 0` uses the ambient rayon pool; otherwise a dedicated pool of
-/// the given size is built for the call.
-pub fn pothen_fan_parallel(g: &BipartiteCsr, m: Matching, threads: usize) -> RunOutcome {
-    if threads == 0 {
-        return run(g, m);
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("failed to build rayon pool");
-    pool.install(|| run(g, m))
-}
-
 /// Shared search state: one atomic slot per vertex for mates, phase-stamped
 /// visited claims, and the per-`X` lookahead cursors. Public only so the
 /// graft-check model suite can drive `dfs_task` directly; fields stay
@@ -64,7 +49,10 @@ pub struct Shared<'a> {
     lookahead: Vec<AtomicU32>,
 }
 
-fn run(g: &BipartiteCsr, m: Matching) -> RunOutcome {
+/// Maximum matching by multithreaded Pothen-Fan with fairness + lookahead,
+/// on the ambient rayon pool (the dispatcher installs a sized one around
+/// the call).
+pub(crate) fn pothen_fan_parallel(g: &BipartiteCsr, m: Matching) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -305,6 +293,17 @@ pub mod check_api {
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+    use crate::{solve_from_in, Algorithm, SolveOptions, SolveWorkspace};
+
+    /// One PF(par) solve in a `threads`-sized pool, through the dispatcher.
+    fn pf_par(g: &BipartiteCsr, m: Matching, threads: usize) -> RunOutcome {
+        let opts = SolveOptions {
+            threads,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::PothenFanParallel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
 
     fn chain(k: u32) -> BipartiteCsr {
         let mut edges = Vec::new();
@@ -320,7 +319,7 @@ mod tests {
     #[test]
     fn parallel_pf_simple() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = pothen_fan_parallel(&g, Matching::for_graph(&g), 2);
+        let out = pf_par(&g, Matching::for_graph(&g), 2);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn parallel_pf_chain() {
         let g = chain(100);
-        let out = pothen_fan_parallel(&g, Matching::for_graph(&g), 4);
+        let out = pf_par(&g, Matching::for_graph(&g), 4);
         assert_eq!(out.matching.cardinality(), 100);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -343,7 +342,7 @@ mod tests {
             }
         }
         let g = BipartiteCsr::from_edges(50, 3, &edges);
-        let out = pothen_fan_parallel(&g, Matching::for_graph(&g), 4);
+        let out = pf_par(&g, Matching::for_graph(&g), 4);
         assert_eq!(out.matching.cardinality(), 3);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -351,8 +350,13 @@ mod tests {
     #[test]
     fn parallel_pf_matches_serial_cardinality() {
         let g = chain(64);
-        let serial = crate::pothen_fan(&g, Matching::for_graph(&g));
-        let par = pothen_fan_parallel(&g, Matching::for_graph(&g), 3);
+        let serial = crate::pothen_fan::pothen_fan(
+            &g,
+            Matching::for_graph(&g),
+            &crate::Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        );
+        let par = pf_par(&g, Matching::for_graph(&g), 3);
         assert_eq!(serial.matching.cardinality(), par.matching.cardinality());
     }
 
@@ -360,14 +364,14 @@ mod tests {
     fn parallel_pf_from_initializer() {
         let g = chain(40);
         let m0 = crate::init::Initializer::KarpSipser.run(&g, 3);
-        let out = pothen_fan_parallel(&g, m0, 2);
+        let out = pf_par(&g, m0, 2);
         assert!(is_maximum(&g, &out.matching));
     }
 
     #[test]
     fn parallel_pf_ambient_pool() {
         let g = chain(16);
-        let out = pothen_fan_parallel(&g, Matching::for_graph(&g), 0);
+        let out = pf_par(&g, Matching::for_graph(&g), 0);
         assert_eq!(out.matching.cardinality(), 16);
     }
 }

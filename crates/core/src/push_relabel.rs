@@ -57,8 +57,6 @@ pub struct PushRelabelOptions {
     /// Work-batch bound per thread between queue synchronizations in the
     /// parallel solver (paper: 500).
     pub queue_limit: usize,
-    /// Thread count for the parallel solver (0 = ambient rayon pool).
-    pub threads: usize,
     /// Active-vertex selection discipline (serial solver only; the
     /// parallel solver is round-based).
     pub order: PrOrder,
@@ -69,7 +67,6 @@ impl Default for PushRelabelOptions {
         Self {
             global_relabel_frequency: 2.0,
             queue_limit: 500,
-            threads: 0,
             order: PrOrder::Fifo,
         }
     }
@@ -172,20 +169,15 @@ fn global_relabel(
 }
 
 /// Maximum matching by serial FIFO push-relabel with double pushes,
-/// second-minimum relabeling and periodic global relabeling.
-pub fn push_relabel(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
-    push_relabel_traced_in(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
-}
-
-/// [`push_relabel`] with a [`Tracer`] observing each phase, against a
-/// caller-owned [`SolveWorkspace`]. A PR "phase" is the span opened by one
-/// global relabel: its event reports the pushes that landed on a free `Y`
-/// vertex (the cardinality gains) and the edges scanned — relabel sweep
-/// included — before the next relabel. Warm solves reuse the label array,
-/// the relabel scratch and the active set, performing no heap
+/// second-minimum relabeling and periodic global relabeling, with `tracer`
+/// observing each phase. A PR "phase" is the span opened by one global
+/// relabel: its event reports the pushes that landed on a free `Y` vertex
+/// (the cardinality gains) and the edges scanned — relabel sweep included
+/// — before the next relabel. Warm solves reuse the label array, the
+/// relabel scratch and the active set of `ws`, performing no heap
 /// allocations. PR needs no epoch versioning — the solve-opening global
 /// relabel fully reinitializes every buffer.
-pub fn push_relabel_traced_in(
+pub(crate) fn push_relabel(
     g: &BipartiteCsr,
     mut m: Matching,
     opts: &PushRelabelOptions,
@@ -293,7 +285,8 @@ fn pr_phase_event(
     }
 }
 
-/// Maximum matching by multithreaded push-relabel.
+/// Maximum matching by multithreaded push-relabel, on the ambient rayon
+/// pool (the dispatcher installs a sized one around the call).
 ///
 /// Round-based: each round processes the current active set in parallel
 /// (work split in batches of at most `queue_limit`), with mate stealing
@@ -304,22 +297,11 @@ fn pr_phase_event(
 /// progress (a theoretical possibility under label staleness), the solver
 /// falls back to one exact serial push-relabel pass, preserving the
 /// worst-case guarantees.
-pub fn push_relabel_parallel(
+pub(crate) fn push_relabel_parallel(
     g: &BipartiteCsr,
     m: Matching,
     opts: &PushRelabelOptions,
 ) -> RunOutcome {
-    if opts.threads == 0 {
-        return pr_par_run(g, m, opts);
-    }
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(opts.threads)
-        .build()
-        .expect("failed to build rayon pool");
-    pool.install(|| pr_par_run(g, m, opts))
-}
-
-fn pr_par_run(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -430,7 +412,13 @@ fn pr_par_run(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOu
             // contention). Finish with the exact serial solver to preserve
             // the worst-case guarantees.
             let final_m = matching_from_atomic(g, &mate_y);
-            let out = push_relabel(g, final_m, opts);
+            let out = push_relabel(
+                g,
+                final_m,
+                opts,
+                &Tracer::disabled(),
+                &mut SolveWorkspace::new(),
+            );
             let mut stats = merge_stats(stats, out.stats);
             stats.edges_traversed += scanned.load(Ordering::Relaxed);
             stats.elapsed = start.elapsed();
@@ -542,15 +530,31 @@ fn merge_stats(a: SearchStats, b: SearchStats) -> SearchStats {
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+    use crate::{solve_from_in, Algorithm, SolveOptions};
 
     fn opts() -> PushRelabelOptions {
         PushRelabelOptions::default()
     }
 
+    fn serial(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
+        push_relabel(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
+    }
+
+    /// One PR(par) solve in a `threads`-sized pool, through the dispatcher.
+    fn par(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions, threads: usize) -> RunOutcome {
+        let opts = SolveOptions {
+            threads,
+            push_relabel: *opts,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::PushRelabelParallel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
+
     #[test]
     fn pr_simple_path() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = push_relabel(&g, Matching::for_graph(&g), &opts());
+        let out = serial(&g, Matching::for_graph(&g), &opts());
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -570,7 +574,7 @@ mod tests {
         for i in 1..k as VertexId {
             m0.match_pair(i, i - 1);
         }
-        let out = push_relabel(&g, m0, &opts());
+        let out = serial(&g, m0, &opts());
         assert_eq!(out.matching.cardinality(), k);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -578,7 +582,7 @@ mod tests {
     #[test]
     fn pr_deficient_graph_drops_unmatchable() {
         let g = BipartiteCsr::from_edges(5, 2, &[(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)]);
-        let out = push_relabel(&g, Matching::for_graph(&g), &opts());
+        let out = serial(&g, Matching::for_graph(&g), &opts());
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -586,7 +590,7 @@ mod tests {
     #[test]
     fn pr_isolated_x_vertices() {
         let g = BipartiteCsr::from_edges(4, 2, &[(0, 0), (1, 1)]);
-        let out = push_relabel(&g, Matching::for_graph(&g), &opts());
+        let out = serial(&g, Matching::for_graph(&g), &opts());
         assert_eq!(out.matching.cardinality(), 2);
     }
 
@@ -617,7 +621,7 @@ mod tests {
         let hk = crate::hopcroft_karp(&g, Matching::for_graph(&g))
             .matching
             .cardinality();
-        let pr = push_relabel(&g, Matching::for_graph(&g), &opts())
+        let pr = serial(&g, Matching::for_graph(&g), &opts())
             .matching
             .cardinality();
         assert_eq!(pr, hk);
@@ -630,7 +634,7 @@ mod tests {
             global_relabel_frequency: 100.0,
             ..opts()
         };
-        let out = push_relabel(&g, Matching::for_graph(&g), &o);
+        let out = serial(&g, Matching::for_graph(&g), &o);
         assert_eq!(out.matching.cardinality(), 3);
         assert!(out.stats.phases >= 2);
     }
@@ -661,7 +665,7 @@ mod tests {
             .cardinality();
         for order in [PrOrder::Fifo, PrOrder::HighestLabel, PrOrder::LowestLabel] {
             let o = PushRelabelOptions { order, ..opts() };
-            let out = push_relabel(&g, Matching::for_graph(&g), &o);
+            let out = serial(&g, Matching::for_graph(&g), &o);
             assert_eq!(out.matching.cardinality(), oracle, "{order:?}");
             assert!(is_maximum(&g, &out.matching), "{order:?}");
         }
@@ -687,9 +691,9 @@ mod tests {
         }
         for order in [PrOrder::Fifo, PrOrder::HighestLabel, PrOrder::LowestLabel] {
             let o = PushRelabelOptions { order, ..opts() };
-            let a = push_relabel(&hub, Matching::for_graph(&hub), &o);
+            let a = serial(&hub, Matching::for_graph(&hub), &o);
             assert_eq!(a.matching.cardinality(), 2, "{order:?}");
-            let b = push_relabel(&chain, chain_m0.clone(), &o);
+            let b = serial(&chain, chain_m0.clone(), &o);
             assert_eq!(b.matching.cardinality(), k, "{order:?}");
         }
     }
@@ -697,11 +701,7 @@ mod tests {
     #[test]
     fn pr_parallel_simple() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let o = PushRelabelOptions {
-            threads: 2,
-            ..opts()
-        };
-        let out = push_relabel_parallel(&g, Matching::for_graph(&g), &o);
+        let out = par(&g, Matching::for_graph(&g), &opts(), 2);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -717,11 +717,10 @@ mod tests {
         }
         let g = BipartiteCsr::from_edges(60, 40, &edges);
         let o = PushRelabelOptions {
-            threads: 4,
             queue_limit: 8,
             ..opts()
         };
-        let out = push_relabel_parallel(&g, Matching::for_graph(&g), &o);
+        let out = par(&g, Matching::for_graph(&g), &o, 4);
         let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
             .matching
             .cardinality();
@@ -738,22 +737,15 @@ mod tests {
             edges.push((i, (i + 3) % k));
         }
         let g = BipartiteCsr::from_edges(k as usize, k as usize, &edges);
-        let s = push_relabel(&g, Matching::for_graph(&g), &opts());
-        let p = push_relabel_parallel(
-            &g,
-            Matching::for_graph(&g),
-            &PushRelabelOptions {
-                threads: 3,
-                ..opts()
-            },
-        );
+        let s = serial(&g, Matching::for_graph(&g), &opts());
+        let p = par(&g, Matching::for_graph(&g), &opts(), 3);
         assert_eq!(s.matching.cardinality(), p.matching.cardinality());
     }
 
     #[test]
     fn pr_empty_graph() {
         let g = BipartiteCsr::from_edges(0, 0, &[]);
-        let out = push_relabel(&g, Matching::for_graph(&g), &opts());
+        let out = serial(&g, Matching::for_graph(&g), &opts());
         assert_eq!(out.matching.cardinality(), 0);
     }
 }

@@ -14,7 +14,7 @@ use std::time::Instant;
 /// along the discovered shortest (within the tree) path and the visited
 /// flags touched by *this* search are cleared; on failure the flags stay
 /// set, permanently discarding the dead tree (§II-C).
-pub fn ss_bfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
+pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),

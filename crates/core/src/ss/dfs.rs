@@ -10,9 +10,9 @@ use std::time::Instant;
 ///
 /// The DFS is iterative (explicit stack of `(x, next-neighbor-index)`
 /// frames) so that the long augmenting paths of Fig. 1c cannot overflow the
-/// call stack. As in [`ss_bfs`](crate::ss_bfs), failed search trees stay
+/// call stack. As in [`ss_bfs`](super::ss_bfs), failed search trees stay
 /// hidden forever; successful searches un-hide only their own vertices.
-pub fn ss_dfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
+pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),

@@ -17,8 +17,8 @@
 mod bfs;
 mod dfs;
 
-pub use bfs::ss_bfs;
-pub use dfs::ss_dfs;
+pub(crate) use bfs::ss_bfs;
+pub(crate) use dfs::ss_dfs;
 
 pub(crate) use bfs::reconstruct_into;
 

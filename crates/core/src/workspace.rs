@@ -38,7 +38,7 @@
 //! arrays, but its fold/reduce frontier accumulators are inherently
 //! allocating, as are the other parallel solvers and the single-source
 //! baselines; those either reuse what they can or ignore the workspace
-//! (see [`crate::solve_from_in`]).
+//! (see [`crate::solve_from_traced_in`]).
 
 use graft_graph::{VertexId, NONE};
 use std::collections::{BinaryHeap, VecDeque};
@@ -352,11 +352,11 @@ impl PrBuffers {
 /// the engines need, owned across solves.
 ///
 /// Create one with [`SolveWorkspace::new`] and pass it to
-/// [`crate::solve_in`] / [`crate::solve_from_in`] (or the engine-level
-/// `*_in` entry points). The buffers grow lazily to the largest graph
-/// seen, each engine touching only its own arena, and an epoch/versioned
-/// scheme makes reuse safe with no O(n) clears between solves — even
-/// across solves on *different* graphs. The module-level docs in
+/// [`crate::solve_from_in`] / [`crate::solve_from_traced_in`]. The
+/// buffers grow lazily to the largest graph seen, each engine touching
+/// only its own arena, and an epoch/versioned scheme makes reuse safe
+/// with no O(n) clears between solves — even across solves on
+/// *different* graphs. The module-level docs in
 /// `workspace.rs` state the epoch invariants each arena relies on.
 ///
 /// A workspace is plain mutable state: it is `Send` (hand it to another
@@ -364,13 +364,14 @@ impl PrBuffers {
 /// it exclusively. `graft-svc` gives each worker thread its own.
 ///
 /// ```
-/// use graft_core::{solve_in, Algorithm, SolveOptions, SolveWorkspace};
+/// use graft_core::{solve_from_in, Algorithm, Matching, SolveOptions, SolveWorkspace};
 /// use graft_graph::BipartiteCsr;
 ///
 /// let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
+/// let (alg, opts) = (Algorithm::MsBfsGraft, SolveOptions::default());
 /// let mut ws = SolveWorkspace::new();
-/// let first = solve_in(&g, Algorithm::MsBfsGraft, &SolveOptions::default(), &mut ws);
-/// let warm = solve_in(&g, Algorithm::MsBfsGraft, &SolveOptions::default(), &mut ws);
+/// let first = solve_from_in(&g, Matching::for_graph(&g), alg, &opts, &mut ws);
+/// let warm = solve_from_in(&g, Matching::for_graph(&g), alg, &opts, &mut ws);
 /// assert_eq!(first.matching.cardinality(), warm.matching.cardinality());
 /// ```
 #[derive(Debug, Default)]

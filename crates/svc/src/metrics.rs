@@ -70,8 +70,9 @@ pub struct Metrics {
     /// Jobs that completed with a typed error other than a panic.
     pub solves_err: AtomicU64,
     /// Cumulative solver threads occupied by completed solves: each solve
-    /// adds its resolved `threads=k` (so `solve_threads_used / solves`
-    /// is the mean parallelism clients asked for).
+    /// adds its resolved `threads=k`, which is 1 for a serial algorithm
+    /// (so `solve_threads_used / solves` is the mean parallelism the
+    /// solves ran with).
     pub solve_threads_used: AtomicU64,
     /// Jobs currently queued (not yet picked up by a worker).
     pub queue_depth: AtomicUsize,

@@ -24,9 +24,10 @@
 //! admission is all-or-nothing, strict FIFO). `threads=0` or an omitted
 //! token means "use the server default" (`serve --threads-per-solve`,
 //! itself defaulting to 1); a request with `threads=N` larger than the
-//! worker pool is refused up front with `ERR bad-request`. The `STATS`
-//! counter `solve_threads_used` accumulates the resolved thread count of
-//! every dispatched solve.
+//! worker pool is refused up front with `ERR bad-request`. A serial
+//! algorithm runs on one thread whatever `N` is, so it resolves to 1 and
+//! occupies one slot. The `STATS` counter `solve_threads_used`
+//! accumulates the resolved thread count of every dispatched solve.
 //!
 //! Replies are `OK key=value ...` or `ERR <code> <message>`, where
 //! `<code>` is [`SvcError::code`]. Keywords are case-insensitive;

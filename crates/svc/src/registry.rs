@@ -248,13 +248,15 @@ impl GraphRegistry {
         inner.reloads += 1;
         // A snapshot-restored warm start attaches on the first
         // materialization — if it still fits the graph (the source file
-        // may have changed since the snapshot was written) and pairs
-        // vertices consistently.
+        // may have changed since the snapshot was written), pairs
+        // vertices consistently, and pairs only edges of the graph.
+        // Otherwise it is dropped and the next solve runs cold.
         let warm = inner
             .pending_warm
             .remove(name)
             .filter(|w| w.mate_x.len() == graph.num_x() && w.ny == graph.num_y())
             .and_then(|w| w.to_matching().ok())
+            .filter(|m| m.edges().all(|(x, y)| graph.has_edge(x, y)))
             .map(Arc::new);
         inner.cache.insert(
             name.to_string(),
@@ -390,7 +392,7 @@ mod tests {
         let r = GraphRegistry::new(usize::MAX);
         r.register("g", tiny_suite_source()).unwrap();
         let (g, _) = r.get("g").unwrap();
-        let m = graft_core::maximum_matching(&g);
+        let m = graft_core::hopcroft_karp(&g, Matching::for_graph(&g)).matching;
         let card = m.cardinality();
         r.store_warm("g", m);
         let (_, warm) = r.get("g").unwrap();
@@ -438,7 +440,7 @@ mod tests {
         // First life: register, solve, snapshot.
         r.register("g", tiny_suite_source()).unwrap();
         let (g, _) = r.get("g").unwrap();
-        let m = graft_core::maximum_matching(&g);
+        let m = graft_core::hopcroft_karp(&g, Matching::for_graph(&g)).matching;
         let card = m.cardinality();
         r.store_warm("g", m);
         let entries = r.snapshot_entries();

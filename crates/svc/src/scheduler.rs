@@ -16,10 +16,11 @@
 //!   no longer count against it.
 //! * Jobs can be **weighted** ([`Scheduler::with_weight`]): a job of
 //!   weight `k` occupies `k` of the pool's worker slots while it runs —
-//!   the server maps a `SOLVE ... threads=k` request to weight `k`, so a
-//!   multi-threaded solve reserves the CPU it will actually use. Admission
-//!   is all-or-nothing at the queue head (strict FIFO): the head job waits
-//!   until enough slots are free, and later jobs wait behind it. A waiting
+//!   the server maps a `SOLVE ... threads=k` request to weight `k` (1
+//!   for a serial algorithm), so a multi-threaded solve reserves the CPU
+//!   it will actually use. Admission is all-or-nothing at the queue head
+//!   (strict FIFO): the head job waits until enough slots are free, and
+//!   later jobs wait behind it. A waiting
 //!   worker holds no slots, so weighted admission cannot deadlock; weights
 //!   are clamped to `[1, workers]`.
 //! * A job that **panics** does not kill its worker: the unwind is caught

@@ -51,8 +51,8 @@ use crate::scheduler::Scheduler;
 use crate::snapshot::{self, Snapshot, SnapshotDelta};
 use graft_core::trace::RingSink;
 use graft_core::{
-    solve_from_traced_in, solve_traced_in, Algorithm, MsBfsOptions, NowHook, PhaseHook,
-    SolveOptions, SolveWorkspace, Tracer,
+    solve_from_traced_in, Algorithm, MsBfsOptions, NowHook, PhaseHook, SolveOptions,
+    SolveWorkspace, Tracer,
 };
 use graft_dyn::{DynConfig, DynamicMatching, UpdateOutcome};
 use graft_sim::{Clock, Conn, Disk, Listener, RealDisk, TcpTransport, Transport, WallClock};
@@ -73,8 +73,10 @@ pub struct ServeConfig {
     /// Worker threads executing solve jobs.
     pub workers: usize,
     /// Default solver thread count for `SOLVE` requests that do not pass
-    /// an explicit `threads=k`. A k-thread solve occupies k worker slots
-    /// in the scheduler while it runs. Must be in `[1, workers]`.
+    /// an explicit `threads=k`. A k-thread parallel solve occupies k
+    /// worker slots in the scheduler while it runs; a serial algorithm
+    /// always runs on one thread and occupies one slot. Must be in
+    /// `[1, workers]`.
     pub threads_per_solve: usize,
     /// Bound on queued (not yet running) jobs; beyond it `SOLVE` replies
     /// `ERR overloaded` with a `retry_after_ms` hint.
@@ -339,12 +341,11 @@ fn run_job(
                 .solve_threads_used
                 .fetch_add(threads.max(1) as u64, Ordering::Relaxed);
             let t0 = clock.now();
-            let out = match warm.filter(|_| !cold) {
-                Some(m0) => {
-                    solve_from_traced_in(&graph, (*m0).clone(), algorithm, &opts, tracer, ws)
-                }
-                None => solve_traced_in(&graph, algorithm, &opts, tracer, ws),
+            let m0 = match warm.filter(|_| !cold) {
+                Some(m0) => (*m0).clone(),
+                None => opts.initializer.run(&graph, opts.seed),
             };
+            let out = solve_from_traced_in(&graph, m0, algorithm, &opts, tracer, ws);
             let solve_us = clock.now().saturating_duration_since(t0).as_micros() as u64;
             metrics.solve.record(solve_us);
             if out.stats.timed_out {
@@ -1054,12 +1055,14 @@ fn register_guarded(ctx: &ConnCtx<'_>, name: &str, source: GraphSource) -> Strin
 /// Resolves a solve's thread count against the server's configuration:
 /// `threads=0` (unspecified) becomes the `--threads-per-solve` default; an
 /// explicit count larger than the worker pool is a typed bad-request (the
-/// scheduler could never grant that many slots).
-fn resolve_solve_threads(ctx: &ConnCtx<'_>, threads: usize) -> Result<usize, SvcError> {
-    let t = if threads == 0 {
+/// scheduler could never grant that many slots). A serial algorithm then
+/// resolves to 1 — it runs on one thread whatever it asked for, so it
+/// holds one worker slot.
+fn resolve_solve_threads(ctx: &ConnCtx<'_>, spec: &SolveSpec) -> Result<usize, SvcError> {
+    let t = if spec.threads == 0 {
         ctx.threads_per_solve
     } else {
-        threads
+        spec.threads
     };
     if t > ctx.workers {
         return Err(SvcError::BadRequest(format!(
@@ -1067,7 +1070,7 @@ fn resolve_solve_threads(ctx: &ConnCtx<'_>, threads: usize) -> Result<usize, Svc
             ctx.workers
         )));
     }
-    Ok(t)
+    Ok(if spec.algorithm.is_parallel() { t } else { 1 })
 }
 
 fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
@@ -1079,7 +1082,7 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
             Ok(src) => register_guarded(ctx, &name, src),
             Err(e) => err_line(&e),
         },
-        Request::Solve(mut spec) => match resolve_solve_threads(ctx, spec.threads) {
+        Request::Solve(mut spec) => match resolve_solve_threads(ctx, &spec) {
             Err(e) => err_line(&e),
             Ok(t) => {
                 spec.threads = t;
@@ -1371,7 +1374,7 @@ fn handle_batch(
         .map(|(slot, member)| {
             member.and_then(|m| match m {
                 BatchMember::Sleep { ms } => Some(Job::Sleep(ms)),
-                BatchMember::Solve(mut spec) => match resolve_solve_threads(ctx, spec.threads) {
+                BatchMember::Solve(mut spec) => match resolve_solve_threads(ctx, &spec) {
                     Err(e) => {
                         replies[slot] = Some(err_line(&e));
                         None

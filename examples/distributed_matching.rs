@@ -20,8 +20,13 @@ fn main() {
     );
 
     // Shared-memory reference.
-    let shared =
-        matching::ms_bfs_graft_parallel(&g, m0.clone(), &matching::MsBfsOptions::graft(), 0);
+    let shared = solve_from_in(
+        &g,
+        m0.clone(),
+        Algorithm::MsBfsGraftParallel,
+        &SolveOptions::default(),
+        &mut SolveWorkspace::new(),
+    );
     println!(
         "shared-memory MS-BFS-Graft: |M| = {}, {} phases",
         shared.matching.cardinality(),

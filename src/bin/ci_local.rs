@@ -32,7 +32,7 @@ const GATES: &[Gate] = &[
     },
     Gate {
         name: "test",
-        args: &["test", "--workspace", "-q"],
+        args: &["test", "--workspace", "--offline", "-q"],
         env: &[],
     },
     Gate {

@@ -43,9 +43,8 @@ pub use graft_svc as svc;
 /// The most common imports in one place.
 pub mod prelude {
     pub use graft_core::{
-        self as matching, solve, solve_from, solve_from_in, solve_from_traced,
-        solve_from_traced_in, solve_in, solve_traced, Algorithm, Matching, MsBfsOptions,
-        PushRelabelOptions, RunOutcome, SolveOptions, SolveWorkspace, Tracer,
+        self as matching, solve, solve_from_in, solve_from_traced_in, Algorithm, Matching,
+        MsBfsOptions, PushRelabelOptions, RunOutcome, SolveOptions, SolveWorkspace, Tracer,
     };
     pub use graft_dist::{self as dist, distributed_ms_bfs_graft};
     pub use graft_dm::{self as dm, DmDecomposition};

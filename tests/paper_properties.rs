@@ -26,7 +26,9 @@ fn solve_levels(
     opts: &SolveOptions,
 ) -> (RunOutcome, Vec<(u64, u64, bool)>) {
     let sink = Arc::new(matching::trace::MemorySink::new());
-    let out = solve_traced(g, alg, opts, &Tracer::to_sink(sink.clone()));
+    let m0 = opts.initializer.run(g, opts.seed);
+    let tracer = Tracer::to_sink(sink.clone());
+    let out = solve_from_traced_in(g, m0, alg, opts, &tracer, &mut SolveWorkspace::new());
     let levels = sink
         .take()
         .into_iter()

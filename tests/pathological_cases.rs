@@ -11,7 +11,7 @@ fn assert_all_algorithms_max(g: &BipartiteCsr, m0: &Matching, expected: usize, l
         ..SolveOptions::default()
     };
     for alg in Algorithm::ALL {
-        let out = solve_from(g, m0.clone(), alg, &opts);
+        let out = solve_from_in(g, m0.clone(), alg, &opts, &mut SolveWorkspace::new());
         assert_eq!(
             out.matching.cardinality(),
             expected,
@@ -51,7 +51,13 @@ fn long_chain_path_length_is_worst_case() {
     for (x, y) in path::long_chain_adversarial_matching(k) {
         m0.match_pair(x, y);
     }
-    let out = solve_from(&g, m0, Algorithm::MsBfsGraft, &SolveOptions::default());
+    let out = solve_from_in(
+        &g,
+        m0,
+        Algorithm::MsBfsGraft,
+        &SolveOptions::default(),
+        &mut SolveWorkspace::new(),
+    );
     assert_eq!(out.stats.augmenting_paths, 1);
     assert_eq!(out.stats.total_augmenting_path_edges as usize, 2 * k - 1);
 }
@@ -91,11 +97,12 @@ fn comb_parallel_disjoint_long_paths() {
     for (x, y) in path::comb_adversarial_matching(teeth, len) {
         m1.match_pair(x, y);
     }
-    let out = solve_from(
+    let out = solve_from_in(
         &g,
         m1,
         Algorithm::MsBfsGraftParallel,
         &SolveOptions::default(),
+        &mut SolveWorkspace::new(),
     );
     assert_eq!(out.stats.augmenting_paths, teeth as u64);
     assert!(

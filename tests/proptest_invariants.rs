@@ -57,7 +57,7 @@ proptest! {
             max
         );
         // Solving from the KS2 start still reaches the maximum.
-        let out = solve_from(&g, ks2, Algorithm::MsBfsGraft, &SolveOptions::default());
+        let out = solve_from_in(&g, ks2, Algorithm::MsBfsGraft, &SolveOptions::default(), &mut SolveWorkspace::new());
         prop_assert_eq!(out.matching.cardinality(), max);
     }
 

@@ -17,11 +17,17 @@ fn medium_suite_all_parallel_algorithms() {
             threads: 0,
             ..SolveOptions::default()
         };
-        let reference = solve_from(&g, m0.clone(), Algorithm::MsBfsGraftParallel, &opts);
+        let reference = solve_from_in(
+            &g,
+            m0.clone(),
+            Algorithm::MsBfsGraftParallel,
+            &opts,
+            &mut SolveWorkspace::new(),
+        );
         matching::verify::certify_maximum(&g, &reference.matching)
             .unwrap_or_else(|e| panic!("{}: {e}", entry.name));
         for alg in [Algorithm::PothenFanParallel, Algorithm::PushRelabelParallel] {
-            let out = solve_from(&g, m0.clone(), alg, &opts);
+            let out = solve_from_in(&g, m0.clone(), alg, &opts, &mut SolveWorkspace::new());
             assert_eq!(
                 out.matching.cardinality(),
                 reference.matching.cardinality(),
@@ -48,8 +54,13 @@ fn medium_distributed_agrees() {
         .unwrap()
         .build(gen::Scale::Medium);
     let m0 = matching::init::Initializer::RandomGreedy.run(&g, 1);
-    let shared =
-        matching::ms_bfs_graft_parallel(&g, m0.clone(), &matching::MsBfsOptions::graft(), 0);
+    let shared = solve_from_in(
+        &g,
+        m0.clone(),
+        Algorithm::MsBfsGraftParallel,
+        &SolveOptions::default(),
+        &mut SolveWorkspace::new(),
+    );
     let dist = distributed_ms_bfs_graft(&g, m0, 8);
     assert_eq!(shared.matching.cardinality(), dist.matching.cardinality());
     matching::verify::certify_maximum(&g, &dist.matching).unwrap();
@@ -64,7 +75,13 @@ fn million_edge_chain_worst_case() {
     for (x, y) in gen::pathological::long_chain_adversarial_matching(k) {
         m0.match_pair(x, y);
     }
-    let out = solve_from(&g, m0, Algorithm::MsBfsGraft, &SolveOptions::default());
+    let out = solve_from_in(
+        &g,
+        m0,
+        Algorithm::MsBfsGraft,
+        &SolveOptions::default(),
+        &mut SolveWorkspace::new(),
+    );
     assert_eq!(out.matching.cardinality(), k);
     assert_eq!(out.stats.total_augmenting_path_edges as usize, 2 * k - 1);
 }

@@ -169,7 +169,9 @@ fn load_solves_an_mtx_file_from_disk() {
     let path = dir.join("grid.mtx");
     let g = gen::grid2d(20, 20);
     graph::mtx::write_mtx_file(&g, &path).unwrap();
-    let expected = matching::matching_number(&g) as u64;
+    let expected = matching::hopcroft_karp(&g, Matching::for_graph(&g))
+        .matching
+        .cardinality() as u64;
 
     let (_guard, addr) = spawn_server(&[]);
     let mut c = Client::connect(&addr);
@@ -251,6 +253,33 @@ fn solve_threads_are_validated_defaulted_and_counted() {
     // An explicit 2-thread parallel solve adds 2 more.
     let par = c.req("SOLVE g ms-bfs-graft-par threads=2 cold");
     assert!(par.starts_with("OK "), "{par}");
+    let stats = c.req("STATS");
+    assert_eq!(field_u64(&stats, "solve_threads_used"), 3, "{stats}");
+
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn serial_solves_hold_one_worker_slot() {
+    // A default of 2 threads per solve applies to parallel algorithms
+    // only: a serial engine runs on one thread and is charged one slot.
+    let server = svc::Server::bind(&svc::ServeConfig {
+        workers: 2,
+        threads_per_solve: 2,
+        ..svc::ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut c = Client::connect(&addr);
+    assert!(c.req("GEN g kkt_power:tiny").starts_with("OK "));
+
+    assert!(c.req("SOLVE g ms-bfs-graft").starts_with("OK "));
+    let stats = c.req("STATS");
+    assert_eq!(field_u64(&stats, "solve_threads_used"), 1, "{stats}");
+
+    assert!(c.req("SOLVE g ms-bfs-graft-par cold").starts_with("OK "));
     let stats = c.req("STATS");
     assert_eq!(field_u64(&stats, "solve_threads_used"), 3, "{stats}");
 

@@ -310,24 +310,23 @@ fn dynamic_deltas_survive_a_snapshot_restart() {
     assert!(guard.0.wait().unwrap().success());
 }
 
-#[test]
-fn oversized_warm_start_in_the_journal_boots_cold() {
-    // A CRC-valid journal whose warm start claims |Y| = 2^62: boot must
-    // not size anything by it, and the first solve runs cold.
-    let dir = fresh_dir("huge_ny");
-    let local = gen::suite::by_name("kkt_power")
+/// Boots a server on a CRC-valid journal that registers `g` from `spec`
+/// with the warm start `warm`, and checks that the first solve ignores
+/// it: `warm=false` and Hopcroft-Karp's cardinality.
+fn journal_warm_start_boots_cold(tag: &str, spec: &str, warm: svc::WarmStart) {
+    let dir = fresh_dir(tag);
+    let source = svc::registry::parse_gen_spec(spec).unwrap();
+    let (name, scale) = spec.split_once(':').unwrap();
+    let local = gen::suite::by_name(name)
         .unwrap()
-        .build(gen::Scale::Tiny);
+        .build(gen::Scale::parse(scale).unwrap());
     let max_card = matching::solve(&local, Algorithm::HopcroftKarp, &SolveOptions::default())
         .matching
         .cardinality() as u64;
     let journal = svc::snapshot::render(&svc::Snapshot::from_entries(vec![svc::SnapshotEntry {
         name: "g".into(),
-        source: svc::registry::parse_gen_spec("kkt_power:tiny").unwrap(),
-        warm: Some(svc::WarmStart {
-            ny: 1 << 62,
-            mate_x: vec![-1; local.num_x()],
-        }),
+        source,
+        warm: Some(warm),
     }]));
     std::fs::write(dir.join(svc::snapshot::SNAPSHOT_FILE), journal).unwrap();
 
@@ -347,6 +346,37 @@ fn oversized_warm_start_in_the_journal_boots_cold() {
     assert_eq!(c.req("SHUTDOWN"), "OK bye");
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn oversized_warm_start_in_the_journal_boots_cold() {
+    // A warm start that claims |Y| = 2^62: boot must not size anything
+    // by it, and the first solve runs cold.
+    let nx = gen::suite::by_name("kkt_power")
+        .unwrap()
+        .build(gen::Scale::Tiny)
+        .num_x();
+    let warm = svc::WarmStart {
+        ny: 1 << 62,
+        mate_x: vec![-1; nx],
+    };
+    journal_warm_start_boots_cold("huge_ny", "kkt_power:tiny", warm);
+}
+
+#[test]
+fn warm_start_pairing_non_edges_in_the_journal_boots_cold() {
+    // A warm start of the right shape whose pairs x -> x are mostly not
+    // edges of the graph: attaching it would let the first solve report
+    // a cardinality above the maximum.
+    let g = gen::suite::by_name("wikipedia")
+        .unwrap()
+        .build(gen::Scale::Tiny);
+    let (nx, ny) = (g.num_x(), g.num_y());
+    let mate_x = (0..nx)
+        .map(|x| if x < ny { x as i64 } else { -1 })
+        .collect();
+    let warm = svc::WarmStart { ny, mate_x };
+    journal_warm_start_boots_cold("non_edges", "wikipedia:tiny", warm);
 }
 
 #[test]

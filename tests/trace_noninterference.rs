@@ -58,8 +58,15 @@ fn traced_runs_are_byte_identical_for_every_algorithm() {
             };
             let sink = Arc::new(matching::trace::MemorySink::new());
             let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-            let traced = solve_from_traced(&g, m0.clone(), alg, &opts, &tracer);
-            let untraced = solve_from(&g, m0.clone(), alg, &opts);
+            let traced = solve_from_traced_in(
+                &g,
+                m0.clone(),
+                alg,
+                &opts,
+                &tracer,
+                &mut SolveWorkspace::new(),
+            );
+            let untraced = solve_from_in(&g, m0.clone(), alg, &opts, &mut SolveWorkspace::new());
             assert_same_run(&label, &traced, &untraced);
 
             // Every traced run brackets itself and replays cleanly.
@@ -88,7 +95,9 @@ fn disabled_tracer_matches_plain_entry_points() {
         Algorithm::PushRelabel,
     ] {
         let opts = SolveOptions::default();
-        let a = solve_traced(&g, alg, &opts, &Tracer::disabled());
+        let m0 = opts.initializer.run(&g, opts.seed);
+        let off = Tracer::disabled();
+        let a = solve_from_traced_in(&g, m0, alg, &opts, &off, &mut SolveWorkspace::new());
         let b = matching::solve(&g, alg, &opts);
         assert_same_run(alg.cli_name(), &a, &b);
     }

@@ -52,6 +52,7 @@ fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
     on_one_thread(|| {
         let big = gen::preferential_attachment(1600, 1400, 4, 0.6, 42);
         let small = gen::preferential_attachment(700, 900, 3, 0.4, 7);
+        let m0_big = matching::init::Initializer::KarpSipser.run(&big, 1);
         let m0_small = matching::init::Initializer::KarpSipser.run(&small, 0xBEEF);
         let opts = SolveOptions {
             initializer: matching::init::Initializer::None,
@@ -61,9 +62,15 @@ fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
             let mut ws = SolveWorkspace::new();
             // Fill the buffers with real marks from the bigger graph, then
             // pin the counters at the wrap point.
-            solve_in(&big, alg, &SolveOptions::default(), &mut ws);
+            solve_from_in(&big, m0_big.clone(), alg, &opts, &mut ws);
             ws.force_epoch_wrap();
-            let fresh = solve_from(&small, m0_small.clone(), alg, &opts);
+            let fresh = solve_from_in(
+                &small,
+                m0_small.clone(),
+                alg,
+                &opts,
+                &mut SolveWorkspace::new(),
+            );
             let wrapped = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
             assert_same_outcome(alg, "the wrapping solve", &fresh, &wrapped);
             // Life after the wrap: the restarted epoch stream stays exact.
@@ -92,7 +99,7 @@ fn back_to_back_wraps_stay_exact() {
             Algorithm::PothenFan,
             Algorithm::HopcroftKarp,
         ] {
-            let fresh = solve_from(&g, m0.clone(), alg, &opts);
+            let fresh = solve_from_in(&g, m0.clone(), alg, &opts, &mut SolveWorkspace::new());
             let mut ws = SolveWorkspace::new();
             for rep in 0..4 {
                 ws.force_epoch_wrap();

@@ -102,7 +102,8 @@ fn recycled_workspace_matches_fresh_solves_exactly() {
             // the shared workspace switch engine AND graph every time.
             for (gi, (g, m0)) in gs.iter().zip(&inits).enumerate() {
                 for &alg in ENGINES {
-                    let fresh = solve_from(g, m0.clone(), alg, &opts);
+                    let fresh =
+                        solve_from_in(g, m0.clone(), alg, &opts, &mut SolveWorkspace::new());
                     let reused = solve_from_in(g, m0.clone(), alg, &opts, &mut ws);
                     assert_same_outcome(alg, round, gi, &fresh, &reused);
                 }
@@ -134,20 +135,21 @@ fn consecutive_warm_solves_are_reproducible() {
     });
 }
 
-/// `solve_in` (initializer inside) agrees with `solve` for a recycled
-/// workspace, and shrink() between solves is harmless.
+/// `solve_from_in` from the configured initializer agrees with `solve`
+/// for a recycled workspace, and shrink() between solves is harmless.
 #[test]
 fn solve_in_and_shrink_roundtrip() {
     on_one_thread(|| {
         let g = gen::preferential_attachment(900, 1100, 3, 0.4, 5);
         let opts = SolveOptions::default();
         let mut ws = SolveWorkspace::new();
+        let m0 = opts.initializer.run(&g, opts.seed);
         for &alg in &[Algorithm::MsBfsGraft, Algorithm::PothenFan] {
             let fresh = solve(&g, alg, &opts);
-            let reused = solve_in(&g, alg, &opts, &mut ws);
+            let reused = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
             assert_eq!(fresh.matching.mates_x(), reused.matching.mates_x());
             ws.shrink();
-            let after_shrink = solve_in(&g, alg, &opts, &mut ws);
+            let after_shrink = solve_from_in(&g, m0.clone(), alg, &opts, &mut ws);
             assert_eq!(fresh.matching.mates_x(), after_shrink.matching.mates_x());
         }
     });
