@@ -8,7 +8,7 @@
 //! waiter a notify wakes). DFS backtracks over those decisions — the
 //! recorded `(chosen, n_admissible)` pairs form the stack — so the space
 //! is enumerated without ever storing whole states. State hashing prunes
-//! branches that re-reach an already-seen state, and the preemption bound
+//! DFS branches that re-reach an already-seen state, and the preemption bound
 //! (default 4) caps how many times control may switch away from a runnable
 //! thread, which is what keeps the space finite and small (CHESS-style:
 //! most real bugs need very few preemptions).
@@ -113,7 +113,8 @@ impl Checker {
         self
     }
 
-    /// Whether to prune branches at already-seen state hashes.
+    /// Whether DFS prunes branches at already-seen state hashes (random
+    /// mode never prunes).
     pub fn prune(mut self, on: bool) -> Self {
         self.prune = on;
         self
@@ -276,15 +277,11 @@ impl Checker {
     where
         F: Fn() + Send + Sync + 'static,
     {
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut pruned = 0usize;
         let mut divergent = 0usize;
         let mut total_steps = 0usize;
         for i in 0..self.max_executions {
             let rng = mix(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let out = self.run_one(f, Vec::new(), Some(rng), std::mem::take(&mut seen));
-            seen = out.seen;
-            pruned += out.pruned_points;
+            let out = self.run_one(f, Vec::new(), Some(rng), HashSet::new());
             total_steps += out.steps;
             if out.replay_divergence {
                 divergent += 1;
@@ -293,7 +290,7 @@ impl Checker {
                 return Report {
                     executions: i + 1,
                     complete: false,
-                    pruned_points: pruned,
+                    pruned_points: 0,
                     violation: Some(to_violation(fl)),
                     divergent,
                     total_steps,
@@ -303,7 +300,7 @@ impl Checker {
         Report {
             executions: self.max_executions,
             complete: false,
-            pruned_points: pruned,
+            pruned_points: 0,
             violation: None,
             divergent,
             total_steps,
@@ -326,7 +323,10 @@ impl Checker {
             prefix,
             rng,
             seen,
-            self.prune,
+            // Cutting the branches at a seen state is sound only for DFS,
+            // which explores them where it first saw the state; a random
+            // walk has explored nothing below it.
+            self.prune && rng.is_none(),
             self.preemption_bound,
             self.stale_reads,
         );

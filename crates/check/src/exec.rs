@@ -660,8 +660,8 @@ impl Execution {
         ord: Ordering,
     ) -> OpResult<u64> {
         let mut g = self.lock();
-        g.step(me, 0x11, addr as u64)?;
         let loc = g.loc_id(addr, init);
+        g.step(me, 0x11, loc as u64)?;
         let vis = g.visible(loc, me, ord == Ordering::SeqCst);
         let n = if g.controller.stale_reads {
             vis.len()
@@ -692,8 +692,8 @@ impl Execution {
         ord: Ordering,
     ) -> OpResult<()> {
         let mut g = self.lock();
-        g.step(me, 0x12, addr as u64 ^ value)?;
         let loc = g.loc_id(addr, init);
+        g.step(me, 0x12, loc as u64 ^ value)?;
         g.push_store(loc, me, value, ord);
         g.trace_push(me, format!("store loc{loc} <- {value} ({ord:?})"));
         drop(self.handoff(g, me)?);
@@ -711,8 +711,8 @@ impl Execution {
         f: impl FnOnce(u64) -> u64,
     ) -> OpResult<u64> {
         let mut g = self.lock();
-        g.step(me, 0x13, addr as u64)?;
         let loc = g.loc_id(addr, init);
+        g.step(me, 0x13, loc as u64)?;
         let latest = g.locations[loc].history.len() - 1;
         let old = g.apply_read(loc, me, latest, rmw_load_part(ord));
         let new = f(old);
@@ -738,8 +738,8 @@ impl Execution {
         ord_fail: Ordering,
     ) -> OpResult<Result<u64, u64>> {
         let mut g = self.lock();
-        g.step(me, 0x14, addr as u64 ^ expected)?;
         let loc = g.loc_id(addr, init);
+        g.step(me, 0x14, loc as u64 ^ expected)?;
         let latest = g.locations[loc].history.len() - 1;
         let current = g.locations[loc].history[latest].value;
         let res = if current == expected {
@@ -801,8 +801,8 @@ impl Execution {
 
     pub(crate) fn mutex_lock(&self, me: usize, addr: usize) -> OpResult<()> {
         let mut g = self.lock();
-        g.step(me, 0x21, addr as u64)?;
         let mid = g.mutex_id(addr);
+        g.step(me, 0x21, mid as u64)?;
         loop {
             if g.mutexes[mid].locked_by.is_none() {
                 g.mutexes[mid].locked_by = Some(me);
@@ -826,8 +826,8 @@ impl Execution {
         if g.aborted {
             return Err(Abort);
         }
-        g.step(me, 0x22, addr as u64)?;
         let mid = g.mutex_id(addr);
+        g.step(me, 0x22, mid as u64)?;
         debug_assert_eq!(g.mutexes[mid].locked_by, Some(me));
         g.mutexes[mid].locked_by = None;
         let clock = g.threads[me].clock.clone();
@@ -849,9 +849,9 @@ impl Execution {
         timed: bool,
     ) -> OpResult<bool> {
         let mut g = self.lock();
-        g.step(me, 0x23, cv_addr as u64)?;
         let cvid = g.cv_id(cv_addr);
         let mid = g.mutex_id(mutex_addr);
+        g.step(me, 0x23, cvid as u64)?;
         debug_assert_eq!(g.mutexes[mid].locked_by, Some(me));
         g.mutexes[mid].locked_by = None;
         let clock = g.threads[me].clock.clone();
@@ -885,8 +885,8 @@ impl Execution {
     /// Notify: moves one (chosen) or all waiters to the mutex queue.
     pub(crate) fn condvar_notify(&self, me: usize, cv_addr: usize, all: bool) -> OpResult<()> {
         let mut g = self.lock();
-        g.step(me, 0x24, cv_addr as u64)?;
         let cvid = g.cv_id(cv_addr);
+        g.step(me, 0x24, cvid as u64)?;
         let waiters: Vec<usize> = g
             .threads
             .iter()

@@ -321,6 +321,41 @@ fn random_mode_finds_race() {
     assert_eq!(v1.schedule, v2.schedule);
 }
 
+/// State hashes name atomics by first touch, not by address, so DFS
+/// pruning does not depend on where the allocator puts a model's objects:
+/// an atomic that moves in every execution explores exactly like one at a
+/// fixed address.
+#[test]
+fn exploration_does_not_depend_on_addresses() {
+    fn model(x: &'static AtomicU32) {
+        let bump = move || {
+            let v = x.load(Ordering::Relaxed);
+            x.store(v + 1, Ordering::Relaxed);
+            x.load(Ordering::Relaxed);
+        };
+        let t = thread::spawn(bump);
+        bump();
+        t.join().unwrap();
+        // Back to 0, the value the next execution's first touch reads.
+        x.store(0, Ordering::Relaxed);
+    }
+    let leak = || &*Box::leak(Box::new(AtomicU32::new(0)));
+    let fixed = leak();
+    let at_one_address = Checker::new().check_report(move || model(fixed));
+    // A fresh leaked allocation per execution: never the same address.
+    let moving = Checker::new().check_report(move || model(leak()));
+    for r in [&at_one_address, &moving] {
+        assert!(r.violation.is_none(), "{:?}", r.violation);
+        assert!(r.complete);
+    }
+    assert!(
+        at_one_address.pruned_points > 0,
+        "the model must exercise pruning"
+    );
+    assert_eq!(at_one_address.executions, moving.executions);
+    assert_eq!(at_one_address.pruned_points, moving.pruned_points);
+}
+
 /// Instrumented primitives pass through to std off model threads: plain
 /// use outside a Checker works (this very test body).
 #[test]

@@ -11,8 +11,8 @@
 //! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | serial / parallel multi-source DFS |
 //! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
 //! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | serial / parallel |
-//! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | serial engine with toggles |
-//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the paper's parallel contribution |
+//! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | the MS-BFS engine with toggles, inline on one thread |
+//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool: the paper's parallel contribution |
 //!
 //! Every solve goes through one dispatcher, [`solve_from_traced_in`]: it
 //! starts from a [`Matching`] — typically the Karp-Sipser maximal matching
@@ -41,7 +41,6 @@ pub mod init;
 pub mod json;
 mod matching;
 pub mod ms_bfs;
-mod par;
 mod pothen_fan;
 mod pothen_fan_par;
 mod push_relabel;
@@ -87,8 +86,7 @@ pub use push_relabel::{PrOrder, PushRelabelOptions};
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
 
-use ms_bfs::ms_bfs_serial;
-use par::ms_bfs_graft_parallel;
+use ms_bfs::ms_bfs;
 use pothen_fan::pothen_fan;
 use pothen_fan_par::pothen_fan_parallel;
 use push_relabel::{push_relabel, push_relabel_parallel};
@@ -285,21 +283,21 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 ///
 /// `tracer` observes the run: a `run_start` / `run_end` pair around the
 /// solve, plus whatever inner events the algorithm's engine emits (levels
-/// and phases for the MS-BFS engines, phases for Pothen-Fan and serial
+/// and phases for the MS-BFS engine, phases for Pothen-Fan and serial
 /// push-relabel). A disabled tracer builds no event and reads no clock.
 ///
 /// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
 /// that many threads, built for this call; with `threads = 0` it uses the
-/// caller's ambient pool. Serial algorithms never get a pool.
+/// caller's ambient pool. Serial algorithms never get or use a pool.
 ///
 /// The per-vertex arrays and frontier vectors live in `ws` and are
 /// recycled across calls via an epoch/versioned-visited scheme, so a warm
-/// solve performs no `O(n)` clears and (for the serial engines) no heap
-/// allocations at all; the matching and [`stats::SearchStats`] counters
-/// are the same as from a fresh workspace. The serial MS-BFS family,
-/// Pothen-Fan, serial push-relabel, and the parallel MS-BFS-Graft engine
-/// draw on `ws`; the remaining algorithms ignore it (they are
-/// baselines/oracles, not service hot paths).
+/// solve performs no `O(n)` clears and (for the serial algorithms that
+/// draw on `ws`) no heap allocations at all; the matching and
+/// [`stats::SearchStats`] counters are the same as from a fresh
+/// workspace. The four MS-BFS algorithms, Pothen-Fan and serial
+/// push-relabel draw on `ws`; the remaining algorithms ignore it (they
+/// are baselines/oracles, not service hot paths).
 pub fn solve_from_traced_in(
     g: &BipartiteCsr,
     m0: Matching,
@@ -325,11 +323,12 @@ pub fn solve_from_traced_in(
         Algorithm::PothenFan => pothen_fan(g, m0, tracer, ws),
         Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0),
         Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
-        Algorithm::MsBfs | Algorithm::MsBfsDirOpt | Algorithm::MsBfsGraft => {
-            ms_bfs_serial(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
-        }
-        Algorithm::MsBfsGraftParallel => {
-            ms_bfs_graft_parallel(g, m0, &ms_opts.expect("MS algorithm"), tracer, ws)
+        Algorithm::MsBfs
+        | Algorithm::MsBfsDirOpt
+        | Algorithm::MsBfsGraft
+        | Algorithm::MsBfsGraftParallel => {
+            let ms_opts = ms_opts.expect("MS algorithm");
+            ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), tracer, ws)
         }
         Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, tracer, ws),
         Algorithm::PushRelabelParallel => push_relabel_parallel(g, m0, &opts.push_relabel),

@@ -18,6 +18,26 @@ pub struct Matching {
     cardinality: usize,
 }
 
+/// The number of matched pairs in consistent mate arrays, or where they
+/// disagree (mates that do not point back, or out-of-range ids).
+fn checked_cardinality(mate_x: &[VertexId], mate_y: &[VertexId]) -> Result<usize, String> {
+    let mut cardinality = 0;
+    for (x, &y) in mate_x.iter().enumerate() {
+        if y != NONE {
+            if (y as usize) >= mate_y.len() || mate_y[y as usize] != x as VertexId {
+                return Err(format!("mate arrays inconsistent at x={x}"));
+            }
+            cardinality += 1;
+        }
+    }
+    for (y, &x) in mate_y.iter().enumerate() {
+        if x != NONE && ((x as usize) >= mate_x.len() || mate_x[x as usize] != y as VertexId) {
+            return Err(format!("mate arrays inconsistent at y={y}"));
+        }
+    }
+    Ok(cardinality)
+}
+
 impl Matching {
     /// The empty matching for an `nx × ny` bipartite graph.
     pub fn empty(nx: usize, ny: usize) -> Self {
@@ -44,25 +64,23 @@ impl Matching {
 
     /// Fallible variant of [`Matching::from_mates`] for untrusted input.
     pub fn try_from_mates(mate_x: Vec<VertexId>, mate_y: Vec<VertexId>) -> Result<Self, String> {
-        let mut cardinality = 0;
-        for (x, &y) in mate_x.iter().enumerate() {
-            if y != NONE {
-                if (y as usize) >= mate_y.len() || mate_y[y as usize] != x as VertexId {
-                    return Err(format!("mate arrays inconsistent at x={x}"));
-                }
-                cardinality += 1;
-            }
-        }
-        for (y, &x) in mate_y.iter().enumerate() {
-            if x != NONE && ((x as usize) >= mate_x.len() || mate_x[x as usize] != y as VertexId) {
-                return Err(format!("mate arrays inconsistent at y={y}"));
-            }
-        }
-        Ok(Self {
+        let cardinality = checked_cardinality(&mate_x, &mate_y)?;
+        Ok(Self::from_counted_mates(mate_x, mate_y, cardinality))
+    }
+
+    /// A matching from mate arrays an engine kept consistent, with the
+    /// `cardinality` it counted; checked (O(n)) in debug builds only.
+    pub(crate) fn from_counted_mates(
+        mate_x: Vec<VertexId>,
+        mate_y: Vec<VertexId>,
+        cardinality: usize,
+    ) -> Self {
+        debug_assert_eq!(checked_cardinality(&mate_x, &mate_y), Ok(cardinality));
+        Self {
             mate_x,
             mate_y,
             cardinality,
-        })
+        }
     }
 
     /// Number of matched edges `|M|`.

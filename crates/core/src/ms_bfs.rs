@@ -1,8 +1,9 @@
-//! The serial MS-BFS engine with direction-optimizing BFS and tree
-//! grafting (Algorithms 3–7 of the paper).
+//! The MS-BFS engine (Algorithms 3–7 of the paper): multi-source
+//! alternating BFS with direction optimization and tree grafting, serial
+//! and multithreaded.
 //!
-//! One engine implements three of the paper's algorithms through the
-//! [`MsBfsOptions`] toggles, which is exactly the ablation axis of Fig. 7:
+//! One engine runs all four MS algorithms. The [`MsBfsOptions`] toggles
+//! are exactly the ablation axis of Fig. 7:
 //!
 //! | configuration | paper name |
 //! |---|---|
@@ -33,13 +34,45 @@
 //!
 //! Matched `X` vertices are only ever reached through their unique mate,
 //! so they need neither a visited flag nor a parent pointer.
+//!
+//! ## Inline and pool steps
+//!
+//! Each step (a BFS level, the augmentation, the statistics, the graft)
+//! is a loop over vertices around a per-vertex kernel. The serial
+//! algorithms, and `MsBfsGraftParallel` in a one-thread pool, run every
+//! loop *inline* on the calling thread, in vertex order, over vectors
+//! reused from the workspace: byte-deterministic, and allocation-free
+//! when warm. Otherwise each loop is a rayon parallel iterator, which maps
+//! the paper's OpenMP implementation onto rayon:
+//!
+//! * **Private queues → fold/reduce.** Each task fills a local frontier
+//!   `Vec` lock-free, like the paper's per-thread queues (the Graph500
+//!   `omp-csr` scheme), and `reduce` concatenates them.
+//! * **Vertex-disjoint trees → visited CAS.** A `Y` vertex joins one tree
+//!   through a `compare_exchange` on its visited flag, screened by a
+//!   relaxed load first ("check the flags before performing the atomic
+//!   operations"). Inline, one thread runs the level, so a claim is a
+//!   load and a store.
+//! * **Benign `leaf` race.** Tasks finding paths in the same tree all
+//!   store to `leaf[root]`; the last write wins and one path per tree is
+//!   augmented. Overwritten endpoints are recycled by the renewable-tree
+//!   reset, so no matching opportunity is lost.
+//! * **Bottom-up needs no CAS.** Each candidate `Y` is owned by one task,
+//!   the only writer of its flags (§III-B).
+//! * **Parallel augmentation.** Paths of distinct trees are
+//!   vertex-disjoint; each is flipped by one task.
+//!
+//! Claims use `AcqRel`; every other store is `Relaxed` and reaches the
+//! next step through the latch that ends each parallel batch, the
+//! level-synchronous barrier the paper relies on (DESIGN.md §17).
 
-use crate::ss::reconstruct_into;
-use crate::stats::{SearchStats, Step};
+use crate::stats::{SearchStats, Step, Stopwatch};
 use crate::trace::{emit_phase, GraftSummary, PhaseSummary, TraceEvent, Tracer};
-use crate::workspace::{MsBuffers, SolveWorkspace};
+use crate::workspace::{pack, unpack, SolveWorkspace};
 use crate::{Matching, RunOutcome};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// A cooperative phase-boundary observer, invoked at the same point the
@@ -92,7 +125,7 @@ impl std::fmt::Debug for NowHook {
     }
 }
 
-/// Configuration of the MS-BFS engine (serial and parallel).
+/// Configuration of the MS-BFS engine.
 #[derive(Clone, Copy, Debug)]
 pub struct MsBfsOptions {
     /// Direction-optimization threshold α: top-down is used while
@@ -159,329 +192,514 @@ impl MsBfsOptions {
     }
 }
 
-struct Engine<'a> {
+/// The engine's view of the workspace's atomic per-vertex arrays.
+struct Shared<'a> {
     g: &'a BipartiteCsr,
-    m: Matching,
-    opts: MsBfsOptions,
-    /// Per-vertex buffers, borrowed from the caller's workspace. The
-    /// epoch was already advanced by `begin_solve`, so every mark from
-    /// earlier solves reads as unvisited/NONE without any O(n) clear
-    /// (see [`crate::SolveWorkspace`]). The unvisited-`Y` cache lives
-    /// here too: exact when `unvisited_valid`, rebuilt from a full scan
-    /// after a graft/destroy reset invalidates it, and filtered
-    /// incrementally between bottom-up levels of one phase so repeated
-    /// levels do not rescan all of `Y`.
-    ws: &'a mut MsBuffers,
-    num_unvisited_y: usize,
-    stats: SearchStats,
-    tracer: Tracer,
+    /// Run every step on the calling thread, not on the rayon pool.
+    inline: bool,
+    /// Current workspace epoch: `visited[y] == epoch` ⇔ visited this
+    /// solve; `root_x`/`leaf` entries are `(epoch << 32) | value` packed.
+    epoch: u32,
+    mate_x: &'a [AtomicU32],
+    mate_y: &'a [AtomicU32],
+    visited: &'a [AtomicU32],
+    parent_y: &'a [AtomicU32],
+    root_y: &'a [AtomicU32],
+    root_x: &'a [AtomicU64],
+    leaf: &'a [AtomicU64],
 }
 
-/// Maximum matching by the serial MS-BFS engine configured by `opts`,
-/// with `tracer` observing every level, phase, and graft decision and the
-/// per-vertex buffers drawn from `ws`. Event closures only read engine
-/// state, so a disabled tracer changes nothing (pinned by
-/// `tests/trace_noninterference.rs`). On a warm workspace the engine
-/// performs no heap allocation at all (pinned by
-/// `tests/workspace_alloc.rs`), and the result is identical to a
-/// fresh-workspace solve (pinned by `tests/workspace_reuse.rs`).
-pub(crate) fn ms_bfs_serial(
+/// Output of one BFS level or graft: the next frontier, the number of
+/// newly visited `Y` vertices, and the edges traversed.
+#[derive(Default)]
+struct LevelAcc {
+    next: Vec<VertexId>,
+    visited: u64,
+    edges: u64,
+}
+
+impl LevelAcc {
+    fn merge(mut self, mut other: Self) -> Self {
+        // Append the smaller into the larger to keep the reduction linear.
+        if self.next.len() < other.next.len() {
+            std::mem::swap(&mut self, &mut other);
+        }
+        self.next.append(&mut other.next);
+        self.visited += other.visited;
+        self.edges += other.edges;
+        self
+    }
+}
+
+impl Shared<'_> {
+    #[inline]
+    fn is_visited(&self, y: VertexId) -> bool {
+        self.visited[y as usize].load(Ordering::Relaxed) == self.epoch
+    }
+
+    #[inline]
+    fn is_free_x(&self, x: VertexId) -> bool {
+        self.mate_x[x as usize].load(Ordering::Relaxed) == NONE
+    }
+
+    #[inline]
+    fn root_of_x(&self, x: VertexId) -> VertexId {
+        unpack(self.epoch, self.root_x[x as usize].load(Ordering::Relaxed))
+    }
+
+    #[inline]
+    fn set_root_x(&self, x: VertexId, root: VertexId) {
+        self.root_x[x as usize].store(pack(self.epoch, root), Ordering::Relaxed);
+    }
+
+    #[inline]
+    fn leaf_of(&self, x: VertexId) -> VertexId {
+        unpack(self.epoch, self.leaf[x as usize].load(Ordering::Relaxed))
+    }
+
+    /// The root of `x`'s tree if that tree is active (not yet renewable),
+    /// else `NONE`.
+    #[inline]
+    fn active_root(&self, x: VertexId) -> VertexId {
+        let root = self.root_of_x(x);
+        if root != NONE && self.leaf_of(root) == NONE {
+            root
+        } else {
+            NONE
+        }
+    }
+
+    /// Takes `y` out of its tree, if it is in one. Un-visits store 0
+    /// (epoch 0 is never issued) and happen only between levels, never
+    /// concurrently with claims.
+    #[inline]
+    fn unvisit(&self, y: VertexId) {
+        if !self.is_visited(y) {
+            return;
+        }
+        self.visited[y as usize].store(0, Ordering::Relaxed);
+        self.root_y[y as usize].store(NONE, Ordering::Relaxed);
+        self.parent_y[y as usize].store(NONE, Ordering::Relaxed);
+    }
+
+    /// Algorithm 5: pointer updates after the caller claimed `y` for the
+    /// tree `root` of its parent `x`.
+    #[inline]
+    fn visit_claimed(&self, y: VertexId, x: VertexId, root: VertexId, acc: &mut LevelAcc) {
+        self.parent_y[y as usize].store(x, Ordering::Relaxed);
+        self.root_y[y as usize].store(root, Ordering::Relaxed);
+        acc.visited += 1;
+        let mate = self.mate_y[y as usize].load(Ordering::Relaxed);
+        if mate != NONE {
+            self.set_root_x(mate, root);
+            acc.next.push(mate);
+        } else {
+            // Benign race: last writer wins, one augmenting path per tree.
+            self.leaf[root as usize].store(pack(self.epoch, y), Ordering::Relaxed);
+        }
+    }
+
+    /// Algorithm 4 for the frontier vertex `x`. A claim screens `y` with a
+    /// relaxed load, then is a `compare_exchange` from the observed stale
+    /// value (0 or an old epoch) with `CAS`, as concurrent tasks need, or
+    /// a plain store, exact when one thread runs the whole level.
+    #[inline(always)]
+    fn top_down_vertex<const CAS: bool>(&self, x: VertexId, acc: &mut LevelAcc) {
+        let root = self.active_root(x);
+        if root == NONE {
+            return; // the tree became renewable
+        }
+        for &y in self.g.x_neighbors(x) {
+            acc.edges += 1;
+            let flag = &self.visited[y as usize];
+            let cur = flag.load(Ordering::Relaxed);
+            if cur == self.epoch {
+                continue;
+            }
+            let claimed = if CAS {
+                let (ok, err) = (Ordering::AcqRel, Ordering::Relaxed);
+                flag.compare_exchange(cur, self.epoch, ok, err).is_ok()
+            } else {
+                flag.store(self.epoch, Ordering::Relaxed);
+                true
+            };
+            if claimed {
+                self.visit_claimed(y, x, root, acc);
+            }
+        }
+    }
+
+    /// Algorithm 6 for the candidate `y` (unvisited during BFS, renewable
+    /// during grafting): `y` joins the first active tree among its
+    /// neighbors' trees. Only its owning task writes its flags.
+    #[inline(always)]
+    fn bottom_up_vertex(&self, y: VertexId, acc: &mut LevelAcc) {
+        for &x in self.g.y_neighbors(y) {
+            acc.edges += 1;
+            let root = self.active_root(x);
+            if root != NONE {
+                self.visited[y as usize].store(self.epoch, Ordering::Relaxed);
+                self.visit_claimed(y, x, root, acc);
+                break; // stop exploring y's neighbors (Algorithm 6 line 7)
+            }
+        }
+    }
+
+    /// One BFS step into `acc`: bottom-up over the candidate `Y` in
+    /// `items`, or top-down from the frontier `items`.
+    fn level<const BOTTOM_UP: bool>(&self, items: &[VertexId], acc: &mut LevelAcc) {
+        if self.inline {
+            (acc.visited, acc.edges) = (0, 0);
+            acc.next.clear();
+            for &v in items {
+                if BOTTOM_UP {
+                    self.bottom_up_vertex(v, acc);
+                } else {
+                    self.top_down_vertex::<false>(v, acc);
+                }
+            }
+        } else {
+            // Per-task accumulators, concatenated by `reduce`.
+            *acc = items
+                .par_iter()
+                .fold(LevelAcc::default, |mut a, &v| {
+                    if BOTTOM_UP {
+                        self.bottom_up_vertex(v, &mut a);
+                    } else {
+                        self.top_down_vertex::<true>(v, &mut a);
+                    }
+                    a
+                })
+                .reduce(LevelAcc::default, LevelAcc::merge);
+        }
+    }
+
+    /// Replaces `out` with the ids in `0..n` that satisfy `f`, ascending.
+    fn filter_ids(&self, n: usize, out: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
+        if self.inline {
+            out.clear();
+            out.extend((0..n as VertexId).filter(|&v| f(v)));
+        } else {
+            *out = (0..n as VertexId)
+                .into_par_iter()
+                .filter(|&v| f(v))
+                .collect();
+        }
+    }
+
+    /// Keeps the entries of `list` that satisfy `f`, in order.
+    fn retain(&self, list: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
+        if self.inline {
+            list.retain(|&v| f(v));
+        } else {
+            *list = std::mem::take(list)
+                .into_par_iter()
+                .filter(|&v| f(v))
+                .collect();
+        }
+    }
+
+    /// The number of ids in `0..n` that satisfy `f`.
+    fn count_ids(&self, n: usize, f: impl Fn(VertexId) -> bool + Sync) -> usize {
+        if self.inline {
+            (0..n as VertexId).filter(|&v| f(v)).count()
+        } else {
+            (0..n as VertexId).into_par_iter().filter(|&v| f(v)).count()
+        }
+    }
+
+    /// Runs `f` on every entry of `items`.
+    fn for_each(&self, items: &[VertexId], f: impl Fn(VertexId) + Sync) {
+        if self.inline {
+            items.iter().for_each(|&v| f(v));
+        } else {
+            items.par_iter().for_each(|&v| f(v));
+        }
+    }
+
+    /// Runs `f` on every id in `0..n`.
+    fn for_each_id(&self, n: usize, f: impl Fn(VertexId) + Sync) {
+        if self.inline {
+            (0..n as VertexId).for_each(f);
+        } else {
+            (0..n as VertexId).into_par_iter().for_each(f);
+        }
+    }
+
+    /// Every unmatched `X` vertex roots its own tree in the new `frontier`.
+    fn plant_roots(&self, frontier: &mut Vec<VertexId>) {
+        self.filter_ids(self.g.num_x(), frontier, |x| self.is_free_x(x));
+        self.for_each(frontier, |x| self.set_root_x(x, x));
+    }
+
+    /// Step 2: flips the path of every tree in `roots`; returns the total
+    /// path length in edges.
+    fn augment(&self, roots: &[VertexId]) -> u64 {
+        if self.inline {
+            roots.iter().map(|&x0| self.augment_tree(x0)).sum()
+        } else {
+            roots.par_iter().map(|&x0| self.augment_tree(x0)).sum()
+        }
+    }
+
+    /// Flips the augmenting path of the renewable tree rooted at `x0`;
+    /// returns its length in edges. Paths of distinct trees are
+    /// vertex-disjoint, so concurrent flips never touch the same slots.
+    fn augment_tree(&self, x0: VertexId) -> u64 {
+        let mut edges = 0u64;
+        let mut y = self.leaf_of(x0);
+        loop {
+            let x = self.parent_y[y as usize].load(Ordering::Relaxed);
+            let next_y = self.mate_x[x as usize].load(Ordering::Relaxed);
+            self.mate_y[y as usize].store(x, Ordering::Relaxed);
+            self.mate_x[x as usize].store(y, Ordering::Relaxed);
+            edges += 1;
+            if x == x0 {
+                return edges;
+            }
+            y = next_y;
+            edges += 1;
+        }
+    }
+}
+
+/// Maximum matching by the MS-BFS engine configured by `opts`, from `m`.
+///
+/// With `parallel` false (the serial algorithms) every step runs inline,
+/// whatever pool is installed; otherwise on the ambient rayon pool, or
+/// inline if it has one thread. Tracer events come from the driving
+/// thread between steps and only read engine state, so a disabled tracer
+/// changes nothing (`tests/trace_noninterference.rs`). A warm inline solve
+/// does not allocate (`tests/workspace_alloc.rs`), and every solve equals
+/// a fresh-workspace one (`tests/workspace_reuse.rs`).
+pub(crate) fn ms_bfs(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
+    parallel: bool,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
     let start = Instant::now();
-    ws.ms.begin_solve(g.num_x(), g.num_y());
-    let mut e = Engine {
-        g,
-        stats: SearchStats {
-            initial_cardinality: m.cardinality(),
-            ..Default::default()
-        },
-        m,
-        opts: *opts,
-        ws: &mut ws.ms,
-        num_unvisited_y: g.num_y(),
-        tracer: tracer.clone(),
+    let mut stats = SearchStats {
+        initial_cardinality: m.cardinality(),
+        ..Default::default()
     };
-    e.run();
-    let Engine { m, mut stats, .. } = e;
-    stats.final_cardinality = m.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
-}
 
-impl Engine<'_> {
-    fn run(&mut self) {
-        // The frontier ping-pong buffers are taken out of the workspace
-        // for the whole run (the borrow checker cannot see that the
-        // engine never touches them through `self.ws`), and returned at
-        // the end so their capacity survives into the next solve.
-        let mut frontier = std::mem::take(&mut self.ws.frontier);
-        let mut next = std::mem::take(&mut self.ws.next);
-        // Initial frontier: all unmatched X vertices become roots.
-        frontier.extend(self.m.unmatched_x());
-        for &x in &frontier {
-            self.ws.set_root_x(x, x);
-        }
+    let (nx, ny) = (g.num_x(), g.num_y());
+    let inline = !parallel || rayon::current_num_threads() == 1;
+    let b = &mut ws.par;
+    let epoch = b.begin_solve(nx, ny, inline);
+    // The vectors leave the workspace while `sh` borrows its arrays; only
+    // the inline steps reuse them, and only they return them.
+    let mut frontier = std::mem::take(&mut b.frontier);
+    let mut acc = LevelAcc {
+        next: std::mem::take(&mut b.next),
+        ..LevelAcc::default()
+    };
+    let mut unvisited = std::mem::take(&mut b.unvisited);
+    let mut renewable = std::mem::take(&mut b.renewable);
+    let mut roots = std::mem::take(&mut b.roots);
+    let (mut mx, mut my) = m.into_mates();
+    let mates_in = b.mate_x.iter().zip(&mx).chain(b.mate_y.iter().zip(&my));
+    mates_in.for_each(|(a, &v)| a.store(v, Ordering::Relaxed));
+    let sh = Shared {
+        g,
+        inline,
+        epoch,
+        mate_x: &b.mate_x[..nx],
+        mate_y: &b.mate_y[..ny],
+        visited: &b.visited[..ny],
+        parent_y: &b.parent_y[..ny],
+        root_y: &b.root_y[..ny],
+        root_x: &b.root_x[..nx],
+        leaf: &b.leaf[..nx],
+    };
 
-        loop {
-            if let Some(deadline) = self.opts.deadline {
-                let now = match self.opts.now_hook {
-                    Some(h) => h.now(),
-                    None => Instant::now(),
-                };
-                if now >= deadline {
-                    self.stats.timed_out = true;
-                    break;
-                }
-            }
-            if let Some(hook) = self.opts.phase_hook {
-                hook.call(self.stats.phases);
-            }
-            self.stats.phases += 1;
-            let mut p = PhaseSummary {
-                phase: u64::from(self.stats.phases),
-                ..Default::default()
-            };
-            let edges_at_start = self.stats.edges_traversed;
-            let path_edges_at_start = self.stats.total_augmenting_path_edges;
-            // Phase stopwatch exists only while tracing: the untraced hot
-            // path must not pay for a clock read per phase.
-            let phase_t0 = self.tracer.is_enabled().then(Instant::now);
+    sh.plant_roots(&mut frontier);
+    let mut num_unvisited_y = ny;
+    // `unvisited` caches the unvisited Y for bottom-up levels: exact while
+    // `unvisited_valid`, invalidated by the step-3 resets, and filtered
+    // between levels so repeated bottom-up levels do not rescan all of Y.
+    let mut unvisited_valid = false;
 
-            // ---- Step 1: grow the alternating BFS forest. ----
-            while !frontier.is_empty() {
-                let bottom_up = self.opts.direction_optimizing
-                    && (frontier.len() as f64) >= self.num_unvisited_y as f64 / self.opts.alpha;
-                self.tracer.emit(|| TraceEvent::Level {
-                    phase: p.phase,
-                    level: p.levels,
-                    frontier: frontier.len() as u64,
-                    unvisited_y: self.num_unvisited_y as u64,
-                    bottom_up,
-                });
-                p.frontier_peak = p.frontier_peak.max(frontier.len() as u64);
-                p.bottom_up_levels += u64::from(bottom_up);
-                let t0 = Instant::now();
-                next.clear();
-                let step = if bottom_up {
-                    self.bottom_up_level(&mut next);
-                    Step::BottomUp
-                } else {
-                    self.top_down_level(&frontier, &mut next);
-                    Step::TopDown
-                };
-                self.stats.breakdown.add(step, t0.elapsed());
-                std::mem::swap(&mut frontier, &mut next);
-                p.levels += 1;
-            }
-
-            // ---- Step 2: augment along one path per renewable tree. ----
-            let t0 = Instant::now();
-            p.augmentations = self.augment_all();
-            self.stats.breakdown.add(Step::Augment, t0.elapsed());
-            p.path_edges = self.stats.total_augmenting_path_edges - path_edges_at_start;
-
-            // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
-            // without augmenting paths proves the matching maximum. ----
-            if p.augmentations > 0 {
-                p.graft = Some(self.rebuild_frontier(&mut frontier));
-            }
-            p.edges_traversed = self.stats.edges_traversed - edges_at_start;
-            p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-            emit_phase(&self.tracer, &p);
-            if p.graft.is_none() {
+    loop {
+        if let Some(deadline) = opts.deadline {
+            let now = opts.now_hook.map_or_else(Instant::now, |h| h.now());
+            if now >= deadline {
+                stats.timed_out = true;
                 break;
             }
         }
-        self.ws.frontier = frontier;
-        self.ws.next = next;
-    }
+        if let Some(hook) = opts.phase_hook {
+            hook.call(stats.phases);
+        }
+        stats.phases += 1;
+        let mut p = PhaseSummary {
+            phase: u64::from(stats.phases),
+            ..Default::default()
+        };
+        let edges_at_start = stats.edges_traversed;
+        // Phase stopwatch exists only while tracing: the untraced hot
+        // path must not pay for a clock read per phase.
+        let phase_t0 = tracer.is_enabled().then(Instant::now);
 
-    /// Algorithm 4: expand the frontier top-down into `next`.
-    fn top_down_level(&mut self, frontier: &[VertexId], next: &mut Vec<VertexId>) {
-        let g = self.g;
-        for &x in frontier {
-            // The tree may have turned renewable earlier this level.
-            let root = self.ws.root_of_x(x);
-            if self.ws.leaf_of(root) != NONE {
-                continue;
-            }
-            for &y in g.x_neighbors(x) {
-                self.stats.edges_traversed += 1;
-                if !self.ws.is_visited(y) {
-                    self.visit(y, x, next);
+        // ---- Step 1: grow the alternating BFS forest. ----
+        while !frontier.is_empty() {
+            let bottom_up = opts.direction_optimizing
+                && (frontier.len() as f64) >= num_unvisited_y as f64 / opts.alpha;
+            tracer.emit(|| TraceEvent::Level {
+                phase: p.phase,
+                level: p.levels,
+                frontier: frontier.len() as u64,
+                unvisited_y: num_unvisited_y as u64,
+                bottom_up,
+            });
+            p.frontier_peak = p.frontier_peak.max(frontier.len() as u64);
+            p.bottom_up_levels += u64::from(bottom_up);
+            if bottom_up {
+                let _t = Stopwatch::start(&mut stats.breakdown, Step::BottomUp);
+                if unvisited_valid {
+                    sh.retain(&mut unvisited, |y| !sh.is_visited(y));
+                } else {
+                    sh.filter_ids(ny, &mut unvisited, |y| !sh.is_visited(y));
                 }
+                sh.level::<true>(&unvisited, &mut acc);
+                sh.retain(&mut unvisited, |y| !sh.is_visited(y));
+                unvisited_valid = true;
+            } else {
+                let _t = Stopwatch::start(&mut stats.breakdown, Step::TopDown);
+                sh.level::<false>(&frontier, &mut acc);
             }
+            num_unvisited_y -= acc.visited as usize;
+            stats.edges_traversed += acc.edges;
+            std::mem::swap(&mut frontier, &mut acc.next);
+            p.levels += 1;
+        }
+
+        // ---- Step 2: augment along one path per renewable tree. ----
+        {
+            let _t = Stopwatch::start(&mut stats.breakdown, Step::Augment);
+            sh.filter_ids(nx, &mut roots, |x0| {
+                sh.is_free_x(x0) && sh.root_of_x(x0) == x0 && sh.leaf_of(x0) != NONE
+            });
+            p.augmentations = roots.len() as u64;
+            p.path_edges = sh.augment(&roots);
+            stats.augmenting_paths += p.augmentations;
+            stats.total_augmenting_path_edges += p.path_edges;
+        }
+
+        // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
+        // without augmenting paths proves the matching maximum. ----
+        if p.augmentations > 0 {
+            let active_x = {
+                let _t = Stopwatch::start(&mut stats.breakdown, Step::Statistics);
+                let active_x = sh.count_ids(nx, |x| sh.active_root(x) != NONE);
+                // The visited check must come first: `root_y` is only
+                // meaningful (and only guaranteed in-range after a graph
+                // change) for current-epoch vertices.
+                sh.filter_ids(ny, &mut renewable, |y| {
+                    sh.is_visited(y) && {
+                        let r = sh.root_y[y as usize].load(Ordering::Relaxed);
+                        r != NONE && sh.leaf_of(r) != NONE
+                    }
+                });
+                active_x
+            };
+
+            let _t = Stopwatch::start(&mut stats.breakdown, Step::Graft);
+            // The resets below un-visit vertices: invalidate the cache.
+            unvisited_valid = false;
+            sh.for_each(&renewable, |y| sh.unvisit(y));
+            num_unvisited_y += renewable.len();
+
+            let graft_profitable =
+                opts.grafting && active_x as f64 > renewable.len() as f64 / opts.alpha;
+            p.graft = Some(GraftSummary {
+                active_x: active_x as u64,
+                renewable_y: renewable.len() as u64,
+                grafted: graft_profitable,
+            });
+            if graft_profitable {
+                // Tree grafting: a bottom-up step restricted to the
+                // renewable Y vertices; any of them adjacent to an active
+                // tree is adopted and its mate joins the new frontier.
+                sh.level::<true>(&renewable, &mut acc);
+                num_unvisited_y -= acc.visited as usize;
+                stats.edges_traversed += acc.edges;
+                std::mem::swap(&mut frontier, &mut acc.next);
+            } else {
+                // Destroy the forest and restart from the unmatched vertices.
+                sh.for_each_id(ny, |y| sh.unvisit(y));
+                sh.for_each_id(nx, |x| {
+                    sh.root_x[x as usize].store(0, Ordering::Relaxed);
+                    sh.leaf[x as usize].store(0, Ordering::Relaxed);
+                });
+                num_unvisited_y = ny;
+                sh.plant_roots(&mut frontier);
+            }
+        }
+        p.edges_traversed = stats.edges_traversed - edges_at_start;
+        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        emit_phase(tracer, &p);
+        if p.graft.is_none() {
+            break;
         }
     }
 
-    /// Algorithm 6: expand bottom-up over the unvisited `Y` vertices.
-    fn bottom_up_level(&mut self, next: &mut Vec<VertexId>) {
-        let mut candidates = std::mem::take(&mut self.ws.unvisited);
-        if self.ws.unvisited_valid {
-            candidates.retain(|&y| !self.ws.is_visited(y));
-        } else {
-            candidates.clear();
-            candidates.extend((0..self.g.num_y() as VertexId).filter(|&y| !self.ws.is_visited(y)));
-        }
-        // Indexed loop: `adopt_into_active` needs `&mut self` while the
-        // candidate list is iterated.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..candidates.len() {
-            let y = candidates[i];
-            self.adopt_into_active(y, next);
-        }
-        candidates.retain(|&y| !self.ws.is_visited(y));
-        self.ws.unvisited = candidates;
-        self.ws.unvisited_valid = true;
+    // Load the result back into the mate vectors taken from the input
+    // matching — no fresh allocation on the warm path.
+    let mates_out = mx
+        .iter_mut()
+        .zip(sh.mate_x)
+        .chain(my.iter_mut().zip(sh.mate_y));
+    mates_out.for_each(|(v, a)| *v = a.load(Ordering::Relaxed));
+    if inline {
+        b.frontier = frontier;
+        b.next = acc.next;
+        b.unvisited = unvisited;
+        b.renewable = renewable;
+        b.roots = roots;
     }
-
-    /// Scans the neighbors of the unvisited vertex `y` for a member of an
-    /// active tree; on success `y` (and its mate) join that tree.
-    fn adopt_into_active(&mut self, y: VertexId, next: &mut Vec<VertexId>) {
-        let g = self.g;
-        for &x in g.y_neighbors(y) {
-            self.stats.edges_traversed += 1;
-            let root = self.ws.root_of_x(x);
-            if root != NONE && self.ws.leaf_of(root) == NONE {
-                self.visit(y, x, next);
-                return; // stop exploring y's neighbors (Algorithm 6 line 7)
-            }
-        }
-    }
-
-    /// Algorithm 5: record `y`'s discovery from `x`, extending the tree.
-    fn visit(&mut self, y: VertexId, x: VertexId, next: &mut Vec<VertexId>) {
-        debug_assert!(!self.ws.is_visited(y));
-        self.ws.set_visited(y);
-        self.num_unvisited_y -= 1;
-        self.ws.parent_y[y as usize] = x;
-        let root = self.ws.root_of_x(x);
-        self.ws.root_y[y as usize] = root;
-        let mate = self.m.mate_of_y(y);
-        if mate != NONE {
-            self.ws.set_root_x(mate, root);
-            next.push(mate);
-        } else {
-            // Augmenting path found: mark T(root) renewable. Later finds in
-            // the same tree overwrite — one path per tree survives.
-            self.ws.set_leaf(root, y);
-        }
-    }
-
-    /// Step 2: augment every renewable tree; returns the number of paths.
-    fn augment_all(&mut self) -> u64 {
-        let mut count = 0u64;
-        let mut path = std::mem::take(&mut self.ws.path);
-        for x0 in 0..self.g.num_x() as VertexId {
-            let leaf = self.ws.leaf_of(x0);
-            if self.m.is_x_matched(x0) || self.ws.root_of_x(x0) != x0 || leaf == NONE {
-                continue;
-            }
-            reconstruct_into(&self.m, &self.ws.parent_y, leaf, &mut path);
-            debug_assert_eq!(path[0], x0);
-            self.stats.total_augmenting_path_edges += (path.len() - 1) as u64;
-            self.m.augment(&path);
-            count += 1;
-        }
-        self.ws.path = path;
-        self.stats.augmenting_paths += count;
-        count
-    }
-
-    /// Algorithm 7: construct the next phase's frontier (into `frontier`)
-    /// by tree grafting, or destroy the forest and restart from the
-    /// unmatched vertices. Returns the decision and the statistics that
-    /// drove it.
-    fn rebuild_frontier(&mut self, frontier: &mut Vec<VertexId>) -> GraftSummary {
-        // -- Statistics driving the decision (timed separately: Fig. 6). --
-        let t_stats = Instant::now();
-        let active_x = (0..self.g.num_x() as VertexId)
-            .filter(|&x| {
-                let r = self.ws.root_of_x(x);
-                r != NONE && self.ws.leaf_of(r) == NONE
-            })
-            .count();
-        let mut renewable_y = std::mem::take(&mut self.ws.renewable);
-        renewable_y.clear();
-        // The visited check must come first: `root_y` is only meaningful
-        // (and only guaranteed in-range after a graph change) for
-        // vertices visited in the current epoch.
-        renewable_y.extend((0..self.g.num_y() as VertexId).filter(|&y| {
-            if !self.ws.is_visited(y) {
-                return false;
-            }
-            let r = self.ws.root_y[y as usize];
-            r != NONE && self.ws.leaf_of(r) != NONE
-        }));
-        self.stats
-            .breakdown
-            .add(Step::Statistics, t_stats.elapsed());
-
-        let t_graft = Instant::now();
-        // Resets below un-visit vertices: the cached unvisited list is no
-        // longer a superset and must be rebuilt at the next bottom-up.
-        self.ws.unvisited_valid = false;
-        // Reset the renewable Y vertices so they can be reused.
-        for &y in &renewable_y {
-            self.ws.unvisit(y);
-            self.num_unvisited_y += 1;
-            self.ws.root_y[y as usize] = NONE;
-            self.ws.parent_y[y as usize] = NONE;
-        }
-
-        let renewable_count = renewable_y.len();
-        let graft_profitable =
-            self.opts.grafting && active_x as f64 > renewable_count as f64 / self.opts.alpha;
-
-        frontier.clear();
-        if graft_profitable {
-            // Tree grafting: bottom-up step restricted to the renewable Y
-            // vertices; any of them adjacent to an active tree is adopted
-            // and its mate becomes part of the new frontier.
-            for &y in &renewable_y {
-                self.adopt_into_active(y, frontier);
-            }
-        } else {
-            // Destroy everything and restart from the unmatched vertices.
-            for y in 0..self.g.num_y() as VertexId {
-                if self.ws.is_visited(y) {
-                    self.ws.unvisit(y);
-                    self.num_unvisited_y += 1;
-                    self.ws.root_y[y as usize] = NONE;
-                    self.ws.parent_y[y as usize] = NONE;
-                }
-            }
-            for x in 0..self.g.num_x() as VertexId {
-                self.ws.clear_root_x(x);
-                self.ws.clear_leaf(x);
-            }
-            frontier.extend(self.m.unmatched_x());
-            for &x in frontier.iter() {
-                self.ws.set_root_x(x, x);
-            }
-        }
-        self.ws.renewable = renewable_y;
-        self.stats.breakdown.add(Step::Graft, t_graft.elapsed());
-        GraftSummary {
-            active_x: active_x as u64,
-            renewable_y: renewable_count as u64,
-            grafted: graft_profitable,
-        }
-    }
+    // The parallel algorithm re-validates the mates its tasks wrote.
+    let matching = if parallel {
+        Matching::from_mates(mx, my)
+    } else {
+        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
+        Matching::from_counted_mates(mx, my, counted)
+    };
+    stats.final_cardinality = matching.cardinality();
+    stats.elapsed = start.elapsed();
+    RunOutcome { matching, stats }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+    use crate::{solve_from_in, Algorithm, SolveOptions};
 
+    /// One solve with the serial flag: every step inline.
     fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
-        ms_bfs_serial(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
+        ms_bfs(
+            g,
+            m,
+            opts,
+            false,
+            &Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        )
+    }
+
+    /// One parallel solve in a `threads`-sized pool, through the dispatcher.
+    fn par(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions, threads: usize) -> RunOutcome {
+        let opts = SolveOptions {
+            threads,
+            ms_bfs: *opts,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::MsBfsGraftParallel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
     }
 
     fn all_configs() -> [MsBfsOptions; 3] {
@@ -490,6 +708,17 @@ mod tests {
             MsBfsOptions::dir_opt_only(),
             MsBfsOptions::graft(),
         ]
+    }
+
+    fn chain(k: u32) -> BipartiteCsr {
+        let mut edges = Vec::new();
+        for i in 0..k {
+            edges.push((i, i));
+            if i > 0 {
+                edges.push((i, i - 1));
+            }
+        }
+        BipartiteCsr::from_edges(k as usize, k as usize, &edges)
     }
 
     /// The worked example of Fig. 2: 6 X vertices, 6 Y vertices.
@@ -569,14 +798,7 @@ mod tests {
     #[test]
     fn long_chain_all_configs() {
         let k = 80;
-        let mut edges = Vec::new();
-        for i in 0..k as VertexId {
-            edges.push((i, i));
-            if i > 0 {
-                edges.push((i, i - 1));
-            }
-        }
-        let g = BipartiteCsr::from_edges(k, k, &edges);
+        let g = chain(k as VertexId);
         let mut m0 = Matching::for_graph(&g);
         for i in 1..k as VertexId {
             m0.match_pair(i, i - 1);
@@ -619,8 +841,8 @@ mod tests {
         // paper's Fig. 2 instance: with direction optimization both free
         // roots resolve in one phase (two disjoint augmenting paths of
         // lengths 1 and 3), and the second phase certifies termination.
+        use crate::solve_from_traced_in;
         use crate::trace::{replay, MemorySink};
-        use crate::{solve_from_traced_in, Algorithm, SolveOptions};
         let g = fig2_graph();
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 1);
@@ -726,5 +948,109 @@ mod tests {
         assert_eq!(out.stats.phases, 1); // one phase discovers nothing
         assert_eq!(out.stats.augmenting_paths, 0);
         assert_eq!(out.matching.cardinality(), 2);
+    }
+
+    #[test]
+    fn parallel_graft_simple() {
+        let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
+        let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
+        assert_eq!(out.matching.cardinality(), 2);
+        assert!(is_maximum(&g, &out.matching));
+    }
+
+    #[test]
+    fn parallel_all_configs_on_chain() {
+        let g = chain(120);
+        for opts in all_configs() {
+            let out = par(&g, Matching::for_graph(&g), &opts, 4);
+            assert_eq!(out.matching.cardinality(), 120, "{opts:?}");
+            assert!(is_maximum(&g, &out.matching));
+        }
+    }
+
+    #[test]
+    fn parallel_deficient_graph() {
+        let mut edges = Vec::new();
+        for x in 0..80u32 {
+            edges.push((x, x % 5));
+            edges.push((x, 5 + (x % 3)));
+        }
+        let g = BipartiteCsr::from_edges(80, 8, &edges);
+        let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
+            .matching
+            .cardinality();
+        for opts in all_configs() {
+            let out = par(&g, Matching::for_graph(&g), &opts, 3);
+            assert_eq!(out.matching.cardinality(), oracle, "{opts:?}");
+            assert!(is_maximum(&g, &out.matching));
+        }
+    }
+
+    #[test]
+    fn parallel_matches_serial_engine() {
+        let g = chain(64);
+        let mut m0 = Matching::for_graph(&g);
+        for i in 1..64u32 {
+            m0.match_pair(i, i - 1);
+        }
+        let s = solve_from_in(
+            &g,
+            m0.clone(),
+            Algorithm::MsBfsGraft,
+            &SolveOptions::default(),
+            &mut SolveWorkspace::new(),
+        );
+        let p = par(&g, m0, &MsBfsOptions::graft(), 2);
+        assert_eq!(s.matching.cardinality(), p.matching.cardinality());
+        assert!(is_maximum(&g, &p.matching));
+    }
+
+    #[test]
+    fn parallel_with_karp_sipser_init() {
+        let g = chain(100);
+        let m0 = crate::init::Initializer::KarpSipser.run(&g, 42);
+        let out = par(&g, m0, &MsBfsOptions::graft(), 2);
+        assert!(is_maximum(&g, &out.matching));
+        assert_eq!(out.matching.cardinality(), 100);
+    }
+
+    #[test]
+    fn parallel_repeated_runs_same_cardinality() {
+        // Scheduling nondeterminism must never change the result size.
+        let mut edges = Vec::new();
+        for x in 0..60u32 {
+            edges.push((x, (x * 7) % 40));
+            edges.push((x, (x * 13 + 5) % 40));
+            edges.push((x, (x * 3 + 11) % 40));
+        }
+        let g = BipartiteCsr::from_edges(60, 40, &edges);
+        let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
+            .matching
+            .cardinality();
+        for _ in 0..5 {
+            let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 4);
+            assert_eq!(out.matching.cardinality(), oracle);
+            assert!(is_maximum(&g, &out.matching));
+        }
+    }
+
+    #[test]
+    fn parallel_empty_graph() {
+        let g = BipartiteCsr::from_edges(0, 5, &[]);
+        let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
+        assert_eq!(out.matching.cardinality(), 0);
+    }
+
+    #[test]
+    fn parallel_expired_deadline_stops_before_first_phase() {
+        let g = chain(30);
+        let opts = MsBfsOptions {
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+            ..MsBfsOptions::graft()
+        };
+        let out = par(&g, Matching::for_graph(&g), &opts, 2);
+        assert!(out.stats.timed_out);
+        assert_eq!(out.stats.phases, 0);
+        assert_eq!(out.matching.cardinality(), 0);
     }
 }

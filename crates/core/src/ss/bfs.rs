@@ -73,32 +73,19 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
 /// Walks parent/mate pointers back from the unmatched endpoint `end_y` and
 /// returns the interleaved path `[x₀, y₁, …, end_y]`.
 pub(crate) fn reconstruct(m: &Matching, parent_y: &[VertexId], end_y: VertexId) -> Vec<VertexId> {
-    let mut rev = Vec::new();
-    reconstruct_into(m, parent_y, end_y, &mut rev);
-    rev
-}
-
-/// Allocation-free variant of [`reconstruct`]: writes the path into `out`,
-/// reusing its capacity.
-pub(crate) fn reconstruct_into(
-    m: &Matching,
-    parent_y: &[VertexId],
-    end_y: VertexId,
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    out.push(end_y);
+    let mut path = vec![end_y];
     let mut x = parent_y[end_y as usize];
     loop {
-        out.push(x);
+        path.push(x);
         let y = m.mate_of_x(x);
         if y == NONE {
             break;
         }
-        out.push(y);
+        path.push(y);
         x = parent_y[y as usize];
     }
-    out.reverse();
+    path.reverse();
+    path
 }
 
 #[cfg(test)]

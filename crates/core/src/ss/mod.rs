@@ -20,8 +20,6 @@ mod dfs;
 pub(crate) use bfs::ss_bfs;
 pub(crate) use dfs::ss_dfs;
 
-pub(crate) use bfs::reconstruct_into;
-
 #[cfg(test)]
 mod tests {
     use super::*;

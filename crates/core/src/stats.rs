@@ -10,7 +10,7 @@
 //! * **Fig. 6** — per-step runtime breakdown (TopDown, BottomUp, Augment,
 //!   Tree-Grafting, Statistics);
 //! * **Fig. 8** — frontier size per BFS level per phase, which is not an
-//!   end-of-run counter: the MS-BFS engines stream it as
+//!   end-of-run counter: the MS-BFS engine streams it as
 //!   [`TraceEvent::Level`](crate::trace::TraceEvent::Level) events.
 //!
 //! Every solver in this crate fills in a [`SearchStats`]; counters that do
@@ -115,7 +115,7 @@ pub struct SearchStats {
     pub final_cardinality: usize,
     /// Wall-clock duration of the solve (excluding initialization).
     pub elapsed: Duration,
-    /// Per-step time attribution (meaningful for the MS-BFS engines).
+    /// Per-step time attribution (meaningful for the MS-BFS engine).
     pub breakdown: Breakdown,
     /// Set when the solver stopped at a phase boundary because the
     /// configured deadline ([`MsBfsOptions::deadline`]) passed. The

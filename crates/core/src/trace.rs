@@ -670,7 +670,7 @@ pub struct GraftSummary {
     pub grafted: bool,
 }
 
-/// One phase reconstructed from a trace. The MS-BFS engines collect
+/// One phase reconstructed from a trace. The MS-BFS engine collects
 /// each phase they run into one of these and emit it as events.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseSummary {

@@ -6,7 +6,7 @@
 //! `root`, `leaf`, `visited`, the frontier vectors — from scratch on every
 //! solve. A resident service (`graft-svc`) pays that cost on every warm
 //! request. The workspace owns those arrays across solves, so a warm
-//! solve performs **zero heap allocations** in the serial engines
+//! solve performs **zero heap allocations** in the serial algorithms
 //! (locked by `tests/workspace_alloc.rs`).
 //!
 //! ## The epoch trick: reuse without O(n) clears
@@ -32,13 +32,16 @@
 //!
 //! ## Scope
 //!
-//! The serial engines (MS-BFS in all three configurations, Pothen-Fan,
-//! serial push-relabel) run allocation-free on a warm workspace. The
-//! parallel MS-BFS-Graft engine reuses its large atomic per-vertex
-//! arrays, but its fold/reduce frontier accumulators are inherently
-//! allocating, as are the other parallel solvers and the single-source
-//! baselines; those either reuse what they can or ignore the workspace
-//! (see [`crate::solve_from_traced_in`]).
+//! The serial algorithms that draw on the workspace (MS-BFS in all three
+//! configurations, Pothen-Fan, serial push-relabel) run allocation-free on
+//! a warm workspace. The three MS-BFS configurations and MS-BFS-Graft(par)
+//! share one engine and its arena, `ParBuffers`; its inline steps reuse
+//! the arena's vectors. On a pool of two or more threads the engine still
+//! reuses its atomic per-vertex arrays, but its fold/reduce frontier
+//! accumulators allocate, as do the other parallel solvers and the
+//! single-source baselines; those either reuse what they can or ignore
+//! the workspace (see [`crate::solve_from_traced_in`]). The augmenting
+//! searches of [`crate::augment`] use `MsBuffers`.
 
 use graft_graph::{VertexId, NONE};
 use std::collections::{BinaryHeap, VecDeque};
@@ -68,55 +71,42 @@ fn reserve_to<T>(v: &mut Vec<T>, want: usize) {
     }
 }
 
-/// Buffers of the serial MS-BFS engine (all three Fig. 7 configurations).
+/// Buffers of the single-source augmenting searches in [`crate::augment`].
 #[derive(Debug, Default)]
 pub(crate) struct MsBuffers {
     /// Current solve epoch; `0` means "never used".
     pub(crate) epoch: u32,
-    /// `visited[y] == epoch` ⇔ `y` is in some tree this phase.
+    /// `visited[y] == epoch` ⇔ `y` was reached by the current search.
     pub(crate) visited: Vec<u32>,
     /// `X` parent of `y`; read only behind a visited check.
     pub(crate) parent_y: Vec<VertexId>,
-    /// Tree root of `y`; read only behind a visited check.
-    pub(crate) root_y: Vec<VertexId>,
     /// Epoch-packed tree root of `x` (read per edge — cannot be guarded).
     pub(crate) root_x: Vec<u64>,
-    /// Epoch-packed augmenting-path endpoint of the tree rooted at `x`.
-    pub(crate) leaf: Vec<u64>,
     /// Current BFS frontier (ping-pongs with `next`).
     pub(crate) frontier: Vec<VertexId>,
     /// Next BFS frontier (ping-pongs with `frontier`).
     pub(crate) next: Vec<VertexId>,
-    /// Cached unvisited-`Y` list for bottom-up levels.
-    pub(crate) unvisited: Vec<VertexId>,
-    /// Whether `unvisited` is a valid superset for the current phase.
-    pub(crate) unvisited_valid: bool,
-    /// Renewable `Y` vertices gathered by the frontier rebuild.
-    pub(crate) renewable: Vec<VertexId>,
     /// Augmenting-path reconstruction buffer.
     pub(crate) path: Vec<VertexId>,
 }
 
 impl MsBuffers {
-    /// Starts a solve on an `nx`×`ny` graph: advances the epoch (every
-    /// mark from earlier solves becomes stale) and grows the buffers.
+    /// Starts a search on an `nx`×`ny` graph: advances the epoch (every
+    /// mark from earlier searches becomes stale) and grows the buffers.
     /// No O(n) clear happens except on the 2³²-solve epoch wrap.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) {
         if self.epoch == u32::MAX {
             self.visited.iter_mut().for_each(|v| *v = 0);
             self.root_x.iter_mut().for_each(|v| *v = 0);
-            self.leaf.iter_mut().for_each(|v| *v = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
         if self.visited.len() < ny {
             self.visited.resize(ny, 0);
             self.parent_y.resize(ny, NONE);
-            self.root_y.resize(ny, NONE);
         }
         if self.root_x.len() < nx {
             self.root_x.resize(nx, 0);
-            self.leaf.resize(nx, 0);
         }
         // Frontier capacities are reserved up front rather than left to
         // amortized growth: `frontier`/`next` swap roles every level, so
@@ -125,16 +115,11 @@ impl MsBuffers {
         // reallocate on the warm path.
         reserve_to(&mut self.frontier, nx);
         reserve_to(&mut self.next, nx);
-        reserve_to(&mut self.unvisited, ny);
-        reserve_to(&mut self.renewable, ny);
         // An augmenting path alternates X and Y vertices, so its length
         // is bounded by twice the smaller side plus the free endpoint.
         reserve_to(&mut self.path, 2 * nx.min(ny) + 1);
-        self.unvisited_valid = false;
         self.frontier.clear();
         self.next.clear();
-        self.unvisited.clear();
-        self.renewable.clear();
         self.path.clear();
     }
 
@@ -149,11 +134,6 @@ impl MsBuffers {
     }
 
     #[inline]
-    pub(crate) fn unvisit(&mut self, y: VertexId) {
-        self.visited[y as usize] = 0;
-    }
-
-    #[inline]
     pub(crate) fn root_of_x(&self, x: VertexId) -> VertexId {
         unpack(self.epoch, self.root_x[x as usize])
     }
@@ -163,44 +143,21 @@ impl MsBuffers {
         self.root_x[x as usize] = pack(self.epoch, root);
     }
 
-    #[inline]
-    pub(crate) fn clear_root_x(&mut self, x: VertexId) {
-        self.root_x[x as usize] = 0;
-    }
-
-    #[inline]
-    pub(crate) fn leaf_of(&self, x: VertexId) -> VertexId {
-        unpack(self.epoch, self.leaf[x as usize])
-    }
-
-    #[inline]
-    pub(crate) fn set_leaf(&mut self, x: VertexId, y: VertexId) {
-        self.leaf[x as usize] = pack(self.epoch, y);
-    }
-
-    #[inline]
-    pub(crate) fn clear_leaf(&mut self, x: VertexId) {
-        self.leaf[x as usize] = 0;
-    }
-
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.visited.capacity() * size_of::<u32>()
-            + (self.parent_y.capacity() + self.root_y.capacity()) * size_of::<VertexId>()
-            + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<u64>()
-            + (self.frontier.capacity()
+            + self.root_x.capacity() * size_of::<u64>()
+            + (self.parent_y.capacity()
+                + self.frontier.capacity()
                 + self.next.capacity()
-                + self.unvisited.capacity()
-                + self.renewable.capacity()
                 + self.path.capacity())
                 * size_of::<VertexId>()
     }
 }
 
-/// Buffers of the parallel MS-BFS-Graft engine: the atomic per-vertex
-/// arrays, versioned exactly like the serial ones. The visited claim
-/// becomes `compare_exchange(observed_stale, epoch)` — a lost race means
-/// another task already wrote the current epoch.
+/// Buffers of the MS-BFS engine (all four MS algorithms): the atomic
+/// per-vertex arrays, versioned by the solve epoch, and the vectors of
+/// the inline steps.
 #[derive(Debug, Default)]
 pub(crate) struct ParBuffers {
     pub(crate) epoch: u32,
@@ -211,11 +168,19 @@ pub(crate) struct ParBuffers {
     pub(crate) root_y: Vec<AtomicU32>,
     pub(crate) root_x: Vec<AtomicU64>,
     pub(crate) leaf: Vec<AtomicU64>,
+    /// The frontier and next frontier (they ping-pong), the cached
+    /// unvisited `Y`, the renewable `Y`, and the renewable trees' roots.
+    pub(crate) frontier: Vec<VertexId>,
+    pub(crate) next: Vec<VertexId>,
+    pub(crate) unvisited: Vec<VertexId>,
+    pub(crate) renewable: Vec<VertexId>,
+    pub(crate) roots: Vec<VertexId>,
 }
 
 impl ParBuffers {
-    /// See [`MsBuffers::begin_solve`]; returns the new epoch.
-    pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) -> u32 {
+    /// See [`MsBuffers::begin_solve`]; returns the new epoch. Reserves the
+    /// vectors only for a solve whose steps run `inline`.
+    pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize, inline: bool) -> u32 {
         if self.epoch == u32::MAX {
             self.visited.iter_mut().for_each(|v| *v.get_mut() = 0);
             self.root_x.iter_mut().for_each(|v| *v.get_mut() = 0);
@@ -234,6 +199,15 @@ impl ParBuffers {
             self.leaf.resize_with(nx, || AtomicU64::new(0));
             self.mate_x.resize_with(nx, || AtomicU32::new(NONE));
         }
+        // Each vector holds a set of distinct X or Y vertices. Reserved up
+        // front for the reason given in `MsBuffers::begin_solve`.
+        if inline {
+            reserve_to(&mut self.frontier, nx);
+            reserve_to(&mut self.next, nx);
+            reserve_to(&mut self.unvisited, ny);
+            reserve_to(&mut self.renewable, ny);
+            reserve_to(&mut self.roots, nx);
+        }
         self.epoch
     }
 
@@ -246,6 +220,12 @@ impl ParBuffers {
             + self.root_y.capacity())
             * size_of::<AtomicU32>()
             + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<AtomicU64>()
+            + (self.frontier.capacity()
+                + self.next.capacity()
+                + self.unvisited.capacity()
+                + self.renewable.capacity()
+                + self.roots.capacity())
+                * size_of::<VertexId>()
     }
 }
 
@@ -476,7 +456,6 @@ mod tests {
             &opts,
             &mut ws,
         );
-        ws.ms.epoch = u32::MAX - 1;
         ws.pf.epoch = u32::MAX - 1;
         ws.par.epoch = u32::MAX - 1;
         for _ in 0..4 {
@@ -491,7 +470,7 @@ mod tests {
             }
         }
         assert!(
-            ws.ms.epoch >= 1 && ws.ms.epoch < 10,
+            ws.par.epoch >= 1 && ws.par.epoch < 10,
             "wrapped and restarted"
         );
     }

@@ -23,6 +23,11 @@
 //!    not just parking) until the latch counts every task as finished —
 //!    including panicked tasks, whose payloads are captured and re-thrown
 //!    on the submitting thread. No borrowed data outlives the call.
+//!    `execute_batch` and `join` keep the latch itself on the submitting
+//!    thread's stack, so the last `Latch::complete` notifies the condvar
+//!    before it releases the latch mutex: the waiter can read zero,
+//!    return and free the latch only after that release, which is the
+//!    completer's last touch of it.
 //!
 //! # Memory orderings
 //!
@@ -566,9 +571,12 @@ impl Latch {
         if st.panic.is_none() {
             st.panic = panic;
         }
-        let done = st.remaining == 0;
-        drop(st);
-        if done {
+        if st.remaining == 0 {
+            #[cfg(test)]
+            tests::AFTER_ZERO.with(|hook| hook.borrow().as_ref().map(|f| f()));
+            // Notify before the guard drops. A waiter returns as soon as it
+            // locks the state and reads zero, and its caller then frees
+            // the latch, so after the unlock `complete` must not touch it.
             self.cv.notify_all();
         }
     }
@@ -930,7 +938,44 @@ pub mod check_api {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+    thread_local! {
+        /// Runs inside `Latch::complete` on this thread, between the count
+        /// reaching zero and the notify.
+        pub(super) static AFTER_ZERO: RefCell<Option<Box<dyn Fn()>>> = const { RefCell::new(None) };
+    }
+
+    #[test]
+    fn latch_waiter_cannot_return_while_complete_still_uses_the_latch() {
+        // A waiter frees the latch as soon as it returns, so it must stay
+        // blocked until `complete` is done with the latch. Pause the last
+        // `complete` after the count reaches zero and check that the
+        // waiter does not return during the pause.
+        let pool = PoolHandle::new(1);
+        let latch = Latch::new(1);
+        let returned_in_pause = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let flag = Arc::clone(&returned_in_pause);
+            let latch = &latch;
+            s.spawn(move || {
+                let pause = move || {
+                    let returned = rx.recv_timeout(Duration::from_millis(300)).is_ok();
+                    flag.store(returned, Ordering::SeqCst);
+                };
+                AFTER_ZERO.with(|hook| *hook.borrow_mut() = Some(Box::new(pause)));
+                latch.complete(None);
+            });
+            assert!(latch.wait_helping(&pool.inner, None).is_none());
+            let _ = tx.send(());
+        });
+        assert!(
+            !returned_in_pause.load(Ordering::SeqCst),
+            "the waiter returned while `complete` could still notify the latch"
+        );
+    }
 
     #[test]
     fn batch_runs_all_pieces_in_order() {

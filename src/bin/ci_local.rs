@@ -30,10 +30,17 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
+    // CI runs the suite at one thread and at four: the MS-BFS engine runs
+    // its steps inline on one thread and on the pool on four.
     Gate {
-        name: "test",
+        name: "test (GRAFT_THREADS=1)",
         args: &["test", "--workspace", "--offline", "-q"],
-        env: &[],
+        env: &[("GRAFT_THREADS", "1")],
+    },
+    Gate {
+        name: "test (GRAFT_THREADS=4)",
+        args: &["test", "--workspace", "--offline", "-q"],
+        env: &[("GRAFT_THREADS", "4")],
     },
     Gate {
         name: "perfbench",

@@ -51,6 +51,19 @@ fn mates(g: &graph::BipartiteCsr, m: &Matching) -> Vec<u32> {
     (0..g.num_x() as u32).map(|x| m.mate_of_x(x)).collect()
 }
 
+/// Every counter of a solve: its stats without the wall-clock fields.
+fn counters(out: &RunOutcome) -> [u64; 6] {
+    let s = &out.stats;
+    [
+        s.edges_traversed,
+        u64::from(s.phases),
+        s.augmenting_paths,
+        s.total_augmenting_path_edges,
+        s.initial_cardinality as u64,
+        s.final_cardinality as u64,
+    ]
+}
+
 #[test]
 fn parallel_engines_match_serial_at_every_width() {
     let seeds = [base_seed(), base_seed().wrapping_add(17)];
@@ -81,6 +94,21 @@ fn parallel_engines_match_serial_at_every_width() {
                         matching::verify::find_augmenting_path(&g, &out.matching).is_none(),
                         "{ctx}: augmenting path exists — matching not maximum"
                     );
+                    // One MS-BFS engine runs both at width 1, inline.
+                    if t == 1 && par == Algorithm::MsBfsGraftParallel {
+                        assert_eq!(
+                            mates(&g, &out.matching),
+                            mates(&g, &baseline.matching),
+                            "{ctx}: mates differ from {}",
+                            serial.name()
+                        );
+                        assert_eq!(
+                            counters(&out),
+                            counters(&baseline),
+                            "{ctx}: counters differ from {}",
+                            serial.name()
+                        );
+                    }
                 }
             }
         }
@@ -128,5 +156,41 @@ fn one_thread_parallel_engines_match_installed_singleton_pool() {
             "{}: threads=1 vs installed 1-thread pool disagree",
             par.name()
         );
+    }
+}
+
+#[test]
+fn serial_ms_algorithms_never_use_an_installed_pool() {
+    // The serial MS-BFS algorithms run every step inline on the calling
+    // thread, so a 4-thread pool around the solve changes nothing: the
+    // result equals the 1-thread solve mate for mate and counter for
+    // counter. Small scale gives frontiers large enough for the pool to
+    // split, so a serial solve that reached it would show.
+    let seed = base_seed();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build()
+        .unwrap();
+    for name in GRAPHS {
+        let g = gen::suite::by_name(name).unwrap().build(gen::Scale::Small);
+        for alg in [
+            Algorithm::MsBfs,
+            Algorithm::MsBfsDirOpt,
+            Algorithm::MsBfsGraft,
+        ] {
+            let alone = solve(&g, alg, &opts(1, seed));
+            let pooled = pool.install(|| solve(&g, alg, &opts(0, seed)));
+            let ctx = format!("{} on {name}", alg.name());
+            assert_eq!(
+                mates(&g, &alone.matching),
+                mates(&g, &pooled.matching),
+                "{ctx}: mates differ inside a 4-thread pool"
+            );
+            assert_eq!(
+                counters(&alone),
+                counters(&pooled),
+                "{ctx}: counters differ inside a 4-thread pool"
+            );
+        }
     }
 }
