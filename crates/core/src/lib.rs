@@ -12,7 +12,7 @@
 //! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
 //! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | serial / parallel |
 //! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | the MS-BFS engine with toggles, inline on one thread |
-//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool: the paper's parallel contribution |
+//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool, steps below its work cutoff inline: the paper's parallel contribution |
 //!
 //! Every solve goes through one dispatcher, [`solve_from_traced_in`]: it
 //! starts from a [`Matching`] — typically the Karp-Sipser maximal matching

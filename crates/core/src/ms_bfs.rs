@@ -38,12 +38,17 @@
 //! ## Inline and pool steps
 //!
 //! Each step (a BFS level, the augmentation, the statistics, the graft)
-//! is a loop over vertices around a per-vertex kernel. The serial
-//! algorithms, and `MsBfsGraftParallel` in a one-thread pool, run every
-//! loop *inline* on the calling thread, in vertex order, over vectors
-//! reused from the workspace: byte-deterministic, and allocation-free
-//! when warm. Otherwise each loop is a rayon parallel iterator, which maps
-//! the paper's OpenMP implementation onto rayon:
+//! is a loop over vertices around a per-vertex kernel, and each step
+//! decides for itself where it runs. The serial algorithms, and
+//! `MsBfsGraftParallel` in a one-thread pool, run every loop *inline* on
+//! the calling thread, in vertex order, over vectors reused from the
+//! workspace: byte-deterministic, and allocation-free when warm. In a
+//! pool solve a step also runs inline when its work is below
+//! `INLINE_WORK`: 1 + degree per item of a BFS level or graft, one per
+//! item of an O(n) step. A pool batch has a fixed cost, and a
+//! high-diameter graph runs thousands of levels too small to pay it.
+//! Every other loop is a rayon parallel iterator, which maps the paper's
+//! OpenMP implementation onto rayon:
 //!
 //! * **Private queues → fold/reduce.** Each task fills a local frontier
 //!   `Vec` lock-free, like the paper's per-thread queues (the Graph500
@@ -64,7 +69,11 @@
 //!
 //! Claims use `AcqRel`; every other store is `Relaxed` and reaches the
 //! next step through the latch that ends each parallel batch, the
-//! level-synchronous barrier the paper relies on (DESIGN.md §17).
+//! level-synchronous barrier the paper relies on (DESIGN.md §17). An
+//! inline step of a pool solve claims with a load and a store too: one
+//! thread runs the whole step, the latch that ended the previous pool
+//! batch already orders every earlier write, and the next batch's tasks
+//! are published after the step's writes.
 
 use crate::stats::{SearchStats, Step, Stopwatch};
 use crate::trace::{emit_phase, GraftSummary, PhaseSummary, TraceEvent, Tracer};
@@ -192,10 +201,28 @@ impl MsBfsOptions {
     }
 }
 
+/// The work below which a step of a pool solve runs inline on the driving
+/// thread. Work is 1 + degree per item of a BFS level or graft, and one
+/// per item of an O(n) step.
+///
+/// A pool batch has a fixed cost: a double `Box` per piece, an mpsc
+/// channel, a latch and a worker wake-up, and its pieces claim by CAS into
+/// fresh vectors. On road_usa:small a two-thread batch added 5–15 µs per
+/// level, while inline work costs roughly 8–11 ns per edge (88–126 MTEPS
+/// at one thread), so a level of a few hundred edges, the common case on
+/// a high-diameter graph, costs less inline than its batch alone. Above
+/// that the second thread pays off only gradually: on a 2-vCPU host,
+/// cutoffs of 4,096, 16,384 and 65,536 all made two-thread solves of
+/// road_usa:small and kkt_power:medium no slower than one-thread ones,
+/// and 65,536 gave the best two-thread Fig. 5 speedups (class medians
+/// 0.87–0.91, against 0.76–0.80 at 4,096).
+const INLINE_WORK: usize = 65_536;
+
 /// The engine's view of the workspace's atomic per-vertex arrays.
 struct Shared<'a> {
     g: &'a BipartiteCsr,
-    /// Run every step on the calling thread, not on the rayon pool.
+    /// Run every step on the calling thread (a serial algorithm or a
+    /// one-thread pool); otherwise each step picks by its work.
     inline: bool,
     /// Current workspace epoch: `visited[y] == epoch` ⇔ visited this
     /// solve; `root_x`/`leaf` entries are `(epoch << 32) | value` packed.
@@ -345,10 +372,39 @@ impl Shared<'_> {
         }
     }
 
+    /// Whether the BFS step over `items` runs inline: always in an inline
+    /// solve, else when its work, the sum over `items` of 1 + degree, is
+    /// below [`INLINE_WORK`]. The sum stops at the cutoff, so the check
+    /// reads at most `INLINE_WORK` degrees.
+    fn level_inline<const BOTTOM_UP: bool>(&self, items: &[VertexId]) -> bool {
+        let mut work = 0;
+        let inline = self.inline
+            || items.iter().all(|&v| {
+                work += 1 + if BOTTOM_UP {
+                    self.g.y_degree(v)
+                } else {
+                    self.g.x_degree(v)
+                };
+                work < INLINE_WORK
+            });
+        #[cfg(test)]
+        tests::count_step(tests::LEVEL, inline);
+        inline
+    }
+
+    /// Whether an O(n) step over `n` items runs inline: always in an
+    /// inline solve, else when `n` is below [`INLINE_WORK`].
+    fn scan_inline(&self, n: usize) -> bool {
+        let inline = self.inline || n < INLINE_WORK;
+        #[cfg(test)]
+        tests::count_step(tests::SCAN, inline);
+        inline
+    }
+
     /// One BFS step into `acc`: bottom-up over the candidate `Y` in
     /// `items`, or top-down from the frontier `items`.
     fn level<const BOTTOM_UP: bool>(&self, items: &[VertexId], acc: &mut LevelAcc) {
-        if self.inline {
+        if self.level_inline::<BOTTOM_UP>(items) {
             (acc.visited, acc.edges) = (0, 0);
             acc.next.clear();
             for &v in items {
@@ -376,7 +432,7 @@ impl Shared<'_> {
 
     /// Replaces `out` with the ids in `0..n` that satisfy `f`, ascending.
     fn filter_ids(&self, n: usize, out: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
-        if self.inline {
+        if self.scan_inline(n) {
             out.clear();
             out.extend((0..n as VertexId).filter(|&v| f(v)));
         } else {
@@ -389,7 +445,7 @@ impl Shared<'_> {
 
     /// Keeps the entries of `list` that satisfy `f`, in order.
     fn retain(&self, list: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
-        if self.inline {
+        if self.scan_inline(list.len()) {
             list.retain(|&v| f(v));
         } else {
             *list = std::mem::take(list)
@@ -401,7 +457,7 @@ impl Shared<'_> {
 
     /// The number of ids in `0..n` that satisfy `f`.
     fn count_ids(&self, n: usize, f: impl Fn(VertexId) -> bool + Sync) -> usize {
-        if self.inline {
+        if self.scan_inline(n) {
             (0..n as VertexId).filter(|&v| f(v)).count()
         } else {
             (0..n as VertexId).into_par_iter().filter(|&v| f(v)).count()
@@ -410,7 +466,7 @@ impl Shared<'_> {
 
     /// Runs `f` on every entry of `items`.
     fn for_each(&self, items: &[VertexId], f: impl Fn(VertexId) + Sync) {
-        if self.inline {
+        if self.scan_inline(items.len()) {
             items.iter().for_each(|&v| f(v));
         } else {
             items.par_iter().for_each(|&v| f(v));
@@ -419,7 +475,7 @@ impl Shared<'_> {
 
     /// Runs `f` on every id in `0..n`.
     fn for_each_id(&self, n: usize, f: impl Fn(VertexId) + Sync) {
-        if self.inline {
+        if self.scan_inline(n) {
             (0..n as VertexId).for_each(f);
         } else {
             (0..n as VertexId).into_par_iter().for_each(f);
@@ -435,7 +491,7 @@ impl Shared<'_> {
     /// Step 2: flips the path of every tree in `roots`; returns the total
     /// path length in edges.
     fn augment(&self, roots: &[VertexId]) -> u64 {
-        if self.inline {
+        if self.scan_inline(roots.len()) {
             roots.iter().map(|&x0| self.augment_tree(x0)).sum()
         } else {
             roots.par_iter().map(|&x0| self.augment_tree(x0)).sum()
@@ -467,7 +523,8 @@ impl Shared<'_> {
 ///
 /// With `parallel` false (the serial algorithms) every step runs inline,
 /// whatever pool is installed; otherwise on the ambient rayon pool, or
-/// inline if it has one thread. Tracer events come from the driving
+/// inline if it has one thread or the step's work is below
+/// [`INLINE_WORK`]. Tracer events come from the driving
 /// thread between steps and only read engine state, so a disabled tracer
 /// changes nothing (`tests/trace_noninterference.rs`). A warm inline solve
 /// does not allocate (`tests/workspace_alloc.rs`), and every solve equals
@@ -490,8 +547,9 @@ pub(crate) fn ms_bfs(
     let inline = !parallel || rayon::current_num_threads() == 1;
     let b = &mut ws.par;
     let epoch = b.begin_solve(nx, ny, inline);
-    // The vectors leave the workspace while `sh` borrows its arrays; only
-    // the inline steps reuse them, and only they return them.
+    // The vectors leave the workspace while `sh` borrows its arrays. Only
+    // an inline solve returns them; the inline steps of a pool solve grow
+    // the ones they touch, and the solve drops them.
     let mut frontier = std::mem::take(&mut b.frontier);
     let mut acc = LevelAcc {
         next: std::mem::take(&mut b.next),
@@ -678,6 +736,26 @@ mod tests {
     use super::*;
     use crate::verify::is_maximum;
     use crate::{solve_from_in, Algorithm, SolveOptions};
+    use std::cell::Cell;
+
+    /// Step kinds counted by [`count_step`]: a BFS level or graft, and an
+    /// O(n) step.
+    pub(super) const LEVEL: usize = 0;
+    pub(super) const SCAN: usize = 1;
+
+    thread_local! {
+        /// Steps driven from this thread, as `[kind][pool, inline]`.
+        static STEPS: Cell<[[u32; 2]; 2]> = const { Cell::new([[0; 2]; 2]) };
+    }
+
+    /// Records where a step of `kind` ran.
+    pub(super) fn count_step(kind: usize, inline: bool) {
+        STEPS.with(|s| {
+            let mut steps = s.get();
+            steps[kind][usize::from(inline)] += 1;
+            s.set(steps);
+        });
+    }
 
     /// One solve with the serial flag: every step inline.
     fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
@@ -948,6 +1026,57 @@ mod tests {
         assert_eq!(out.stats.phases, 1); // one phase discovers nothing
         assert_eq!(out.stats.augmenting_paths, 0);
         assert_eq!(out.matching.cardinality(), 2);
+    }
+
+    #[test]
+    fn pool_solves_run_steps_on_both_sides_of_the_cutoff() {
+        // Sized from the cutoff, clamped so that a cutoff of 0 or
+        // `usize::MAX` still builds a graph (and fails the test). `hubs`
+        // free X own `deg` free Y each, so the first level's work is at
+        // least twice the cutoff. Beside them, a chain of `len >= cutoff`
+        // pairs matched off by one: its free X walks one small level at a
+        // time to the free Y at the far end, and every O(n) step over X
+        // or Y exceeds the cutoff.
+        let c = INLINE_WORK.clamp(1024, 1 << 17) as VertexId;
+        let (hubs, len) = (256, c);
+        let deg = (2 * c).div_ceil(hubs);
+        let (x0, y0) = (hubs, hubs * deg);
+        let mut edges = Vec::new();
+        for h in 0..hubs {
+            edges.extend((0..deg).map(|d| (h, h * deg + d)));
+        }
+        for i in 0..len {
+            edges.push((x0 + i, y0 + i));
+            if i > 0 {
+                edges.push((x0 + i, y0 + i - 1));
+            }
+        }
+        let g = BipartiteCsr::from_edges((x0 + len) as usize, (y0 + len) as usize, &edges);
+        let mut m0 = Matching::for_graph(&g);
+        for i in 1..len {
+            m0.match_pair(x0 + i, y0 + i - 1);
+        }
+        let want = serial(&g, m0.clone(), &MsBfsOptions::graft());
+        assert_eq!(want.matching.cardinality(), (hubs + len) as usize);
+        for threads in [2, 4] {
+            for rep in 0..3 {
+                STEPS.with(|s| s.set([[0; 2]; 2]));
+                let out = par(&g, m0.clone(), &MsBfsOptions::graft(), threads);
+                let steps = STEPS.with(Cell::get);
+                let ctx = format!("{threads} threads, rep {rep}, [pool, inline] {steps:?}");
+                for (kind, name) in [(LEVEL, "level"), (SCAN, "O(n) step")] {
+                    assert!(steps[kind][0] > 0, "no {name} ran on the pool: {ctx}");
+                    assert!(steps[kind][1] > 0, "no {name} ran inline: {ctx}");
+                }
+                crate::verify::certify_maximum(&g, &out.matching)
+                    .unwrap_or_else(|e| panic!("König certificate failed: {e}: {ctx}"));
+                assert_eq!(
+                    out.matching.cardinality(),
+                    want.matching.cardinality(),
+                    "{ctx}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,13 +35,16 @@
 //! The serial algorithms that draw on the workspace (MS-BFS in all three
 //! configurations, Pothen-Fan, serial push-relabel) run allocation-free on
 //! a warm workspace. The three MS-BFS configurations and MS-BFS-Graft(par)
-//! share one engine and its arena, `ParBuffers`; its inline steps reuse
-//! the arena's vectors. On a pool of two or more threads the engine still
-//! reuses its atomic per-vertex arrays, but its fold/reduce frontier
-//! accumulators allocate, as do the other parallel solvers and the
-//! single-source baselines; those either reuse what they can or ignore
-//! the workspace (see [`crate::solve_from_traced_in`]). The augmenting
-//! searches of [`crate::augment`] use `MsBuffers`.
+//! share one engine and its arena, `ParBuffers`; a solve whose every step
+//! runs inline reuses the arena's vectors. On a pool of two or more
+//! threads the engine still reuses its atomic per-vertex arrays, but its
+//! fold/reduce frontier accumulators allocate, and the steps it runs
+//! inline because their work is below the cutoff grow the vectors they
+//! touch, which the solve then drops rather than keeping them in the
+//! arena. The other parallel solvers and the single-source baselines
+//! either reuse what they can or ignore the workspace (see
+//! [`crate::solve_from_traced_in`]). The augmenting searches of
+//! [`crate::augment`] use `MsBuffers`.
 
 use graft_graph::{VertexId, NONE};
 use std::collections::{BinaryHeap, VecDeque};

@@ -479,8 +479,8 @@ impl DynamicMatching {
                     augment_from_x(&view, &mut self.matching, x, budget, &mut self.ws)
                 } else if y_free {
                     augment_from_y(&view, &mut self.matching, y, budget, &mut self.ws)
-                } else if self.matching.unmatched_x().next().is_none()
-                    || self.matching.unmatched_y().next().is_none()
+                } else if self.matching.cardinality() == self.matching.mates_x().len()
+                    || self.matching.cardinality() == self.matching.mates_y().len()
                 {
                     // One side is saturated: the matching is maximum on
                     // any supergraph, no search needed.
