@@ -17,7 +17,9 @@
 //!    reproduces its backoff schedule exactly).
 //!
 //! Non-retryable errors (`bad-request`, `unknown-graph`, …) and `OK`
-//! replies return immediately.
+//! replies return immediately. [`RetryClient::request`] and the
+//! pipelined [`RetryClient::request_batch`] run the same retry loop; they
+//! differ only in the exchange one attempt makes.
 
 use crate::protocol::{Reply, Request};
 use graft_sim::{mix64, Clock, TcpTransport, Transport, WallClock};
@@ -93,11 +95,14 @@ pub fn retry_after_hint(message: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Whether an `ERR` code is worth retrying (mirrors
+/// Whether a reply line is an `ERR` worth retrying (mirrors
 /// [`crate::error::SvcError::is_retryable`] on the client side of the
 /// wire).
-fn code_is_retryable(code: &str) -> bool {
-    matches!(code, "overloaded" | "internal")
+fn is_retryable(reply: &str) -> bool {
+    matches!(
+        Reply::parse(reply),
+        Some(Reply::Err { code, .. }) if matches!(code.as_str(), "overloaded" | "internal")
+    )
 }
 
 struct Conn {
@@ -117,15 +122,6 @@ fn read_reply_line(reader: &mut BufReader<Box<dyn crate::Conn>>) -> std::io::Res
         ));
     }
     Ok(reply.trim_end_matches(['\n', '\r']).to_string())
-}
-
-/// What one pipelined exchange produced.
-enum BatchExchange {
-    /// The batch header itself was refused (`ERR ...` before any member
-    /// reply); carries the header line.
-    HeaderErr(String),
-    /// The full in-order member replies (some may be `ERR` lines).
-    Members(Vec<String>),
 }
 
 /// A reconnecting, retrying, newline-protocol client.
@@ -215,151 +211,80 @@ impl RetryClient {
         Ok(self.conn.as_mut().expect("just connected"))
     }
 
-    /// One raw request/reply exchange; any failure invalidates the
-    /// connection so the next attempt reconnects.
+    /// One raw request/reply exchange.
     fn exchange(&mut self, line: &str) -> std::io::Result<String> {
-        let result = (|| {
-            let conn = self.connect()?;
-            conn.writer.write_all(line.as_bytes())?;
-            conn.writer.write_all(b"\n")?;
-            conn.writer.flush()?;
-            let mut reply = String::new();
-            let n = conn.reader.read_line(&mut reply)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ));
-            }
-            Ok(reply.trim_end_matches(['\n', '\r']).to_string())
-        })();
-        if result.is_err() {
-            self.conn = None;
-        }
-        result
+        let conn = self.connect()?;
+        conn.writer.write_all(line.as_bytes())?;
+        conn.writer.write_all(b"\n")?;
+        conn.writer.flush()?;
+        read_reply_line(&mut conn.reader)
     }
 
     /// One raw pipelined exchange: the `SOLVE_BATCH n` header and every
     /// member line go out in a single buffered write, then the header
-    /// reply plus exactly `n` member replies are read back. Any I/O
-    /// failure — including the server dying mid-reply-stream —
-    /// invalidates the connection so the next attempt resends the whole
-    /// batch on a fresh socket.
-    fn exchange_batch(&mut self, members: &[String]) -> std::io::Result<BatchExchange> {
-        let result = (|| {
-            let conn = self.connect()?;
-            let header = Request::SolveBatch {
-                count: members.len(),
-            }
-            .wire();
-            let mut buf = String::with_capacity(
-                header.len() + 1 + members.iter().map(|m| m.len() + 1).sum::<usize>(),
-            );
-            buf.push_str(&header);
+    /// reply plus exactly `n` member replies (some may be `ERR` lines)
+    /// are read back. A refused header comes back as `Err(header line)`.
+    fn exchange_batch(
+        &mut self,
+        members: &[String],
+    ) -> std::io::Result<Result<Vec<String>, String>> {
+        let conn = self.connect()?;
+        let header = Request::SolveBatch {
+            count: members.len(),
+        }
+        .wire();
+        let mut buf = String::with_capacity(
+            header.len() + 1 + members.iter().map(|m| m.len() + 1).sum::<usize>(),
+        );
+        buf.push_str(&header);
+        buf.push('\n');
+        for m in members {
+            buf.push_str(m);
             buf.push('\n');
-            for m in members {
-                buf.push_str(m);
-                buf.push('\n');
-            }
-            conn.writer.write_all(buf.as_bytes())?;
-            conn.writer.flush()?;
-            let header_reply = read_reply_line(&mut conn.reader)?;
-            if !header_reply.starts_with("OK") {
-                // A refused header produces no member replies; the
-                // stream is still framed for the next request.
-                return Ok(BatchExchange::HeaderErr(header_reply));
-            }
-            let mut replies = Vec::with_capacity(members.len());
-            for _ in 0..members.len() {
-                replies.push(read_reply_line(&mut conn.reader)?);
-            }
-            Ok(BatchExchange::Members(replies))
-        })();
-        if result.is_err() {
-            self.conn = None;
         }
-        result
+        conn.writer.write_all(buf.as_bytes())?;
+        conn.writer.flush()?;
+        let header_reply = read_reply_line(&mut conn.reader)?;
+        if !header_reply.starts_with("OK") {
+            // A refused header produces no member replies; the
+            // stream is still framed for the next request.
+            return Ok(Err(header_reply));
+        }
+        let mut replies = Vec::with_capacity(members.len());
+        for _ in 0..members.len() {
+            replies.push(read_reply_line(&mut conn.reader)?);
+        }
+        Ok(Ok(replies))
     }
 
-    /// Sends `members` as one pipelined `SOLVE_BATCH` round trip and
-    /// returns the in-order member replies. Transport failures —
-    /// including a connection dropped halfway through the reply stream —
-    /// retry the *whole* batch on a fresh connection (solves are
-    /// idempotent), as do retryable header-level errors. Per-member
-    /// `ERR` lines are returned in-slot without retrying: the caller
-    /// sees exactly what the server decided for each slot. A
-    /// non-retryable header-level `ERR` (e.g. a count past the server's
-    /// limit) is returned as a single-element vec, mirroring how
-    /// [`request`](Self::request) surfaces non-retryable replies.
-    pub fn request_batch(&mut self, members: &[String]) -> Result<Vec<String>, ClientError> {
+    /// The retry loop every request shape shares. `attempt` runs one
+    /// exchange and yields `Ok(value)` to return, or `Err(reply)` for a
+    /// retryable `ERR` line. I/O failures — including the server dying
+    /// mid-reply-stream — invalidate the connection, so the next attempt
+    /// resends the whole request on a fresh socket. Retries back off
+    /// with jitter, at least as long as the server's hint.
+    fn with_retries<T>(
+        &mut self,
+        mut attempt: impl FnMut(&mut Self) -> std::io::Result<Result<T, String>>,
+    ) -> Result<T, ClientError> {
         self.requests += 1;
         let mut last_io: Option<std::io::Error> = None;
         let mut last_reply: Option<String> = None;
-        for attempt in 0..self.policy.max_attempts {
-            if attempt > 0 {
+        for n in 0..self.policy.max_attempts {
+            if n > 0 {
                 let hint = last_reply.as_deref().and_then(retry_after_hint);
-                let pause = self.backoff(attempt - 1, hint);
+                let pause = self.backoff(n - 1, hint);
                 self.clock.sleep(pause);
                 self.retries += 1;
             }
-            match self.exchange_batch(members) {
+            match attempt(self) {
                 Err(e) => {
+                    self.conn = None;
                     last_io = Some(e);
                     last_reply = None;
                 }
-                Ok(BatchExchange::Members(replies)) => return Ok(replies),
-                Ok(BatchExchange::HeaderErr(header)) => {
-                    let retryable = matches!(
-                        Reply::parse(&header),
-                        Some(Reply::Err { ref code, .. }) if code_is_retryable(code)
-                    );
-                    if !retryable {
-                        return Ok(vec![header]);
-                    }
-                    last_io = None;
-                    last_reply = Some(header);
-                }
-            }
-        }
-        match (last_reply, last_io) {
-            (Some(reply), _) => Err(ClientError::RetriesExhausted {
-                attempts: self.policy.max_attempts,
-                last_reply: reply,
-            }),
-            (None, Some(e)) => Err(ClientError::Io(e)),
-            (None, None) => unreachable!("at least one attempt ran"),
-        }
-    }
-
-    /// Sends `line` and returns the reply line, retrying transient
-    /// failures (I/O errors, `ERR overloaded`, `ERR internal`) with
-    /// jittered exponential backoff. Multi-line replies (`TRACE`) return
-    /// only the status line; callers needing the body should use a plain
-    /// connection.
-    pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
-        self.requests += 1;
-        let mut last_io: Option<std::io::Error> = None;
-        let mut last_reply: Option<String> = None;
-        for attempt in 0..self.policy.max_attempts {
-            if attempt > 0 {
-                let hint = last_reply.as_deref().and_then(retry_after_hint);
-                let pause = self.backoff(attempt - 1, hint);
-                self.clock.sleep(pause);
-                self.retries += 1;
-            }
-            match self.exchange(line) {
-                Err(e) => {
-                    last_io = Some(e);
-                    last_reply = None;
-                }
-                Ok(reply) => {
-                    let retryable = matches!(
-                        Reply::parse(&reply),
-                        Some(Reply::Err { ref code, .. }) if code_is_retryable(code)
-                    );
-                    if !retryable {
-                        return Ok(reply);
-                    }
+                Ok(Ok(value)) => return Ok(value),
+                Ok(Err(reply)) => {
                     last_io = None;
                     last_reply = Some(reply);
                 }
@@ -373,6 +298,42 @@ impl RetryClient {
             (None, Some(e)) => Err(ClientError::Io(e)),
             (None, None) => unreachable!("at least one attempt ran"),
         }
+    }
+
+    /// Sends `members` as one pipelined `SOLVE_BATCH` round trip and
+    /// returns the in-order member replies. Transport failures —
+    /// including a connection dropped halfway through the reply stream —
+    /// retry the *whole* batch on a fresh connection (solves are
+    /// idempotent), as do retryable header-level errors. Per-member
+    /// `ERR` lines are returned in-slot without retrying: the caller
+    /// sees exactly what the server decided for each slot. A
+    /// non-retryable header-level `ERR` (e.g. a count past the server's
+    /// limit) is returned as a single-element vec, mirroring how
+    /// [`request`](Self::request) surfaces non-retryable replies.
+    pub fn request_batch(&mut self, members: &[String]) -> Result<Vec<String>, ClientError> {
+        self.with_retries(|c| {
+            Ok(match c.exchange_batch(members)? {
+                Ok(replies) => Ok(replies),
+                Err(header) if is_retryable(&header) => Err(header),
+                Err(header) => Ok(vec![header]),
+            })
+        })
+    }
+
+    /// Sends `line` and returns the reply line, retrying transient
+    /// failures (I/O errors, `ERR overloaded`, `ERR internal`) with
+    /// jittered exponential backoff. Multi-line replies (`TRACE`) return
+    /// only the status line; callers needing the body should use a plain
+    /// connection.
+    pub fn request(&mut self, line: &str) -> Result<String, ClientError> {
+        self.with_retries(|c| {
+            let reply = c.exchange(line)?;
+            Ok(if is_retryable(&reply) {
+                Err(reply)
+            } else {
+                Ok(reply)
+            })
+        })
     }
 }
 

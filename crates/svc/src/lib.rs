@@ -32,7 +32,8 @@
 //!   up front, scheduled concurrently across the worker pool, and
 //!   answered in request order through a reorder buffer — one round
 //!   trip amortized over the whole batch, with per-member typed `ERR`s
-//!   landing in-slot. Solves run under a [`graft_core::Tracer`] feeding
+//!   landing in-slot. A one-shot `SOLVE`, `UPDATE` or `SLEEP` takes the
+//!   same path as a batch of one, without the header. Solves run under a [`graft_core::Tracer`] feeding
 //!   a bounded in-memory ring; `TRACE` streams the most recent events
 //!   back as JSONL. `UPDATE <g> ADD|DEL <x> <y>` maintains a
 //!   [`graft_dyn::DynamicMatching`] per graph (created lazily from the
@@ -116,8 +117,8 @@ pub use journal::{AppendOutcome, FsyncPolicy, Journal};
 pub use lru::{LruCache, LruStats};
 pub use metrics::Metrics;
 pub use protocol::{
-    parse_batch_member, parse_request, parse_update_member, BatchMember, Reply, Request, SolveSpec,
-    UpdateSpec, MAX_BATCH, MAX_LINE_BYTES,
+    parse_batch_member, parse_request, parse_update_member, Reply, Request, SolveSpec, UpdateSpec,
+    MAX_BATCH, MAX_LINE_BYTES,
 };
 pub use registry::{GraphRegistry, GraphSource, RegistryStats};
 pub use scenario::{Scenario, ScenarioConfig, ScenarioReport};

@@ -43,8 +43,10 @@
 //! as the equivalent one-shot request would have produced, or a typed
 //! `ERR` for just that member (a failed member never desynchronizes the
 //! stream: its slot is filled and the remaining members still run).
-//! Members are scheduled concurrently across the worker pool, which is
-//! where the throughput over one-round-trip-per-request comes from.
+//! Members parse ([`parse_batch_member`]) into the same [`Request`]
+//! variants as the one-shot verbs and are scheduled concurrently across
+//! the worker pool, which is where the throughput over
+//! one-round-trip-per-request comes from.
 //! `n` may be `0` (the reply is just `OK batch=0`) and is capped at
 //! [`MAX_BATCH`]; a header above the cap is refused **before** any
 //! member line is consumed.
@@ -78,10 +80,10 @@ pub const MAX_LINE_BYTES: usize = 8192;
 /// the pipeline never drains between them anyway).
 pub const MAX_BATCH: usize = 4096;
 
-/// Everything a `SOLVE` carries after the verb. Shared between the
-/// one-shot [`Request::Solve`] and `SOLVE_BATCH` members
-/// ([`BatchMember::Solve`]), so both paths parse and execute
-/// identically — the differential tests pin exactly this.
+/// Everything a `SOLVE` carries after the verb. A one-shot `SOLVE` and a
+/// `SOLVE_BATCH` member ([`parse_batch_member`]) both parse into
+/// [`Request::Solve`] with this spec and run as the same job — the
+/// differential tests pin exactly this.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolveSpec {
     /// Registry name of the graph.
@@ -152,10 +154,9 @@ impl SolveSpec {
     }
 }
 
-/// Everything an `UPDATE` carries after the verb. Shared between the
-/// one-shot [`Request::Update`] and `UPDATE_BATCH` members
-/// ([`BatchMember::Update`]), so both paths parse and execute
-/// identically.
+/// Everything an `UPDATE` carries after the verb. A one-shot `UPDATE`
+/// and an `UPDATE_BATCH` member ([`parse_update_member`]) both parse
+/// into [`Request::Update`] with this spec and run as the same job.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UpdateSpec {
     /// Registry name of the graph.
@@ -210,72 +211,31 @@ impl UpdateSpec {
     }
 }
 
-/// One member of a `SOLVE_BATCH`: a solve, or a worker-occupying sleep
-/// (the latter mirrors the `SLEEP` verb and exists for operational and
-/// concurrency testing — e.g. holding the pool busy while `EVICT` or
-/// `SHUTDOWN` land mid-batch).
-#[derive(Clone, Debug, PartialEq)]
-pub enum BatchMember {
-    /// `<name> [algorithm] [options]` — scheduled like a one-shot `SOLVE`.
-    Solve(SolveSpec),
-    /// `<name> ADD|DEL <x> <y>` — scheduled like a one-shot `UPDATE`
-    /// (only produced by [`parse_update_member`]).
-    Update(UpdateSpec),
-    /// `SLEEP <ms>` — scheduled like a one-shot `SLEEP`.
-    Sleep {
-        /// Sleep duration in milliseconds.
-        ms: u64,
-    },
-}
-
-impl BatchMember {
-    /// The canonical member-line encoding; [`parse_batch_member`] (for
-    /// solves and sleeps) or [`parse_update_member`] (for updates and
-    /// sleeps) inverts it exactly.
-    pub fn wire(&self) -> String {
-        match self {
-            BatchMember::Solve(spec) => spec.wire_args(),
-            BatchMember::Update(spec) => spec.wire_args(),
-            BatchMember::Sleep { ms } => format!("SLEEP {ms}"),
-        }
-    }
-}
-
-/// Parses one `SOLVE_BATCH` member line. The first token `SLEEP`
-/// (case-insensitive) selects the sleep form; anything else is a graph
-/// name starting a solve spec — which means a graph literally named
-/// `sleep` cannot be batch-solved (rename it; the one-shot `SOLVE` still
-/// works).
-pub fn parse_batch_member(line: &str) -> Result<BatchMember, SvcError> {
-    if line.len() > MAX_LINE_BYTES {
-        return Err(bad(format!(
-            "batch member line exceeds {MAX_LINE_BYTES} bytes"
-        )));
-    }
-    if line.contains('\0') {
-        return Err(bad("NUL byte in batch member"));
-    }
-    let line = line.strip_suffix('\r').unwrap_or(line);
-    let mut tokens = line.split_whitespace().peekable();
-    match tokens.peek() {
-        None => Err(bad("empty batch member")),
-        Some(tok) if tok.eq_ignore_ascii_case("sleep") => {
-            tokens.next();
-            let ms = tokens.next().ok_or_else(|| bad("SLEEP needs <ms>"))?;
-            let ms = ms.parse().map_err(|_| bad(format!("bad ms `{ms}`")))?;
-            if tokens.next().is_some() {
-                return Err(bad("unexpected trailing tokens"));
-            }
-            Ok(BatchMember::Sleep { ms })
-        }
-        Some(_) => Ok(BatchMember::Solve(SolveSpec::parse(tokens)?)),
-    }
+/// Parses one `SOLVE_BATCH` member line into a [`Request::Solve`] or
+/// [`Request::Sleep`]. The first token `SLEEP` (case-insensitive) selects
+/// the sleep form; anything else is a graph name starting a solve spec —
+/// which means a graph literally named `sleep` cannot be batch-solved
+/// (rename it; the one-shot `SOLVE` still works).
+pub fn parse_batch_member(line: &str) -> Result<Request, SvcError> {
+    parse_member(line, |tokens| SolveSpec::parse(tokens).map(Request::Solve))
 }
 
 /// Parses one `UPDATE_BATCH` member line: the argument list of an
-/// `UPDATE` (`<name> ADD|DEL <x> <y>`), or `SLEEP <ms>`. Same
-/// hardening and `SLEEP` caveat as [`parse_batch_member`].
-pub fn parse_update_member(line: &str) -> Result<BatchMember, SvcError> {
+/// `UPDATE` (`<name> ADD|DEL <x> <y>`) into a [`Request::Update`], or
+/// `SLEEP <ms>`. Same hardening and `SLEEP` caveat as
+/// [`parse_batch_member`].
+pub fn parse_update_member(line: &str) -> Result<Request, SvcError> {
+    parse_member(line, |tokens| {
+        UpdateSpec::parse(tokens).map(Request::Update)
+    })
+}
+
+/// The member grammar both batch verbs share: line hardening, then
+/// `SLEEP <ms>` or the verb's own argument list, parsed by `args`.
+fn parse_member<'a>(
+    line: &'a str,
+    args: impl FnOnce(&mut dyn Iterator<Item = &'a str>) -> Result<Request, SvcError>,
+) -> Result<Request, SvcError> {
     if line.len() > MAX_LINE_BYTES {
         return Err(bad(format!(
             "batch member line exceeds {MAX_LINE_BYTES} bytes"
@@ -295,9 +255,9 @@ pub fn parse_update_member(line: &str) -> Result<BatchMember, SvcError> {
             if tokens.next().is_some() {
                 return Err(bad("unexpected trailing tokens"));
             }
-            Ok(BatchMember::Sleep { ms })
+            Ok(Request::Sleep { ms })
         }
-        Some(_) => Ok(BatchMember::Update(UpdateSpec::parse(tokens)?)),
+        Some(_) => args(&mut tokens),
     }
 }
 
@@ -435,6 +395,21 @@ fn bad(msg: impl Into<String>) -> SvcError {
     SvcError::BadRequest(msg.into())
 }
 
+/// Parses the `<n>` of a `SOLVE_BATCH`/`UPDATE_BATCH` header, refusing
+/// counts above [`MAX_BATCH`].
+fn parse_batch_count(verb: &str, n: Option<&str>) -> Result<usize, SvcError> {
+    let n = n.ok_or_else(|| bad(format!("{verb} needs <n>")))?;
+    let count: usize = n
+        .parse()
+        .map_err(|_| bad(format!("bad batch count `{n}`")))?;
+    if count > MAX_BATCH {
+        return Err(bad(format!(
+            "batch count {count} exceeds the maximum {MAX_BATCH}"
+        )));
+    }
+    Ok(count)
+}
+
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request, SvcError> {
     if line.len() > MAX_LINE_BYTES {
@@ -473,31 +448,13 @@ pub fn parse_request(line: &str) -> Result<Request, SvcError> {
             }
         }
         "SOLVE" => Request::Solve(SolveSpec::parse(tokens.by_ref())?),
-        "SOLVE_BATCH" => {
-            let n = tokens.next().ok_or_else(|| bad("SOLVE_BATCH needs <n>"))?;
-            let count: usize = n
-                .parse()
-                .map_err(|_| bad(format!("bad batch count `{n}`")))?;
-            if count > MAX_BATCH {
-                return Err(bad(format!(
-                    "batch count {count} exceeds the maximum {MAX_BATCH}"
-                )));
-            }
-            Request::SolveBatch { count }
-        }
+        "SOLVE_BATCH" => Request::SolveBatch {
+            count: parse_batch_count("SOLVE_BATCH", tokens.next())?,
+        },
         "UPDATE" => Request::Update(UpdateSpec::parse(tokens.by_ref())?),
-        "UPDATE_BATCH" => {
-            let n = tokens.next().ok_or_else(|| bad("UPDATE_BATCH needs <n>"))?;
-            let count: usize = n
-                .parse()
-                .map_err(|_| bad(format!("bad batch count `{n}`")))?;
-            if count > MAX_BATCH {
-                return Err(bad(format!(
-                    "batch count {count} exceeds the maximum {MAX_BATCH}"
-                )));
-            }
-            Request::UpdateBatch { count }
-        }
+        "UPDATE_BATCH" => Request::UpdateBatch {
+            count: parse_batch_count("UPDATE_BATCH", tokens.next())?,
+        },
         "STATS" => Request::Stats,
         "HEALTH" => Request::Health,
         "TRACE" => {
@@ -617,7 +574,7 @@ mod tests {
     fn parses_batch_members() {
         assert_eq!(
             parse_batch_member("g ms-bfs-graft timeout_ms=9 cold").unwrap(),
-            BatchMember::Solve(SolveSpec {
+            Request::Solve(SolveSpec {
                 name: "g".into(),
                 algorithm: Algorithm::MsBfsGraft,
                 timeout_ms: Some(9),
@@ -627,15 +584,15 @@ mod tests {
         );
         assert_eq!(
             parse_batch_member("g").unwrap(),
-            BatchMember::Solve(SolveSpec::new("g"))
+            Request::Solve(SolveSpec::new("g"))
         );
         assert_eq!(
             parse_batch_member("SLEEP 25").unwrap(),
-            BatchMember::Sleep { ms: 25 }
+            Request::Sleep { ms: 25 }
         );
         assert_eq!(
             parse_batch_member("sleep 0\r").unwrap(),
-            BatchMember::Sleep { ms: 0 }
+            Request::Sleep { ms: 0 }
         );
         for line in [
             "",
@@ -656,21 +613,26 @@ mod tests {
 
     #[test]
     fn batch_member_wire_round_trips() {
-        let members = [
-            BatchMember::Solve(SolveSpec::new("g")),
-            BatchMember::Solve(SolveSpec {
+        let specs = [
+            SolveSpec::new("g"),
+            SolveSpec {
                 name: "other".into(),
                 algorithm: Algorithm::HopcroftKarp,
                 timeout_ms: Some(7),
                 threads: 3,
                 cold: true,
-            }),
-            BatchMember::Sleep { ms: 12 },
+            },
         ];
-        for m in members {
-            let wire = m.wire();
-            assert_eq!(parse_batch_member(&wire).unwrap(), m, "wire `{wire}`");
+        for spec in specs {
+            let wire = spec.wire_args();
+            assert_eq!(
+                parse_batch_member(&wire).unwrap(),
+                Request::Solve(spec),
+                "wire `{wire}`"
+            );
         }
+        let sleep = Request::Sleep { ms: 12 };
+        assert_eq!(parse_batch_member(&sleep.wire()).unwrap(), sleep);
     }
 
     #[test]
@@ -723,7 +685,7 @@ mod tests {
     fn parses_update_members() {
         assert_eq!(
             parse_update_member("g ADD 1 2").unwrap(),
-            BatchMember::Update(UpdateSpec {
+            Request::Update(UpdateSpec {
                 name: "g".into(),
                 add: true,
                 x: 1,
@@ -732,7 +694,7 @@ mod tests {
         );
         assert_eq!(
             parse_update_member("SLEEP 9").unwrap(),
-            BatchMember::Sleep { ms: 9 }
+            Request::Sleep { ms: 9 }
         );
         for line in ["", "g", "g ADD", "g NOPE 1 2", "g ADD 1 2 3", "g ADD 1\0 2"] {
             assert!(
@@ -740,14 +702,17 @@ mod tests {
                 "member `{line}` should be rejected"
             );
         }
-        // An update member round-trips through wire().
-        let m = BatchMember::Update(UpdateSpec {
+        // An update member round-trips through wire_args().
+        let spec = UpdateSpec {
             name: "g".into(),
             add: false,
             x: 4,
             y: 0,
-        });
-        assert_eq!(parse_update_member(&m.wire()).unwrap(), m);
+        };
+        assert_eq!(
+            parse_update_member(&spec.wire_args()).unwrap(),
+            Request::Update(spec)
+        );
     }
 
     #[test]

@@ -310,12 +310,30 @@ impl GraphRegistry {
             .collect()
     }
 
-    /// Saves `matching` as the warm start for `name`. A no-op if the
-    /// graph has been evicted or replaced meanwhile.
+    /// Saves `matching` as the warm start for whatever graph is cached
+    /// under `name` now. A no-op if the name is not cached. A solve
+    /// stores through [`store_warm_for`](Self::store_warm_for) instead,
+    /// which cannot attach its matching to a graph registered after it
+    /// started.
     pub fn store_warm(&self, name: &str, matching: Matching) {
         let mut inner = self.lock();
         if let Some(e) = inner.cache.get_mut(name) {
             e.warm = Some(Arc::new(matching));
+        }
+    }
+
+    /// Saves `matching` as the warm start for `name` only while the cache
+    /// still holds `graph`, the registration the matching was computed
+    /// on (compared by pointer, O(1)). A no-op if the name has been
+    /// evicted, re-registered by `LOAD`/`GEN`, or reloaded after an LRU
+    /// eviction meanwhile: a reload builds a new `Arc`, so a solve that
+    /// races one drops its warm start and the next solve runs cold.
+    pub fn store_warm_for(&self, name: &str, graph: &Arc<BipartiteCsr>, matching: Matching) {
+        let mut inner = self.lock();
+        if let Some(e) = inner.cache.get_mut(name) {
+            if Arc::ptr_eq(&e.graph, graph) {
+                e.warm = Some(Arc::new(matching));
+            }
         }
     }
 

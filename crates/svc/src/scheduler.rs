@@ -7,7 +7,7 @@
 //!
 //! Semantics:
 //!
-//! * `submit` never blocks. A full queue returns the typed
+//! * [`Scheduler::submit`] never blocks. A full queue returns the typed
 //!   [`SvcError::Overloaded`] immediately — callers (i.e. clients) own
 //!   the retry policy, the server never builds an unbounded backlog. The
 //!   rejection carries a `retry_after_ms` suggestion scaled to the
@@ -32,9 +32,13 @@
 //!   waits (on a condvar, no polling) until the queue is empty and no
 //!   worker is mid-job, bounded by a deadline.
 //!
-//! Each submitted job gets a private [`mpsc::Receiver`] for its result,
-//! so the connection thread that submitted it blocks only on its own
-//! job.
+//! Every job is submitted with a caller-chosen tag and a **completion
+//! queue** (an [`mpsc::Sender`]) on which its result arrives as
+//! `(tag, result)`. The server gives each request its own queue and tags
+//! each job with its slot in the request — a one-shot `SOLVE` is one job
+//! in slot 0, a `SOLVE_BATCH` member is one job per slot — so the
+//! connection thread blocks only on its own jobs and reorders their
+//! completions back into request order.
 
 use crate::error::SvcError;
 use crate::metrics::Metrics;
@@ -46,39 +50,12 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Where a job's result goes: its submitter's private channel
-/// ([`Scheduler::submit`]), or a shared **completion queue** with the
-/// submitter's tag attached ([`Scheduler::submit_tagged`]) — the server's
-/// pipelined `SOLVE_BATCH` path drains one such queue per connection and
-/// reorders completions back into request order.
-enum ReplyTx<R> {
-    Private(mpsc::Sender<Result<R, SvcError>>),
-    Tagged {
-        tag: u64,
-        tx: mpsc::Sender<(u64, Result<R, SvcError>)>,
-    },
-}
-
-impl<R> ReplyTx<R> {
-    /// Delivers the result; a hung-up receiver is fine (the submitter's
-    /// connection dropped).
-    fn send(self, result: Result<R, SvcError>) {
-        match self {
-            ReplyTx::Private(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTx::Tagged { tag, tx } => {
-                let _ = tx.send((tag, result));
-            }
-        }
-    }
-}
-
 struct Item<J, R> {
     job: J,
     id: u64,
     enqueued: Instant,
-    tx: ReplyTx<R>,
+    tag: u64,
+    tx: mpsc::Sender<(u64, Result<R, SvcError>)>,
 }
 
 struct Shared<J, R> {
@@ -242,39 +219,20 @@ impl<J: Send + 'static, R: Send + 'static> Scheduler<J, R> {
             .clamp(10, 30_000)
     }
 
-    /// Enqueues `job`; the result arrives on the returned receiver — the
-    /// handler's return value, or [`SvcError::Internal`] if the job
-    /// panicked inside its worker. Fails fast with
-    /// [`SvcError::Overloaded`] when the queue is full.
-    pub fn submit(&self, job: J) -> Result<mpsc::Receiver<Result<R, SvcError>>, SvcError> {
-        let (tx, rx) = mpsc::channel();
-        self.enqueue(job, ReplyTx::Private(tx))?;
-        Ok(rx)
-    }
-
-    /// Like [`submit`](Self::submit), but the result is delivered on the
-    /// caller-supplied shared channel as `(tag, result)` instead of a
-    /// private receiver. Many tagged jobs can share one channel — a
-    /// completion queue — and the caller matches completions back to
-    /// requests by tag, in whatever order workers finish. Rejections
-    /// (full queue, shutdown) are synchronous, exactly as for `submit`:
+    /// Enqueues `job`. Its result — the handler's return value, or
+    /// [`SvcError::Internal`] if the job panicked inside its worker —
+    /// arrives on the completion queue `tx` as `(tag, result)`. Many jobs
+    /// can share one queue; the caller matches completions back to
+    /// requests by tag, in whatever order workers finish. Rejections are
+    /// synchronous — [`SvcError::Overloaded`] when the queue is full,
+    /// [`SvcError::ShuttingDown`] after [`shutdown`](Self::shutdown) — and
     /// a rejected job never produces a completion.
-    pub fn submit_tagged(
+    pub fn submit(
         &self,
         job: J,
         tag: u64,
         tx: &mpsc::Sender<(u64, Result<R, SvcError>)>,
     ) -> Result<(), SvcError> {
-        self.enqueue(
-            job,
-            ReplyTx::Tagged {
-                tag,
-                tx: tx.clone(),
-            },
-        )
-    }
-
-    fn enqueue(&self, job: J, tx: ReplyTx<R>) -> Result<(), SvcError> {
         let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
         if q.shutdown {
             return Err(SvcError::ShuttingDown);
@@ -295,7 +253,8 @@ impl<J: Send + 'static, R: Send + 'static> Scheduler<J, R> {
             job,
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             enqueued: self.shared.clock.now(),
-            tx,
+            tag,
+            tx: tx.clone(),
         });
         self.shared
             .metrics
@@ -438,7 +397,7 @@ where
         // Wake both idle workers and any drain_within waiter.
         shared.cv.notify_all();
         // The submitter may have hung up (connection dropped): fine.
-        item.tx.send(result);
+        let _ = item.tx.send((item.tag, result));
     }
 }
 
@@ -451,6 +410,34 @@ mod tests {
     /// these resolve in microseconds normally, the bound only matters on
     /// a badly oversubscribed CI machine.
     const LONG: Duration = Duration::from_secs(30);
+
+    /// A completion queue of its own for one job, read like a private
+    /// reply channel: `recv` yields the job's result without its tag.
+    #[derive(Debug)]
+    struct OneJob<R>(mpsc::Receiver<(u64, Result<R, SvcError>)>);
+
+    impl<R> OneJob<R> {
+        fn recv(&self) -> Result<Result<R, SvcError>, mpsc::RecvError> {
+            self.0.recv().map(|(_, result)| result)
+        }
+
+        fn recv_timeout(
+            &self,
+            timeout: Duration,
+        ) -> Result<Result<R, SvcError>, mpsc::RecvTimeoutError> {
+            self.0.recv_timeout(timeout).map(|(_, result)| result)
+        }
+    }
+
+    /// Submits `job` on a fresh one-job completion queue.
+    fn submit_one<R: Send + 'static>(
+        sched: &Scheduler<u32, R>,
+        job: u32,
+    ) -> Result<OneJob<R>, SvcError> {
+        let (tx, rx) = mpsc::channel();
+        sched.submit(job, 0, &tx)?;
+        Ok(OneJob(rx))
+    }
 
     /// Jobs announce on `started_rx` when a worker picks them up, then
     /// block until the test releases them via `gate_tx`: both sides of
@@ -495,7 +482,7 @@ mod tests {
                 (job, *seen)
             },
         );
-        let rxs: Vec<_> = (0..4).map(|i| sched.submit(i).unwrap()).collect();
+        let rxs: Vec<_> = (0..4).map(|i| submit_one(&sched, i).unwrap()).collect();
         for (i, rx) in rxs.into_iter().enumerate() {
             assert_eq!(rx.recv().unwrap().unwrap(), (i as u32, i as u32 + 1));
         }
@@ -506,7 +493,7 @@ mod tests {
     fn executes_jobs_and_returns_results() {
         let metrics = Arc::new(Metrics::new());
         let sched = Scheduler::new(2, 16, Arc::clone(&metrics), |job: u32| job + 1);
-        let rxs: Vec<_> = (0..8).map(|i| sched.submit(i).unwrap()).collect();
+        let rxs: Vec<_> = (0..8).map(|i| submit_one(&sched, i).unwrap()).collect();
         for (i, rx) in rxs.into_iter().enumerate() {
             assert_eq!(rx.recv().unwrap().unwrap(), i as u32 + 1);
         }
@@ -519,13 +506,13 @@ mod tests {
     fn full_queue_rejects_with_overloaded() {
         let (sched, gate, started, metrics) = gated_scheduler(1, 2);
         // First job: picked up by the (single) worker, which then blocks.
-        let rx0 = sched.submit(10).unwrap();
+        let rx0 = submit_one(&sched, 10).unwrap();
         started.recv_timeout(LONG).expect("worker picked up job 0");
         // Fill the queue behind the busy worker.
-        let rx1 = sched.submit(11).unwrap();
-        let rx2 = sched.submit(12).unwrap();
+        let rx1 = submit_one(&sched, 11).unwrap();
+        let rx2 = submit_one(&sched, 12).unwrap();
         // Queue full now: typed rejection, and the counter moves.
-        match sched.submit(13) {
+        match submit_one(&sched, 13) {
             Err(SvcError::Overloaded {
                 capacity,
                 retry_after_ms,
@@ -544,7 +531,7 @@ mod tests {
         assert_eq!(rx1.recv().unwrap().unwrap(), 22);
         assert_eq!(rx2.recv().unwrap().unwrap(), 24);
         // Capacity freed again.
-        let rx3 = sched.submit(13).unwrap();
+        let rx3 = submit_one(&sched, 13).unwrap();
         gate.send(()).unwrap();
         assert_eq!(rx3.recv().unwrap().unwrap(), 26);
         sched.join();
@@ -553,10 +540,10 @@ mod tests {
     #[test]
     fn shutdown_refuses_new_jobs_but_drains_queued_ones() {
         let (sched, gate, _started, _metrics) = gated_scheduler(1, 8);
-        let rx0 = sched.submit(1).unwrap();
-        let rx1 = sched.submit(2).unwrap();
+        let rx0 = submit_one(&sched, 1).unwrap();
+        let rx1 = submit_one(&sched, 2).unwrap();
         sched.shutdown();
-        assert!(matches!(sched.submit(3), Err(SvcError::ShuttingDown)));
+        assert!(matches!(submit_one(&sched, 3), Err(SvcError::ShuttingDown)));
         gate.send(()).unwrap();
         gate.send(()).unwrap();
         assert_eq!(rx0.recv().unwrap().unwrap(), 2);
@@ -568,7 +555,7 @@ mod tests {
     fn wait_time_is_recorded() {
         let metrics = Arc::new(Metrics::new());
         let sched = Scheduler::new(1, 8, Arc::clone(&metrics), |job: u32| job);
-        sched.submit(1).unwrap().recv().unwrap().unwrap();
+        submit_one(&sched, 1).unwrap().recv().unwrap().unwrap();
         let (count, _sum, _) = metrics.wait.snapshot();
         assert_eq!(count, 1);
         sched.join();
@@ -585,10 +572,10 @@ mod tests {
             }
             job + 1
         });
-        let ok_before = sched.submit(1).unwrap();
+        let ok_before = submit_one(&sched, 1).unwrap();
         assert_eq!(ok_before.recv().unwrap().unwrap(), 2);
 
-        let boom = sched.submit(13).unwrap();
+        let boom = submit_one(&sched, 13).unwrap();
         match boom.recv().unwrap() {
             Err(SvcError::Internal { job }) => assert!(job > 0),
             other => panic!("expected Internal, got {other:?}"),
@@ -597,7 +584,7 @@ mod tests {
 
         // Same (sole) worker keeps serving.
         for i in 0..4 {
-            let rx = sched.submit(i).unwrap();
+            let rx = submit_one(&sched, i).unwrap();
             assert_eq!(rx.recv().unwrap().unwrap(), i + 1);
         }
         assert_eq!(metrics.jobs_completed.load(Ordering::Relaxed), 6);
@@ -612,7 +599,7 @@ mod tests {
         });
         let mut ids = Vec::new();
         for i in 0..4 {
-            let rx = sched.submit(i).unwrap();
+            let rx = submit_one(&sched, i).unwrap();
             match rx.recv().unwrap() {
                 Err(SvcError::Internal { job }) => ids.push(job),
                 other => panic!("expected Internal, got {other:?}"),
@@ -630,7 +617,7 @@ mod tests {
         let sched = Scheduler::new(2, 16, Arc::clone(&metrics), |job: u32| job * 10);
         let (tx, rx) = mpsc::channel();
         for tag in 0..6u64 {
-            sched.submit_tagged(tag as u32, tag, &tx).unwrap();
+            sched.submit(tag as u32, tag, &tx).unwrap();
         }
         drop(tx);
         let mut got: Vec<(u64, u32)> = (0..6)
@@ -657,7 +644,7 @@ mod tests {
         });
         let (tx, rx) = mpsc::channel();
         for tag in 0..4u64 {
-            sched.submit_tagged(tag as u32, tag, &tx).unwrap();
+            sched.submit(tag as u32, tag, &tx).unwrap();
         }
         drop(tx);
         let mut oks = 0;
@@ -679,10 +666,10 @@ mod tests {
     fn tagged_rejections_are_synchronous_and_produce_no_completion() {
         let (sched, gate, started, _metrics) = gated_scheduler(1, 1);
         let (tx, rx) = mpsc::channel();
-        sched.submit_tagged(1, 0, &tx).unwrap();
+        sched.submit(1, 0, &tx).unwrap();
         started.recv_timeout(LONG).expect("worker picked up job 0");
-        sched.submit_tagged(2, 1, &tx).unwrap(); // fills the queue
-        match sched.submit_tagged(3, 2, &tx) {
+        sched.submit(2, 1, &tx).unwrap(); // fills the queue
+        match sched.submit(3, 2, &tx) {
             Err(SvcError::Overloaded { .. }) => {}
             other => panic!("expected Overloaded, got {other:?}"),
         }
@@ -715,9 +702,9 @@ mod tests {
         })
         .with_weight(|job: &u32| *job as usize);
 
-        let rx_big = sched.submit(2).unwrap(); // weight 2 = whole pool
+        let rx_big = submit_one(&sched, 2).unwrap(); // weight 2 = whole pool
         assert_eq!(started_rx.recv_timeout(LONG).unwrap(), 2);
-        let rx_small = sched.submit(1).unwrap(); // weight 1, queued behind
+        let rx_small = submit_one(&sched, 1).unwrap(); // weight 1, queued behind
         assert!(
             started_rx.recv_timeout(Duration::from_millis(100)).is_err(),
             "weight-1 job must not start while the weight-2 job holds both slots"
@@ -740,7 +727,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let sched =
             Scheduler::new(2, 8, Arc::clone(&metrics), |job: u32| job + 1).with_weight(|_| 99);
-        let rx = sched.submit(7).unwrap();
+        let rx = submit_one(&sched, 7).unwrap();
         assert_eq!(rx.recv_timeout(LONG).unwrap().unwrap(), 8);
         sched.join();
     }
@@ -751,7 +738,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let sched = Scheduler::new(2, 64, Arc::clone(&metrics), |job: u32| job * 3)
             .with_weight(|job: &u32| if job.is_multiple_of(3) { 2 } else { 1 });
-        let rxs: Vec<_> = (0..24).map(|i| sched.submit(i).unwrap()).collect();
+        let rxs: Vec<_> = (0..24).map(|i| submit_one(&sched, i).unwrap()).collect();
         for (i, rx) in rxs.into_iter().enumerate() {
             assert_eq!(rx.recv_timeout(LONG).unwrap().unwrap(), i as u32 * 3);
         }
@@ -761,7 +748,7 @@ mod tests {
     #[test]
     fn drain_within_waits_for_inflight_jobs() {
         let (sched, gate, started, _metrics) = gated_scheduler(1, 8);
-        let rx0 = sched.submit(5).unwrap();
+        let rx0 = submit_one(&sched, 5).unwrap();
         started.recv_timeout(LONG).expect("worker picked up job");
         sched.shutdown();
 

@@ -14,18 +14,20 @@
 //!   **byte-budget admission control** first: the graph's size is
 //!   estimated from its header/scaling law and oversized requests are
 //!   refused with `ERR too-large` before anything is materialized;
-//! * the fixed **worker pool** (the [`Scheduler`]) executes `SOLVE` and
-//!   `SLEEP` jobs behind a panic firewall: a panicking job answers
-//!   `ERR internal job=<id>` and the worker survives;
-//! * `SOLVE_BATCH n` **pipelines**: the connection thread reads all `n`
-//!   member lines, submits them to the pool tagged with their slot
+//! * the fixed **worker pool** (the [`Scheduler`]) executes `SOLVE`,
+//!   `UPDATE` and `SLEEP` jobs behind a panic firewall: a panicking job
+//!   answers `ERR internal job=<id>` and the worker survives;
+//! * one **request path** to that pool: a one-shot `SOLVE`, `UPDATE` or
+//!   `SLEEP` is a batch of one whose reply has no header. `SOLVE_BATCH n`
+//!   and `UPDATE_BATCH n` **pipeline**: the connection thread reads all
+//!   `n` member lines, submits them to the pool tagged with their slot
 //!   index, and replies `OK batch=<n>` plus one line per slot *in
 //!   request order* as a reorder buffer resolves — a malformed, refused,
 //!   timed-out, or panicking member yields its typed `ERR` in-slot
 //!   without desynchronizing the rest.
 //!
-//! **Drain protocol**: `SHUTDOWN` (or SIGTERM via
-//! [`ShutdownHandle::initiate`]) flips the service to `draining` —
+//! **Drain protocol**: `SHUTDOWN` and SIGTERM both call
+//! [`ShutdownHandle::initiate`], which flips the service to `draining` —
 //! `HEALTH` reports it, new `SOLVE`s are refused with
 //! `ERR shutting-down`, in-flight jobs get up to
 //! [`ServeConfig::drain_ms`] to finish — then a final snapshot is
@@ -41,8 +43,8 @@ use crate::faults::FaultPlan;
 use crate::journal::{AppendOutcome, FsyncPolicy, Journal};
 use crate::metrics::Metrics;
 use crate::protocol::{
-    err_line, parse_batch_member, parse_request, parse_update_member, BatchMember, Request,
-    SolveSpec, UpdateSpec, MAX_LINE_BYTES,
+    err_line, parse_batch_member, parse_request, parse_update_member, Request, SolveSpec,
+    UpdateSpec, MAX_LINE_BYTES,
 };
 use crate::registry::{
     estimate_source_bytes, parse_gen_spec, GraphInfo, GraphRegistry, GraphSource,
@@ -226,13 +228,32 @@ impl DynStore {
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
     }
+
+    /// Forgets `name`'s dynamic state and any restored-but-unreplayed
+    /// delta, so the name's next `UPDATE` starts from whatever graph is
+    /// registered under it then. `EVICT` and every successful
+    /// `LOAD`/`GEN` call this.
+    fn forget(&self, name: &str) {
+        lock_recover(&self.states).remove(name);
+        lock_recover(&self.restored).remove(name);
+    }
+}
+
+/// The durable state as one snapshot: registry entries, dynamic deltas,
+/// and the rebuild counter.
+fn snapshot_of(registry: &GraphRegistry, dyn_store: &DynStore, metrics: &Metrics) -> Snapshot {
+    Snapshot {
+        entries: registry.snapshot_entries(),
+        deltas: dyn_store.deltas(),
+        rebuilds: metrics.rebuilds.load(Ordering::Relaxed),
+    }
 }
 
 type JobReply = Result<String, SvcError>;
 
-/// Initiates the drain protocol from outside a connection thread —
-/// typically a SIGTERM handler. Cloneable and `Send`; safe to trigger
-/// more than once.
+/// Initiates the drain protocol: the `SHUTDOWN` verb pulls it from its
+/// connection thread, a SIGTERM handler from outside. Cloneable and
+/// `Send`; safe to trigger more than once.
 #[derive(Clone)]
 pub struct ShutdownHandle {
     shutdown: Arc<AtomicBool>,
@@ -368,7 +389,7 @@ fn run_job(
                 warm_used,
                 solve_us,
             );
-            registry.store_warm(&name, out.matching);
+            registry.store_warm_for(&name, &graph, out.matching);
             metrics.record_solve(algorithm, &name, solve_us);
             Ok(line)
         }
@@ -488,11 +509,7 @@ fn run_update(
                             // `graph` record isn't on disk yet, so
                             // rewrite the whole journal (which captures
                             // this update via the collected deltas).
-                            let snap = Snapshot {
-                                entries: registry.snapshot_entries(),
-                                deltas: store.deltas(),
-                                rebuilds: metrics.rebuilds.load(Ordering::Relaxed),
-                            };
+                            let snap = snapshot_of(registry, store, metrics);
                             j.save_full(&snap, None).map(|()| {
                                 metrics.snapshots_saved.fetch_add(1, Ordering::Relaxed);
                             })
@@ -522,27 +539,18 @@ fn run_update(
     }
 }
 
-/// Writes one snapshot, translating failures (I/O or injected panics)
-/// into metrics instead of letting them escape into the calling thread.
+/// Writes one full snapshot through the journal, which starts a fresh
+/// append epoch, translating failures (I/O or injected panics) into
+/// metrics instead of letting them escape into the calling thread.
 fn save_snapshot(
-    dir: &std::path::Path,
     registry: &GraphRegistry,
     dyn_store: &DynStore,
     metrics: &Metrics,
-    journal: Option<&Journal>,
+    journal: &Journal,
     faults: Option<&FaultPlan>,
 ) {
-    let snap = Snapshot {
-        entries: registry.snapshot_entries(),
-        deltas: dyn_store.deltas(),
-        rebuilds: metrics.rebuilds.load(Ordering::Relaxed),
-    };
-    // Through the journal when one exists so the save starts a fresh
-    // append epoch; the bare path only serves journal-less callers.
-    let result = catch_unwind(AssertUnwindSafe(|| match journal {
-        Some(j) => j.save_full(&snap, faults),
-        None => snapshot::save(dir, &snap, faults),
-    }));
+    let snap = snapshot_of(registry, dyn_store, metrics);
+    let result = catch_unwind(AssertUnwindSafe(|| journal.save_full(&snap, faults)));
     match result {
         Ok(Ok(())) => {
             metrics.snapshots_saved.fetch_add(1, Ordering::Relaxed);
@@ -690,26 +698,7 @@ impl Server {
                         // Rewrite a truncated journal once at boot so the
                         // file on disk is a clean prefix again, ready for
                         // appends.
-                        let snap = Snapshot {
-                            entries: registry.snapshot_entries(),
-                            deltas: dyn_store.deltas(),
-                            rebuilds: metrics.rebuilds.load(Ordering::Relaxed),
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| j.save_full(&snap, faults))) {
-                            Ok(Ok(())) => {
-                                metrics.snapshots_saved.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(Err(e)) => {
-                                metrics.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                                eprintln!("graft-svc: boot-time snapshot rewrite failed: {e}");
-                            }
-                            Err(_) => {
-                                metrics.snapshot_errors.fetch_add(1, Ordering::Relaxed);
-                                eprintln!(
-                                    "graft-svc: boot-time snapshot rewrite panicked (contained)"
-                                );
-                            }
-                        }
+                        save_snapshot(&registry, &dyn_store, &metrics, j, faults);
                     } else if report.version == Some(snapshot::SNAPSHOT_VERSION) {
                         // Clean journal: append onto it instead of
                         // rewriting.
@@ -835,14 +824,14 @@ impl Server {
     /// [`ShutdownHandle::initiate`]) once the drain finishes and the
     /// final snapshot (if configured) is written.
     pub fn run(self) -> std::io::Result<()> {
-        let addr = self.listener.local_addr()?;
+        let drain = self.shutdown_handle()?;
         self.health.store(HEALTH_READY, Ordering::SeqCst);
 
         // Periodic snapshot writer (and `interval-ms` journal fsyncer):
         // wakes every 100ms (on the server's clock) so shutdown is
         // prompt, saves every `snapshot_interval_ms`, fsyncs dirty
         // appends every `interval-ms` under that fsync policy.
-        let snapshot_thread = self.cfg.state_dir.clone().and_then(|dir| {
+        let snapshot_thread = self.journal.clone().and_then(|journal| {
             let fsync_every = match self.cfg.fsync {
                 FsyncPolicy::Interval(d) => Some(d),
                 _ => None,
@@ -856,7 +845,6 @@ impl Server {
             let stop = Arc::clone(&self.shutdown);
             let faults = self.faults;
             let clock = Arc::clone(&self.clock);
-            let journal = self.journal.clone();
             let interval = Duration::from_millis(self.cfg.snapshot_interval_ms);
             Some(std::thread::spawn(move || {
                 let mut last = clock.now();
@@ -866,19 +854,12 @@ impl Server {
                     if interval > Duration::ZERO
                         && clock.now().saturating_duration_since(last) >= interval
                     {
-                        save_snapshot(
-                            &dir,
-                            &registry,
-                            &dyn_store,
-                            &metrics,
-                            journal.as_deref(),
-                            faults,
-                        );
+                        save_snapshot(&registry, &dyn_store, &metrics, &journal, faults);
                         last = clock.now();
                     }
-                    if let (Some(every), Some(j)) = (fsync_every, journal.as_ref()) {
+                    if let Some(every) = fsync_every {
                         if clock.now().saturating_duration_since(last_fsync) >= every {
-                            if let Err(e) = j.fsync_if_dirty() {
+                            if let Err(e) = journal.fsync_if_dirty() {
                                 metrics.journal_errors.fetch_add(1, Ordering::Relaxed);
                                 eprintln!("graft-svc: interval journal fsync failed: {e}");
                             }
@@ -923,10 +904,9 @@ impl Server {
             let sched = Arc::clone(&self.sched);
             let dyn_store = Arc::clone(&self.dyn_store);
             let health = Arc::clone(&self.health);
-            let shutdown = Arc::clone(&self.shutdown);
+            let drain = drain.clone();
             let trace = Arc::clone(&self.trace);
             let shrink_gen = Arc::clone(&self.shrink_gen);
-            let transport = Arc::clone(&self.transport);
             let clock = Arc::clone(&self.clock);
             let max_graph_bytes = self.cfg.max_graph_bytes;
             let workers = self.cfg.workers.max(1);
@@ -939,14 +919,12 @@ impl Server {
                     dyn_store: &dyn_store,
                     trace: &trace,
                     health: &health,
-                    shutdown: &shutdown,
+                    drain: &drain,
                     shrink_gen: &shrink_gen,
-                    transport: &transport,
                     clock: &*clock,
                     max_graph_bytes,
                     workers,
                     threads_per_solve,
-                    addr,
                 };
                 let _ = handle_connection(stream, &ctx);
                 metrics.connections_open.fetch_sub(1, Ordering::Relaxed);
@@ -976,13 +954,12 @@ impl Server {
         if let Some(t) = snapshot_thread {
             let _ = t.join();
         }
-        if let Some(dir) = &self.cfg.state_dir {
+        if let Some(journal) = &self.journal {
             save_snapshot(
-                dir,
                 &self.registry,
                 &self.dyn_store,
                 &self.metrics,
-                self.journal.as_deref(),
+                journal,
                 self.faults,
             );
         }
@@ -1006,16 +983,15 @@ struct ConnCtx<'a> {
     dyn_store: &'a DynStore,
     trace: &'a RingSink,
     health: &'a AtomicU8,
-    shutdown: &'a AtomicBool,
+    /// The drain trigger `SHUTDOWN` pulls.
+    drain: &'a ShutdownHandle,
     shrink_gen: &'a AtomicU64,
-    transport: &'a Arc<dyn Transport>,
     clock: &'a dyn Clock,
     max_graph_bytes: usize,
     /// Worker pool size — the hard ceiling for `SOLVE ... threads=k`.
     workers: usize,
     /// Default `threads` for solves that do not pass `threads=k`.
     threads_per_solve: usize,
-    addr: SocketAddr,
 }
 
 /// Upper bound a `TRACE n` may ask for; anything larger is a typo or an
@@ -1043,7 +1019,11 @@ fn register_guarded(ctx: &ConnCtx<'_>, name: &str, source: GraphSource) -> Strin
         }
     }
     match catch_unwind(AssertUnwindSafe(|| ctx.registry.register(name, source))) {
-        Ok(Ok(info)) => info_line(name, info),
+        Ok(Ok(info)) => {
+            // The old graph's dynamic state must not answer for the new one.
+            ctx.dyn_store.forget(name);
+            info_line(name, info)
+        }
         Ok(Err(e)) => err_line(&e),
         Err(_) => {
             ctx.metrics.panics.fetch_add(1, Ordering::Relaxed);
@@ -1073,8 +1053,19 @@ fn resolve_solve_threads(ctx: &ConnCtx<'_>, spec: &SolveSpec) -> Result<usize, S
     Ok(if spec.algorithm.is_parallel() { t } else { 1 })
 }
 
-fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
-    match req {
+/// What [`dispatch`] makes of one request: a reply computed on the
+/// connection thread, or a job for the worker pool.
+enum Step {
+    Reply(String),
+    Job(Job),
+}
+
+/// Runs a registry or monitoring request inline, or turns a pool request
+/// (`SOLVE`, `UPDATE`, `SLEEP`, one-shot or batch member alike) into its
+/// job: a solve's thread count is resolved and its deadline anchored at
+/// the clock's `now`.
+fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> Step {
+    let line = match req {
         Request::Load { name, path } => {
             register_guarded(ctx, &name, GraphSource::MtxFile(path.into()))
         }
@@ -1082,15 +1073,21 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
             Ok(src) => register_guarded(ctx, &name, src),
             Err(e) => err_line(&e),
         },
-        Request::Solve(mut spec) => match resolve_solve_threads(ctx, &spec) {
+        Request::Solve(spec) => match resolve_solve_threads(ctx, &spec) {
             Err(e) => err_line(&e),
-            Ok(t) => {
-                spec.threads = t;
-                let job = job_from_spec(spec, ctx.clock);
-                submit_and_wait(ctx, job)
+            Ok(threads) => {
+                let now = ctx.clock.now();
+                return Step::Job(Job::Solve {
+                    name: spec.name,
+                    algorithm: spec.algorithm,
+                    deadline: spec.timeout_ms.map(|ms| now + Duration::from_millis(ms)),
+                    threads,
+                    cold: spec.cold,
+                    submitted: now,
+                });
             }
         },
-        Request::Update(spec) => submit_and_wait(ctx, Job::Update(spec)),
+        Request::Update(spec) => return Step::Job(Job::Update(spec)),
         Request::SolveBatch { .. } | Request::UpdateBatch { .. } => {
             // Batches are intercepted by `handle_connection` (only it can
             // read the member lines); reaching this arm means a caller
@@ -1099,7 +1096,7 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
                 "batch requests require a connection stream".to_string(),
             ))
         }
-        Request::Sleep { ms } => submit_and_wait(ctx, Job::Sleep(ms)),
+        Request::Sleep { ms } => return Step::Job(Job::Sleep(ms)),
         Request::Stats => {
             let mut line = String::from("OK ");
             ctx.metrics.render(&mut line);
@@ -1133,14 +1130,14 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
             let n = match limit {
                 None => cap,
                 Some(0) => {
-                    return err_line(&SvcError::BadRequest(
+                    return Step::Reply(err_line(&SvcError::BadRequest(
                         "trace limit must be at least 1".to_string(),
-                    ))
+                    )))
                 }
                 Some(n) if n > MAX_TRACE_LIMIT => {
-                    return err_line(&SvcError::BadRequest(format!(
+                    return Step::Reply(err_line(&SvcError::BadRequest(format!(
                         "trace limit {n} exceeds the maximum {MAX_TRACE_LIMIT}"
-                    )))
+                    ))))
                 }
                 // Bounded server-side: never more than the ring holds.
                 Some(n) => (n as usize).min(cap),
@@ -1157,8 +1154,7 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
             let evicted = ctx.registry.evict(&name);
             // Dynamic state (and any restored-but-unreplayed delta) goes
             // with the registration: an evicted name is fully forgotten.
-            lock_recover(&ctx.dyn_store.states).remove(&name);
-            lock_recover(&ctx.dyn_store.restored).remove(&name);
+            ctx.dyn_store.forget(&name);
             if evicted {
                 // Tell workers their resident workspaces may now be
                 // oversized; each shrinks lazily before its next solve.
@@ -1167,37 +1163,8 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> String {
             format!("OK name={name} evicted={evicted}")
         }
         Request::Shutdown => "OK bye".to_string(),
-    }
-}
-
-fn job_from_spec(spec: SolveSpec, clock: &dyn Clock) -> Job {
-    let now = clock.now();
-    Job::Solve {
-        name: spec.name,
-        algorithm: spec.algorithm,
-        deadline: spec.timeout_ms.map(|ms| now + Duration::from_millis(ms)),
-        threads: spec.threads,
-        cold: spec.cold,
-        submitted: now,
-    }
-}
-
-fn submit_and_wait(ctx: &ConnCtx<'_>, job: Job) -> String {
-    match ctx.sched.submit(job) {
-        Err(e) => err_line(&e),
-        Ok(rx) => match rx.recv() {
-            Ok(Ok(Ok(line))) => line,
-            Ok(Ok(Err(e))) => {
-                // The job ran and failed with a typed error.
-                ctx.metrics.solves_err.fetch_add(1, Ordering::Relaxed);
-                err_line(&e)
-            }
-            // The job panicked; the scheduler already counted it.
-            Ok(Err(e)) => err_line(&e),
-            // Worker pool went away mid-job (shutdown race).
-            Err(_) => err_line(&SvcError::ShuttingDown),
-        },
-    }
+    };
+    Step::Reply(line)
 }
 
 /// One line read from the bounded reader.
@@ -1269,22 +1236,11 @@ fn drain_to_newline(reader: &mut impl BufRead) -> std::io::Result<()> {
     }
 }
 
-/// Writes one reply line. A failed write (client hung up mid-reply) is
-/// absorbed into the `write_errors` metric and reported as `false` — it
-/// must never unwind or poison anything, the caller just stops serving
-/// this connection.
-fn write_reply(writer: &mut dyn Conn, metrics: &Metrics, reply: &str) -> bool {
-    let r = writeln!(writer, "{reply}").and_then(|()| writer.flush());
-    if r.is_err() {
-        metrics.write_errors.fetch_add(1, Ordering::Relaxed);
-        return false;
-    }
-    true
-}
-
 /// Writes a pre-assembled chunk of reply lines (each already
-/// `\n`-terminated) in one syscall. Same failure contract as
-/// [`write_reply`]: a hung-up peer becomes a metric, never a panic.
+/// `\n`-terminated) in one syscall. A failed write (client hung up
+/// mid-reply) is absorbed into the `write_errors` metric and reported as
+/// `false` — it must never unwind or poison anything, the caller just
+/// stops serving this connection.
 fn write_chunk(writer: &mut dyn Conn, metrics: &Metrics, chunk: &str) -> bool {
     let r = writer
         .write_all(chunk.as_bytes())
@@ -1296,145 +1252,111 @@ fn write_chunk(writer: &mut dyn Conn, metrics: &Metrics, chunk: &str) -> bool {
     true
 }
 
-/// The pipelined `SOLVE_BATCH` path. The connection thread reads all
-/// `count` member lines up front (consuming exactly `count` lines keeps
-/// the stream framed even when members are malformed), submits every
-/// valid member to the worker pool tagged with its slot index, and then
-/// replies in request order: `OK batch=<count>` followed by one line per
-/// slot, emitted as the in-order prefix of a reorder buffer resolves.
-///
-/// Per-member semantics match single `SOLVE`s exactly — backpressure
-/// (`ERR overloaded`), drain (`ERR shutting-down`), deadline, and the
-/// panic firewall (`ERR internal`) each land in their own slot without
-/// desynchronizing the remaining replies.
-///
-/// Returns `Ok(false)` when the connection should stop being served
-/// (peer hung up mid-batch or a write failed).
-/// Renders one tagged completion into its reply line, keeping the
-/// `solves_err` ledger in step with the `submit_and_wait` path.
-fn reply_line(ctx: &ConnCtx<'_>, result: Result<JobReply, SvcError>) -> String {
-    match result {
-        Ok(Ok(line)) => line,
-        Ok(Err(e)) => {
-            // The job ran and failed with a typed error.
-            ctx.metrics.solves_err.fetch_add(1, Ordering::Relaxed);
-            err_line(&e)
-        }
-        // The job panicked; the scheduler already counted it.
-        Err(e) => err_line(&e),
-    }
-}
-
-fn handle_batch(
+/// Reads a batch's `count` member lines, parses each with
+/// `parse_member`, and only then dispatches them all, so every member's
+/// deadline is anchored before the first job is submitted (a running job
+/// may advance virtual time under simulation). Consuming exactly `count`
+/// lines keeps the stream framed even when members are malformed: a bad
+/// member becomes its typed error, in its slot. `None` when the peer hung
+/// up before the batch was fully framed — there is nobody to reply to.
+fn read_batch(
     reader: &mut impl BufRead,
-    writer: &mut dyn Conn,
     ctx: &ConnCtx<'_>,
     count: usize,
-    parse_member: fn(&str) -> Result<BatchMember, SvcError>,
-) -> std::io::Result<bool> {
-    let mut replies: Vec<Option<String>> = (0..count).map(|_| None).collect();
-    let mut members: Vec<Option<BatchMember>> = Vec::with_capacity(count);
-    for reply in replies.iter_mut() {
-        match read_bounded_line(reader)? {
-            // EOF mid-batch: the peer abandoned the request before
-            // framing completed; there is nobody to reply to.
-            LineRead::Eof => return Ok(false),
-            LineRead::TooLong => {
-                *reply = Some(err_line(&SvcError::BadRequest(format!(
-                    "batch member exceeds {MAX_LINE_BYTES} bytes"
-                ))));
-                members.push(None);
-            }
+    parse_member: fn(&str) -> Result<Request, SvcError>,
+) -> std::io::Result<Option<Vec<Step>>> {
+    let mut members = Vec::with_capacity(count);
+    for _ in 0..count {
+        members.push(match read_bounded_line(reader)? {
+            LineRead::Eof => return Ok(None),
+            LineRead::TooLong => Err(SvcError::BadRequest(format!(
+                "batch member exceeds {MAX_LINE_BYTES} bytes"
+            ))),
             LineRead::Line(raw) => match std::str::from_utf8(&raw) {
-                Err(_) => {
-                    *reply = Some(err_line(&SvcError::BadRequest(
-                        "batch member is not valid UTF-8".to_string(),
-                    )));
-                    members.push(None);
-                }
-                Ok(s) => match parse_member(s) {
-                    Err(e) => {
-                        *reply = Some(err_line(&e));
-                        members.push(None);
-                    }
-                    Ok(m) => members.push(Some(m)),
-                },
+                Err(_) => Err(SvcError::BadRequest(
+                    "batch member is not valid UTF-8".to_string(),
+                )),
+                Ok(s) => parse_member(s),
             },
-        }
+        });
     }
+    let steps = members.into_iter().map(|member| match member {
+        Ok(req) => dispatch(req, ctx),
+        Err(e) => Step::Reply(err_line(&e)),
+    });
+    Ok(Some(steps.collect()))
+}
 
-    // Materialize every job *before* submitting any: `job_from_spec`
-    // anchors deadlines at `clock.now()`, and once the first member is
-    // submitted a worker may start executing (and, under simulation,
-    // advancing virtual time), which would make later members'
-    // deadlines depend on a thread race instead of the batch contents.
-    let jobs: Vec<Option<Job>> = members
+/// The one path from requests to the worker pool and back. A one-shot
+/// request is a batch of one without the header; a `SOLVE_BATCH` or
+/// `UPDATE_BATCH` passes one step per member and `batch`, which puts its
+/// `OK batch=<n>` header first.
+///
+/// Every job goes to the pool at once, tagged with its slot, on one
+/// completion queue: the queue capacity, not this thread's round trips,
+/// bounds how much of a batch runs concurrently. Replies then go out in
+/// slot order, the resolved prefix in one write per burst of
+/// completions. Backpressure (`ERR overloaded`), drain
+/// (`ERR shutting-down`), deadlines and the panic firewall
+/// (`ERR internal`) each land in their own slot without desynchronizing
+/// the rest. A job that ran and failed counts in `solves_err`; a panic
+/// is already counted by the scheduler.
+///
+/// Returns `false` when a write failed (the peer hung up); completions
+/// are still drained so the `solves_err` ledger closes.
+fn serve_steps(writer: &mut dyn Conn, ctx: &ConnCtx<'_>, batch: bool, steps: Vec<Step>) -> bool {
+    let count = steps.len();
+    let (tx, rx) = mpsc::channel();
+    let mut replies: Vec<Option<String>> = steps
         .into_iter()
         .enumerate()
-        .map(|(slot, member)| {
-            member.and_then(|m| match m {
-                BatchMember::Sleep { ms } => Some(Job::Sleep(ms)),
-                BatchMember::Solve(mut spec) => match resolve_solve_threads(ctx, &spec) {
-                    Err(e) => {
-                        replies[slot] = Some(err_line(&e));
-                        None
-                    }
-                    Ok(t) => {
-                        spec.threads = t;
-                        Some(job_from_spec(spec, ctx.clock))
-                    }
-                },
-                BatchMember::Update(spec) => Some(Job::Update(spec)),
-            })
+        .map(|(slot, step)| match step {
+            Step::Reply(line) => Some(line),
+            Step::Job(job) => ctx
+                .sched
+                .submit(job, slot as u64, &tx)
+                .err()
+                .map(|e| err_line(&e)),
         })
         .collect();
-    // Submit every parseable member before reading any completion: the
-    // queue capacity (not this thread's round trips) is the only limit
-    // on how much of the batch runs concurrently.
-    let (tx, rx) = mpsc::channel();
-    for (slot, job) in jobs.into_iter().enumerate() {
-        let Some(job) = job else { continue };
-        if let Err(e) = ctx.sched.submit_tagged(job, slot as u64, &tx) {
-            replies[slot] = Some(err_line(&e));
-        }
-    }
     // Our clone is the only non-worker sender; dropping it lets
     // `rx.recv()` report `Err` once every outstanding job has either
     // replied or been abandoned by a dying pool — no hang either way.
     drop(tx);
 
-    let mut ok_to_write = write_chunk(writer, ctx.metrics, &format!("OK batch={count}\n"));
+    let mut ok_to_write =
+        !batch || write_chunk(writer, ctx.metrics, &format!("OK batch={count}\n"));
     let mut next = 0usize;
     let mut chunk = String::new();
     loop {
-        // Emit the resolved prefix in one buffered write. When the
-        // socket is gone we keep draining completions anyway so the
-        // `solves_err` accounting still closes.
         chunk.clear();
-        while next < count {
-            match &replies[next] {
-                Some(line) => {
-                    chunk.push_str(line);
-                    chunk.push('\n');
-                    next += 1;
-                }
-                None => break,
-            }
+        while let Some(Some(line)) = replies.get(next) {
+            chunk.push_str(line);
+            chunk.push('\n');
+            next += 1;
         }
         if ok_to_write && !chunk.is_empty() {
             ok_to_write = write_chunk(writer, ctx.metrics, &chunk);
         }
         if next == count {
-            return Ok(ok_to_write);
+            return ok_to_write;
         }
         match rx.recv() {
-            Ok((tag, result)) => {
-                replies[tag as usize] = Some(reply_line(ctx, result));
-                // Coalesce: fold in every completion that already
-                // landed while this thread was writing, so a fast pool
-                // costs one reply syscall per burst, not per member.
-                while let Ok((tag, result)) = rx.try_recv() {
-                    replies[tag as usize] = Some(reply_line(ctx, result));
+            // Coalesce: fold in every completion that already landed
+            // while this thread was writing, so a fast pool costs one
+            // reply syscall per burst, not per member.
+            Ok(first) => {
+                for (tag, result) in std::iter::once(first).chain(rx.try_iter()) {
+                    replies[tag as usize] = Some(match result {
+                        Ok(Ok(line)) => line,
+                        Ok(Err(e)) => {
+                            // The job ran and failed with a typed error.
+                            ctx.metrics.solves_err.fetch_add(1, Ordering::Relaxed);
+                            err_line(&e)
+                        }
+                        // The job panicked; the scheduler already counted it.
+                        Err(e) => err_line(&e),
+                    });
                 }
             }
             // Worker pool went away mid-batch (shutdown race): every
@@ -1452,66 +1374,39 @@ fn handle_connection(stream: Box<dyn Conn>, ctx: &ConnCtx<'_>) -> std::io::Resul
     let mut reader = BufReader::new(stream.try_clone_conn()?);
     let mut writer = stream;
     loop {
-        let raw = match read_bounded_line(&mut reader)? {
+        let req = match read_bounded_line(&mut reader)? {
             LineRead::Eof => break,
-            LineRead::TooLong => {
-                let e =
-                    SvcError::BadRequest(format!("request line exceeds {MAX_LINE_BYTES} bytes"));
-                if !write_reply(&mut *writer, ctx.metrics, &err_line(&e)) {
-                    break;
-                }
-                continue;
-            }
-            LineRead::Line(raw) => raw,
+            LineRead::TooLong => Err(SvcError::BadRequest(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes"
+            ))),
+            LineRead::Line(raw) => match std::str::from_utf8(&raw) {
+                Err(_) => Err(SvcError::BadRequest(
+                    "request is not valid UTF-8".to_string(),
+                )),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => parse_request(line),
+            },
         };
-        let line = match std::str::from_utf8(&raw) {
-            Ok(s) => s,
-            Err(_) => {
-                let e = SvcError::BadRequest("request is not valid UTF-8".to_string());
-                if !write_reply(&mut *writer, ctx.metrics, &err_line(&e)) {
-                    break;
-                }
-                continue;
-            }
+        let is_shutdown = matches!(req, Ok(Request::Shutdown));
+        let (batch, steps) = match req {
+            Ok(Request::SolveBatch { count }) => (
+                true,
+                read_batch(&mut reader, ctx, count, parse_batch_member)?,
+            ),
+            Ok(Request::UpdateBatch { count }) => (
+                true,
+                read_batch(&mut reader, ctx, count, parse_update_member)?,
+            ),
+            Ok(req) => (false, Some(vec![dispatch(req, ctx)])),
+            Err(e) => (false, Some(vec![Step::Reply(err_line(&e))])),
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match parse_request(line) {
-            Ok(r) => r,
-            Err(e) => {
-                if !write_reply(&mut *writer, ctx.metrics, &err_line(&e)) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if let Request::SolveBatch { count } = req {
-            if !handle_batch(&mut reader, &mut *writer, ctx, count, parse_batch_member)? {
-                break;
-            }
-            continue;
-        }
-        if let Request::UpdateBatch { count } = req {
-            if !handle_batch(&mut reader, &mut *writer, ctx, count, parse_update_member)? {
-                break;
-            }
-            continue;
-        }
-        let is_shutdown = matches!(req, Request::Shutdown);
-        let reply = dispatch(req, ctx);
-        let wrote = write_reply(&mut *writer, ctx.metrics, &reply);
+        let Some(steps) = steps else { break };
+        let wrote = serve_steps(&mut *writer, ctx, batch, steps);
         if is_shutdown {
             // Trigger the drain whether or not the `OK bye` reached the
             // client — a peer that hangs up right after SHUTDOWN must
             // still shut the server down.
-            ctx.health.store(HEALTH_DRAINING, Ordering::SeqCst);
-            ctx.shutdown.store(true, Ordering::SeqCst);
-            ctx.sched.shutdown();
-            // Wake the accept loop so `Server::run` observes the flag.
-            let _ = ctx
-                .transport
-                .connect(&ctx.addr.to_string(), Some(Duration::from_secs(1)));
+            ctx.drain.initiate();
             break;
         }
         if !wrote {
@@ -1529,4 +1424,69 @@ pub fn serve(cfg: &ServeConfig, on_bind: impl FnOnce(SocketAddr)) -> std::io::Re
     let server = Server::bind(cfg)?;
     on_bind(server.local_addr()?);
     server.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn solve_job(name: &str, algorithm: Algorithm, cold: bool) -> Job {
+        Job::Solve {
+            name: name.to_string(),
+            algorithm,
+            deadline: None,
+            threads: 1,
+            cold,
+            submitted: Instant::now(),
+        }
+    }
+
+    #[test]
+    fn a_solve_racing_a_re_registration_does_not_warm_start_the_new_graph() {
+        // The solve's phase hook re-registers its graph's name mid-solve,
+        // between the `get` and the warm-start store `run_job` makes.
+        let registry: &'static GraphRegistry = Box::leak(Box::new(GraphRegistry::new(usize::MAX)));
+        registry
+            .register("g", parse_gen_spec("kkt_power:tiny").unwrap())
+            .unwrap();
+        let hook = PhaseHook(Box::leak(Box::new(move |phases_done: u32| {
+            if phases_done == 0 {
+                registry
+                    .register("g", parse_gen_spec("RMAT:tiny").unwrap())
+                    .unwrap();
+            }
+        })));
+        let metrics = Metrics::new();
+        let dyn_store = DynStore::default();
+        let mut ws = SolveWorkspace::new();
+        let mut run = |job, phase_hook| {
+            run_job(
+                job,
+                registry,
+                &metrics,
+                &Tracer::disabled(),
+                &dyn_store,
+                None,
+                phase_hook,
+                None,
+                &WallClock,
+                &mut ws,
+            )
+            .unwrap()
+        };
+        run(solve_job("g", Algorithm::MsBfsGraft, false), Some(hook));
+        assert!(
+            registry.get("g").unwrap().1.is_none(),
+            "the kkt_power matching was stored as the RMAT graph's warm start"
+        );
+        let next = run(solve_job("g", Algorithm::MsBfsGraft, false), None);
+        let hk = run(solve_job("g", Algorithm::HopcroftKarp, true), None);
+        let cardinality = |line: &str| {
+            line.split_whitespace()
+                .find(|t| t.starts_with("cardinality="))
+                .map(str::to_string)
+        };
+        assert!(next.contains("warm=false"), "{next}");
+        assert_eq!(cardinality(&next), cardinality(&hk), "{next} vs {hk}");
+    }
 }

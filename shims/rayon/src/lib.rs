@@ -36,8 +36,6 @@ pub mod iter;
 mod pool;
 pub mod prelude;
 
-pub use pool::{join, scope, Scope};
-
 // Executor internals for the graft-check model suites (and this crate's
 // unit tests). Invisible in normal downstream builds.
 #[cfg(graft_check)]
@@ -149,12 +147,6 @@ mod tests {
     fn install_scopes_current_num_threads() {
         let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
         assert_eq!(pool.install(crate::current_num_threads), 3);
-    }
-
-    #[test]
-    fn join_sequential_without_pool_still_returns_both() {
-        let (a, b) = join(|| "left", || "right");
-        assert_eq!((a, b), ("left", "right"));
     }
 
     #[test]

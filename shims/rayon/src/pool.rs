@@ -17,17 +17,17 @@
 //!    `steal` (thief), never both, which the chase-lev CAS protocol
 //!    guarantees. On pool shutdown the injector is drained and dropped.
 //!
-//! 2. **Lifetime erasure.** `execute_batch`, `join`, and `scope` transmute
-//!    task closures from `'a` to `'static` so they can cross thread
-//!    boundaries. Soundness: the submitting call blocks (helping with work,
-//!    not just parking) until the latch counts every task as finished —
-//!    including panicked tasks, whose payloads are captured and re-thrown
-//!    on the submitting thread. No borrowed data outlives the call.
-//!    `execute_batch` and `join` keep the latch itself on the submitting
-//!    thread's stack, so the last `Latch::complete` notifies the condvar
-//!    before it releases the latch mutex: the waiter can read zero,
-//!    return and free the latch only after that release, which is the
-//!    completer's last touch of it.
+//! 2. **Lifetime erasure.** `execute_batch` transmutes its task closures
+//!    from `'a` to `'static` so they can cross thread boundaries.
+//!    Soundness: the submitting call blocks (helping with work, not just
+//!    parking) until the latch counts every task as finished — including
+//!    panicked tasks, whose payloads are captured and re-thrown on the
+//!    submitting thread. No borrowed data outlives the call.
+//!    `execute_batch` keeps the latch itself on the submitting thread's
+//!    stack, so the last `Latch::complete` notifies the condvar before it
+//!    releases the latch mutex: the waiter can read zero, return and free
+//!    the latch only after that release, which is the completer's last
+//!    touch of it.
 //!
 //! # Memory orderings
 //!
@@ -352,8 +352,8 @@ impl PoolInner {
 /// bug in the shim itself, so abort loudly rather than poisoning a worker.
 pub fn run_task(task: TaskPtr) {
     if panic::catch_unwind(AssertUnwindSafe(|| task.run())).is_err() {
-        // All tasks submitted through execute_batch/join/scope wrap user
-        // code in catch_unwind already, so this is unreachable in practice.
+        // Every task submitted through execute_batch wraps user code in
+        // catch_unwind already, so this is unreachable in practice.
         eprintln!("graft-rayon: internal task panicked; worker continuing");
     }
 }
@@ -365,9 +365,9 @@ struct WorkerCtx {
 
 /// Maximum nesting of *adopted* (stolen or injected) tasks run while a
 /// thread waits on a latch. Running tasks from one's own deque is always
-/// allowed (depth there is bounded by the join-tree depth), but adopting an
-/// unrelated subtree stacks its whole depth on top of ours; unbounded
-/// adoption overflows the stack under recursive `join` workloads. Capped
+/// allowed (depth there is bounded by the nesting depth of batches), but
+/// adopting an unrelated subtree stacks its whole depth on top of ours;
+/// unbounded adoption overflows the stack under deeply nested batches. Capped
 /// waiters park instead — progress never depends on adoption, because every
 /// task's own subtree is runnable by its owner or by a thief at depth 0.
 const HELP_STEAL_CAP: usize = 8;
@@ -581,11 +581,6 @@ impl Latch {
         }
     }
 
-    /// Raise the expected completion count by `n`.
-    pub fn add(&self, n: usize) {
-        self.state.lock().unwrap().remaining += n;
-    }
-
     /// Test-only: block on the latch without helping with pool work — a
     /// pure condvar wait. The model suites use this to check the latch
     /// handoff protocol itself with no deque traffic in the schedule space.
@@ -734,144 +729,6 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// join
-// ---------------------------------------------------------------------------
-
-/// Potentially-parallel pair execution with rayon's semantics: `a` runs on
-/// the calling thread; `b` may be stolen. If both panic, `a`'s payload wins.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let pool = match current_pool_for_work() {
-        Some(p) if p.num_threads() > 1 => p,
-        _ => return (oper_a(), oper_b()),
-    };
-    let own = worker_index_on(&pool);
-
-    let latch = Latch::new(1);
-    let mut b_result: Option<RB> = None;
-    {
-        let latch = &latch;
-        let b_slot = &mut b_result;
-        let task: Box<dyn FnOnce() + Send + '_> =
-            Box::new(
-                move || match panic::catch_unwind(AssertUnwindSafe(oper_b)) {
-                    Ok(v) => {
-                        *b_slot = Some(v);
-                        latch.complete(None);
-                    }
-                    Err(p) => latch.complete(Some(p)),
-                },
-            );
-        // SAFETY: we block on `latch` before this scope ends.
-        let task = TaskPtr::new(unsafe { erase_lifetime(task) });
-        if let Some(i) = own {
-            match pool.deques[i].push(task) {
-                Ok(()) => pool.cv.notify_one(),
-                Err(t) => pool.inject(t),
-            }
-        } else {
-            pool.inject(task);
-        }
-
-        let a_result = panic::catch_unwind(AssertUnwindSafe(oper_a));
-        let b_panic = latch.wait_helping(&pool, own);
-        match (a_result, b_panic) {
-            (Ok(ra), None) => {
-                let rb = b_result.take().expect("graft-rayon: join b missing result");
-                (ra, rb)
-            }
-            (Err(pa), _) => panic::resume_unwind(pa),
-            (Ok(_), Some(pb)) => panic::resume_unwind(pb),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// scope
-// ---------------------------------------------------------------------------
-
-/// Scope handle for structured task spawning (subset of rayon's `Scope`).
-pub struct Scope<'scope> {
-    pool: Option<Arc<PoolInner>>,
-    latch: Arc<Latch>,
-    _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawn a task that may run concurrently with the scope body. Borrowed
-    /// captures must outlive `'scope`; the scope waits for all spawns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        let pool = match &self.pool {
-            Some(p) => Arc::clone(p),
-            None => {
-                // Sequential scope: run inline.
-                f(self);
-                return;
-            }
-        };
-        self.latch.add(1);
-        let latch = Arc::clone(&self.latch);
-        let scope_copy = Scope {
-            pool: Some(Arc::clone(&pool)),
-            latch: Arc::clone(&self.latch),
-            _marker: std::marker::PhantomData,
-        };
-        let task: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            let res = panic::catch_unwind(AssertUnwindSafe(|| f(&scope_copy)));
-            latch.complete(res.err());
-        });
-        // SAFETY: `scope()` blocks on the latch before returning, so 'scope
-        // borrows stay live until the task completes.
-        let task = TaskPtr::new(unsafe { erase_lifetime(task) });
-        if let Some(i) = worker_index_on(&pool) {
-            match pool.deques[i].push(task) {
-                Ok(()) => pool.cv.notify_one(),
-                Err(t) => pool.inject(t),
-            }
-        } else {
-            pool.inject(task);
-        }
-    }
-}
-
-/// Create a scope: the body runs on the calling thread; spawned tasks run on
-/// the pool; the call returns only after every spawn has finished. Panics
-/// from spawns (or the body) propagate after the scope completes.
-pub fn scope<'scope, F, R>(f: F) -> R
-where
-    F: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    let pool = current_pool_for_work().filter(|p| p.num_threads() > 1);
-    let latch = Arc::new(Latch::new(0));
-    let s = Scope {
-        pool: pool.clone(),
-        latch: Arc::clone(&latch),
-        _marker: std::marker::PhantomData,
-    };
-    let body_result = panic::catch_unwind(AssertUnwindSafe(|| f(&s)));
-    let spawn_panic = if let Some(p) = &pool {
-        let own = worker_index_on(p);
-        latch.wait_helping(p, own)
-    } else {
-        None
-    };
-    match (body_result, spawn_panic) {
-        (Ok(r), None) => r,
-        (Err(p), _) => panic::resume_unwind(p),
-        (Ok(_), Some(p)) => panic::resume_unwind(p),
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Execution planning for parallel iterators
 // ---------------------------------------------------------------------------
 
@@ -1003,55 +860,18 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both_sides() {
+    fn nested_par_iter_helps_inside_pool_tasks() {
+        // Each outer piece runs an inner parallel sum on the same pool, so
+        // outer tasks block in `wait_helping` on inner batches while other
+        // workers hold outer pieces: the nested-helping path.
+        use crate::prelude::*;
         let pool = PoolHandle::new(4);
         let _guard = push_installed(Arc::clone(&pool.inner));
-        let (a, b) = join(|| 1 + 1, || 2 + 2);
-        assert_eq!((a, b), (2, 4));
-    }
-
-    #[test]
-    fn nested_join_computes_correctly() {
-        let pool = PoolHandle::new(4);
-        let _guard = push_installed(Arc::clone(&pool.inner));
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        assert_eq!(fib(16), 987);
-    }
-
-    #[test]
-    fn join_panic_in_a_wins() {
-        let pool = PoolHandle::new(2);
-        let _guard = push_installed(Arc::clone(&pool.inner));
-        let res = panic::catch_unwind(AssertUnwindSafe(|| {
-            join(
-                || -> u32 { panic!("panic-a") },
-                || -> u32 { panic!("panic-b") },
-            )
-        }));
-        let payload = res.unwrap_err();
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "panic-a");
-    }
-
-    #[test]
-    fn scope_waits_for_spawns() {
-        let pool = PoolHandle::new(4);
-        let _guard = push_installed(Arc::clone(&pool.inner));
-        let counter = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 32);
+        let total: u64 = (0..64u64)
+            .into_par_iter()
+            .map(|i| (0..256u64).into_par_iter().map(|j| i * j).sum::<u64>())
+            .sum();
+        assert_eq!(total, (0..64u64).sum::<u64>() * (0..256u64).sum::<u64>());
     }
 
     #[test]

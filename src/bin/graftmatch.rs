@@ -203,9 +203,7 @@ fn solve_remote_main(args: Vec<String>) -> ! {
     let mut client = svc::RetryClient::new(addr, policy);
     if batch > 0 {
         // One pipelined round trip carrying `batch` copies of the solve.
-        let members: Vec<String> = (0..batch)
-            .map(|_| svc::BatchMember::Solve(spec.clone()).wire())
-            .collect();
+        let members: Vec<String> = (0..batch).map(|_| spec.wire_args()).collect();
         match client.request_batch(&members) {
             Ok(replies) => {
                 if client.retries > 0 {

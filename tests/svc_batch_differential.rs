@@ -88,7 +88,7 @@ fn seeded_workload(seed: u64) -> Vec<Vec<String>> {
             // Occasional cold solves keep both the warm and cold paths
             // in the comparison (seeded, so both modes see the same).
             spec.cold = (round + i as u64 + next()).is_multiple_of(5);
-            members.push(svc::BatchMember::Solve(spec).wire());
+            members.push(spec.wire_args());
         }
     }
     // Batch sizes 1, 3, 7, ... chunked deterministically.

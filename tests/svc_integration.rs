@@ -312,3 +312,27 @@ fn serve_flag_threads_per_solve_sets_the_default() {
     assert_eq!(c.req("SHUTDOWN"), "OK bye");
     guard.0.wait().unwrap();
 }
+
+#[test]
+fn re_registering_a_name_forgets_its_dynamic_state() {
+    // Updates after a re-`GEN` must run against the new graph, not the
+    // matcher built from the old one.
+    let (mut guard, addr) = spawn_server(&[]);
+    let mut c = Client::connect(&addr);
+    assert!(c.req("GEN g kkt_power:tiny").starts_with("OK "));
+    assert!(c.req("SOLVE g").starts_with("OK "));
+    let del = c.req("UPDATE g DEL 0 0");
+    assert!(del.starts_with("OK "), "{del}");
+    assert!(c.req("GEN g RMAT:tiny").starts_with("OK "));
+    let add = c.req("UPDATE g ADD 0 0");
+    assert!(add.starts_with("OK "), "{add}");
+    let hk = c.req("SOLVE g hk cold");
+    assert!(hk.starts_with("OK "), "{hk}");
+    assert_eq!(
+        field_u64(&add, "cardinality"),
+        field_u64(&hk, "cardinality"),
+        "UPDATE after the re-GEN answered from the old graph: {add}"
+    );
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    guard.0.wait().unwrap();
+}

@@ -123,3 +123,43 @@ fn faultless_runs_are_clean_too() {
         );
     }
 }
+
+/// `graftmatch sim --seed N --log` stdout, committed for three seeds. A
+/// change that moves any byte of these logs changes service behaviour;
+/// if that is intended, regenerate the files with the CLI (see
+/// CHANGES.md) and say why in the change.
+const GOLDEN_LOGS: [(u64, &str); 3] = [
+    (42, include_str!("golden/sim_seed_42.log")),
+    (1337, include_str!("golden/sim_seed_1337.log")),
+    (48879, include_str!("golden/sim_seed_48879.log")),
+];
+
+#[test]
+fn sim_logs_match_the_golden_files() {
+    for (seed, golden) in GOLDEN_LOGS {
+        let report = svc::Scenario::from_seed(seed).run();
+        // The CLI prints the event log, then this summary line.
+        let stdout = format!(
+            "{}sim seed={} requests={} violations={}\n",
+            report.log,
+            report.seed,
+            report.requests,
+            report.violations.len()
+        );
+        if let Some((n, (got, want))) = stdout
+            .lines()
+            .zip(golden.lines())
+            .enumerate()
+            .find(|(_, (got, want))| got != want)
+        {
+            panic!(
+                "seed {seed}: line {} differs from tests/golden/sim_seed_{seed}.log\n  got:  {got}\n  want: {want}",
+                n + 1
+            );
+        }
+        assert_eq!(
+            stdout, golden,
+            "seed {seed}: log length differs from tests/golden/sim_seed_{seed}.log"
+        );
+    }
+}
