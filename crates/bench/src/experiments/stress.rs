@@ -7,12 +7,15 @@
 //! initializer seed, and demands that concurrency changes the *schedule*,
 //! never the *answer*: equal cardinality with the serial twin, a valid
 //! matching, a König cover of equal size, and no surviving augmenting
-//! path (Berge). Iterations repeat until the wall-clock budget is spent
-//! (always at least one). On failure the exact replay command — same
-//! seed, one iteration — is printed.
+//! path (Berge). At each width it also checks that the parallel
+//! Karp-Sipser initializer, which those solves start from, returns a
+//! valid maximal matching. Iterations repeat until the wall-clock budget
+//! is spent (always at least one). On failure the exact replay command —
+//! same seed, one iteration — is printed.
 
 use crate::report::Report;
 use crate::Config;
+use graft_core::init::{is_maximal, parallel_karp_sipser};
 use graft_core::{solve, Algorithm, SolveOptions};
 use graft_gen::suite::by_name;
 use std::time::{Duration, Instant};
@@ -64,6 +67,19 @@ fn one_iteration(cfg: &Config, seed: u64) -> Result<usize, String> {
         let g = by_name(name)
             .unwrap_or_else(|| panic!("suite graph {name} missing"))
             .build(cfg.scale);
+        for threads in THREAD_COUNTS {
+            let m = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("failed to build rayon pool")
+                .install(|| parallel_karp_sipser(&g, seed));
+            let ctx = format!("parallel Karp-Sipser on {name} seed={seed} threads={threads}");
+            m.validate(&g)
+                .map_err(|e| format!("{ctx}: invalid matching: {e}"))?;
+            if !is_maximal(&g, &m) {
+                return Err(format!("{ctx}: matching is not maximal"));
+            }
+        }
         for (par, serial) in ENGINE_PAIRS {
             let base_opts = SolveOptions {
                 threads: 1,
@@ -153,7 +169,8 @@ pub fn stress(cfg: &Config, opts: &StressOptions) -> std::io::Result<()> {
     }
     r.note(format!(
         "{iterations} iteration(s), {total} certified solves in {:.2}s — every parallel \
-         engine agreed with its serial twin at widths {THREAD_COUNTS:?}",
+         engine agreed with its serial twin, and every parallel Karp-Sipser matching was \
+         maximal, at widths {THREAD_COUNTS:?}",
         start.elapsed().as_secs_f64()
     ));
     r.emit(&cfg.out_dir)?;

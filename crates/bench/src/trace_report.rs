@@ -141,9 +141,8 @@ mod tests {
         let sink = Arc::new(JsonlSink::create(&path).unwrap());
         let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
         let opts = SolveOptions::default();
-        let m0 = opts.initializer.run(&g, opts.seed);
         let alg = Algorithm::MsBfsGraft;
-        let out = solve_from_traced_in(&g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
+        let out = solve_from_traced_in(&g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
         assert!(out.matching.cardinality() > 0);
         sink.flush().unwrap();
         run(&path).unwrap();

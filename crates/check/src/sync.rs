@@ -45,6 +45,13 @@ pub mod atomic {
                     Self { inner: <$std>::new(v) }
                 }
 
+                /// Consumes the atomic and returns its value. Owning it
+                /// means no other thread can access it, so this is not a
+                /// scheduling point; the mirror holds the latest value.
+                pub fn into_inner(self) -> $prim {
+                    self.inner.into_inner()
+                }
+
                 fn addr(&self) -> usize {
                     &self.inner as *const $std as usize
                 }

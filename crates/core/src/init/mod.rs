@@ -5,13 +5,20 @@
 //! Karp-Sipser (§II-B), citing it as one of the best initializers for
 //! cardinality matching. A simple greedy initializer is provided for
 //! ablation, and [`Initializer::None`] starts from the empty matching.
+//! Karp-Sipser also has a multithreaded form, [`parallel_karp_sipser`],
+//! which the solve dispatcher runs inside a parallel algorithm's pool.
 
 mod greedy;
 mod karp_sipser;
 mod karp_sipser_two;
 
 pub use greedy::{greedy_maximal, random_greedy};
-pub use karp_sipser::{karp_sipser, parallel_greedy_maximal};
+pub use karp_sipser::{karp_sipser, parallel_karp_sipser};
+// Claim-protocol internals for the graft-check model suite; invisible
+// otherwise.
+#[cfg(graft_check)]
+#[doc(hidden)]
+pub use karp_sipser::check_api as ks_check_api;
 pub use karp_sipser_two::karp_sipser_two;
 
 use crate::Matching;
@@ -39,8 +46,12 @@ pub enum Initializer {
 }
 
 impl Initializer {
-    /// Computes the initial matching for `g`. `seed` only affects
-    /// [`Initializer::KarpSipser`].
+    /// Computes the initial matching for `g`, serially and
+    /// deterministically at any ambient thread count. `seed` drives the
+    /// random choices of [`Initializer::RandomGreedy`],
+    /// [`Initializer::KarpSipser`] and [`Initializer::KarpSipserTwo`];
+    /// the other two ignore it. The solve dispatcher runs
+    /// [`parallel_karp_sipser`] instead for a parallel algorithm.
     pub fn run(self, g: &BipartiteCsr, seed: u64) -> Matching {
         match self {
             Initializer::None => Matching::for_graph(g),

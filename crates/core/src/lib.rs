@@ -15,12 +15,14 @@
 //! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool, steps below its work cutoff inline: the paper's parallel contribution |
 //!
 //! Every solve goes through one dispatcher, [`solve_from_traced_in`]: it
-//! starts from a [`Matching`] — typically the Karp-Sipser maximal matching
-//! ([`init::Initializer`]) as in the paper — sizes the thread pool for the
-//! parallel algorithms, and returns a [`RunOutcome`] bundling the final
-//! matching with the instrumentation ([`stats::SearchStats`]) that the
-//! experiment harness uses to regenerate the paper's figures. [`solve`]
-//! and [`solve_from_in`] are its two shorthands.
+//! starts from the caller's [`Matching`] or computes the configured one —
+//! by default the Karp-Sipser maximal matching ([`init::Initializer`]) as
+//! in the paper — sizes the thread pool for the parallel algorithms, runs
+//! the initializer and the engine in it, and returns a [`RunOutcome`]
+//! bundling the final matching with the instrumentation
+//! ([`stats::SearchStats`]) that the experiment harness uses to
+//! regenerate the paper's figures. [`solve`] and [`solve_from_in`] are
+//! its two shorthands.
 //!
 //! ```
 //! use graft_core::{solve, Algorithm, SolveOptions};
@@ -239,17 +241,16 @@ impl Default for SolveOptions {
     }
 }
 
-/// Runs `algorithm` on `g` after computing the configured initial
-/// matching, in a fresh workspace and without a tracer.
+/// Runs `algorithm` on `g` from the configured initial matching, in a
+/// fresh workspace and without a tracer.
 pub fn solve(g: &BipartiteCsr, algorithm: Algorithm, opts: &SolveOptions) -> RunOutcome {
-    let m0 = opts.initializer.run(g, opts.seed);
-    solve_from_in(g, m0, algorithm, opts, &mut SolveWorkspace::new())
+    solve_from_in(g, None, algorithm, opts, &mut SolveWorkspace::new())
 }
 
 /// [`solve_from_traced_in`] without a tracer.
 pub fn solve_from_in(
     g: &BipartiteCsr,
-    m0: Matching,
+    m0: impl Into<Option<Matching>>,
     algorithm: Algorithm,
     opts: &SolveOptions,
     ws: &mut SolveWorkspace,
@@ -278,17 +279,25 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
     }
 }
 
-/// Runs `algorithm` on `g` starting from `m0`: the one function that calls
-/// an engine.
+/// Runs `algorithm` on `g` starting from `m0`, or from `opts.initializer`'s
+/// matching when `m0` is `None`: the one function that calls an engine,
+/// and the one that runs the initializer for a solve.
 ///
 /// `tracer` observes the run: a `run_start` / `run_end` pair around the
 /// solve, plus whatever inner events the algorithm's engine emits (levels
 /// and phases for the MS-BFS engine, phases for Pothen-Fan and serial
-/// push-relabel). A disabled tracer builds no event and reads no clock.
+/// push-relabel). `run_start` follows the initializer and carries its
+/// cardinality. A disabled tracer builds no event and reads no clock.
 ///
 /// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
 /// that many threads, built for this call; with `threads = 0` it uses the
-/// caller's ambient pool. Serial algorithms never get or use a pool.
+/// caller's ambient pool. The initializer runs in that pool too, and for a
+/// parallel algorithm `Initializer::KarpSipser` is
+/// [`init::parallel_karp_sipser`]: at one thread, or below the MS-BFS
+/// engine's inline cutoff, that is the serial [`init::karp_sipser`], so a
+/// one-thread solve's output does not depend on who ran the initializer.
+/// Serial algorithms never get or use a pool, and run the serial
+/// initializers.
 ///
 /// The per-vertex arrays and frontier vectors live in `ws` and are
 /// recycled across calls via an epoch/versioned-visited scheme, so a warm
@@ -300,47 +309,56 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 /// are baselines/oracles, not service hot paths).
 pub fn solve_from_traced_in(
     g: &BipartiteCsr,
-    m0: Matching,
+    m0: impl Into<Option<Matching>>,
     algorithm: Algorithm,
     opts: &SolveOptions,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
+    let m0 = m0.into();
     let ms_opts = effective_ms_opts(algorithm, opts);
-    tracer.emit(|| TraceEvent::RunStart {
-        algorithm: algorithm.cli_name().to_string(),
-        nx: g.num_x() as u64,
-        ny: g.num_y() as u64,
-        edges: g.num_edges() as u64,
-        initial_cardinality: m0.cardinality() as u64,
-        alpha: ms_opts.map_or(0.0, |o| o.alpha),
-        direction_optimizing: ms_opts.is_some_and(|o| o.direction_optimizing),
-        grafting: ms_opts.is_some_and(|o| o.grafting),
-    });
-    let engine = || match algorithm {
-        Algorithm::SsDfs => ss_dfs(g, m0),
-        Algorithm::SsBfs => ss_bfs(g, m0),
-        Algorithm::PothenFan => pothen_fan(g, m0, tracer, ws),
-        Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0),
-        Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
-        Algorithm::MsBfs
-        | Algorithm::MsBfsDirOpt
-        | Algorithm::MsBfsGraft
-        | Algorithm::MsBfsGraftParallel => {
-            let ms_opts = ms_opts.expect("MS algorithm");
-            ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), tracer, ws)
+    let run = || {
+        let m0 = m0.unwrap_or_else(|| match opts.initializer {
+            init::Initializer::KarpSipser if algorithm.is_parallel() => {
+                init::parallel_karp_sipser(g, opts.seed)
+            }
+            initializer => initializer.run(g, opts.seed),
+        });
+        tracer.emit(|| TraceEvent::RunStart {
+            algorithm: algorithm.cli_name().to_string(),
+            nx: g.num_x() as u64,
+            ny: g.num_y() as u64,
+            edges: g.num_edges() as u64,
+            initial_cardinality: m0.cardinality() as u64,
+            alpha: ms_opts.map_or(0.0, |o| o.alpha),
+            direction_optimizing: ms_opts.is_some_and(|o| o.direction_optimizing),
+            grafting: ms_opts.is_some_and(|o| o.grafting),
+        });
+        match algorithm {
+            Algorithm::SsDfs => ss_dfs(g, m0),
+            Algorithm::SsBfs => ss_bfs(g, m0),
+            Algorithm::PothenFan => pothen_fan(g, m0, tracer, ws),
+            Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0),
+            Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
+            Algorithm::MsBfs
+            | Algorithm::MsBfsDirOpt
+            | Algorithm::MsBfsGraft
+            | Algorithm::MsBfsGraftParallel => {
+                let ms_opts = ms_opts.expect("MS algorithm");
+                ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), tracer, ws)
+            }
+            Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, tracer, ws),
+            Algorithm::PushRelabelParallel => push_relabel_parallel(g, m0, &opts.push_relabel),
         }
-        Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, tracer, ws),
-        Algorithm::PushRelabelParallel => push_relabel_parallel(g, m0, &opts.push_relabel),
     };
     let out = if algorithm.is_parallel() && opts.threads > 0 {
         rayon::ThreadPoolBuilder::new()
             .num_threads(opts.threads)
             .build()
             .expect("failed to build rayon pool")
-            .install(engine)
+            .install(run)
     } else {
-        engine()
+        run()
     };
     tracer.emit(|| TraceEvent::RunEnd {
         final_cardinality: out.stats.final_cardinality as u64,

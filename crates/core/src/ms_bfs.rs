@@ -215,8 +215,9 @@ impl MsBfsOptions {
 /// cutoffs of 4,096, 16,384 and 65,536 all made two-thread solves of
 /// road_usa:small and kkt_power:medium no slower than one-thread ones,
 /// and 65,536 gave the best two-thread Fig. 5 speedups (class medians
-/// 0.87–0.91, against 0.76–0.80 at 4,096).
-const INLINE_WORK: usize = 65_536;
+/// 0.87–0.91, against 0.76–0.80 at 4,096). The parallel Karp-Sipser
+/// initializer runs serially below the same work, counted as `n + m`.
+pub(crate) const INLINE_WORK: usize = 65_536;
 
 /// The engine's view of the workspace's atomic per-vertex arrays.
 struct Shared<'a> {

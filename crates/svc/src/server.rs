@@ -362,10 +362,9 @@ fn run_job(
                 .solve_threads_used
                 .fetch_add(threads.max(1) as u64, Ordering::Relaxed);
             let t0 = clock.now();
-            let m0 = match warm.filter(|_| !cold) {
-                Some(m0) => (*m0).clone(),
-                None => opts.initializer.run(&graph, opts.seed),
-            };
+            // Without a warm start the dispatcher runs the initializer,
+            // inside the solve's pool.
+            let m0 = warm.filter(|_| !cold).map(|m0| (*m0).clone());
             let out = solve_from_traced_in(&graph, m0, algorithm, &opts, tracer, ws);
             let solve_us = clock.now().saturating_duration_since(t0).as_micros() as u64;
             metrics.solve.record(solve_us);

@@ -261,6 +261,35 @@ fn solve_threads_are_validated_defaulted_and_counted() {
 }
 
 #[test]
+fn a_deadline_that_expires_during_the_initializer_stores_nothing() {
+    // A cold solve runs Karp-Sipser before the engine's first deadline
+    // check. On kkt_power:small the initializer alone outlasts 1 ms, so
+    // the solve times out after the queue's pre-check has passed it.
+    let server = svc::Server::bind(&svc::ServeConfig {
+        workers: 2,
+        ..svc::ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut c = Client::connect(&addr);
+    assert!(c.req("GEN g kkt_power:small").starts_with("OK "));
+
+    let late = c.req("SOLVE g ms-bfs-graft-par threads=2 timeout_ms=1 cold");
+    assert!(late.starts_with("ERR deadline"), "{late}");
+    let stats = c.req("STATS");
+    assert_eq!(field_u64(&stats, "timed_out"), 1, "{stats}");
+
+    // The timed-out solve left no warm start behind.
+    let next = c.req("SOLVE g ms-bfs-graft-par");
+    assert!(next.starts_with("OK "), "{next}");
+    assert_eq!(field(&next, "warm"), "false", "{next}");
+
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn serial_solves_hold_one_worker_slot() {
     // A default of 2 threads per solve applies to parallel algorithms
     // only: a serial engine runs on one thread and is charged one slot.

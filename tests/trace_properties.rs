@@ -40,8 +40,7 @@ fn capture(g: &BipartiteCsr, alg: Algorithm, seed: u64) -> (Vec<TraceEvent>, Run
     };
     let sink = Arc::new(MemorySink::new());
     let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-    let m0 = opts.initializer.run(g, opts.seed);
-    let out = solve_from_traced_in(g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
+    let out = solve_from_traced_in(g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
     (sink.take(), out)
 }
 
@@ -140,9 +139,9 @@ fn two_thread_parallel_graft_traces_replay_and_add_up() {
             let ctx = format!("{name} rep {rep}");
             let sink = Arc::new(MemorySink::new());
             let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-            let m0 = opts.initializer.run(g, opts.seed);
             let alg = Algorithm::MsBfsGraftParallel;
-            let out = solve_from_traced_in(g, m0, alg, &opts, &tracer, &mut SolveWorkspace::new());
+            let out =
+                solve_from_traced_in(g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
             let runs = replay(&sink.take()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(runs.len(), 1, "{ctx}");
             let run = &runs[0];
