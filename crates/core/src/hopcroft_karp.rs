@@ -13,7 +13,7 @@
 //! and every other algorithm is checked against it.
 
 use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -30,7 +30,12 @@ const INF: u32 = u32::MAX;
 /// let out = hopcroft_karp(&g, Matching::for_graph(&g));
 /// assert_eq!(out.matching.cardinality(), 2);
 /// ```
-pub fn hopcroft_karp(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
+pub fn hopcroft_karp(g: &BipartiteCsr, m: Matching) -> RunOutcome {
+    hopcroft_karp_until(g, m, Stop::default())
+}
+
+/// [`hopcroft_karp`], polling `stop` before each layering BFS.
+pub(crate) fn hopcroft_karp_until(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -41,7 +46,7 @@ pub fn hopcroft_karp(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
     let mut dist: Vec<u32> = vec![INF; nx];
     let mut queue: VecDeque<VertexId> = VecDeque::new();
 
-    loop {
+    while !stop.poll(&mut stats) {
         // ---- BFS phase: layered distances over X vertices. ----
         queue.clear();
         for (x, d) in dist.iter_mut().enumerate() {

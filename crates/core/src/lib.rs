@@ -79,7 +79,7 @@ pub use augment::{
 };
 pub use hopcroft_karp::hopcroft_karp;
 pub use matching::Matching;
-pub use ms_bfs::{MsBfsOptions, NowHook, PhaseHook};
+pub use ms_bfs::MsBfsOptions;
 // Search internals for the graft-check model suite; invisible otherwise.
 #[cfg(graft_check)]
 #[doc(hidden)]
@@ -88,6 +88,7 @@ pub use push_relabel::{PrOrder, PushRelabelOptions};
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
 
+use hopcroft_karp::hopcroft_karp_until;
 use ms_bfs::ms_bfs;
 use pothen_fan::pothen_fan;
 use pothen_fan_par::pothen_fan_parallel;
@@ -212,9 +213,40 @@ impl Algorithm {
     }
 }
 
+/// A cooperative stop request. Every engine calls it at the top of each
+/// phase, with the number of phases done, and returns its current
+/// matching (valid, not certified maximum) with
+/// [`SearchStats::timed_out`] set once it answers `true`. The callback
+/// may also sleep or panic; the engines catch nothing.
+#[derive(Clone, Copy)]
+pub struct Stop<'a>(pub &'a (dyn Fn(u32) -> bool + Sync));
+
+impl Stop<'_> {
+    /// Polls the callback with `stats.phases`, records the answer in
+    /// `stats.timed_out` and returns it.
+    #[inline]
+    pub(crate) fn poll(self, stats: &mut SearchStats) -> bool {
+        stats.timed_out = (self.0)(stats.phases);
+        stats.timed_out
+    }
+}
+
+impl Default for Stop<'_> {
+    /// Never stops.
+    fn default() -> Self {
+        Stop(&|_| false)
+    }
+}
+
+impl std::fmt::Debug for Stop<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Stop(..)")
+    }
+}
+
 /// Options for the [`solve_from_traced_in`] dispatcher.
 #[derive(Clone, Copy, Debug)]
-pub struct SolveOptions {
+pub struct SolveOptions<'a> {
     /// Initial maximal matching (paper default: Karp-Sipser).
     pub initializer: init::Initializer,
     /// Seed for the initializer's random choices.
@@ -227,9 +259,12 @@ pub struct SolveOptions {
     pub ms_bfs: MsBfsOptions,
     /// Push-relabel configuration.
     pub push_relabel: PushRelabelOptions,
+    /// Polled by the engine at the top of every phase (never before the
+    /// initializer); the default never stops.
+    pub stop: Stop<'a>,
 }
 
-impl Default for SolveOptions {
+impl Default for SolveOptions<'_> {
     fn default() -> Self {
         Self {
             initializer: init::Initializer::KarpSipser,
@@ -237,6 +272,7 @@ impl Default for SolveOptions {
             threads: 0,
             ms_bfs: MsBfsOptions::default(),
             push_relabel: PushRelabelOptions::default(),
+            stop: Stop::default(),
         }
     }
 }
@@ -334,21 +370,24 @@ pub fn solve_from_traced_in(
             direction_optimizing: ms_opts.is_some_and(|o| o.direction_optimizing),
             grafting: ms_opts.is_some_and(|o| o.grafting),
         });
+        let stop = opts.stop;
         match algorithm {
-            Algorithm::SsDfs => ss_dfs(g, m0),
-            Algorithm::SsBfs => ss_bfs(g, m0),
-            Algorithm::PothenFan => pothen_fan(g, m0, tracer, ws),
-            Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0),
-            Algorithm::HopcroftKarp => hopcroft_karp(g, m0),
+            Algorithm::SsDfs => ss_dfs(g, m0, stop),
+            Algorithm::SsBfs => ss_bfs(g, m0, stop),
+            Algorithm::PothenFan => pothen_fan(g, m0, stop, tracer, ws),
+            Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0, stop),
+            Algorithm::HopcroftKarp => hopcroft_karp_until(g, m0, stop),
             Algorithm::MsBfs
             | Algorithm::MsBfsDirOpt
             | Algorithm::MsBfsGraft
             | Algorithm::MsBfsGraftParallel => {
                 let ms_opts = ms_opts.expect("MS algorithm");
-                ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), tracer, ws)
+                ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), stop, tracer, ws)
             }
-            Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, tracer, ws),
-            Algorithm::PushRelabelParallel => push_relabel_parallel(g, m0, &opts.push_relabel),
+            Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, stop, tracer, ws),
+            Algorithm::PushRelabelParallel => {
+                push_relabel_parallel(g, m0, &opts.push_relabel, stop)
+            }
         }
     };
     let out = if algorithm.is_parallel() && opts.threads > 0 {
@@ -424,48 +463,105 @@ mod tests {
         assert!(!Algorithm::MsBfsGraft.is_parallel());
     }
 
-    #[test]
-    fn every_ms_algorithm_reads_the_deadline_through_now_hook() {
-        // The deadline is an hour away on the real clock but already past
-        // on the hook's clock, so every engine that honors deadlines must
-        // stop before its first phase.
-        use std::time::{Duration, Instant};
-        let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let opts = SolveOptions {
-            ms_bfs: MsBfsOptions {
-                deadline: Some(Instant::now() + Duration::from_secs(3600)),
-                now_hook: Some(NowHook(&|| Instant::now() + Duration::from_secs(7200))),
-                ..MsBfsOptions::default()
-            },
+    /// Several phases for every algorithm from the empty matching.
+    fn stop_graph() -> BipartiteCsr {
+        tests_support::random_graph(300, 300, 900, 7)
+    }
+
+    /// A two-thread solve from the empty matching, polling `stop`.
+    fn stop_opts(stop: Stop<'_>) -> SolveOptions<'_> {
+        SolveOptions {
+            initializer: init::Initializer::None,
+            threads: 2,
+            stop,
             ..SolveOptions::default()
-        };
-        for alg in [
-            Algorithm::MsBfs,
-            Algorithm::MsBfsDirOpt,
-            Algorithm::MsBfsGraft,
-            Algorithm::MsBfsGraftParallel,
-        ] {
-            let out = solve(&g, alg, &opts);
-            assert!(out.stats.timed_out, "{} ignored now_hook", alg.name());
+        }
+    }
+
+    #[test]
+    fn every_algorithm_polls_the_stop_once_per_phase() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let g = stop_graph();
+        for alg in Algorithm::ALL {
+            let (calls, last) = (AtomicU32::new(0), AtomicU32::new(u32::MAX));
+            let count = |phases_done| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                last.store(phases_done, Ordering::Relaxed);
+                false
+            };
+            let out = solve(&g, alg, &stop_opts(Stop(&count)));
+            let (calls, phases) = (calls.into_inner(), out.stats.phases);
+            // HK polls once more, before the layering BFS that finds nothing.
+            assert!(
+                (phases..=phases + 1).contains(&calls),
+                "{}: {calls} polls for {phases} phases",
+                alg.name()
+            );
+            assert_eq!(last.into_inner(), calls - 1, "{}", alg.name());
+            assert!(!out.stats.timed_out, "{}", alg.name());
+            assert!(verify::is_maximum(&g, &out.matching), "{}", alg.name());
+        }
+    }
+
+    #[test]
+    fn an_always_true_stop_returns_the_initial_matching() {
+        let g = stop_graph();
+        for alg in Algorithm::ALL {
+            let out = solve(&g, alg, &stop_opts(Stop(&|_| true)));
+            assert!(out.stats.timed_out, "{}", alg.name());
             assert_eq!(out.stats.phases, 0, "{}", alg.name());
+            assert_eq!(out.matching.cardinality(), 0, "{}", alg.name());
+        }
+    }
+
+    #[test]
+    fn stopping_after_the_first_phase_leaves_a_valid_matching_and_trace() {
+        use trace::{replay, MemorySink};
+        let g = stop_graph();
+        for alg in Algorithm::ALL {
+            let sink = std::sync::Arc::new(MemorySink::new());
+            let out = solve_from_traced_in(
+                &g,
+                None,
+                alg,
+                &stop_opts(Stop(&|done| done >= 1)),
+                &Tracer::to_sink(sink.clone()),
+                &mut SolveWorkspace::new(),
+            );
+            let name = alg.name();
+            out.matching
+                .validate(&g)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(out.stats.phases, 1, "{name}");
+            assert!(out.stats.timed_out, "{name}");
+            replay(&sink.take()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        }
+    }
+
+    #[test]
+    fn a_panicking_stop_unwinds_out_of_every_algorithm() {
+        let g = stop_graph();
+        for alg in Algorithm::ALL {
+            let r = std::panic::catch_unwind(|| {
+                solve(&g, alg, &stop_opts(Stop(&|_| panic!("injected"))))
+            });
+            assert!(r.is_err(), "{}", alg.name());
         }
     }
 
     #[test]
     fn dispatcher_sizes_the_pool_only_for_parallel_algorithms() {
-        // The phase hook runs on the solve's driving thread, so it sees
+        // The stop callback runs on the solve's driving thread, so it sees
         // the pool the engine runs in.
         use std::sync::atomic::{AtomicUsize, Ordering};
         static SEEN: AtomicUsize = AtomicUsize::new(0);
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
         let opts = SolveOptions {
             threads: 3,
-            ms_bfs: MsBfsOptions {
-                phase_hook: Some(PhaseHook(&|_| {
-                    SEEN.store(rayon::current_num_threads(), Ordering::Relaxed)
-                })),
-                ..MsBfsOptions::default()
-            },
+            stop: Stop(&|_| {
+                SEEN.store(rayon::current_num_threads(), Ordering::Relaxed);
+                false
+            }),
             ..SolveOptions::default()
         };
         solve(&g, Algorithm::MsBfsGraftParallel, &opts);

@@ -78,61 +78,11 @@
 use crate::stats::{SearchStats, Step, Stopwatch};
 use crate::trace::{emit_phase, GraftSummary, PhaseSummary, TraceEvent, Tracer};
 use crate::workspace::{pack, unpack, SolveWorkspace};
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A cooperative phase-boundary observer, invoked at the same point the
-/// engines check [`MsBfsOptions::deadline`]: once before every phase,
-/// with the number of completed phases as argument.
-///
-/// The `&'static` borrow keeps [`MsBfsOptions`] `Copy`; long-lived
-/// callers (the service's fault-injection plan) leak one allocation per
-/// process to obtain it. The hook may sleep (delay injection) or panic
-/// (fault injection) — the engines make no attempt to catch unwinds,
-/// that is the caller's job.
-#[derive(Clone, Copy)]
-pub struct PhaseHook(pub &'static (dyn Fn(u32) + Sync));
-
-impl PhaseHook {
-    /// Invokes the hook for the phase about to start.
-    #[inline]
-    pub fn call(&self, phases_done: u32) {
-        (self.0)(phases_done)
-    }
-}
-
-impl std::fmt::Debug for PhaseHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("PhaseHook(..)")
-    }
-}
-
-/// A replacement time source for the [`MsBfsOptions::deadline`] checks.
-///
-/// The engines compare `now_hook` (or `Instant::now` when unset) against
-/// the deadline at every phase boundary; a simulation harness installs a
-/// virtual clock here so cooperative cancellation runs on simulated time.
-/// Like [`PhaseHook`], the `&'static` borrow keeps the options `Copy` —
-/// long-lived callers leak one allocation per process.
-#[derive(Clone, Copy)]
-pub struct NowHook(pub &'static (dyn Fn() -> Instant + Sync));
-
-impl NowHook {
-    /// The hook's idea of "now".
-    #[inline]
-    pub fn now(&self) -> Instant {
-        (self.0)()
-    }
-}
-
-impl std::fmt::Debug for NowHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("NowHook(..)")
-    }
-}
 
 /// Configuration of the MS-BFS engine.
 #[derive(Clone, Copy, Debug)]
@@ -145,21 +95,6 @@ pub struct MsBfsOptions {
     pub direction_optimizing: bool,
     /// Enable tree grafting between phases.
     pub grafting: bool,
-    /// Cooperative cancellation: when set, the engine checks the clock at
-    /// every phase boundary and stops early once the deadline has passed,
-    /// returning the (valid, maximal-so-far) matching with
-    /// [`SearchStats::timed_out`](crate::stats::SearchStats::timed_out)
-    /// set. The matching is *not* guaranteed maximum in that case.
-    pub deadline: Option<Instant>,
-    /// Observer called at every phase boundary, immediately after the
-    /// deadline check (the same cooperative cancellation point). `None`
-    /// costs one branch per phase; the service's fault-injection harness
-    /// uses it to panic or stall a solve mid-run.
-    pub phase_hook: Option<PhaseHook>,
-    /// Time source for the deadline checks; `None` means `Instant::now`.
-    /// The simulation harness points this at its virtual clock so that
-    /// deadlines expire on simulated time.
-    pub now_hook: Option<NowHook>,
 }
 
 impl Default for MsBfsOptions {
@@ -168,9 +103,6 @@ impl Default for MsBfsOptions {
             alpha: 5.0,
             direction_optimizing: true,
             grafting: true,
-            deadline: None,
-            phase_hook: None,
-            now_hook: None,
         }
     }
 }
@@ -535,6 +467,7 @@ pub(crate) fn ms_bfs(
     m: Matching,
     opts: &MsBfsOptions,
     parallel: bool,
+    stop: Stop<'_>,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
@@ -583,15 +516,8 @@ pub(crate) fn ms_bfs(
     let mut unvisited_valid = false;
 
     loop {
-        if let Some(deadline) = opts.deadline {
-            let now = opts.now_hook.map_or_else(Instant::now, |h| h.now());
-            if now >= deadline {
-                stats.timed_out = true;
-                break;
-            }
-        }
-        if let Some(hook) = opts.phase_hook {
-            hook.call(stats.phases);
+        if stop.poll(&mut stats) {
+            break;
         }
         stats.phases += 1;
         let mut p = PhaseSummary {
@@ -765,6 +691,7 @@ mod tests {
             m,
             opts,
             false,
+            Stop::default(),
             &Tracer::disabled(),
             &mut SolveWorkspace::new(),
         )
@@ -961,63 +888,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_stops_before_first_phase() {
-        let g = fig2_graph();
-        let opts = MsBfsOptions {
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..MsBfsOptions::graft()
-        };
-        let out = serial(&g, Matching::for_graph(&g), &opts);
-        assert!(out.stats.timed_out);
-        assert_eq!(out.stats.phases, 0);
-        assert_eq!(out.matching.cardinality(), 0); // initial matching returned
-    }
-
-    #[test]
-    fn generous_deadline_does_not_time_out() {
-        let g = fig2_graph();
-        let opts = MsBfsOptions {
-            deadline: Some(Instant::now() + std::time::Duration::from_secs(3600)),
-            ..MsBfsOptions::graft()
-        };
-        let out = serial(&g, Matching::for_graph(&g), &opts);
-        assert!(!out.stats.timed_out);
-        assert_eq!(out.matching.cardinality(), 6);
-    }
-
-    #[test]
-    fn phase_hook_fires_once_per_phase() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        static CALLS: AtomicU32 = AtomicU32::new(0);
-        static LAST: AtomicU32 = AtomicU32::new(u32::MAX);
-        let opts = MsBfsOptions {
-            phase_hook: Some(PhaseHook(&|done| {
-                CALLS.fetch_add(1, Ordering::Relaxed);
-                LAST.store(done, Ordering::Relaxed);
-            })),
-            ..MsBfsOptions::graft()
-        };
-        let g = fig2_graph();
-        let out = serial(&g, Matching::for_graph(&g), &opts);
-        assert_eq!(out.matching.cardinality(), 6);
-        assert_eq!(CALLS.load(Ordering::Relaxed), out.stats.phases);
-        assert_eq!(LAST.load(Ordering::Relaxed), out.stats.phases - 1);
-    }
-
-    #[test]
-    fn panicking_phase_hook_unwinds_out_of_the_engine() {
-        let opts = MsBfsOptions {
-            phase_hook: Some(PhaseHook(&|_| panic!("injected"))),
-            ..MsBfsOptions::graft()
-        };
-        let g = fig2_graph();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serial(&g, Matching::for_graph(&g), &opts)
-        }));
-        assert!(r.is_err());
-    }
-
-    #[test]
     fn starts_from_perfect_matching() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 1)]);
         let mut m0 = Matching::for_graph(&g);
@@ -1168,19 +1038,6 @@ mod tests {
     fn parallel_empty_graph() {
         let g = BipartiteCsr::from_edges(0, 5, &[]);
         let out = par(&g, Matching::for_graph(&g), &MsBfsOptions::graft(), 2);
-        assert_eq!(out.matching.cardinality(), 0);
-    }
-
-    #[test]
-    fn parallel_expired_deadline_stops_before_first_phase() {
-        let g = chain(30);
-        let opts = MsBfsOptions {
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..MsBfsOptions::graft()
-        };
-        let out = par(&g, Matching::for_graph(&g), &opts, 2);
-        assert!(out.stats.timed_out);
-        assert_eq!(out.stats.phases, 0);
         assert_eq!(out.matching.cardinality(), 0);
     }
 }

@@ -19,7 +19,7 @@
 use crate::stats::SearchStats;
 use crate::trace::{TraceEvent, Tracer};
 use crate::workspace::{pack, SolveWorkspace};
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::time::Instant;
 
@@ -31,6 +31,7 @@ use std::time::Instant;
 pub(crate) fn pothen_fan(
     g: &BipartiteCsr,
     mut m: Matching,
+    stop: Stop<'_>,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
@@ -54,7 +55,7 @@ pub(crate) fn pothen_fan(
         let mut augmented_this_phase = 0u64;
         roots.clear();
         roots.extend(m.unmatched_x());
-        if roots.is_empty() {
+        if roots.is_empty() || stop.poll(&mut stats) {
             break;
         }
         let phase_t0 = tracer.is_enabled().then(Instant::now);
@@ -194,7 +195,13 @@ mod tests {
     use crate::verify::is_maximum;
 
     fn run_pf(g: &BipartiteCsr, m: Matching) -> RunOutcome {
-        pothen_fan(g, m, &Tracer::disabled(), &mut SolveWorkspace::new())
+        pothen_fan(
+            g,
+            m,
+            Stop::default(),
+            &Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        )
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! experiment reproduces.
 
 use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -52,7 +52,7 @@ pub struct Shared<'a> {
 /// Maximum matching by multithreaded Pothen-Fan with fairness + lookahead,
 /// on the ambient rayon pool (the dispatcher installs a sized one around
 /// the call).
-pub(crate) fn pothen_fan_parallel(g: &BipartiteCsr, m: Matching) -> RunOutcome {
+pub(crate) fn pothen_fan_parallel(g: &BipartiteCsr, m: Matching, stop: Stop<'_>) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -74,7 +74,7 @@ pub(crate) fn pothen_fan_parallel(g: &BipartiteCsr, m: Matching) -> RunOutcome {
         let roots: Vec<VertexId> = (0..g.num_x() as VertexId)
             .filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE)
             .collect();
-        if roots.is_empty() {
+        if roots.is_empty() || stop.poll(&mut stats) {
             break;
         }
         let fair_reverse = phase.is_multiple_of(2);
@@ -353,6 +353,7 @@ mod tests {
         let serial = crate::pothen_fan::pothen_fan(
             &g,
             Matching::for_graph(&g),
+            Stop::default(),
             &crate::Tracer::disabled(),
             &mut SolveWorkspace::new(),
         );

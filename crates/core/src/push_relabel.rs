@@ -23,7 +23,7 @@
 use crate::stats::SearchStats;
 use crate::trace::{TraceEvent, Tracer};
 use crate::workspace::{PrBuffers, SolveWorkspace};
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
 use std::collections::{BinaryHeap, VecDeque};
@@ -173,14 +173,16 @@ fn global_relabel(
 /// observing each phase. A PR "phase" is the span opened by one global
 /// relabel: its event reports the pushes that landed on a free `Y` vertex
 /// (the cardinality gains) and the edges scanned — relabel sweep included
-/// — before the next relabel. Warm solves reuse the label array, the
-/// relabel scratch and the active set of `ws`, performing no heap
-/// allocations. PR needs no epoch versioning — the solve-opening global
-/// relabel fully reinitializes every buffer.
+/// — before the next relabel. `stop` is polled before every global
+/// relabel, the solve-opening one included. Warm solves reuse the label
+/// array, the relabel scratch and the active set of `ws`, performing no
+/// heap allocations. PR needs no epoch versioning — the solve-opening
+/// global relabel fully reinitializes every buffer.
 pub(crate) fn push_relabel(
     g: &BipartiteCsr,
     mut m: Matching,
     opts: &PushRelabelOptions,
+    stop: Stop<'_>,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
 ) -> RunOutcome {
@@ -204,19 +206,32 @@ pub(crate) fn push_relabel(
     } = &mut ws.pr;
     let d_y = &mut d_y[..ny];
     let matched_y = &mut matched_y[..ny];
-    let mut phase_t0 = tracer.is_enabled().then(Instant::now);
-    let mut phase_edges_start = stats.edges_traversed;
-    let mut phase_augs_start = stats.augmenting_paths;
-    stats.edges_traversed += global_relabel(g, m.mates_x(), d_y, limit, matched_y, bfs);
-    stats.phases += 1;
+    let (mut phase_t0, mut phase_edges_start, mut phase_augs_start) = (None, 0, 0);
 
     let mut queue = ActiveSet::new(opts.order, fifo, heap);
     for x in m.unmatched_x().filter(|&x| g.x_degree(x) > 0) {
         queue.push(x, 0);
     }
-    let mut pushes_since_relabel = 0u64;
+    // Due at once: the solve opens with a global relabel.
+    let mut pushes_since_relabel = relabel_threshold;
 
-    while let Some(x) = queue.pop() {
+    loop {
+        if pushes_since_relabel >= relabel_threshold {
+            if stop.poll(&mut stats) {
+                break;
+            }
+            if stats.phases > 0 {
+                tracer
+                    .emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
+            }
+            phase_t0 = tracer.is_enabled().then(Instant::now);
+            phase_edges_start = stats.edges_traversed;
+            phase_augs_start = stats.augmenting_paths;
+            stats.edges_traversed += global_relabel(g, m.mates_x(), d_y, limit, matched_y, bfs);
+            stats.phases += 1;
+            pushes_since_relabel = 0;
+        }
+        let Some(x) = queue.pop() else { break };
         if m.is_x_matched(x) {
             continue;
         }
@@ -248,17 +263,10 @@ pub(crate) fn push_relabel(
             queue.push(old, d_y[y1 as usize]);
         }
         pushes_since_relabel += 1;
-        if pushes_since_relabel >= relabel_threshold {
-            tracer.emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
-            phase_t0 = tracer.is_enabled().then(Instant::now);
-            phase_edges_start = stats.edges_traversed;
-            phase_augs_start = stats.augmenting_paths;
-            stats.edges_traversed += global_relabel(g, m.mates_x(), d_y, limit, matched_y, bfs);
-            stats.phases += 1;
-            pushes_since_relabel = 0;
-        }
     }
-    tracer.emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
+    if stats.phases > 0 {
+        tracer.emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
+    }
 
     stats.final_cardinality = m.cardinality();
     stats.elapsed = start.elapsed();
@@ -296,11 +304,13 @@ fn pr_phase_event(
 /// global relabel re-certifies reachability; if an outer iteration makes no
 /// progress (a theoretical possibility under label staleness), the solver
 /// falls back to one exact serial push-relabel pass, preserving the
-/// worst-case guarantees.
+/// worst-case guarantees. `stop` is polled at the top of every outer
+/// iteration, and by the fallback.
 pub(crate) fn push_relabel_parallel(
     g: &BipartiteCsr,
     m: Matching,
     opts: &PushRelabelOptions,
+    stop: Stop<'_>,
 ) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
@@ -322,7 +332,7 @@ pub(crate) fn push_relabel_parallel(
 
     let mut gr_matched = vec![false; g.num_y()];
     let mut gr_queue: VecDeque<VertexId> = VecDeque::new();
-    loop {
+    while !stop.poll(&mut stats) {
         // ---- Repair sweep: clear stale mate pointers of robbed X
         // vertices whose requeue entry was dropped when the push budget
         // cut the rounds short. No other thread runs here, so the plain
@@ -377,14 +387,14 @@ pub(crate) fn push_relabel_parallel(
         let mut pushes = 0u64;
         let mut frontier = active;
         while !frontier.is_empty() && pushes < push_budget {
-            let results: Vec<(Vec<VertexId>, u64)> = frontier
+            let results: Vec<(Vec<VertexId>, u64, u64)> = frontier
                 .par_chunks(opts.queue_limit.max(1))
                 .map(|batch| {
                     let mut requeue = Vec::new();
                     let mut local_scanned = 0u64;
-                    let mut local_pushes = 0u64;
+                    let (mut local_pushes, mut local_augs) = (0u64, 0u64);
                     for &x in batch {
-                        local_pushes += pr_process_one(
+                        let (push, aug) = pr_process_one(
                             g,
                             &mate_x,
                             &mate_y,
@@ -394,15 +404,18 @@ pub(crate) fn push_relabel_parallel(
                             &mut requeue,
                             &mut local_scanned,
                         );
+                        local_pushes += push;
+                        local_augs += aug;
                     }
                     scanned.fetch_add(local_scanned, Ordering::Relaxed);
-                    (requeue, local_pushes)
+                    (requeue, local_pushes, local_augs)
                 })
                 .collect();
             let mut next = Vec::new();
-            for (mut rq, p) in results {
+            for (mut rq, p, a) in results {
                 next.append(&mut rq);
                 pushes += p;
+                stats.augmenting_paths += a;
             }
             frontier = next;
         }
@@ -412,10 +425,15 @@ pub(crate) fn push_relabel_parallel(
             // contention). Finish with the exact serial solver to preserve
             // the worst-case guarantees.
             let final_m = matching_from_atomic(g, &mate_y);
+            // The fallback counts its phases from 0; `stop` hears them
+            // after the ones run here.
+            let done = stats.phases;
+            let stop = |phases: u32| (stop.0)(done + phases);
             let out = push_relabel(
                 g,
                 final_m,
                 opts,
+                Stop(&stop),
                 &Tracer::disabled(),
                 &mut SolveWorkspace::new(),
             );
@@ -437,7 +455,8 @@ pub(crate) fn push_relabel_parallel(
 }
 
 /// One double-push attempt for `x`; pushes robbed/requeued vertices into
-/// `requeue`. Returns the number of pushes performed (0 or 1).
+/// `requeue`. Returns the pushes performed and, of those, the ones that
+/// claimed a free `Y` and so grew the matching (each 0 or 1).
 #[allow(clippy::too_many_arguments)]
 fn pr_process_one(
     g: &BipartiteCsr,
@@ -448,12 +467,12 @@ fn pr_process_one(
     x: VertexId,
     requeue: &mut Vec<VertexId>,
     scanned: &mut u64,
-) -> u64 {
+) -> (u64, u64) {
     // Lazy self-repair: if we were robbed, clear our stale mate pointer.
     let own = mate_x[x as usize].load(Ordering::Relaxed);
     if own != NONE {
         if mate_y[own as usize].load(Ordering::Acquire) == x {
-            return 0; // actually matched: nothing to do
+            return (0, 0); // actually matched: nothing to do
         }
         mate_x[x as usize].store(NONE, Ordering::Relaxed);
     }
@@ -474,12 +493,12 @@ fn pr_process_one(
             }
         }
         if y1 == NONE || d1 >= limit {
-            return 0; // unmatchable under current labels; outer loop re-checks
+            return (0, 0); // unmatchable under current labels; outer loop re-checks
         }
         let old = mate_y[y1 as usize].load(Ordering::Acquire);
         if old == x {
             mate_x[x as usize].store(y1, Ordering::Relaxed);
-            return 0;
+            return (0, 0);
         }
         if mate_y[y1 as usize]
             .compare_exchange(old, x, Ordering::AcqRel, Ordering::Acquire)
@@ -491,12 +510,12 @@ fn pr_process_one(
                 // The robbed vertex self-repairs when processed.
                 requeue.push(old);
             }
-            return 1;
+            return (1, u64::from(old == NONE));
         }
         // CAS failed: labels/mates moved under us; rescan.
     }
     requeue.push(x);
-    0
+    (0, 0)
 }
 
 /// Builds a consistent [`Matching`] from the authoritative `Y`-side array.
@@ -537,7 +556,14 @@ mod tests {
     }
 
     fn serial(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
-        push_relabel(g, m, opts, &Tracer::disabled(), &mut SolveWorkspace::new())
+        push_relabel(
+            g,
+            m,
+            opts,
+            Stop::default(),
+            &Tracer::disabled(),
+            &mut SolveWorkspace::new(),
+        )
     }
 
     /// One PR(par) solve in a `threads`-sized pool, through the dispatcher.

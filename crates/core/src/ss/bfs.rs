@@ -1,7 +1,7 @@
 //! Single-source BFS augmenting-path search (SS-BFS).
 
 use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -14,7 +14,7 @@ use std::time::Instant;
 /// along the discovered shortest (within the tree) path and the visited
 /// flags touched by *this* search are cleared; on failure the flags stay
 /// set, permanently discarding the dead tree (§II-C).
-pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
+pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -28,6 +28,9 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
 
     let roots: Vec<VertexId> = m.unmatched_x().collect();
     for x0 in roots {
+        if stop.poll(&mut stats) {
+            break;
+        }
         stats.phases += 1;
         queue.clear();
         touched.clear();
@@ -110,7 +113,7 @@ mod tests {
                 (0, 3),
             ],
         );
-        let out = ss_bfs(&g, Matching::for_graph(&g));
+        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
         assert_eq!(out.matching.cardinality(), 4);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -118,7 +121,7 @@ mod tests {
     #[test]
     fn stats_are_filled() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = ss_bfs(&g, Matching::for_graph(&g));
+        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
         assert_eq!(out.stats.initial_cardinality, 0);
         assert_eq!(out.stats.final_cardinality, 2);
         assert_eq!(out.stats.phases, 2);
@@ -131,7 +134,7 @@ mod tests {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0); // forces an augmentation through x1
-        let out = ss_bfs(&g, m0);
+        let out = ss_bfs(&g, m0, Stop::default());
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -139,7 +142,7 @@ mod tests {
     #[test]
     fn unmatchable_graph() {
         let g = BipartiteCsr::from_edges(3, 1, &[(0, 0), (1, 0), (2, 0)]);
-        let out = ss_bfs(&g, Matching::for_graph(&g));
+        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
         assert_eq!(out.matching.cardinality(), 1);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -151,7 +154,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0);
         m0.match_pair(2, 1);
-        let out = ss_bfs(&g, m0);
+        let out = ss_bfs(&g, m0, Stop::default());
         assert_eq!(out.matching.cardinality(), 3);
         assert_eq!(out.stats.total_augmenting_path_edges, 5);
     }

@@ -1,7 +1,7 @@
 //! Single-source DFS augmenting-path search (SS-DFS).
 
 use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome};
+use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::time::Instant;
 
@@ -12,7 +12,7 @@ use std::time::Instant;
 /// frames) so that the long augmenting paths of Fig. 1c cannot overflow the
 /// call stack. As in [`ss_bfs`](super::ss_bfs), failed search trees stay
 /// hidden forever; successful searches un-hide only their own vertices.
-pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
+pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
     let start = Instant::now();
     let mut stats = SearchStats {
         initial_cardinality: m.cardinality(),
@@ -26,6 +26,9 @@ pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching) -> RunOutcome {
 
     let roots: Vec<VertexId> = m.unmatched_x().collect();
     for x0 in roots {
+        if stop.poll(&mut stats) {
+            break;
+        }
         stats.phases += 1;
         stack.clear();
         touched.clear();
@@ -88,7 +91,7 @@ mod tests {
     #[test]
     fn dfs_matches_simple_path() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = ss_dfs(&g, Matching::for_graph(&g));
+        let out = ss_dfs(&g, Matching::for_graph(&g), Stop::default());
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -111,7 +114,7 @@ mod tests {
         for i in 1..k as VertexId {
             m0.match_pair(i, i - 1);
         }
-        let out = ss_dfs(&g, m0);
+        let out = ss_dfs(&g, m0, Stop::default());
         assert_eq!(out.matching.cardinality(), k);
         assert!(is_maximum(&g, &out.matching));
         assert_eq!(out.stats.augmenting_paths, 1);
@@ -125,7 +128,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0);
         m0.match_pair(2, 2);
-        let out = ss_dfs(&g, m0);
+        let out = ss_dfs(&g, m0, Stop::default());
         assert_eq!(out.matching.cardinality(), 3);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -133,7 +136,7 @@ mod tests {
     #[test]
     fn dfs_empty_graph() {
         let g = BipartiteCsr::from_edges(2, 2, &[]);
-        let out = ss_dfs(&g, Matching::for_graph(&g));
+        let out = ss_dfs(&g, Matching::for_graph(&g), Stop::default());
         assert_eq!(out.matching.cardinality(), 0);
     }
 
@@ -154,8 +157,10 @@ mod tests {
                 (2, 3),
             ],
         );
-        let a = ss_dfs(&g, Matching::for_graph(&g)).matching.cardinality();
-        let b = crate::ss::ss_bfs(&g, Matching::for_graph(&g))
+        let a = ss_dfs(&g, Matching::for_graph(&g), Stop::default())
+            .matching
+            .cardinality();
+        let b = crate::ss::ss_bfs(&g, Matching::for_graph(&g), Stop::default())
             .matching
             .cardinality();
         assert_eq!(a, b);

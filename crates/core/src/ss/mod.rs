@@ -25,6 +25,7 @@ mod tests {
     use super::*;
     use crate::init::Initializer;
     use crate::verify::is_maximum;
+    use crate::Stop;
     use graft_graph::BipartiteCsr;
 
     fn hard_graph() -> BipartiteCsr {
@@ -45,8 +46,8 @@ mod tests {
             Initializer::KarpSipser,
         ] {
             let m0 = init.run(&g, 5);
-            let b = ss_bfs(&g, m0.clone());
-            let d = ss_dfs(&g, m0);
+            let b = ss_bfs(&g, m0.clone(), Stop::default());
+            let d = ss_dfs(&g, m0, Stop::default());
             assert!(
                 is_maximum(&g, &b.matching),
                 "ss_bfs not maximum with {init:?}"
@@ -64,7 +65,7 @@ mod tests {
         // x1..x3 all compete for the single y0: after the first failure the
         // dead tree is hidden, so later searches traverse almost nothing.
         let g = BipartiteCsr::from_edges(4, 1, &[(0, 0), (1, 0), (2, 0), (3, 0)]);
-        let out = ss_bfs(&g, crate::Matching::for_graph(&g));
+        let out = ss_bfs(&g, crate::Matching::for_graph(&g), Stop::default());
         assert_eq!(out.matching.cardinality(), 1);
         // First search matches (0,0) [1 edge]; second traverses y0's
         // adjacency once and fails; the remaining two searches see y0

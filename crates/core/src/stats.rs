@@ -117,11 +117,11 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Per-step time attribution (meaningful for the MS-BFS engine).
     pub breakdown: Breakdown,
-    /// Set when the solver stopped at a phase boundary because the
-    /// configured deadline ([`MsBfsOptions::deadline`]) passed. The
+    /// Set when the solver stopped at a phase boundary because
+    /// [`SolveOptions::stop`] asked it to (the service's deadline). The
     /// returned matching is valid but not certified maximum.
     ///
-    /// [`MsBfsOptions::deadline`]: crate::MsBfsOptions#structfield.deadline
+    /// [`SolveOptions::stop`]: crate::SolveOptions#structfield.stop
     pub timed_out: bool,
 }
 

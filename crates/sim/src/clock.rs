@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 ///
 /// `Instant` stays the universal timestamp type — a virtual clock picks a
 /// real base instant at creation and reports `base + virtual_elapsed`, so
-/// deadline arithmetic (`Option<Instant>` in `MsBfsOptions`, drain
+/// deadline arithmetic (a job's `Option<Instant>` deadline, drain
 /// budgets, retry timeouts) is unchanged between backends.
 pub trait Clock: Send + Sync {
     /// The current (possibly virtual) time.
@@ -21,14 +21,6 @@ pub trait Clock: Send + Sync {
     /// registers a timer and returns as soon as virtual time reaches it,
     /// usually within microseconds of wall time.
     fn sleep(&self, d: Duration);
-
-    /// Whether this clock runs on virtual time. Callers use this to skip
-    /// work that only makes sense against a wall clock (e.g. leaking a
-    /// `'static` hook into the core engines is only worth it when the
-    /// deadline checks must see virtual time).
-    fn is_virtual(&self) -> bool {
-        false
-    }
 
     /// Bounds one *real* condvar-wait slice for a caller that polls a
     /// condition with `remaining` of this clock's time left on its
@@ -241,10 +233,6 @@ impl Clock for SimClock {
         }
     }
 
-    fn is_virtual(&self) -> bool {
-        true
-    }
-
     fn wait_slice(&self, _remaining: Duration) -> Duration {
         SIM_WAIT_SLICE
     }
@@ -261,7 +249,6 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-        assert!(!c.is_virtual());
     }
 
     #[test]
@@ -317,7 +304,6 @@ mod tests {
     #[test]
     fn wait_slice_is_short_and_real_under_sim() {
         let c = SimClock::new();
-        assert!(c.is_virtual());
         assert!(c.wait_slice(Duration::from_secs(3600)) <= Duration::from_millis(5));
         let w = WallClock;
         assert_eq!(w.wait_slice(Duration::from_secs(2)), Duration::from_secs(2));

@@ -12,9 +12,8 @@
 //! * [`FaultSite::Reload`] — registry (re)materialization of a graph;
 //! * [`FaultSite::SnapshotSave`] / [`FaultSite::SnapshotLoad`] — the
 //!   crash-safe snapshot writer and reader;
-//! * [`FaultSite::SolverPhase`] — every MS-BFS phase boundary, via a
-//!   [`PhaseHook`](graft_core::PhaseHook) installed into the solver
-//!   options.
+//! * [`FaultSite::SolverPhase`] — every engine's phase boundary, via the
+//!   per-job [`Stop`](graft_core::Stop) callback in the solver options.
 //!
 //! A `max_faults` budget caps the total number of injected faults, so a
 //! chaos test's tail runs clean and its final assertions (drain,
@@ -36,7 +35,7 @@ pub enum FaultSite {
     SnapshotSave,
     /// Snapshot read path.
     SnapshotLoad,
-    /// Solver phase boundary (via the core phase hook).
+    /// Solver phase boundary (via the solve's stop callback).
     SolverPhase,
 }
 

@@ -19,7 +19,7 @@
 //!   pool; a full queue rejects immediately with the typed
 //!   [`SvcError::Overloaded`] instead of building unbounded backlog, and
 //!   per-job **deadlines** cancel solves cooperatively at phase
-//!   boundaries (via [`MsBfsOptions::deadline`]);
+//!   boundaries (via [`SolveOptions::stop`], polled by every engine);
 //! * [`metrics`] — atomic counters and latency histograms (global,
 //!   per-algorithm, and per-graph) behind the `STATS` command;
 //! * [`protocol`] / [`server`] — a newline-delimited TCP protocol
@@ -87,7 +87,7 @@
 //! OK bye
 //! ```
 //!
-//! [`MsBfsOptions::deadline`]: graft_core::MsBfsOptions#structfield.deadline
+//! [`SolveOptions::stop`]: graft_core::SolveOptions#structfield.stop
 //! [`SvcError::Overloaded`]: error::SvcError::Overloaded
 
 #![forbid(unsafe_code)]

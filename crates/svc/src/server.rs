@@ -39,7 +39,7 @@
 //! the first `SOLVE` of a restored graph is warm.
 
 use crate::error::SvcError;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, FaultSite};
 use crate::journal::{AppendOutcome, FsyncPolicy, Journal};
 use crate::metrics::Metrics;
 use crate::protocol::{
@@ -52,10 +52,7 @@ use crate::registry::{
 use crate::scheduler::Scheduler;
 use crate::snapshot::{self, Snapshot, SnapshotDelta};
 use graft_core::trace::RingSink;
-use graft_core::{
-    solve_from_traced_in, Algorithm, MsBfsOptions, NowHook, PhaseHook, SolveOptions,
-    SolveWorkspace, Tracer,
-};
+use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Stop, Tracer};
 use graft_dyn::{DynConfig, DynamicMatching, UpdateOutcome};
 use graft_sim::{Clock, Conn, Disk, Listener, RealDisk, TcpTransport, Transport, WallClock};
 use std::collections::{BTreeSet, HashMap};
@@ -316,8 +313,7 @@ fn run_job(
     tracer: &Tracer,
     dyn_store: &DynStore,
     journal: Option<&Journal>,
-    phase_hook: Option<PhaseHook>,
-    now_hook: Option<NowHook>,
+    phase_hook: &(dyn Fn(u32) + Sync),
     clock: &dyn Clock,
     ws: &mut SolveWorkspace,
 ) -> JobReply {
@@ -347,14 +343,19 @@ fn run_job(
                     });
                 }
             }
+            // Polled by the engine before each phase. The deadline goes
+            // first: a solve told to stop runs no phase hook for the
+            // phase it will not run.
+            let stop = |phases_done| {
+                let late = deadline.is_some_and(|dl| clock.now() >= dl);
+                if !late {
+                    phase_hook(phases_done);
+                }
+                late
+            };
             let opts = SolveOptions {
                 threads,
-                ms_bfs: MsBfsOptions {
-                    deadline,
-                    phase_hook,
-                    now_hook,
-                    ..MsBfsOptions::default()
-                },
+                stop: Stop(&stop),
                 ..SolveOptions::default()
             };
             let warm_used = warm.is_some() && !cold;
@@ -614,8 +615,7 @@ impl Server {
                     .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
                 plan.set_clock(Arc::clone(&clock));
                 // One plan per server process, alive for its lifetime:
-                // leaking it gives the `&'static` the solver phase hook
-                // needs without poisoning `MsBfsOptions` with lifetimes.
+                // leaking it gives the `&'static` the registry holds.
                 Some(&*Box::leak(Box::new(plan)))
             }
         };
@@ -715,23 +715,6 @@ impl Server {
                 }
             }
         }
-        let phase_hook = faults.map(|plan| {
-            PhaseHook(Box::leak(Box::new(move |_phases: u32| {
-                plan.maybe_fail_infallible(crate::faults::FaultSite::SolverPhase)
-            })))
-        });
-        // Under virtual time the solver's cooperative deadline checks
-        // must consult the simulated clock, not `Instant::now`. The hook
-        // is leaked for the same `&'static` reason as the phase hook —
-        // one per server process, alive for its lifetime. Under the
-        // wall clock the option stays `None` and the solver's default
-        // (zero-cost) path is untouched.
-        let now_hook = if clock.is_virtual() {
-            let c = Arc::clone(&clock);
-            Some(NowHook(Box::leak(Box::new(move || c.now()))))
-        } else {
-            None
-        };
         let shrink_gen = Arc::new(AtomicU64::new(0));
         let sched = {
             let registry = Arc::clone(&registry);
@@ -763,8 +746,11 @@ impl Server {
                             &tracer,
                             &dyn_store,
                             journal.as_deref(),
-                            phase_hook,
-                            now_hook,
+                            &|_| {
+                                if let Some(plan) = faults {
+                                    plan.maybe_fail_infallible(FaultSite::SolverPhase)
+                                }
+                            },
                             &*clock,
                             &mut state.ws,
                         )
@@ -1428,6 +1414,8 @@ pub fn serve(cfg: &ServeConfig, on_bind: impl FnOnce(SocketAddr)) -> std::io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graft_sim::SimClock;
+    use std::sync::atomic::AtomicU32;
 
     fn solve_job(name: &str, algorithm: Algorithm, cold: bool) -> Job {
         Job::Solve {
@@ -1440,46 +1428,57 @@ mod tests {
         }
     }
 
+    /// A registry holding `spec` as graph `g`.
+    fn registry_with(spec: &str) -> GraphRegistry {
+        let registry = GraphRegistry::new(usize::MAX);
+        registry
+            .register("g", parse_gen_spec(spec).unwrap())
+            .unwrap();
+        registry
+    }
+
+    /// Runs `job` against `registry` with `phase_hook`, on `clock`.
+    fn run(
+        registry: &GraphRegistry,
+        job: Job,
+        phase_hook: &(dyn Fn(u32) + Sync),
+        clock: &dyn Clock,
+    ) -> JobReply {
+        run_job(
+            job,
+            registry,
+            &Metrics::new(),
+            &Tracer::disabled(),
+            &DynStore::default(),
+            None,
+            phase_hook,
+            clock,
+            &mut SolveWorkspace::new(),
+        )
+    }
+
     #[test]
     fn a_solve_racing_a_re_registration_does_not_warm_start_the_new_graph() {
         // The solve's phase hook re-registers its graph's name mid-solve,
         // between the `get` and the warm-start store `run_job` makes.
-        let registry: &'static GraphRegistry = Box::leak(Box::new(GraphRegistry::new(usize::MAX)));
-        registry
-            .register("g", parse_gen_spec("kkt_power:tiny").unwrap())
-            .unwrap();
-        let hook = PhaseHook(Box::leak(Box::new(move |phases_done: u32| {
+        let registry = registry_with("kkt_power:tiny");
+        let hook = |phases_done: u32| {
             if phases_done == 0 {
                 registry
                     .register("g", parse_gen_spec("RMAT:tiny").unwrap())
                     .unwrap();
             }
-        })));
-        let metrics = Metrics::new();
-        let dyn_store = DynStore::default();
-        let mut ws = SolveWorkspace::new();
-        let mut run = |job, phase_hook| {
-            run_job(
-                job,
-                registry,
-                &metrics,
-                &Tracer::disabled(),
-                &dyn_store,
-                None,
-                phase_hook,
-                None,
-                &WallClock,
-                &mut ws,
-            )
-            .unwrap()
         };
-        run(solve_job("g", Algorithm::MsBfsGraft, false), Some(hook));
+        let solve = |job, phase_hook: &(dyn Fn(u32) + Sync)| {
+            run(&registry, job, phase_hook, &WallClock).unwrap()
+        };
+        solve(solve_job("g", Algorithm::MsBfsGraft, false), &hook);
         assert!(
             registry.get("g").unwrap().1.is_none(),
             "the kkt_power matching was stored as the RMAT graph's warm start"
         );
-        let next = run(solve_job("g", Algorithm::MsBfsGraft, false), None);
-        let hk = run(solve_job("g", Algorithm::HopcroftKarp, true), None);
+        let next = solve(solve_job("g", Algorithm::MsBfsGraft, false), &|_| {});
+        let hk = solve(solve_job("g", Algorithm::HopcroftKarp, true), &|_| {});
         let cardinality = |line: &str| {
             line.split_whitespace()
                 .find(|t| t.starts_with("cardinality="))
@@ -1487,5 +1486,51 @@ mod tests {
         };
         assert!(next.contains("warm=false"), "{next}");
         assert_eq!(cardinality(&next), cardinality(&hk), "{next} vs {hk}");
+    }
+
+    #[test]
+    fn every_algorithm_runs_the_solver_phase_hook() {
+        // Karp-Sipser leaves augmenting paths on this graph, so every
+        // algorithm runs phases from its cold start.
+        let registry = registry_with("road_usa:tiny");
+        for alg in Algorithm::ALL {
+            let calls = AtomicU32::new(0);
+            let hook = |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            };
+            let reply = run(&registry, solve_job("g", alg, true), &hook, &WallClock);
+            assert!(reply.is_ok(), "{}: {reply:?}", alg.name());
+            assert!(calls.into_inner() > 0, "{} never ran the hook", alg.name());
+        }
+    }
+
+    #[test]
+    fn a_deadline_passing_on_the_virtual_clock_stops_the_solve() {
+        // The deadline is an hour of virtual time away, so `Instant::now`
+        // would not reach it; the hook moves the virtual clock past it
+        // before the first phase, and the next poll must see that.
+        let registry = registry_with("road_usa:tiny");
+        for alg in Algorithm::ALL {
+            let clock = SimClock::new();
+            let job = Job::Solve {
+                name: "g".to_string(),
+                algorithm: alg,
+                deadline: Some(clock.now() + Duration::from_secs(3600)),
+                threads: 1,
+                cold: true,
+                submitted: clock.now(),
+            };
+            let hook = |phases_done| {
+                if phases_done == 0 {
+                    clock.advance(Duration::from_secs(7200));
+                }
+            };
+            let reply = run(&registry, job, &hook, &clock);
+            assert!(
+                matches!(reply, Err(SvcError::DeadlineExceeded { .. })),
+                "{}: {reply:?}",
+                alg.name()
+            );
+        }
     }
 }

@@ -12,6 +12,16 @@ struct Gate {
     env: &'static [(&'static str, &'static str)],
 }
 
+/// CI's `modelcheck` job builds with the graft-check instrumented atomics.
+/// Its own target directory keeps that build from evicting the normal one.
+const MODELCHECK_ENV: &[(&str, &str)] = &[
+    (
+        "RUSTFLAGS",
+        "--cfg graft_check --check-cfg cfg(graft_check)",
+    ),
+    ("CARGO_TARGET_DIR", "target/graft-check"),
+];
+
 const GATES: &[Gate] = &[
     Gate {
         name: "fmt",
@@ -57,6 +67,36 @@ const GATES: &[Gate] = &[
         name: "doc",
         args: &["doc", "--workspace", "--no-deps", "-q"],
         env: &[("RUSTDOCFLAGS", "-D warnings")],
+    },
+    Gate {
+        name: "modelcheck (pool)",
+        args: &[
+            "test",
+            "-p",
+            "rayon",
+            "--release",
+            "--offline",
+            "--test",
+            "model_deque",
+            "--test",
+            "model_pool",
+        ],
+        env: MODELCHECK_ENV,
+    },
+    Gate {
+        name: "modelcheck (core)",
+        args: &[
+            "test",
+            "-p",
+            "graft-core",
+            "--release",
+            "--offline",
+            "--test",
+            "model_pothen_fan",
+            "--test",
+            "model_karp_sipser",
+        ],
+        env: MODELCHECK_ENV,
     },
 ];
 

@@ -75,21 +75,43 @@ fn relabeling_preserves_matching_number() {
 
 #[test]
 fn stats_are_consistent_across_suite() {
-    for entry in gen::suite::suite().into_iter().take(4) {
+    for entry in gen::suite::suite() {
         let g = entry.build(gen::Scale::Tiny);
-        let out = solve(&g, Algorithm::MsBfsGraft, &SolveOptions::default());
-        let s = &out.stats;
-        assert_eq!(
-            s.final_cardinality - s.initial_cardinality,
-            s.augmenting_paths as usize,
-            "{}: every augmenting path adds exactly one edge",
-            entry.name
-        );
-        assert!(s.phases >= 1);
-        if s.augmenting_paths > 0 {
-            // Augmenting paths have odd length ≥ 1.
-            assert!(s.total_augmenting_path_edges >= s.augmenting_paths);
-            assert!(s.avg_augmenting_path_len() >= 1.0);
+        for threads in [1, 2] {
+            let opts = SolveOptions {
+                threads,
+                ..SolveOptions::default()
+            };
+            for alg in Algorithm::ALL {
+                let s = solve(&g, alg, &opts).stats;
+                let ctx = format!("{} on {} at {threads} threads", alg.name(), entry.name);
+                assert_eq!(
+                    s.final_cardinality - s.initial_cardinality,
+                    s.augmenting_paths as usize,
+                    "{ctx}: every augmenting path adds exactly one edge"
+                );
+                // SS, PF and HK can run no phase from a Karp-Sipser start;
+                // the MS engine always runs a certifying one and PR always
+                // opens with a global relabel.
+                let always_a_phase = matches!(
+                    alg,
+                    Algorithm::MsBfs
+                        | Algorithm::MsBfsDirOpt
+                        | Algorithm::MsBfsGraft
+                        | Algorithm::MsBfsGraftParallel
+                        | Algorithm::PushRelabel
+                        | Algorithm::PushRelabelParallel
+                );
+                assert!(!always_a_phase || s.phases >= 1, "{ctx}");
+                // PR pushes record no path edges. Augmenting paths have odd
+                // length >= 1.
+                let records_paths =
+                    !matches!(alg, Algorithm::PushRelabel | Algorithm::PushRelabelParallel);
+                if records_paths && s.augmenting_paths > 0 {
+                    assert!(s.total_augmenting_path_edges >= s.augmenting_paths, "{ctx}");
+                    assert!(s.avg_augmenting_path_len() >= 1.0, "{ctx}");
+                }
+            }
         }
     }
 }

@@ -37,7 +37,7 @@ fn base_seed() -> u64 {
         .unwrap_or(1)
 }
 
-fn opts(threads: usize, seed: u64) -> SolveOptions {
+fn opts(threads: usize, seed: u64) -> SolveOptions<'static> {
     SolveOptions {
         threads,
         seed,

@@ -290,6 +290,32 @@ fn a_deadline_that_expires_during_the_initializer_stores_nothing() {
 }
 
 #[test]
+fn a_single_source_solve_stops_at_its_deadline() {
+    // SS-DFS polls its stop before each root search. From the Karp-Sipser
+    // start on kkt_power:small those searches outlast 20 ms together
+    // (232 of them, 136 ms in a release build), so the solve must stop
+    // part way with the typed timeout instead of finishing late.
+    let server = svc::Server::bind(&svc::ServeConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let mut c = Client::connect(&addr);
+    assert!(c.req("GEN g kkt_power:small").starts_with("OK "));
+
+    let before = field_u64(&c.req("STATS"), "timed_out");
+    let late = c.req("SOLVE g ss-dfs timeout_ms=20 cold");
+    assert!(late.starts_with("ERR deadline"), "{late}");
+    let stats = c.req("STATS");
+    assert_eq!(field_u64(&stats, "timed_out"), before + 1, "{stats}");
+
+    // The server keeps serving.
+    let hk = c.req("SOLVE g hk cold");
+    assert!(hk.starts_with("OK "), "{hk}");
+
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
 fn serial_solves_hold_one_worker_slot() {
     // A default of 2 threads per solve applies to parallel algorithms
     // only: a serial engine runs on one thread and is charged one slot.
