@@ -8,7 +8,7 @@
 //! |---|---|---|
 //! | SS-DFS | `SsDfs` | serial, single-source |
 //! | SS-BFS | `SsBfs` | serial, single-source |
-//! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | serial / parallel multi-source DFS |
+//! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | one multi-source DFS engine, inline on one thread / on the thread pool |
 //! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
 //! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | serial / parallel |
 //! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | the MS-BFS engine with toggles, inline on one thread |
@@ -44,7 +44,6 @@ pub mod json;
 mod matching;
 pub mod ms_bfs;
 mod pothen_fan;
-mod pothen_fan_par;
 mod push_relabel;
 mod ss;
 pub mod stats;
@@ -83,7 +82,7 @@ pub use ms_bfs::MsBfsOptions;
 // Search internals for the graft-check model suite; invisible otherwise.
 #[cfg(graft_check)]
 #[doc(hidden)]
-pub use pothen_fan_par::check_api as pf_check_api;
+pub use pothen_fan::check_api as pf_check_api;
 pub use push_relabel::{PrOrder, PushRelabelOptions};
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
@@ -91,7 +90,6 @@ pub use workspace::SolveWorkspace;
 use hopcroft_karp::hopcroft_karp_until;
 use ms_bfs::ms_bfs;
 use pothen_fan::pothen_fan;
-use pothen_fan_par::pothen_fan_parallel;
 use push_relabel::{push_relabel, push_relabel_parallel};
 use ss::{ss_bfs, ss_dfs};
 
@@ -321,9 +319,9 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 ///
 /// `tracer` observes the run: a `run_start` / `run_end` pair around the
 /// solve, plus whatever inner events the algorithm's engine emits (levels
-/// and phases for the MS-BFS engine, phases for Pothen-Fan and serial
-/// push-relabel). `run_start` follows the initializer and carries its
-/// cardinality. A disabled tracer builds no event and reads no clock.
+/// and phases for the MS-BFS engine, phases for the Pothen-Fan engine and
+/// serial push-relabel). `run_start` follows the initializer and carries
+/// its cardinality. A disabled tracer builds no event and reads no clock.
 ///
 /// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
 /// that many threads, built for this call; with `threads = 0` it uses the
@@ -340,9 +338,9 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 /// solve performs no `O(n)` clears and (for the serial algorithms that
 /// draw on `ws`) no heap allocations at all; the matching and
 /// [`stats::SearchStats`] counters are the same as from a fresh
-/// workspace. The four MS-BFS algorithms, Pothen-Fan and serial
-/// push-relabel draw on `ws`; the remaining algorithms ignore it (they
-/// are baselines/oracles, not service hot paths).
+/// workspace. The four MS-BFS algorithms, both Pothen-Fan algorithms and
+/// serial push-relabel draw on `ws`; the remaining algorithms ignore it
+/// (they are baselines/oracles, not service hot paths).
 pub fn solve_from_traced_in(
     g: &BipartiteCsr,
     m0: impl Into<Option<Matching>>,
@@ -374,8 +372,9 @@ pub fn solve_from_traced_in(
         match algorithm {
             Algorithm::SsDfs => ss_dfs(g, m0, stop),
             Algorithm::SsBfs => ss_bfs(g, m0, stop),
-            Algorithm::PothenFan => pothen_fan(g, m0, stop, tracer, ws),
-            Algorithm::PothenFanParallel => pothen_fan_parallel(g, m0, stop),
+            Algorithm::PothenFan | Algorithm::PothenFanParallel => {
+                pothen_fan(g, m0, algorithm.is_parallel(), stop, tracer, ws)
+            }
             Algorithm::HopcroftKarp => hopcroft_karp_until(g, m0, stop),
             Algorithm::MsBfs
             | Algorithm::MsBfsDirOpt

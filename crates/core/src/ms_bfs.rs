@@ -151,7 +151,8 @@ impl MsBfsOptions {
 /// initializer runs serially below the same work, counted as `n + m`.
 pub(crate) const INLINE_WORK: usize = 65_536;
 
-/// The engine's view of the workspace's atomic per-vertex arrays.
+/// The engine's view of the matching's mates, converted to atomics, and
+/// of the workspace's atomic per-vertex arrays.
 struct Shared<'a> {
     g: &'a BipartiteCsr,
     /// Run every step on the calling thread (a serial algorithm or a
@@ -492,15 +493,17 @@ pub(crate) fn ms_bfs(
     let mut unvisited = std::mem::take(&mut b.unvisited);
     let mut renewable = std::mem::take(&mut b.renewable);
     let mut roots = std::mem::take(&mut b.roots);
-    let (mut mx, mut my) = m.into_mates();
-    let mates_in = b.mate_x.iter().zip(&mx).chain(b.mate_y.iter().zip(&my));
-    mates_in.for_each(|(a, &v)| a.store(v, Ordering::Relaxed));
+    // The input matching's mate vectors become the engine's atomics in
+    // place, and back after the solve: no copy and no allocation.
+    let (mx, my) = m.into_mates();
+    let mate_x: Vec<AtomicU32> = mx.into_iter().map(AtomicU32::new).collect();
+    let mate_y: Vec<AtomicU32> = my.into_iter().map(AtomicU32::new).collect();
     let sh = Shared {
         g,
         inline,
         epoch,
-        mate_x: &b.mate_x[..nx],
-        mate_y: &b.mate_y[..ny],
+        mate_x: &mate_x,
+        mate_y: &mate_y,
         visited: &b.visited[..ny],
         parent_y: &b.parent_y[..ny],
         root_y: &b.root_y[..ny],
@@ -632,13 +635,8 @@ pub(crate) fn ms_bfs(
         }
     }
 
-    // Load the result back into the mate vectors taken from the input
-    // matching — no fresh allocation on the warm path.
-    let mates_out = mx
-        .iter_mut()
-        .zip(sh.mate_x)
-        .chain(my.iter_mut().zip(sh.mate_y));
-    mates_out.for_each(|(v, a)| *v = a.load(Ordering::Relaxed));
+    let mx = mate_x.into_iter().map(AtomicU32::into_inner).collect();
+    let my = mate_y.into_iter().map(AtomicU32::into_inner).collect();
     if inline {
         b.frontier = frontier;
         b.next = acc.next;

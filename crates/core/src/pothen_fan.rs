@@ -1,36 +1,181 @@
-//! The Pothen-Fan algorithm (serial): multi-source DFS with lookahead and
-//! fairness.
+//! The Pothen-Fan engine (PF and PF(par)): multi-source DFS with lookahead
+//! and fairness, serial and multithreaded.
 //!
-//! PF runs in phases. Each phase performs a DFS from every unmatched `X`
-//! vertex; the DFS trees are kept vertex-disjoint by per-phase `visited`
-//! flags on `Y`, so each phase augments along a maximal set of
-//! vertex-disjoint augmenting paths. Two classic refinements:
+//! Each phase runs a DFS from every unmatched `X` vertex. Per-phase
+//! `visited` stamps on `Y` keep the DFS trees vertex-disjoint, so a phase
+//! augments along a maximal set of vertex-disjoint augmenting paths.
+//! *Lookahead*: before descending, `x` scans for a free `Y` with a
+//! monotone per-vertex cursor (O(m) work over the run), and stamps the
+//! one it finds visited so that no later search of the phase enters the
+//! path it ends. *Fairness*: the descent scans adjacency lists in
+//! alternating direction on even and odd phases (the "PF with fairness"
+//! the paper benchmarks, after Duff, Kaya & Uçar).
 //!
-//! * **Lookahead** — before descending, a vertex `x` first scans for an
-//!   adjacent *free* `Y` vertex using a monotone per-vertex cursor, so the
-//!   total lookahead work over the whole run is `O(m)`.
-//! * **Fairness** — the DFS scans adjacency lists in alternating direction
-//!   on even/odd phases, which avoids pathological revisiting orders
-//!   (this is the "PF with fairness" variant the paper benchmarks,
-//!   following Duff, Kaya & Uçar).
-//!
-//! The parallel variant lives in `pothen_fan_par.rs`.
+//! One kernel, `Shared::dfs`, serves both algorithms. PF, and PF(par) in a
+//! one-thread pool, run each phase inline on the calling thread, root by
+//! root, where a claim is a load and a store. Otherwise each root is a
+//! rayon task (the parallel PF of Azad, Halappanavar, Rajamanickam, Boman,
+//! Khan & Pothen): a visited `Y` and a free `Y` are claimed by
+//! `compare_exchange`, and a matched pair is adopted only once it is
+//! stable (see the check). A path flip touches only its search's claims,
+//! and the join that ends the phase publishes it. One long DFS can
+//! serialize the tail of a phase: the load imbalance the paper reports
+//! (§V-B) and the variability experiment reproduces.
 
 use crate::stats::SearchStats;
-use crate::trace::{TraceEvent, Tracer};
-use crate::workspace::{pack, SolveWorkspace};
+use crate::trace::{emit_phase, PhaseSummary, Tracer};
+use crate::workspace::{pack, Frame, SolveWorkspace};
 use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
+use rayon::prelude::*;
 use std::time::Instant;
 
-/// Maximum matching by serial Pothen-Fan with fairness and lookahead,
-/// with `tracer` observing each phase (PF has no BFS levels, so phases are
-/// the only inner structure it reports). Warm solves reuse the visited
-/// stamps, lookahead cursors, root list and DFS stack of `ws`, performing
-/// no heap allocations.
+// Under `--cfg graft_check` the mates, stamps and cursors are graft-check's
+// instrumented atomics, so the model suite explores the real search
+// protocol. Outside the checker they are std's.
+#[cfg(not(graft_check))]
+pub(crate) use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+#[cfg(graft_check)]
+pub(crate) use graft_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// The engine's view of the mates, converted from the input matching, and
+/// of the workspace's `(epoch << 32) | value` visited stamps and lookahead
+/// cursors.
+struct Shared<'a> {
+    g: &'a BipartiteCsr,
+    epoch: u32,
+    mate_x: &'a [AtomicU32],
+    mate_y: &'a [AtomicU32],
+    visited: &'a [AtomicU64],
+    lookahead: &'a [AtomicU64],
+}
+
+impl Shared<'_> {
+    /// One lookahead-DFS from the root `x0` in the phase stamped `stamp`;
+    /// flips the augmenting path it finds and counts its work into `p`.
+    /// With `CAS` a claim is a `compare_exchange`, as concurrent searches
+    /// need, else a load and a store.
+    #[inline(always)]
+    fn dfs<const CAS: bool>(
+        &self,
+        stamp: u64,
+        fair_reverse: bool,
+        x0: VertexId,
+        stack: &mut Vec<Frame>,
+        p: &mut PhaseSummary,
+    ) {
+        stack.clear();
+        stack.push((x0, 0, NONE));
+        'frames: while let Some(top) = stack.last_mut() {
+            let x = top.0;
+            let free_y = self.lookahead::<CAS>(x, p);
+            if free_y != NONE {
+                self.visited[free_y as usize].store(stamp, Ordering::Relaxed);
+                p.augmentations += 1;
+                p.path_edges += self.flip(free_y, stack);
+                return;
+            }
+            // Descend, scanning in the phase's fairness direction. Every
+            // neighbour is below x's exhausted lookahead cursor, so it was
+            // matched when scanned, and a matched Y stays matched.
+            let nbrs = self.g.x_neighbors(x);
+            while top.1 < nbrs.len() {
+                let i = top.1;
+                top.1 += 1;
+                let y = nbrs[if fair_reverse { nbrs.len() - 1 - i } else { i }];
+                p.edges_traversed += 1;
+                let flag = &self.visited[y as usize];
+                let seen = flag.load(Ordering::Relaxed);
+                if seen == stamp {
+                    continue;
+                }
+                if !CAS {
+                    flag.store(stamp, Ordering::Relaxed);
+                } else if flag
+                    .compare_exchange(seen, stamp, Ordering::AcqRel, Ordering::Relaxed)
+                    .is_err()
+                {
+                    continue; // another search claimed y concurrently
+                }
+                let mate = self.mate_y[y as usize].load(Ordering::Relaxed);
+                debug_assert_ne!(mate, NONE, "free vertices are caught by lookahead");
+                // Adopt only a *stable* pair. If `mate` does not point back
+                // at `y`, another search free-claimed `y` an instant ago and
+                // is still flipping its path: adopting `mate` would put it
+                // on two stacks. A relaxed load suffices: `mate_x[mate] = y`
+                // is written only after the claim that set `mate_y[y]`, and
+                // a stale mismatch merely skips an edge the next phase sees.
+                #[cfg(graft_check)]
+                let check =
+                    !check_api::DISABLE_STABILITY_CHECK.load(std::sync::atomic::Ordering::Relaxed);
+                #[cfg(not(graft_check))]
+                let check = true;
+                if CAS && check && self.mate_x[mate as usize].load(Ordering::Relaxed) != y {
+                    continue;
+                }
+                stack.push((mate, 0, y));
+                continue 'frames;
+            }
+            stack.pop();
+        }
+    }
+
+    /// Resumes `x`'s lookahead cursor and claims the first free `Y` it
+    /// meets (a CAS loser scans on), or returns `NONE` with the cursor at
+    /// the end. A stale cursor from an earlier solve reads as 0. Only the
+    /// search holding `x` moves its cursor.
+    #[inline(always)]
+    fn lookahead<const CAS: bool>(&self, x: VertexId, p: &mut PhaseSummary) -> VertexId {
+        let nbrs = self.g.x_neighbors(x);
+        let slot = &self.lookahead[x as usize];
+        let packed = slot.load(Ordering::Relaxed);
+        let fresh = (packed >> 32) as u32 == self.epoch;
+        let mut cursor = if fresh { packed as u32 } else { 0 };
+        let mut free_y = NONE;
+        while free_y == NONE && (cursor as usize) < nbrs.len() {
+            let y = nbrs[cursor as usize];
+            cursor += 1;
+            p.edges_traversed += 1;
+            let mate = &self.mate_y[y as usize];
+            let (ok, err) = (Ordering::AcqRel, Ordering::Relaxed);
+            if mate.load(Ordering::Relaxed) == NONE
+                && (!CAS || mate.compare_exchange(NONE, x, ok, err).is_ok())
+            {
+                free_y = y;
+            }
+        }
+        slot.store(pack(self.epoch, cursor), Ordering::Relaxed);
+        free_y
+    }
+
+    /// Flips the augmenting path that `stack` spells out down to the free
+    /// `y`, emptying the stack; returns its length in edges. Its vertices
+    /// are the search's own claims, so plain stores suffice.
+    fn flip(&self, mut y: VertexId, stack: &mut Vec<Frame>) -> u64 {
+        let mut edges = 1;
+        while let Some((x, _, via)) = stack.pop() {
+            self.mate_y[y as usize].store(x, Ordering::Relaxed);
+            self.mate_x[x as usize].store(y, Ordering::Relaxed);
+            y = via;
+            edges += if y == NONE { 0 } else { 2 };
+        }
+        edges
+    }
+}
+
+/// Maximum matching by Pothen-Fan with fairness and lookahead, from `m`,
+/// with `tracer` observing each phase (PF has no BFS levels).
+///
+/// With `parallel` false (PF) every phase runs inline, whatever pool is
+/// installed; otherwise (PF(par)) on the ambient rayon pool, or inline if
+/// it has one thread. The matching's mate vectors become the engine's
+/// atomics in place, and the stamps, cursors, roots and inline stack live
+/// in `ws`: a warm inline solve does not allocate.
 pub(crate) fn pothen_fan(
     g: &BipartiteCsr,
-    mut m: Matching,
+    m: Matching,
+    parallel: bool,
     stop: Stop<'_>,
     tracer: &Tracer,
     ws: &mut SolveWorkspace,
@@ -41,167 +186,170 @@ pub(crate) fn pothen_fan(
         ..Default::default()
     };
 
-    // Phase-stamped visited flags, extended with the workspace epoch:
-    // visited[y] == (epoch, phase) means visited in the current phase.
-    // Avoids an O(ny) clear per phase *and* per solve.
-    let epoch = ws.pf.begin_solve(g.num_x(), g.num_y());
-    let wsr = &mut ws.pf;
-    let mut roots = std::mem::take(&mut wsr.roots);
-    let mut stack = std::mem::take(&mut wsr.stack);
-    let mut phase: u32 = 0;
+    let (nx, ny) = (g.num_x(), g.num_y());
+    let inline = !parallel || rayon::current_num_threads() == 1;
+    let b = &mut ws.pf;
+    let epoch = b.begin_solve(nx, ny);
+    let mut roots = std::mem::take(&mut b.roots);
+    let mut stack = std::mem::take(&mut b.stack);
+    let (mx, my) = m.into_mates();
+    let mate_x: Vec<AtomicU32> = mx.into_iter().map(AtomicU32::new).collect();
+    let mate_y: Vec<AtomicU32> = my.into_iter().map(AtomicU32::new).collect();
+    let sh = Shared {
+        g,
+        epoch,
+        mate_x: &mate_x,
+        mate_y: &mate_y,
+        visited: &b.visited[..ny],
+        lookahead: &b.lookahead[..nx],
+    };
 
-    loop {
-        phase += 1;
-        let mut augmented_this_phase = 0u64;
+    for phase in 1.. {
         roots.clear();
-        roots.extend(m.unmatched_x());
+        roots.extend(
+            (0..nx as VertexId).filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE),
+        );
         if roots.is_empty() || stop.poll(&mut stats) {
             break;
         }
         let phase_t0 = tracer.is_enabled().then(Instant::now);
-        let edges_at_start = stats.edges_traversed;
-        let path_edges_at_start = stats.total_augmenting_path_edges;
-        let fair_reverse = phase.is_multiple_of(2);
-        for &x0 in &roots {
-            if dfs_lookahead(
-                g,
-                &mut m,
-                &mut wsr.visited,
-                &mut wsr.lookahead,
-                epoch,
-                phase,
-                fair_reverse,
-                x0,
-                &mut stack,
-                &mut stats,
-            ) {
-                augmented_this_phase += 1;
+        let (stamp, fair_reverse) = (pack(epoch, phase), phase.is_multiple_of(2));
+        let mut p = if inline {
+            let mut p = PhaseSummary::default();
+            for &x0 in &roots {
+                sh.dfs::<false>(stamp, fair_reverse, x0, &mut stack, &mut p);
             }
-        }
+            p
+        } else {
+            // Per-task counts and stacks; `reduce` sums the counts.
+            let search = |(mut p, mut stack): (PhaseSummary, Vec<Frame>), &x0| {
+                sh.dfs::<true>(stamp, fair_reverse, x0, &mut stack, &mut p);
+                (p, stack)
+            };
+            let tasks = roots.par_iter().fold(Default::default, search);
+            tasks
+                .map(|(p, _)| p)
+                .reduce(PhaseSummary::default, |a, b| PhaseSummary {
+                    augmentations: a.augmentations + b.augmentations,
+                    path_edges: a.path_edges + b.path_edges,
+                    edges_traversed: a.edges_traversed + b.edges_traversed,
+                    ..a
+                })
+        };
         stats.phases += 1;
-        stats.augmenting_paths += augmented_this_phase;
-        tracer.emit(|| TraceEvent::PhaseEnd {
-            phase: u64::from(stats.phases),
-            levels: 0,
-            bottom_up_levels: 0,
-            frontier_peak: 0,
-            augmentations: augmented_this_phase,
-            path_edges: stats.total_augmenting_path_edges - path_edges_at_start,
-            edges_traversed: stats.edges_traversed - edges_at_start,
-            elapsed_us: phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-        });
-        if augmented_this_phase == 0 {
+        stats.augmenting_paths += p.augmentations;
+        stats.total_augmenting_path_edges += p.path_edges;
+        stats.edges_traversed += p.edges_traversed;
+        p.phase = u64::from(stats.phases);
+        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        emit_phase(tracer, &p);
+        if p.augmentations == 0 {
             break;
         }
     }
-    wsr.roots = roots;
-    wsr.stack = stack;
+    (b.roots, b.stack) = (roots, stack);
 
-    stats.final_cardinality = m.cardinality();
+    let mx = mate_x.into_iter().map(AtomicU32::into_inner).collect();
+    let my = mate_y.into_iter().map(AtomicU32::into_inner).collect();
+    // The parallel algorithm re-validates the mates its tasks wrote.
+    let matching = if parallel {
+        Matching::from_mates(mx, my)
+    } else {
+        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
+        Matching::from_counted_mates(mx, my, counted)
+    };
+    stats.final_cardinality = matching.cardinality();
     stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
+    RunOutcome { matching, stats }
 }
 
-/// One DFS-with-lookahead search from `x0`; augments in place on success.
-#[allow(clippy::too_many_arguments)]
-fn dfs_lookahead(
-    g: &BipartiteCsr,
-    m: &mut Matching,
-    visited: &mut [u64],
-    lookahead: &mut [u64],
-    epoch: u32,
-    phase: u32,
-    fair_reverse: bool,
-    x0: VertexId,
-    stack: &mut Vec<(VertexId, usize, VertexId)>,
-    stats: &mut SearchStats,
-) -> bool {
-    let stamp = pack(epoch, phase);
-    // Frame: (x, scan cursor, y used to enter this frame).
-    stack.clear();
-    stack.push((x0, 0, NONE));
-    while !stack.is_empty() {
-        let (x, _, _) = *stack.last().unwrap();
-        let nbrs = g.x_neighbors(x);
+/// Test-only surface for the graft-check model suite: own the search
+/// state of a solve from the empty matching, run one phase-1 search
+/// exactly as a pool task would, and read the mates back.
+#[cfg(graft_check)]
+pub mod check_api {
+    use super::*;
 
-        // Lookahead: monotone scan of x's adjacency for a free Y vertex.
-        // The cursor is epoch-packed; a stale one from an earlier solve
-        // reads as 0, restarting the O(m)-total scan for this solve.
-        let mut cursor = if (lookahead[x as usize] >> 32) as u32 == epoch {
-            lookahead[x as usize] as u32
-        } else {
-            0
-        };
-        let mut free_y = NONE;
-        while (cursor as usize) < nbrs.len() {
-            let y = nbrs[cursor as usize];
-            cursor += 1;
-            stats.edges_traversed += 1;
-            if !m.is_y_matched(y) {
-                free_y = y;
-                break;
-            }
-        }
-        lookahead[x as usize] = pack(epoch, cursor);
-        if free_y != NONE {
-            // Mark it visited so sibling searches in this phase skip it,
-            // and flip the path spelled out by the stack.
-            visited[free_y as usize] = stamp;
-            let mut cur_y = free_y;
-            let mut edges = 1u64;
-            while let Some((fx, _, via)) = stack.pop() {
-                m.rematch(fx, cur_y);
-                cur_y = via;
-                if cur_y != NONE {
-                    edges += 2;
-                }
-            }
-            stats.total_augmenting_path_edges += edges;
-            return true;
-        }
+    /// When set, the pool-side descent adopts a pair without confirming
+    /// `mate_x[mate] == y`, reintroducing the adoption race. A plain std
+    /// atomic on purpose: this is test configuration, not modeled state,
+    /// so reading it adds no scheduling points.
+    pub static DISABLE_STABILITY_CHECK: std::sync::atomic::AtomicBool =
+        std::sync::atomic::AtomicBool::new(false);
 
-        // Regular DFS step with fairness direction.
-        let top = stack.last_mut().unwrap();
-        let mut advanced = false;
-        while top.1 < nbrs.len() {
-            let i = top.1;
-            top.1 += 1;
-            let y = if fair_reverse {
-                nbrs[nbrs.len() - 1 - i]
-            } else {
-                nbrs[i]
-            };
-            stats.edges_traversed += 1;
-            if visited[y as usize] == stamp {
-                continue;
-            }
-            visited[y as usize] = stamp;
-            let mate = m.mate_of_y(y);
-            debug_assert_ne!(mate, NONE, "free vertices are caught by lookahead");
-            stack.push((mate, 0, y));
-            advanced = true;
-            break;
-        }
-        if !advanced {
-            stack.pop();
-        }
+    /// The arrays a solve on a graph lends the engine, owned: `mate_x` and
+    /// `mate_y`, then the visited stamps and lookahead cursors.
+    pub struct Arena<'a>(&'a BipartiteCsr, [Vec<AtomicU32>; 2], [Vec<AtomicU64>; 2]);
+
+    /// Search state for `g` from the empty matching.
+    pub fn make_shared(g: &BipartiteCsr) -> Arena<'_> {
+        let (nx, ny) = (g.num_x(), g.num_y());
+        let mates = [nx, ny].map(|n| (0..n).map(|_| AtomicU32::new(NONE)).collect());
+        let marks = [ny, nx].map(|n| (0..n).map(|_| AtomicU64::new(0)).collect());
+        Arena(g, mates, marks)
     }
-    false
+
+    /// One phase-1 search from root `x0` (forward fairness) in epoch 1;
+    /// returns `(augmented, path_edges, edges_traversed)`.
+    pub fn run_search(a: &Arena<'_>, x0: VertexId) -> (u64, u64, u64) {
+        let Arena(g, [mate_x, mate_y], [visited, lookahead]) = a;
+        let (epoch, mut p) = (1, PhaseSummary::default());
+        let sh = Shared {
+            g,
+            epoch,
+            mate_x,
+            mate_y,
+            visited,
+            lookahead,
+        };
+        sh.dfs::<true>(pack(epoch, 1), false, x0, &mut Vec::new(), &mut p);
+        (p.augmentations, p.path_edges, p.edges_traversed)
+    }
+
+    /// Snapshot `(mate_x, mate_y)`.
+    pub fn mates(a: &Arena<'_>) -> (Vec<VertexId>, Vec<VertexId>) {
+        let load = |m: &[AtomicU32]| m.iter().map(|v| v.load(Ordering::Relaxed)).collect();
+        let Arena(_, [mate_x, mate_y], _) = a;
+        (load(mate_x), load(mate_y))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
+    use crate::{solve_from_in, Algorithm, SolveOptions};
 
     fn run_pf(g: &BipartiteCsr, m: Matching) -> RunOutcome {
         pothen_fan(
             g,
             m,
+            false,
             Stop::default(),
             &Tracer::disabled(),
             &mut SolveWorkspace::new(),
         )
+    }
+
+    /// One PF(par) solve in a `threads`-sized pool, through the dispatcher.
+    fn pf_par(g: &BipartiteCsr, m: Matching, threads: usize) -> RunOutcome {
+        let opts = SolveOptions {
+            threads,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::PothenFanParallel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
+
+    fn chain(k: u32) -> BipartiteCsr {
+        let mut edges = Vec::new();
+        for i in 0..k {
+            edges.push((i, i));
+            if i > 0 {
+                edges.push((i, i - 1));
+            }
+        }
+        BipartiteCsr::from_edges(k as usize, k as usize, &edges)
     }
 
     #[test]
@@ -286,5 +434,59 @@ mod tests {
         let out = run_pf(&g, Matching::for_graph(&g));
         assert!(out.stats.phases >= 1);
         assert_eq!(out.stats.augmenting_paths, 2);
+    }
+
+    #[test]
+    fn parallel_pf_simple() {
+        let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
+        let out = pf_par(&g, Matching::for_graph(&g), 2);
+        assert_eq!(out.matching.cardinality(), 2);
+        assert!(is_maximum(&g, &out.matching));
+    }
+
+    #[test]
+    fn parallel_pf_chain() {
+        let g = chain(100);
+        let out = pf_par(&g, Matching::for_graph(&g), 4);
+        assert_eq!(out.matching.cardinality(), 100);
+        assert!(is_maximum(&g, &out.matching));
+    }
+
+    #[test]
+    fn parallel_pf_contention_on_scarce_y() {
+        // Many X vertices racing for 3 free Y vertices.
+        let mut edges = Vec::new();
+        for x in 0..50u32 {
+            for y in 0..3u32 {
+                edges.push((x, y));
+            }
+        }
+        let g = BipartiteCsr::from_edges(50, 3, &edges);
+        let out = pf_par(&g, Matching::for_graph(&g), 4);
+        assert_eq!(out.matching.cardinality(), 3);
+        assert!(is_maximum(&g, &out.matching));
+    }
+
+    #[test]
+    fn parallel_pf_matches_serial_cardinality() {
+        let g = chain(64);
+        let serial = run_pf(&g, Matching::for_graph(&g));
+        let par = pf_par(&g, Matching::for_graph(&g), 3);
+        assert_eq!(serial.matching.cardinality(), par.matching.cardinality());
+    }
+
+    #[test]
+    fn parallel_pf_from_initializer() {
+        let g = chain(40);
+        let m0 = crate::init::Initializer::KarpSipser.run(&g, 3);
+        let out = pf_par(&g, m0, 2);
+        assert!(is_maximum(&g, &out.matching));
+    }
+
+    #[test]
+    fn parallel_pf_ambient_pool() {
+        let g = chain(16);
+        let out = pf_par(&g, Matching::for_graph(&g), 0);
+        assert_eq!(out.matching.cardinality(), 16);
     }
 }

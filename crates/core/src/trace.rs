@@ -670,8 +670,8 @@ pub struct GraftSummary {
     pub grafted: bool,
 }
 
-/// One phase reconstructed from a trace. The MS-BFS engine collects
-/// each phase they run into one of these and emit it as events.
+/// One phase reconstructed from a trace. The MS-BFS and Pothen-Fan
+/// engines collect each phase into one of these and emit it as events.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseSummary {
     /// Phase number, starting at 1.

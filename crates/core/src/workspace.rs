@@ -34,18 +34,22 @@
 //!
 //! The serial algorithms that draw on the workspace (MS-BFS in all three
 //! configurations, Pothen-Fan, serial push-relabel) run allocation-free on
-//! a warm workspace. The three MS-BFS configurations and MS-BFS-Graft(par)
-//! share one engine and its arena, `ParBuffers`; a solve whose every step
-//! runs inline reuses the arena's vectors. On a pool of two or more
-//! threads the engine still reuses its atomic per-vertex arrays, but its
-//! fold/reduce frontier accumulators allocate, and the steps it runs
-//! inline because their work is below the cutoff grow the vectors they
-//! touch, which the solve then drops rather than keeping them in the
-//! arena. The other parallel solvers and the single-source baselines
-//! either reuse what they can or ignore the workspace (see
+//! a warm workspace. Two engines serve a serial and a parallel algorithm
+//! each from one arena: the three MS-BFS configurations and
+//! MS-BFS-Graft(par) share `ParBuffers`, and PF and PF(par) share
+//! `PfBuffers`. Neither arena holds mates: each engine converts the
+//! caller's matching's mate vectors to atomics in place and back. A solve
+//! whose every step runs inline reuses its arena's vectors. On a pool of
+//! two or more threads an engine still reuses its atomic per-vertex
+//! arrays, but its fold/reduce accumulators (frontiers, DFS stacks)
+//! allocate, and the MS-BFS steps it runs inline because their work is
+//! below the cutoff grow the vectors they touch, which the solve then
+//! drops rather than keeping them in the arena. Parallel push-relabel,
+//! Hopcroft-Karp and the single-source baselines ignore the workspace (see
 //! [`crate::solve_from_traced_in`]). The augmenting searches of
 //! [`crate::augment`] use `MsBuffers`.
 
+use crate::pothen_fan as pf;
 use graft_graph::{VertexId, NONE};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64};
@@ -160,12 +164,11 @@ impl MsBuffers {
 
 /// Buffers of the MS-BFS engine (all four MS algorithms): the atomic
 /// per-vertex arrays, versioned by the solve epoch, and the vectors of
-/// the inline steps.
+/// the inline steps. The mates are not here: the engine converts the
+/// input matching's own vectors to atomics in place.
 #[derive(Debug, Default)]
 pub(crate) struct ParBuffers {
     pub(crate) epoch: u32,
-    pub(crate) mate_x: Vec<AtomicU32>,
-    pub(crate) mate_y: Vec<AtomicU32>,
     pub(crate) visited: Vec<AtomicU32>,
     pub(crate) parent_y: Vec<AtomicU32>,
     pub(crate) root_y: Vec<AtomicU32>,
@@ -195,12 +198,10 @@ impl ParBuffers {
             self.visited.resize_with(ny, || AtomicU32::new(0));
             self.parent_y.resize_with(ny, || AtomicU32::new(NONE));
             self.root_y.resize_with(ny, || AtomicU32::new(NONE));
-            self.mate_y.resize_with(ny, || AtomicU32::new(NONE));
         }
         if self.root_x.len() < nx {
             self.root_x.resize_with(nx, || AtomicU64::new(0));
             self.leaf.resize_with(nx, || AtomicU64::new(0));
-            self.mate_x.resize_with(nx, || AtomicU32::new(NONE));
         }
         // Each vector holds a set of distinct X or Y vertices. Reserved up
         // front for the reason given in `MsBuffers::begin_solve`.
@@ -216,11 +217,7 @@ impl ParBuffers {
 
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.mate_x.capacity()
-            + self.mate_y.capacity()
-            + self.visited.capacity()
-            + self.parent_y.capacity()
-            + self.root_y.capacity())
+        (self.visited.capacity() + self.parent_y.capacity() + self.root_y.capacity())
             * size_of::<AtomicU32>()
             + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<AtomicU64>()
             + (self.frontier.capacity()
@@ -232,38 +229,45 @@ impl ParBuffers {
     }
 }
 
-/// Buffers of the serial Pothen-Fan engine. PF already phase-stamps its
-/// visited flags; the workspace extends the stamp with the solve epoch
-/// (`(epoch << 32) | phase`) so it survives across solves, and versions
-/// the monotone lookahead cursors the same way (`(epoch << 32) | cursor`
-/// — a stale cursor reads as 0, restarting the O(m)-total scan).
+/// A Pothen-Fan DFS frame: `(x, scan cursor, y used to enter x)`.
+pub(crate) type Frame = (VertexId, usize, VertexId);
+
+/// Buffers of the Pothen-Fan engine (PF and PF(par)). PF already
+/// phase-stamps its visited flags; the workspace extends the stamp with
+/// the solve epoch (`(epoch << 32) | phase`) so it survives across solves,
+/// and versions the monotone lookahead cursors the same way (`(epoch <<
+/// 32) | cursor` — a stale cursor reads as 0, restarting the O(m)-total
+/// scan). Both are atomics from the engine's graft-check seam, which pass
+/// straight through to std outside a checker run.
 #[derive(Debug, Default)]
 pub(crate) struct PfBuffers {
     pub(crate) epoch: u32,
     /// `visited[y] == pack(epoch, phase)` ⇔ visited in the current phase.
-    pub(crate) visited: Vec<u64>,
+    pub(crate) visited: Vec<pf::AtomicU64>,
     /// Epoch-packed monotone lookahead cursor per `X` vertex.
-    pub(crate) lookahead: Vec<u64>,
+    pub(crate) lookahead: Vec<pf::AtomicU64>,
     /// Per-phase DFS roots (the unmatched `X` vertices).
     pub(crate) roots: Vec<VertexId>,
-    /// Explicit DFS stack: `(x, scan cursor, y used to enter the frame)`.
-    pub(crate) stack: Vec<(VertexId, usize, VertexId)>,
+    /// The DFS stack of an inline phase.
+    pub(crate) stack: Vec<Frame>,
 }
 
 impl PfBuffers {
     /// See [`MsBuffers::begin_solve`]; returns the new epoch.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) -> u32 {
         if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.lookahead.iter_mut().for_each(|v| *v = 0);
+            // Instrumented atomics have no `get_mut`: store instead.
+            let clear = |v: &pf::AtomicU64| v.store(0, pf::Ordering::Relaxed);
+            self.visited.iter().for_each(clear);
+            self.lookahead.iter().for_each(clear);
             self.epoch = 0;
         }
         self.epoch += 1;
         if self.visited.len() < ny {
-            self.visited.resize(ny, 0);
+            self.visited.resize_with(ny, Default::default);
         }
         if self.lookahead.len() < nx {
-            self.lookahead.resize(nx, 0);
+            self.lookahead.resize_with(nx, Default::default);
         }
         // Roots hold at most every X vertex; the DFS stack holds one frame
         // per X vertex on the current alternating path. Reserving up front
@@ -278,9 +282,9 @@ impl PfBuffers {
 
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.visited.capacity() + self.lookahead.capacity()) * size_of::<u64>()
+        (self.visited.capacity() + self.lookahead.capacity()) * size_of::<pf::AtomicU64>()
             + self.roots.capacity() * size_of::<VertexId>()
-            + self.stack.capacity() * size_of::<(VertexId, usize, VertexId)>()
+            + self.stack.capacity() * size_of::<Frame>()
     }
 }
 
@@ -465,6 +469,7 @@ mod tests {
             for alg in [
                 Algorithm::MsBfsGraft,
                 Algorithm::PothenFan,
+                Algorithm::PothenFanParallel,
                 Algorithm::MsBfsGraftParallel,
             ] {
                 let out = solve_from_in(&g, Matching::for_graph(&g), alg, &opts, &mut ws);
@@ -495,6 +500,7 @@ mod tests {
             Algorithm::MsBfsGraft,
             Algorithm::PothenFan,
             Algorithm::PushRelabel,
+            Algorithm::PothenFanParallel,
             Algorithm::MsBfsGraftParallel,
         ] {
             solve_from_in(&big, Matching::for_graph(&big), alg, &opts, &mut ws);

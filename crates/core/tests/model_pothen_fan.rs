@@ -1,10 +1,13 @@
 //! Model-checked parallel Pothen-Fan kernel suite (graft-check).
 //!
 //! Compiled only under `RUSTFLAGS="--cfg graft_check"`. These tests drive
-//! the *real* `dfs_task` searcher — the exact code `pothen_fan_parallel`
-//! runs per root — on graft-check model threads over tiny graphs, so the
-//! checker enumerates every bounded interleaving of the free-vertex CAS,
-//! visited stamping, lookahead cursor, and path-flip stores.
+//! the *real* pool-side `dfs::<true>` search of the Pothen-Fan engine —
+//! the exact code a PF(par) pool task runs per root — on graft-check model
+//! threads over tiny graphs, so the checker enumerates every bounded
+//! interleaving of the free-vertex CAS, visited stamping (the free
+//! vertex's too), lookahead cursor, and path-flip stores. The search state
+//! (`pf_check_api::Arena`) is owned by the test and lent to the kernel, as
+//! a solve lends it the matching's mates and the workspace's arrays.
 //!
 //! The centerpiece is a mutation-verified regression test for the adoption
 //! race: descending through a matched edge without confirming

@@ -63,6 +63,21 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
+    // The scaling job checks the Small rows of the golden work table,
+    // which are too slow for the debug test run.
+    Gate {
+        name: "work table (Small)",
+        args: &[
+            "test",
+            "--release",
+            "--offline",
+            "--test",
+            "work_table",
+            "--",
+            "--ignored",
+        ],
+        env: &[],
+    },
     Gate {
         name: "doc",
         args: &["doc", "--workspace", "--no-deps", "-q"],

@@ -115,10 +115,12 @@ proptest! {
     }
 }
 
-/// The paper's engine at two real threads. The trace is the only
-/// per-phase record of a run, so under genuine concurrency, not just on
-/// one thread, every stream must replay, close with the run's own
-/// counters, and account every traversed edge to exactly one phase.
+/// The paper's engine, and parallel Pothen-Fan, at two real threads. The
+/// trace is the only per-phase record of a run, so under genuine
+/// concurrency, not just on one thread, every stream must replay, close
+/// with the run's own counters, and account every traversed edge to
+/// exactly one phase. PF has no work cutoff, so its two-thread phases run
+/// on the pool.
 #[test]
 fn two_thread_parallel_graft_traces_replay_and_add_up() {
     let suite = |name| gen::suite::by_name(name).unwrap().build(gen::Scale::Tiny);
@@ -135,27 +137,28 @@ fn two_thread_parallel_graft_traces_replay_and_add_up() {
         ..SolveOptions::default()
     };
     for (name, g) in &graphs {
-        for rep in 0..8 {
-            let ctx = format!("{name} rep {rep}");
-            let sink = Arc::new(MemorySink::new());
-            let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-            let alg = Algorithm::MsBfsGraftParallel;
-            let out =
-                solve_from_traced_in(g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
-            let runs = replay(&sink.take()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            assert_eq!(runs.len(), 1, "{ctx}");
-            let run = &runs[0];
-            assert_eq!(run.total_phases, u64::from(out.stats.phases), "{ctx}");
-            assert_eq!(run.phases.len() as u64, run.total_phases, "{ctx}");
-            assert_eq!(run.augmenting_paths, out.stats.augmenting_paths, "{ctx}");
-            assert_eq!(run.edges_traversed, out.stats.edges_traversed, "{ctx}");
-            assert_eq!(
-                run.final_cardinality,
-                out.matching.cardinality() as u64,
-                "{ctx}"
-            );
-            let phase_edges: u64 = run.phases.iter().map(|p| p.edges_traversed).sum();
-            assert_eq!(phase_edges, run.edges_traversed, "{ctx}");
+        for alg in [Algorithm::MsBfsGraftParallel, Algorithm::PothenFanParallel] {
+            for rep in 0..8 {
+                let ctx = format!("{} on {name} rep {rep}", alg.name());
+                let sink = Arc::new(MemorySink::new());
+                let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
+                let out =
+                    solve_from_traced_in(g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
+                let runs = replay(&sink.take()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_eq!(runs.len(), 1, "{ctx}");
+                let run = &runs[0];
+                assert_eq!(run.total_phases, u64::from(out.stats.phases), "{ctx}");
+                assert_eq!(run.phases.len() as u64, run.total_phases, "{ctx}");
+                assert_eq!(run.augmenting_paths, out.stats.augmenting_paths, "{ctx}");
+                assert_eq!(run.edges_traversed, out.stats.edges_traversed, "{ctx}");
+                assert_eq!(
+                    run.final_cardinality,
+                    out.matching.cardinality() as u64,
+                    "{ctx}"
+                );
+                let phase_edges: u64 = run.phases.iter().map(|p| p.edges_traversed).sum();
+                assert_eq!(phase_edges, run.edges_traversed, "{ctx}");
+            }
         }
     }
 }

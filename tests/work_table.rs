@@ -45,7 +45,8 @@ fn work_table(scale: Scale) -> String {
         for alg in Algorithm::ALL {
             let sink = Arc::new(MemorySink::new());
             let tracer = Tracer::to_sink(Arc::clone(&sink) as _);
-            let run = solve_from_traced_in(&g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
+            let run =
+                solve_from_traced_in(&g, None, alg, &opts, &tracer, &mut SolveWorkspace::new());
             let ctx = format!("{} on {}", alg.name(), entry.name);
             let trace = replay(&sink.take()).unwrap_or_else(|e| panic!("{ctx}: {e}"));
             let levels: u64 = trace[0].phases.iter().map(|p| p.levels).sum();
