@@ -56,7 +56,8 @@ impl Shared<'_> {
     /// flips the augmenting path it finds and counts its work into `p`.
     /// With `CAS` a claim is a `compare_exchange`, as concurrent searches
     /// need, else a load and a store. Kept out of line: inlined into the
-    /// phase loop, one-thread PF ran about 5% slower on road_usa:small.
+    /// phase loop, one-thread PF ran about 5% slower on road_usa:small
+    /// (2-vCPU host).
     #[inline(never)]
     fn dfs<const CAS: bool>(
         &self,
