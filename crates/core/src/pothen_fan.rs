@@ -70,11 +70,32 @@ impl Shared<'_> {
         // Counted in a local, which stays in a register, and added to `p`
         // on the way out.
         let mut edges = 0;
+        let (ok, err) = (Ordering::AcqRel, Ordering::Relaxed);
         stack.clear();
         stack.push((x0, 0, NONE));
         'frames: while let Some(top) = stack.last_mut() {
             let (x, nbrs) = (top.0, self.g.x_neighbors(top.0));
-            let free_y = self.lookahead::<CAS>(x, nbrs, &mut edges);
+            // Lookahead: resume x's cursor (a stale one from an earlier
+            // solve reads as 0) and claim the first free Y; a CAS loser
+            // scans on. Only the search holding x moves its cursor.
+            let slot = &self.lookahead[x as usize];
+            let packed = slot.load(Ordering::Relaxed);
+            let fresh = (packed >> 32) as u32 == self.epoch;
+            let mut cursor = if fresh { packed as u32 } else { 0 };
+            let mut free_y = NONE;
+            while (cursor as usize) < nbrs.len() {
+                let y = nbrs[cursor as usize];
+                cursor += 1;
+                edges += 1;
+                let mate = &self.mate_y[y as usize];
+                if mate.load(Ordering::Relaxed) == NONE
+                    && (!CAS || mate.compare_exchange(NONE, x, ok, err).is_ok())
+                {
+                    free_y = y;
+                    break;
+                }
+            }
+            slot.store(pack(self.epoch, cursor), Ordering::Relaxed);
             if free_y != NONE {
                 self.visited[free_y as usize].store(stamp, Ordering::Relaxed);
                 p.augmentations += 1;
@@ -96,10 +117,7 @@ impl Shared<'_> {
                 }
                 if !CAS {
                     flag.store(stamp, Ordering::Relaxed);
-                } else if flag
-                    .compare_exchange(seen, stamp, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-                {
+                } else if flag.compare_exchange(seen, stamp, ok, err).is_err() {
                     continue; // another search claimed y concurrently
                 }
                 let mate = self.mate_y[y as usize].load(Ordering::Relaxed);
@@ -124,39 +142,6 @@ impl Shared<'_> {
             stack.pop();
         }
         p.edges_traversed += edges;
-    }
-
-    /// Resumes `x`'s lookahead cursor and claims the first free `Y` it
-    /// meets (a CAS loser scans on), or returns `NONE` with the cursor at
-    /// the end. A stale cursor from an earlier solve reads as 0. Only the
-    /// search holding `x` moves its cursor.
-    #[inline(always)]
-    fn lookahead<const CAS: bool>(
-        &self,
-        x: VertexId,
-        nbrs: &[VertexId],
-        edges: &mut u64,
-    ) -> VertexId {
-        let slot = &self.lookahead[x as usize];
-        let packed = slot.load(Ordering::Relaxed);
-        let fresh = (packed >> 32) as u32 == self.epoch;
-        let mut cursor = if fresh { packed as u32 } else { 0 };
-        let mut free_y = NONE;
-        while (cursor as usize) < nbrs.len() {
-            let y = nbrs[cursor as usize];
-            cursor += 1;
-            *edges += 1;
-            let mate = &self.mate_y[y as usize];
-            let (ok, err) = (Ordering::AcqRel, Ordering::Relaxed);
-            if mate.load(Ordering::Relaxed) == NONE
-                && (!CAS || mate.compare_exchange(NONE, x, ok, err).is_ok())
-            {
-                free_y = y;
-                break;
-            }
-        }
-        slot.store(pack(self.epoch, cursor), Ordering::Relaxed);
-        free_y
     }
 
     /// Flips the augmenting path that `stack` spells out down to the free
