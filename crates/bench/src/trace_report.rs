@@ -73,8 +73,8 @@ fn print_run(index: usize, run: &RunSummary) {
     );
     for p in &run.phases {
         let decision = match p.graft {
-            Some(g) if g.grafted => format!("graft ({}>{}/α)", g.active_x, g.renewable_y),
-            Some(g) => format!("rebuild ({}≤{}/α)", g.active_x, g.renewable_y),
+            Some(g) if g.grafted => format!("graft ({}>{}/α)", g.active_edges, g.renewable_edges),
+            Some(g) => format!("rebuild ({}≤{}/α)", g.active_edges, g.renewable_edges),
             None => "-".to_string(),
         };
         phases.row(vec![

@@ -185,8 +185,8 @@ fn ss_bfs_discard_rule_beats_ms_bfs_on_web_graphs() {
 
 #[test]
 fn alpha_parameter_affects_direction_choice() {
-    // With α → 0 the engine always goes bottom-up on the first level
-    // (frontier ≥ unvisited/α trivially); with a huge α it stays top-down.
+    // With α → 0 the engine stays top-down; with a huge α it goes
+    // bottom-up on every level.
     let g = gen::suite::by_name("coPapersDBLP")
         .unwrap()
         .build(gen::Scale::Tiny);
@@ -201,8 +201,11 @@ fn alpha_parameter_affects_direction_choice() {
         };
         solve_levels(&g, Algorithm::MsBfsGraft, &opts)
     };
-    // Top-down is used while |F| < unvisitedY/α: a tiny α makes the
-    // threshold huge (always top-down); a huge α forces bottom-up.
+    // Top-down is used while Σdeg(F) < Σdeg(unvisited Y)/α: a tiny α
+    // makes the threshold huge (always top-down); a huge α forces
+    // bottom-up. Once no unvisited Y has an edge left, any α goes
+    // bottom-up, a level that scans no edge; the tiny-α run never gets
+    // there.
     let (tiny_alpha, tiny_levels) = run(1e-9);
     let (huge_alpha, huge_levels) = run(1e9);
     assert!(tiny_levels.iter().all(|s| !s.2));

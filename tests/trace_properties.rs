@@ -1,9 +1,10 @@
 //! Property-based tests of the trace layer: every JSONL trace captured
 //! from a real solve must satisfy the paper's structural invariants when
 //! replayed — levels strictly increase within a phase, the recorded
-//! direction decision matches `frontier >= unvisited_y / α` at every
-//! level, and phase-reported augmentations sum to the matching-cardinality
-//! delta. JSON serialization round-trips every event bit-for-bit.
+//! direction decision matches `frontier_edges >= unvisited_edges / α` at
+//! every level, and phase-reported augmentations sum to the
+//! matching-cardinality delta. JSON serialization round-trips every event
+//! bit-for-bit.
 
 use ms_bfs_graft::prelude::*;
 use proptest::prelude::*;
@@ -66,22 +67,29 @@ proptest! {
         prop_assert_eq!(run.augmenting_paths, out.stats.augmenting_paths);
 
         // Independent spot-checks on the raw stream (not via replay):
-        // levels strictly increase within each phase, and each recorded
-        // direction decision matches the α crossover rule.
-        let mut last: Option<(u64, u64)> = None;
+        // levels strictly increase within each phase, the unvisited edges
+        // start at every edge and only fall within a phase, and each
+        // recorded direction decision matches the α crossover rule.
+        let mut last: Option<(u64, u64, u64)> = None;
         for ev in &events {
-            if let TraceEvent::Level { phase, level, frontier, unvisited_y, bottom_up } = ev {
-                if let Some((lp, ll)) = last {
+            if let TraceEvent::Level {
+                phase, level, frontier, frontier_edges, unvisited_edges, bottom_up, ..
+            } = ev {
+                if let Some((lp, ll, lu)) = last {
                     if lp == *phase {
                         prop_assert!(*level > ll, "levels must increase within phase {phase}");
+                        prop_assert!(*unvisited_edges <= lu, "unvisited edges grew in phase {phase}");
                     }
                 }
-                last = Some((*phase, *level));
+                if (*phase, *level) == (1, 0) {
+                    prop_assert_eq!(*unvisited_edges, g.num_edges() as u64);
+                }
+                last = Some((*phase, *level, *unvisited_edges));
                 prop_assert!(*frontier > 0, "empty frontiers are never recorded");
                 if run.direction_optimizing {
                     prop_assert_eq!(
                         *bottom_up,
-                        direction_rule(*frontier, *unvisited_y, run.alpha),
+                        direction_rule(*frontier_edges, *unvisited_edges, run.alpha),
                         "direction decision at phase {} level {}", phase, level
                     );
                 } else {
