@@ -29,6 +29,8 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
             "avg |P|",
             "activeX",
             "renewY",
+            "active edges",
+            "renew edges",
             "next",
         ],
     );
@@ -56,15 +58,14 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
                 t.path_edges as f64 / t.augmentations as f64
             };
             // The last phase finds no path and makes no graft decision.
-            let (active_x, renewable_y, next) = match t.graft {
-                None => (0, 0, "done"),
+            let (counts, next) = match t.graft {
+                None => ([0; 4], "done"),
                 Some(g) => (
-                    g.active_x,
-                    g.renewable_y,
+                    [g.active_x, g.renewable_y, g.active_edges, g.renewable_edges],
                     if g.grafted { "graft" } else { "rebuild" },
                 ),
             };
-            r.row(vec![
+            let mut row = vec![
                 name.into(),
                 t.phase.to_string(),
                 t.levels.to_string(),
@@ -73,10 +74,10 @@ pub fn anatomy(cfg: &Config) -> std::io::Result<()> {
                 t.edges_traversed.to_string(),
                 t.augmentations.to_string(),
                 format!("{avg_p:.1}"),
-                active_x.to_string(),
-                renewable_y.to_string(),
-                next.into(),
-            ]);
+            ];
+            row.extend(counts.iter().map(u64::to_string));
+            row.push(next.into());
+            r.row(row);
         }
     }
     r.note("paper expectation (§III-B): 'tree-grafting is usually not beneficial in the first few phases when a large number of augmenting paths is discovered' — the early phases should say rebuild, the late ones graft.");

@@ -11,7 +11,9 @@ use graft_gen::suite::GraphClass;
 
 /// Times parallel MS-BFS with the three engine configurations — plain,
 /// +direction-optimization, +grafting — and reports speedups over plain
-/// MS-BFS per graph plus class/overall geometric means.
+/// MS-BFS per graph plus class/overall geometric means, with the edges
+/// each configuration traversed: a count that does not depend on the
+/// host, so it shows whether a slowdown is the work or the machine.
 pub fn fig7(cfg: &Config) -> std::io::Result<()> {
     let threads = cfg.max_threads();
     let configs: [(&str, MsBfsOptions); 3] = [
@@ -28,6 +30,9 @@ pub fn fig7(cfg: &Config) -> std::io::Result<()> {
             "dirOpt speedup",
             "dirOpt+graft speedup",
             "plain time (s)",
+            "plain edges",
+            "dirOpt edges",
+            "dirOpt+graft edges",
         ],
     );
     let mut dir_gains = Vec::new();
@@ -35,23 +40,22 @@ pub fn fig7(cfg: &Config) -> std::io::Result<()> {
     let mut web_graft_gains = Vec::new();
     for inst in load_suite(cfg) {
         let mut times = Vec::new();
+        let mut edges = Vec::new();
         for (_, ms) in &configs {
             let opts = SolveOptions {
                 threads,
                 ms_bfs: *ms,
                 ..SolveOptions::default()
             };
-            times.push(
-                time_algorithm(
-                    &inst.graph,
-                    &inst.init,
-                    Algorithm::MsBfsGraftParallel,
-                    &opts,
-                    cfg.reps,
-                )
-                .sample()
-                .mean,
+            let t = time_algorithm(
+                &inst.graph,
+                &inst.init,
+                Algorithm::MsBfsGraftParallel,
+                &opts,
+                cfg.reps,
             );
+            times.push(t.sample().mean);
+            edges.push(t.outcome.stats.edges_traversed.to_string());
         }
         let s_dir = times[0] / times[1].max(1e-12);
         let s_graft = times[0] / times[2].max(1e-12);
@@ -60,13 +64,15 @@ pub fn fig7(cfg: &Config) -> std::io::Result<()> {
         if inst.entry.class == GraphClass::Web {
             web_graft_gains.push(s_graft / s_dir);
         }
-        r.row(vec![
+        let mut row = vec![
             inst.entry.name.into(),
             inst.entry.class.name().into(),
             f2(s_dir),
             f2(s_graft),
             format!("{:.4}", times[0]),
-        ]);
+        ];
+        row.extend(edges);
+        r.row(row);
     }
     r.note(format!(
         "geometric means — direction optimization: {:.2}x, additional grafting factor: {:.2}x (web class: {:.2}x)",

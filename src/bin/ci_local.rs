@@ -63,10 +63,10 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
-    // The scaling job checks the Small rows of the golden work table,
-    // which are too slow for the debug test run.
+    // The scaling job checks the Small and Medium rows of the golden
+    // work table, which are too slow for the debug test run.
     Gate {
-        name: "work table (Small)",
+        name: "work table (Small, Medium)",
         args: &[
             "test",
             "--release",
