@@ -8,8 +8,7 @@ use crate::report::{dur, f3, Report};
 use crate::runner::time_algorithm;
 use crate::Config;
 use graft_core::{
-    init::Initializer, solve_from_in, Algorithm, MsBfsOptions, PrOrder, PushRelabelOptions,
-    SolveOptions, SolveWorkspace,
+    init::Initializer, solve_from_in, Algorithm, MsBfsOptions, SolveOptions, SolveWorkspace,
 };
 use graft_gen::suite::fig1_graphs;
 
@@ -119,51 +118,6 @@ pub fn ablation_init(cfg: &Config) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Compares the push-relabel active-vertex selection disciplines
-/// (FIFO — the paper's choice — vs. highest- and lowest-label) on one
-/// graph per class.
-pub fn ablation_pr_order(cfg: &Config) -> std::io::Result<()> {
-    let orders = [
-        ("FIFO", PrOrder::Fifo),
-        ("highest-label", PrOrder::HighestLabel),
-        ("lowest-label", PrOrder::LowestLabel),
-    ];
-    let mut r = Report::new(
-        "ablation_pr_order",
-        "Ablation — push-relabel selection discipline (serial PR)",
-        &["graph", "order", "time", "edges", "relabels"],
-    );
-    for entry in fig1_graphs() {
-        let inst = load_instance(entry, cfg);
-        for (name, order) in orders {
-            let opts = SolveOptions {
-                push_relabel: PushRelabelOptions {
-                    order,
-                    ..PushRelabelOptions::default()
-                },
-                ..SolveOptions::default()
-            };
-            let t = time_algorithm(
-                &inst.graph,
-                &inst.init,
-                Algorithm::PushRelabel,
-                &opts,
-                cfg.reps,
-            );
-            r.row(vec![
-                inst.entry.name.into(),
-                name.into(),
-                dur(t.mean()),
-                t.outcome.stats.edges_traversed.to_string(),
-                t.outcome.stats.phases.to_string(),
-            ]);
-        }
-    }
-    r.note("the paper runs PR in FIFO order; the PR literature it builds on (Kaya, Langguth, Manne, Uçar) compares all three disciplines.");
-    r.emit(&cfg.out_dir)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +134,6 @@ mod tests {
         };
         ablation_alpha(&cfg).unwrap();
         ablation_init(&cfg).unwrap();
-        ablation_pr_order(&cfg).unwrap();
         assert!(cfg.out_dir.join("ablation_alpha.csv").exists());
         assert!(cfg.out_dir.join("ablation_init.csv").exists());
     }

@@ -50,8 +50,6 @@ pub fn fig3(cfg: &Config) -> std::io::Result<()> {
                 threads,
                 push_relabel: PushRelabelOptions {
                     global_relabel_frequency: if threads > 1 { 16.0 } else { 2.0 },
-                    queue_limit: 500,
-                    ..PushRelabelOptions::default()
                 },
                 ..SolveOptions::default()
             };

@@ -20,7 +20,7 @@ mod stress;
 mod tables;
 mod variability;
 
-pub use ablation::{ablation_alpha, ablation_init, ablation_pr_order};
+pub use ablation::{ablation_alpha, ablation_init};
 pub use anatomy::anatomy;
 pub use dist::dist;
 pub use dynbench::{dynbench, DYNBENCH_FILE, DYNBENCH_SCHEMA, DYNBENCH_SPEEDUP_MIN};
@@ -86,7 +86,6 @@ pub fn run_all(cfg: &Config) -> std::io::Result<()> {
     variability(cfg)?;
     ablation_alpha(cfg)?;
     ablation_init(cfg)?;
-    ablation_pr_order(cfg)?;
     dist(cfg)?;
     anatomy(cfg)?;
     Ok(())
@@ -109,7 +108,6 @@ pub fn run_by_name(name: &str, cfg: &Config) -> std::io::Result<bool> {
         "variability" => variability(cfg)?,
         "ablation_alpha" => ablation_alpha(cfg)?,
         "ablation_init" => ablation_init(cfg)?,
-        "ablation_pr_order" => ablation_pr_order(cfg)?,
         "dist" => dist(cfg)?,
         "anatomy" => anatomy(cfg)?,
         "perf-gate" => perf_gate(cfg)?,

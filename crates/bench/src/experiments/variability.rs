@@ -24,8 +24,6 @@ pub fn variability(cfg: &Config) -> std::io::Result<()> {
         threads,
         push_relabel: PushRelabelOptions {
             global_relabel_frequency: 16.0,
-            queue_limit: 500,
-            ..PushRelabelOptions::default()
         },
         ..SolveOptions::default()
     };

@@ -10,7 +10,7 @@
 //! | SS-BFS | `SsBfs` | serial, single-source |
 //! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | one multi-source DFS engine, inline on one thread / on the thread pool |
 //! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
-//! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | serial / parallel |
+//! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | one double-push engine, inline on one thread / on the thread pool |
 //! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | the MS-BFS engine with toggles, inline on one thread |
 //! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool, steps below its work cutoff inline: the paper's parallel contribution |
 //!
@@ -83,14 +83,14 @@ pub use ms_bfs::MsBfsOptions;
 #[cfg(graft_check)]
 #[doc(hidden)]
 pub use pothen_fan::check_api as pf_check_api;
-pub use push_relabel::{PrOrder, PushRelabelOptions};
+pub use push_relabel::PushRelabelOptions;
 pub use trace::Tracer;
 pub use workspace::SolveWorkspace;
 
 use hopcroft_karp::hopcroft_karp_until;
 use ms_bfs::ms_bfs;
 use pothen_fan::pothen_fan;
-use push_relabel::{push_relabel, push_relabel_parallel};
+use push_relabel::push_relabel;
 use ss::{ss_bfs, ss_dfs};
 
 use graft_graph::BipartiteCsr;
@@ -319,8 +319,8 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 ///
 /// `tracer` observes the run: a `run_start` / `run_end` pair around the
 /// solve, plus whatever inner events the algorithm's engine emits (levels
-/// and phases for the MS-BFS engine, phases for the Pothen-Fan engine and
-/// serial push-relabel). `run_start` follows the initializer and carries
+/// and phases for the MS-BFS engine, phases for the Pothen-Fan and
+/// push-relabel engines). `run_start` follows the initializer and carries
 /// its cardinality. A disabled tracer builds no event and reads no clock.
 ///
 /// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
@@ -338,9 +338,9 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 /// solve performs no `O(n)` clears and (for the serial algorithms that
 /// draw on `ws`) no heap allocations at all; the matching and
 /// [`stats::SearchStats`] counters are the same as from a fresh
-/// workspace. The four MS-BFS algorithms, both Pothen-Fan algorithms and
-/// serial push-relabel draw on `ws`; the remaining algorithms ignore it
-/// (they are baselines/oracles, not service hot paths).
+/// workspace. The four MS-BFS algorithms and both Pothen-Fan and both
+/// push-relabel algorithms draw on `ws`; the remaining algorithms ignore
+/// it (they are baselines/oracles, not service hot paths).
 pub fn solve_from_traced_in(
     g: &BipartiteCsr,
     m0: impl Into<Option<Matching>>,
@@ -383,9 +383,9 @@ pub fn solve_from_traced_in(
                 let ms_opts = ms_opts.expect("MS algorithm");
                 ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), stop, tracer, ws)
             }
-            Algorithm::PushRelabel => push_relabel(g, m0, &opts.push_relabel, stop, tracer, ws),
-            Algorithm::PushRelabelParallel => {
-                push_relabel_parallel(g, m0, &opts.push_relabel, stop)
+            Algorithm::PushRelabel | Algorithm::PushRelabelParallel => {
+                let parallel = algorithm.is_parallel();
+                push_relabel(g, m0, parallel, &opts.push_relabel, stop, tracer, ws)
             }
         }
     };

@@ -1,6 +1,6 @@
-//! Push-relabel bipartite matching (serial and multithreaded), the PR
-//! competitor of the paper (after Langguth, Manne, Sanders and Kaya,
-//! Langguth, Manne, Uçar).
+//! The push-relabel engine (PR and PR(par)), the PR competitor of the
+//! paper (after Langguth, Manne, Sanders and Kaya, Langguth, Manne, Uçar),
+//! serial and multithreaded.
 //!
 //! Bipartite cardinality matching is unit-capacity max-flow, so the
 //! generic push-relabel machinery specializes drastically: only the `Y`
@@ -15,172 +15,217 @@
 //!
 //! A label reaching `limit = 2·min(nx,ny) + 3` certifies that no residual
 //! (alternating) path to a free `Y` vertex exists, so the vertex can be
-//! discarded. **Global relabeling** periodically recomputes exact labels
-//! with a backward BFS from the free `Y` vertices; its frequency is the
-//! tuning knob the paper sets to 2 (serial) and 16 (40 threads), and the
-//! per-thread work batch bound is the paper's queue limit of 500.
+//! discarded. **Global relabeling** recomputes exact labels with a
+//! backward BFS from the free `Y` vertices after every `n / frequency`
+//! pushes; the paper sets the frequency to 2 on one thread and 16 on 40.
+//!
+//! One kernel, `Shared::push`, serves both algorithms. PR, and PR(par) in
+//! a one-thread pool, run inline on the calling thread in FIFO order,
+//! where a steal is a load and a store. Otherwise the active set runs in
+//! rounds, each split into batches of at most [`QUEUE_LIMIT`] vertices
+//! (the paper's queue limit) for the pool: a steal is a
+//! `compare_exchange` on the authoritative `mate_y`, and a label rises by
+//! `fetch_max`.
 
 use crate::stats::SearchStats;
-use crate::trace::{TraceEvent, Tracer};
-use crate::workspace::{PrBuffers, SolveWorkspace};
+use crate::trace::{emit_phase, PhaseSummary, Tracer};
+use crate::workspace::SolveWorkspace;
 use crate::{Matching, RunOutcome, Stop};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
-/// Active-vertex selection order for the serial solver.
-///
-/// Push-relabel correctness does not depend on the order actives are
-/// processed, but performance does; the PR literature the paper builds on
-/// (Kaya, Langguth, Manne, Uçar) compares exactly these disciplines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum PrOrder {
-    /// First-in-first-out (the paper's configuration).
-    #[default]
-    Fifo,
-    /// Process the active vertex with the highest (stalest-known) label
-    /// first — drains provably-unmatchable vertices early.
-    HighestLabel,
-    /// Process the lowest-label active vertex first — augments along
-    /// near-free vertices before labels grow.
-    LowestLabel,
-}
+/// Most vertices in one batch of a pool round (the paper's queue limit).
+const QUEUE_LIMIT: usize = 500;
 
-/// Tuning parameters for the push-relabel solvers.
+/// Tuning parameters for the push-relabel engine.
 #[derive(Clone, Copy, Debug)]
 pub struct PushRelabelOptions {
     /// Global relabel after `n / frequency` pushes (paper: 2 on one
     /// thread, 16 on 40 threads).
     pub global_relabel_frequency: f64,
-    /// Work-batch bound per thread between queue synchronizations in the
-    /// parallel solver (paper: 500).
-    pub queue_limit: usize,
-    /// Active-vertex selection discipline (serial solver only; the
-    /// parallel solver is round-based).
-    pub order: PrOrder,
 }
 
 impl Default for PushRelabelOptions {
     fn default() -> Self {
         Self {
             global_relabel_frequency: 2.0,
-            queue_limit: 500,
-            order: PrOrder::Fifo,
         }
     }
 }
 
-/// The serial solver's active set under a selection discipline. Keys are
-/// the labels known at insertion time; selection correctness does not
-/// require fresh keys, so no revalidation is needed. The collections are
-/// borrowed from the workspace (both arrive cleared).
-enum ActiveSet<'a> {
-    Fifo(&'a mut VecDeque<VertexId>),
-    // Max-heap on (key, x); for lowest-label the key is negated at push.
-    Heap(&'a mut BinaryHeap<(i64, VertexId)>, bool),
-}
-
-impl<'a> ActiveSet<'a> {
-    fn new(
-        order: PrOrder,
-        fifo: &'a mut VecDeque<VertexId>,
-        heap: &'a mut BinaryHeap<(i64, VertexId)>,
-    ) -> Self {
-        match order {
-            PrOrder::Fifo => ActiveSet::Fifo(fifo),
-            PrOrder::HighestLabel => ActiveSet::Heap(heap, false),
-            PrOrder::LowestLabel => ActiveSet::Heap(heap, true),
-        }
-    }
-
-    fn push(&mut self, x: VertexId, key: u32) {
-        match self {
-            ActiveSet::Fifo(q) => q.push_back(x),
-            ActiveSet::Heap(h, negate) => {
-                let k = if *negate { -(key as i64) } else { key as i64 };
-                h.push((k, x));
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<VertexId> {
-        match self {
-            ActiveSet::Fifo(q) => q.pop_front(),
-            ActiveSet::Heap(h, _) => h.pop().map(|(_, x)| x),
-        }
-    }
-}
-
-#[inline]
-fn label_limit(g: &BipartiteCsr) -> u32 {
-    (2 * g.num_x().min(g.num_y()) + 3) as u32
-}
-
-/// Exact labels: `d[y]` = residual distance from `y` to the sink
-/// (1 for free `Y` vertices, +2 per alternating `Y`-step), `limit` where
-/// unreachable. Returns the number of edges scanned.
-fn global_relabel(
-    g: &BipartiteCsr,
-    mate_x: &[VertexId],
-    d_y: &mut [u32],
+/// The engine's view of the mates, converted from the input matching, and
+/// of the workspace's labels.
+struct Shared<'a> {
+    g: &'a BipartiteCsr,
     limit: u32,
-    matched_y: &mut [bool],
-    queue: &mut VecDeque<VertexId>,
-) -> u64 {
-    let mut scanned = 0u64;
-    for d in d_y.iter_mut() {
-        *d = limit;
-    }
-    queue.clear();
-    // A Y vertex is free iff no x points at it: detect via a marker sweep
-    // instead of trusting a mate_y array (the parallel solver only
-    // maintains mate_y authoritatively — callers pass a consistent mate_x
-    // derived from it).
-    for f in matched_y.iter_mut() {
-        *f = false;
-    }
-    for &y in mate_x.iter().filter(|&&y| y != NONE) {
-        matched_y[y as usize] = true;
-    }
-    for y in 0..g.num_y() as VertexId {
-        if !matched_y[y as usize] {
-            d_y[y as usize] = 1;
-            queue.push_back(y);
-        }
-    }
-    while let Some(y) = queue.pop_front() {
-        let dy = d_y[y as usize];
-        for &x in g.y_neighbors(y) {
-            scanned += 1;
-            // Residual arc x→y exists iff (x,y) is unmatched.
-            if mate_x[x as usize] == y {
-                continue;
-            }
-            let ym = mate_x[x as usize];
-            if ym != NONE && d_y[ym as usize] == limit {
-                d_y[ym as usize] = dy + 2;
-                queue.push_back(ym);
-            }
-        }
-    }
-    scanned
+    mate_x: &'a [AtomicU32],
+    mate_y: &'a [AtomicU32],
+    label: &'a [AtomicU32],
 }
 
-/// Maximum matching by serial FIFO push-relabel with double pushes,
-/// second-minimum relabeling and periodic global relabeling, with `tracer`
-/// observing each phase. A PR "phase" is the span opened by one global
-/// relabel: its event reports the pushes that landed on a free `Y` vertex
-/// (the cardinality gains) and the edges scanned — relabel sweep included
-/// — before the next relabel. `stop` is polled before every global
-/// relabel, the solve-opening one included. Warm solves reuse the label
-/// array, the relabel scratch and the active set of `ws`, performing no
-/// heap allocations. PR needs no epoch versioning — the solve-opening
-/// global relabel fully reinitializes every buffer.
+impl Shared<'_> {
+    /// One double push from the free `x`; counts its scans and gain into
+    /// `p`, queues the robbed vertex into `requeue`, and returns whether
+    /// it pushed. With `CAS` a steal is a `compare_exchange` on `mate_y`,
+    /// as concurrent pushes need: the robbed `X` keeps its stale mate until
+    /// it pushes again or [`Shared::reseed`] clears it, and a push that
+    /// keeps losing its `Y` requeues `x` itself. Without, a steal is a
+    /// load and a store and clears the robbed mate at once.
+    fn push<const CAS: bool>(
+        &self,
+        x: VertexId,
+        requeue: &mut Vec<VertexId>,
+        p: &mut PhaseSummary,
+    ) -> bool {
+        let nbrs = self.g.x_neighbors(x);
+        // A lost CAS means another push landed, so giving up after a few
+        // cannot livelock.
+        for _ in 0..if CAS { 4 } else { 1 } {
+            // Each scan reads the whole list: count it once.
+            p.edges_traversed += nbrs.len() as u64;
+            let (mut y1, mut d1, mut d2) = (NONE, self.limit, self.limit);
+            for &y in nbrs {
+                let d = self.label[y as usize].load(Ordering::Relaxed);
+                if d < d1 {
+                    (y1, d1, d2) = (y, d, d1);
+                } else if d < d2 {
+                    d2 = d;
+                }
+            }
+            if d1 >= self.limit {
+                return false; // unmatchable under these labels: drop x
+            }
+            // Relaxed suffices: in a round, the CAS alone decides who holds
+            // y1, a task writes only its own x's mate, labels are read as
+            // bounds, and the join that ends the round orders every write.
+            let slot = &self.mate_y[y1 as usize];
+            let old = slot.load(Ordering::Relaxed);
+            // `y1` names `x` only after `x`'s own push, and `x` is
+            // processed only while it is free.
+            debug_assert_ne!(old, x, "x={x} is processed while matched");
+            if !CAS {
+                slot.store(x, Ordering::Relaxed);
+                if old != NONE {
+                    self.mate_x[old as usize].store(NONE, Ordering::Relaxed);
+                }
+            } else if slot
+                .compare_exchange(old, x, Ordering::AcqRel, Ordering::Relaxed)
+                .is_err()
+            {
+                continue; // another push took y1: rescan
+            }
+            self.mate_x[x as usize].store(y1, Ordering::Relaxed);
+            let d = d2.saturating_add(2).min(self.limit);
+            if CAS {
+                self.label[y1 as usize].fetch_max(d, Ordering::Relaxed);
+            } else {
+                self.label[y1 as usize].store(d, Ordering::Relaxed);
+            }
+            if old == NONE {
+                p.augmentations += 1;
+            } else {
+                requeue.push(old);
+            }
+            return true;
+        }
+        requeue.push(x);
+        false
+    }
+
+    /// One pool round over `active`, in batches of at most [`QUEUE_LIMIT`]
+    /// vertices: leaves the requeued vertices in `next` and returns the
+    /// pushes. The join that ends it orders every write for the next.
+    fn round(&self, active: &[VertexId], next: &mut Vec<VertexId>, p: &mut PhaseSummary) -> u64 {
+        let task = |batch: &[VertexId]| {
+            let (mut requeue, mut q, mut pushes) = (Vec::new(), PhaseSummary::default(), 0);
+            for &x in batch {
+                pushes += u64::from(self.push::<true>(x, &mut requeue, &mut q));
+            }
+            (requeue, q, pushes)
+        };
+        let tasks: Vec<_> = active.par_chunks(QUEUE_LIMIT).map(task).collect();
+        next.clear();
+        let mut pushes = 0;
+        for (requeue, q, n) in tasks {
+            next.extend(requeue);
+            p.augmentations += q.augmentations;
+            p.edges_traversed += q.edges_traversed;
+            pushes += n;
+        }
+        pushes
+    }
+
+    /// Re-seeds `active` with every free `X` of positive degree, clearing
+    /// the stale mate of each robbed one on the way (`mate_y` is
+    /// authoritative).
+    fn reseed(&self, active: &mut Vec<VertexId>) {
+        active.clear();
+        for (x, mate) in (0..).zip(self.mate_x) {
+            let y = mate.load(Ordering::Relaxed);
+            if y == NONE || self.mate_y[y as usize].load(Ordering::Relaxed) != x {
+                mate.store(NONE, Ordering::Relaxed);
+                if self.g.x_degree(x) > 0 {
+                    active.push(x);
+                }
+            }
+        }
+    }
+
+    /// Exact labels: `label[y]` is the residual distance from `y` to a
+    /// free `Y` (1 for a free `y`, +2 per alternating step), `limit` where
+    /// there is none. A free `Y` is one whose `mate_y` is `NONE`, and the
+    /// BFS steps through `mate_x`, which must hold no stale mate. `queue`
+    /// holds each `Y` at most once. Returns the edges scanned.
+    fn relabel(&self, queue: &mut Vec<VertexId>) -> u64 {
+        queue.clear();
+        for (y, (label, mate)) in (0..).zip(self.label.iter().zip(self.mate_y)) {
+            let free = mate.load(Ordering::Relaxed) == NONE;
+            label.store(if free { 1 } else { self.limit }, Ordering::Relaxed);
+            if free {
+                queue.push(y);
+            }
+        }
+        let (mut head, mut edges) = (0, 0);
+        while let Some(&y) = queue.get(head) {
+            head += 1;
+            let dy = self.label[y as usize].load(Ordering::Relaxed);
+            let nbrs = self.g.y_neighbors(y);
+            edges += nbrs.len() as u64;
+            for &x in nbrs {
+                // The residual arc x→y exists iff (x, y) is unmatched.
+                let ym = self.mate_x[x as usize].load(Ordering::Relaxed);
+                if ym != NONE && ym != y {
+                    let label = &self.label[ym as usize];
+                    if label.load(Ordering::Relaxed) == self.limit {
+                        label.store(dy + 2, Ordering::Relaxed);
+                        queue.push(ym);
+                    }
+                }
+            }
+        }
+        edges
+    }
+}
+
+/// Maximum matching by push-relabel with double pushes, second-minimum
+/// relabeling and a global relabel after every `n / frequency` pushes,
+/// with `tracer` observing each phase: the span that one global relabel
+/// opens, its sweep included. `stop` is polled before every global
+/// relabel, the solve-opening one included.
+///
+/// With `parallel` false (PR) the solve runs inline, whatever pool is
+/// installed; otherwise (PR(par)) on the ambient rayon pool, or inline if
+/// it has one thread. Inline, the active `X` vertices run in FIFO order
+/// with the budget checked before each push; on the pool, in rounds, with
+/// the budget checked between them. The matching's mate vectors become
+/// the engine's atomics in place, and the labels, relabel queue and active
+/// sets live in `ws`: a warm inline solve does not allocate.
 pub(crate) fn push_relabel(
     g: &BipartiteCsr,
-    mut m: Matching,
+    m: Matching,
+    parallel: bool,
     opts: &PushRelabelOptions,
     stop: Stop<'_>,
     tracer: &Tracer,
@@ -191,358 +236,103 @@ pub(crate) fn push_relabel(
         initial_cardinality: m.cardinality(),
         ..Default::default()
     };
-    let limit = label_limit(g);
-    let n = g.num_vertices().max(1);
-    let relabel_threshold = ((n as f64 / opts.global_relabel_frequency.max(0.01)) as u64).max(1);
 
-    let ny = g.num_y();
-    ws.pr.begin_solve(ny);
-    let PrBuffers {
-        d_y,
-        matched_y,
-        bfs,
-        fifo,
-        heap,
-    } = &mut ws.pr;
-    let d_y = &mut d_y[..ny];
-    let matched_y = &mut matched_y[..ny];
-    let (mut phase_t0, mut phase_edges_start, mut phase_augs_start) = (None, 0, 0);
-
-    let mut queue = ActiveSet::new(opts.order, fifo, heap);
-    for x in m.unmatched_x().filter(|&x| g.x_degree(x) > 0) {
-        queue.push(x, 0);
-    }
-    // Due at once: the solve opens with a global relabel.
-    let mut pushes_since_relabel = relabel_threshold;
-
-    loop {
-        if pushes_since_relabel >= relabel_threshold {
-            if stop.poll(&mut stats) {
-                break;
-            }
-            if stats.phases > 0 {
-                tracer
-                    .emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
-            }
-            phase_t0 = tracer.is_enabled().then(Instant::now);
-            phase_edges_start = stats.edges_traversed;
-            phase_augs_start = stats.augmenting_paths;
-            stats.edges_traversed += global_relabel(g, m.mates_x(), d_y, limit, matched_y, bfs);
-            stats.phases += 1;
-            pushes_since_relabel = 0;
-        }
-        let Some(x) = queue.pop() else { break };
-        if m.is_x_matched(x) {
-            continue;
-        }
-        // Scan for minimum and second-minimum labels.
-        let (mut y1, mut d1, mut d2) = (NONE, limit, limit);
-        for &y in g.x_neighbors(x) {
-            stats.edges_traversed += 1;
-            let d = d_y[y as usize];
-            if d < d1 {
-                d2 = d1;
-                d1 = d;
-                y1 = y;
-            } else if d < d2 {
-                d2 = d;
-            }
-        }
-        if y1 == NONE || d1 >= limit {
-            continue; // certified unmatchable: drop x
-        }
-        let was_free = !m.is_y_matched(y1);
-        let old = m.rematch(x, y1);
-        d_y[y1 as usize] = d2.saturating_add(2).min(limit);
-        if was_free {
-            stats.augmenting_paths += 1;
-        }
-        if old != NONE {
-            // Key the robbed vertex by the label of the slot it lost —
-            // its own implicit label before rescanning.
-            queue.push(old, d_y[y1 as usize]);
-        }
-        pushes_since_relabel += 1;
-    }
-    if stats.phases > 0 {
-        tracer.emit(|| pr_phase_event(&stats, phase_edges_start, phase_augs_start, phase_t0));
-    }
-
-    stats.final_cardinality = m.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
-}
-
-/// The per-phase event of the serial PR solver: everything since the
-/// phase-opening global relabel, attributed to phase `stats.phases`.
-fn pr_phase_event(
-    stats: &SearchStats,
-    phase_edges_start: u64,
-    phase_augs_start: u64,
-    phase_t0: Option<Instant>,
-) -> TraceEvent {
-    TraceEvent::PhaseEnd {
-        phase: u64::from(stats.phases),
-        levels: 0,
-        bottom_up_levels: 0,
-        frontier_peak: 0,
-        augmentations: stats.augmenting_paths - phase_augs_start,
-        path_edges: 0,
-        edges_traversed: stats.edges_traversed - phase_edges_start,
-        elapsed_us: phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-    }
-}
-
-/// Maximum matching by multithreaded push-relabel, on the ambient rayon
-/// pool (the dispatcher installs a sized one around the call).
-///
-/// Round-based: each round processes the current active set in parallel
-/// (work split in batches of at most `queue_limit`), with mate stealing
-/// through `compare_exchange` on the authoritative `Y`-side mate array and
-/// monotone label updates via `fetch_max`. Robbed `X` vertices self-repair
-/// lazily when they are next processed. Between outer iterations an exact
-/// global relabel re-certifies reachability; if an outer iteration makes no
-/// progress (a theoretical possibility under label staleness), the solver
-/// falls back to one exact serial push-relabel pass, preserving the
-/// worst-case guarantees. `stop` is polled at the top of every outer
-/// iteration, and by the fallback.
-pub(crate) fn push_relabel_parallel(
-    g: &BipartiteCsr,
-    m: Matching,
-    opts: &PushRelabelOptions,
-    stop: Stop<'_>,
-) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-    let limit = label_limit(g);
-
+    let (nx, ny) = (g.num_x(), g.num_y());
+    let inline = !parallel || rayon::current_num_threads() == 1;
+    let n = g.num_vertices().max(1) as f64;
+    let budget = ((n / opts.global_relabel_frequency.max(0.01)) as u64).max(1);
+    let b = &mut ws.pr;
+    b.begin_solve(nx, ny);
+    let mut active = std::mem::take(&mut b.active);
+    let mut next = std::mem::take(&mut b.next);
+    let mut queue = std::mem::take(&mut b.queue);
     let (mx, my) = m.into_mates();
     let mate_x: Vec<AtomicU32> = mx.into_iter().map(AtomicU32::new).collect();
-    // Authoritative side: matches are established by CAS here.
     let mate_y: Vec<AtomicU32> = my.into_iter().map(AtomicU32::new).collect();
-    let d_y: Vec<AtomicU32> = (0..g.num_y()).map(|_| AtomicU32::new(limit)).collect();
-    let scanned = AtomicU64::new(0);
-
-    let snapshot_mate_x = |mate_x: &[AtomicU32]| -> Vec<VertexId> {
-        mate_x.iter().map(|a| a.load(Ordering::Relaxed)).collect()
+    let sh = Shared {
+        g,
+        limit: (2 * nx.min(ny) + 3) as u32,
+        mate_x: &mate_x,
+        mate_y: &mate_y,
+        label: &b.label[..ny],
     };
 
-    let mut gr_matched = vec![false; g.num_y()];
-    let mut gr_queue: VecDeque<VertexId> = VecDeque::new();
-    while !stop.poll(&mut stats) {
-        // ---- Repair sweep: clear stale mate pointers of robbed X
-        // vertices whose requeue entry was dropped when the push budget
-        // cut the rounds short. No other thread runs here, so the plain
-        // stores cannot race.
-        (0..g.num_x()).into_par_iter().for_each(|x| {
-            let own = mate_x[x].load(Ordering::Relaxed);
-            if own != NONE && mate_y[own as usize].load(Ordering::Relaxed) != x as VertexId {
-                mate_x[x].store(NONE, Ordering::Relaxed);
-            }
-        });
-
-        // ---- Exact global relabel (serial; also the certification). ----
-        let mx_snap = snapshot_mate_x(&mate_x);
-        let mut labels: Vec<u32> = vec![limit; g.num_y()];
-        stats.edges_traversed += global_relabel(
-            g,
-            &mx_snap,
-            &mut labels,
-            limit,
-            &mut gr_matched,
-            &mut gr_queue,
-        );
-        stats.phases += 1;
-        for (a, &v) in d_y.iter().zip(labels.iter()) {
-            a.store(v, Ordering::Relaxed);
+    // Inline, `active[head..]` and then `next` form the FIFO queue: when
+    // the budget runs out mid-round, the rest of the round runs first
+    // after the relabel, then the vertices it requeued. The pool re-seeds
+    // before every relabel, which also leaves a stopped solve's mates
+    // consistent.
+    let (mut head, mut done) = (0, false);
+    while !done {
+        if !inline || stats.phases == 0 {
+            sh.reseed(&mut active);
+            head = 0;
         }
-
-        // Active X vertices that are still certifiably matchable.
-        let active: Vec<VertexId> = (0..g.num_x() as VertexId)
-            .into_par_iter()
-            .filter(|&x| {
-                if mate_x[x as usize].load(Ordering::Relaxed) != NONE {
-                    return false;
-                }
-                g.x_neighbors(x)
-                    .iter()
-                    .any(|&y| d_y[y as usize].load(Ordering::Relaxed) < limit)
-            })
-            .collect();
-        if active.is_empty() {
-            break; // exact labels certify maximality
+        if stop.poll(&mut stats) {
+            break;
         }
-
-        // ---- Parallel rounds over the active set. ----
-        // Between exact relabels, only `n / frequency` pushes are allowed
-        // (the paper's relabel-frequency knob): without this budget,
-        // labels on deficient instances climb to the limit in +2 steps,
-        // wasting O(n·limit) scans.
-        let push_budget = ((g.num_vertices().max(1) as f64
-            / opts.global_relabel_frequency.max(0.01)) as u64)
-            .max(1);
-        let mut pushes = 0u64;
-        let mut frontier = active;
-        while !frontier.is_empty() && pushes < push_budget {
-            let results: Vec<(Vec<VertexId>, u64, u64)> = frontier
-                .par_chunks(opts.queue_limit.max(1))
-                .map(|batch| {
-                    let mut requeue = Vec::new();
-                    let mut local_scanned = 0u64;
-                    let (mut local_pushes, mut local_augs) = (0u64, 0u64);
-                    for &x in batch {
-                        let (push, aug) = pr_process_one(
-                            g,
-                            &mate_x,
-                            &mate_y,
-                            &d_y,
-                            limit,
-                            x,
-                            &mut requeue,
-                            &mut local_scanned,
-                        );
-                        local_pushes += push;
-                        local_augs += aug;
+        let phase_t0 = tracer.is_enabled().then(Instant::now);
+        let mut p = PhaseSummary {
+            edges_traversed: sh.relabel(&mut queue),
+            ..PhaseSummary::default()
+        };
+        let mut pushes = 0;
+        if inline {
+            while pushes < budget {
+                if head == active.len() {
+                    if next.is_empty() {
+                        done = true; // every free X dropped: maximum
+                        break;
                     }
-                    scanned.fetch_add(local_scanned, Ordering::Relaxed);
-                    (requeue, local_pushes, local_augs)
-                })
-                .collect();
-            let mut next = Vec::new();
-            for (mut rq, p, a) in results {
-                next.append(&mut rq);
-                pushes += p;
-                stats.augmenting_paths += a;
+                    std::mem::swap(&mut active, &mut next);
+                    next.clear();
+                    head = 0;
+                }
+                pushes += u64::from(sh.push::<false>(active[head], &mut next, &mut p));
+                head += 1;
             }
-            frontier = next;
+        } else {
+            // The first round runs against exact labels, over every free X
+            // of positive degree. If it pushes nothing, no CAS lost either
+            // (a lost CAS means another push landed), so every vertex was
+            // dropped under exact labels: no augmenting path is left. Any
+            // other first round pushes, so the solve cannot stall. Racing
+            // pushes can leave a label above its true distance, so a later
+            // round's drops certify nothing until the next relabel.
+            for round in 0.. {
+                let n = sh.round(&active, &mut next, &mut p);
+                std::mem::swap(&mut active, &mut next);
+                pushes += n;
+                if round == 0 && n == 0 {
+                    done = true;
+                    break;
+                }
+                if active.is_empty() || pushes >= budget {
+                    break;
+                }
+            }
         }
-        if pushes == 0 {
-            // True stall: active vertices remain reachable under exact
-            // labels but no push landed (only possible under extreme CAS
-            // contention). Finish with the exact serial solver to preserve
-            // the worst-case guarantees.
-            let final_m = matching_from_atomic(g, &mate_y);
-            // The fallback counts its phases from 0; `stop` hears them
-            // after the ones run here.
-            let done = stats.phases;
-            let stop = |phases: u32| (stop.0)(done + phases);
-            let out = push_relabel(
-                g,
-                final_m,
-                opts,
-                Stop(&stop),
-                &Tracer::disabled(),
-                &mut SolveWorkspace::new(),
-            );
-            let mut stats = merge_stats(stats, out.stats);
-            stats.edges_traversed += scanned.load(Ordering::Relaxed);
-            stats.elapsed = start.elapsed();
-            return RunOutcome {
-                matching: out.matching,
-                stats,
-            };
-        }
+        stats.phases += 1;
+        stats.augmenting_paths += p.augmentations;
+        stats.edges_traversed += p.edges_traversed;
+        p.phase = u64::from(stats.phases);
+        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        emit_phase(tracer, &p);
     }
+    (b.active, b.next, b.queue) = (active, next, queue);
 
-    stats.edges_traversed += scanned.load(Ordering::Relaxed);
-    let matching = matching_from_atomic(g, &mate_y);
+    let mx = mate_x.into_iter().map(AtomicU32::into_inner).collect();
+    let my = mate_y.into_iter().map(AtomicU32::into_inner).collect();
+    // The pool re-validates the mates its tasks wrote.
+    let matching = if inline {
+        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
+        Matching::from_counted_mates(mx, my, counted)
+    } else {
+        Matching::from_mates(mx, my)
+    };
     stats.final_cardinality = matching.cardinality();
     stats.elapsed = start.elapsed();
     RunOutcome { matching, stats }
-}
-
-/// One double-push attempt for `x`; pushes robbed/requeued vertices into
-/// `requeue`. Returns the pushes performed and, of those, the ones that
-/// claimed a free `Y` and so grew the matching (each 0 or 1).
-#[allow(clippy::too_many_arguments)]
-fn pr_process_one(
-    g: &BipartiteCsr,
-    mate_x: &[AtomicU32],
-    mate_y: &[AtomicU32],
-    d_y: &[AtomicU32],
-    limit: u32,
-    x: VertexId,
-    requeue: &mut Vec<VertexId>,
-    scanned: &mut u64,
-) -> (u64, u64) {
-    // Lazy self-repair: if we were robbed, clear our stale mate pointer.
-    let own = mate_x[x as usize].load(Ordering::Relaxed);
-    if own != NONE {
-        if mate_y[own as usize].load(Ordering::Acquire) == x {
-            return (0, 0); // actually matched: nothing to do
-        }
-        mate_x[x as usize].store(NONE, Ordering::Relaxed);
-    }
-
-    // Bounded retries: every CAS failure means another thread made global
-    // progress, so requeueing after a few attempts cannot livelock.
-    for _attempt in 0..4 {
-        let (mut y1, mut d1, mut d2) = (NONE, limit, limit);
-        for &y in g.x_neighbors(x) {
-            *scanned += 1;
-            let d = d_y[y as usize].load(Ordering::Relaxed);
-            if d < d1 {
-                d2 = d1;
-                d1 = d;
-                y1 = y;
-            } else if d < d2 {
-                d2 = d;
-            }
-        }
-        if y1 == NONE || d1 >= limit {
-            return (0, 0); // unmatchable under current labels; outer loop re-checks
-        }
-        let old = mate_y[y1 as usize].load(Ordering::Acquire);
-        if old == x {
-            mate_x[x as usize].store(y1, Ordering::Relaxed);
-            return (0, 0);
-        }
-        if mate_y[y1 as usize]
-            .compare_exchange(old, x, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            mate_x[x as usize].store(y1, Ordering::Release);
-            d_y[y1 as usize].fetch_max(d2.saturating_add(2).min(limit), Ordering::AcqRel);
-            if old != NONE {
-                // The robbed vertex self-repairs when processed.
-                requeue.push(old);
-            }
-            return (1, u64::from(old == NONE));
-        }
-        // CAS failed: labels/mates moved under us; rescan.
-    }
-    requeue.push(x);
-    (0, 0)
-}
-
-/// Builds a consistent [`Matching`] from the authoritative `Y`-side array.
-fn matching_from_atomic(g: &BipartiteCsr, mate_y: &[AtomicU32]) -> Matching {
-    let my: Vec<VertexId> = mate_y.iter().map(|a| a.load(Ordering::Acquire)).collect();
-    let mut mx: Vec<VertexId> = vec![NONE; g.num_x()];
-    for (y, &x) in my.iter().enumerate() {
-        if x != NONE {
-            debug_assert_eq!(mx[x as usize], NONE, "two Y vertices claim x={x}");
-            mx[x as usize] = y as VertexId;
-        }
-    }
-    Matching::from_mates(mx, my)
-}
-
-fn merge_stats(a: SearchStats, b: SearchStats) -> SearchStats {
-    SearchStats {
-        edges_traversed: a.edges_traversed + b.edges_traversed,
-        phases: a.phases + b.phases,
-        augmenting_paths: a.augmenting_paths + b.augmenting_paths,
-        total_augmenting_path_edges: a.total_augmenting_path_edges + b.total_augmenting_path_edges,
-        initial_cardinality: a.initial_cardinality,
-        final_cardinality: b.final_cardinality,
-        elapsed: a.elapsed + b.elapsed,
-        breakdown: a.breakdown,
-        timed_out: a.timed_out || b.timed_out,
-    }
 }
 
 #[cfg(test)]
@@ -559,6 +349,7 @@ mod tests {
         push_relabel(
             g,
             m,
+            false,
             opts,
             Stop::default(),
             &Tracer::disabled(),
@@ -567,12 +358,8 @@ mod tests {
     }
 
     /// One PR(par) solve in a `threads`-sized pool, through the dispatcher.
-    fn par(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions, threads: usize) -> RunOutcome {
-        let opts = SolveOptions {
-            threads,
-            push_relabel: *opts,
-            ..SolveOptions::default()
-        };
+    fn par(g: &BipartiteCsr, m: Matching, opts: SolveOptions, threads: usize) -> RunOutcome {
+        let opts = SolveOptions { threads, ..opts };
         let alg = Algorithm::PushRelabelParallel;
         solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
     }
@@ -658,7 +445,6 @@ mod tests {
         let g = BipartiteCsr::from_edges(3, 3, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]);
         let o = PushRelabelOptions {
             global_relabel_frequency: 100.0,
-            ..opts()
         };
         let out = serial(&g, Matching::for_graph(&g), &o);
         assert_eq!(out.matching.cardinality(), 3);
@@ -666,92 +452,41 @@ mod tests {
     }
 
     #[test]
-    fn pr_orders_all_reach_maximum() {
-        let g = BipartiteCsr::from_edges(
-            6,
-            6,
-            &[
-                (0, 0),
-                (0, 1),
-                (1, 1),
-                (1, 2),
-                (2, 0),
-                (2, 2),
-                (3, 3),
-                (3, 4),
-                (4, 4),
-                (4, 5),
-                (5, 3),
-                (5, 5),
-                (0, 3),
-            ],
-        );
-        let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
-            .matching
-            .cardinality();
-        for order in [PrOrder::Fifo, PrOrder::HighestLabel, PrOrder::LowestLabel] {
-            let o = PushRelabelOptions { order, ..opts() };
-            let out = serial(&g, Matching::for_graph(&g), &o);
-            assert_eq!(out.matching.cardinality(), oracle, "{order:?}");
-            assert!(is_maximum(&g, &out.matching), "{order:?}");
-        }
-    }
-
-    #[test]
-    fn pr_orders_on_deficient_and_chain_instances() {
-        // Deficient hub graph + adversarial chain: both shapes for all
-        // disciplines.
-        let hub = BipartiteCsr::from_edges(5, 2, &[(0, 0), (1, 0), (2, 0), (3, 1), (4, 1)]);
-        let k = 40;
-        let mut edges = Vec::new();
-        for i in 0..k as VertexId {
-            edges.push((i, i));
-            if i > 0 {
-                edges.push((i, i - 1));
-            }
-        }
-        let chain = BipartiteCsr::from_edges(k, k, &edges);
-        let mut chain_m0 = Matching::for_graph(&chain);
-        for i in 1..k as VertexId {
-            chain_m0.match_pair(i, i - 1);
-        }
-        for order in [PrOrder::Fifo, PrOrder::HighestLabel, PrOrder::LowestLabel] {
-            let o = PushRelabelOptions { order, ..opts() };
-            let a = serial(&hub, Matching::for_graph(&hub), &o);
-            assert_eq!(a.matching.cardinality(), 2, "{order:?}");
-            let b = serial(&chain, chain_m0.clone(), &o);
-            assert_eq!(b.matching.cardinality(), k, "{order:?}");
-        }
-    }
-
-    #[test]
     fn pr_parallel_simple() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = par(&g, Matching::for_graph(&g), &opts(), 2);
+        let out = par(&g, Matching::for_graph(&g), SolveOptions::default(), 2);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
 
     #[test]
     fn pr_parallel_contention() {
-        // Heavy stealing: 60 X vertices over 40 Y vertices with overlap.
+        // Heavy stealing: 20,000 X vertices over 13,000 Y vertices with
+        // overlap. The pool gives each of its pieces at least 32 batches
+        // of `QUEUE_LIMIT`, so the first round's 40 batches run as two.
         let mut edges = Vec::new();
-        for x in 0..60u32 {
+        for x in 0..20_000u32 {
             for k in 0..3u32 {
-                edges.push((x, (x + k * 7) % 40));
+                edges.push((x, (x + k * 7) % 13_000));
             }
         }
-        let g = BipartiteCsr::from_edges(60, 40, &edges);
-        let o = PushRelabelOptions {
-            queue_limit: 8,
-            ..opts()
-        };
-        let out = par(&g, Matching::for_graph(&g), &o, 4);
+        let g = BipartiteCsr::from_edges(20_000, 13_000, &edges);
+        let out = par(&g, Matching::for_graph(&g), SolveOptions::default(), 4);
         let oracle = crate::hopcroft_karp(&g, Matching::for_graph(&g))
             .matching
             .cardinality();
         assert_eq!(out.matching.cardinality(), oracle);
         assert!(is_maximum(&g, &out.matching));
+        // Stopped after its first phase, the solve leaves robbed vertices
+        // whose stale mates it must clear before it returns.
+        let stop = SolveOptions {
+            stop: Stop(&|phases| phases >= 1),
+            ..SolveOptions::default()
+        };
+        let out = par(&g, Matching::for_graph(&g), stop, 4);
+        assert!(out.stats.timed_out);
+        assert_eq!(out.stats.phases, 1);
+        out.matching.validate(&g).unwrap();
     }
 
     #[test]
@@ -764,7 +499,7 @@ mod tests {
         }
         let g = BipartiteCsr::from_edges(k as usize, k as usize, &edges);
         let s = serial(&g, Matching::for_graph(&g), &opts());
-        let p = par(&g, Matching::for_graph(&g), &opts(), 3);
+        let p = par(&g, Matching::for_graph(&g), SolveOptions::default(), 3);
         assert_eq!(s.matching.cardinality(), p.matching.cardinality());
     }
 

@@ -35,25 +35,24 @@
 //! ## Scope
 //!
 //! The serial algorithms that draw on the workspace (MS-BFS in all three
-//! configurations, Pothen-Fan, serial push-relabel) run allocation-free on
-//! a warm workspace. Two engines serve a serial and a parallel algorithm
-//! each from one arena: the three MS-BFS configurations and
-//! MS-BFS-Graft(par) share `ParBuffers`, and PF and PF(par) share
-//! `PfBuffers`. Neither arena holds mates: each engine converts the
-//! caller's matching's mate vectors to atomics in place and back. A solve
-//! whose every step runs inline reuses its arena's vectors. On a pool of
-//! two or more threads an engine still reuses its atomic per-vertex
-//! arrays, but its fold/reduce accumulators (frontiers, DFS stacks)
-//! allocate, and the MS-BFS steps it runs inline because their work is
-//! below the cutoff grow the vectors they touch, which the solve then
-//! drops rather than keeping them in the arena. Parallel push-relabel,
-//! Hopcroft-Karp and the single-source baselines ignore the workspace (see
-//! [`crate::solve_from_traced_in`]). The augmenting searches of
-//! [`crate::augment`] use `MsBuffers`.
+//! configurations, Pothen-Fan, push-relabel) run allocation-free on a
+//! warm workspace. Each engine serves a serial and a parallel algorithm
+//! from one arena: the three MS-BFS configurations and MS-BFS-Graft(par)
+//! share `ParBuffers`, PF and PF(par) share `PfBuffers`, and PR and
+//! PR(par) share `PrBuffers`. No arena holds mates: each engine converts
+//! the caller's matching's mate vectors to atomics in place and back. A
+//! solve whose every step runs inline reuses its arena's vectors. On a
+//! pool of two or more threads an engine still reuses its atomic
+//! per-vertex arrays, but its fold/reduce accumulators (frontiers, DFS
+//! stacks, requeued vertices) allocate, and the MS-BFS steps it runs
+//! inline because their work is below the cutoff grow the vectors they
+//! touch, which the solve then drops rather than keeping them in the
+//! arena. Hopcroft-Karp and the single-source baselines ignore the
+//! workspace (see [`crate::solve_from_traced_in`]). The augmenting
+//! searches of [`crate::augment`] use `MsBuffers`.
 
 use crate::pothen_fan as pf;
 use graft_graph::{VertexId, NONE};
-use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Packs `value` under `epoch` for the versioned `root`/`leaf` arrays.
@@ -306,50 +305,40 @@ impl PfBuffers {
     }
 }
 
-/// Buffers of the serial push-relabel engine. PR needs no epoch trick:
-/// every buffer is fully (re)initialized by the solve-opening global
-/// relabel, so plain reuse already makes the warm path allocation-free.
+/// Buffers of the push-relabel engine (PR and PR(par)). PR needs no epoch
+/// trick: the solve-opening global relabel writes every label, and each
+/// vector is cleared before use.
 #[derive(Debug, Default)]
 pub(crate) struct PrBuffers {
     /// Distance labels of the `Y` vertices.
-    pub(crate) d_y: Vec<u32>,
-    /// Scratch marker sweep of `global_relabel`.
-    pub(crate) matched_y: Vec<bool>,
-    /// Scratch BFS queue of `global_relabel`.
-    pub(crate) bfs: VecDeque<VertexId>,
-    /// FIFO active set (the paper's configuration).
-    pub(crate) fifo: VecDeque<VertexId>,
-    /// Keyed active set for the highest/lowest-label disciplines.
-    pub(crate) heap: BinaryHeap<(i64, VertexId)>,
+    pub(crate) label: Vec<AtomicU32>,
+    /// The global relabel's BFS queue.
+    pub(crate) queue: Vec<VertexId>,
+    /// The active `X` vertices, and those requeued while they run.
+    pub(crate) active: Vec<VertexId>,
+    pub(crate) next: Vec<VertexId>,
 }
 
 impl PrBuffers {
-    pub(crate) fn begin_solve(&mut self, ny: usize) {
-        if self.d_y.len() < ny {
-            self.d_y.resize(ny, 0);
-            self.matched_y.resize(ny, false);
+    pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) {
+        if self.label.len() < ny {
+            self.label.resize_with(ny, Default::default);
         }
-        // Every queue holds at most each Y vertex once.
-        if self.bfs.capacity() < ny {
-            self.bfs.reserve(ny - self.bfs.len());
-        }
-        if self.fifo.capacity() < ny {
-            self.fifo.reserve(ny - self.fifo.len());
-        }
-        if self.heap.capacity() < ny {
-            self.heap.reserve(ny - self.heap.len());
-        }
-        self.bfs.clear();
-        self.fifo.clear();
-        self.heap.clear();
+        // Each holds a set of distinct vertices. Reserved up front for the
+        // reason given in `MsBuffers::begin_solve`.
+        reserve_to(&mut self.queue, ny);
+        reserve_to(&mut self.active, nx);
+        reserve_to(&mut self.next, nx);
+        self.queue.clear();
+        self.active.clear();
+        self.next.clear();
     }
 
     fn bytes(&self) -> usize {
         use std::mem::size_of;
-        self.d_y.capacity() * size_of::<u32>()
-            + self.matched_y.capacity()
-            + (self.bfs.capacity() + self.fifo.capacity()) * size_of::<VertexId>()
-            + self.heap.capacity() * size_of::<(i64, VertexId)>()
+        self.label.capacity() * size_of::<AtomicU32>()
+            + (self.queue.capacity() + self.active.capacity() + self.next.capacity())
+                * size_of::<VertexId>()
     }
 }
 

@@ -64,15 +64,18 @@ const GATES: &[Gate] = &[
         env: &[],
     },
     // The scaling job checks the Small and Medium rows of the golden
-    // work table, which are too slow for the debug test run.
+    // work table and runs the Medium stress tests, which are too slow for
+    // the debug test run.
     Gate {
-        name: "work table (Small, Medium)",
+        name: "work table (Small, Medium), Medium stress",
         args: &[
             "test",
             "--release",
             "--offline",
             "--test",
             "work_table",
+            "--test",
+            "stress_medium_scale",
             "--",
             "--ignored",
         ],

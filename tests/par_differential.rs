@@ -94,13 +94,8 @@ fn parallel_engines_match_serial_at_every_width() {
                         matching::verify::find_augmenting_path(&g, &out.matching).is_none(),
                         "{ctx}: augmenting path exists — matching not maximum"
                     );
-                    // One engine runs both MS-BFS-Graft algorithms, and one
-                    // both Pothen-Fan algorithms, inline at width 1.
-                    let one_engine = matches!(
-                        par,
-                        Algorithm::MsBfsGraftParallel | Algorithm::PothenFanParallel
-                    );
-                    if t == 1 && one_engine {
+                    // One engine runs each pair, inline at width 1.
+                    if t == 1 {
                         assert_eq!(
                             mates(&g, &out.matching),
                             mates(&g, &baseline.matching),
@@ -166,12 +161,12 @@ fn one_thread_parallel_engines_match_installed_singleton_pool() {
 
 #[test]
 fn serial_engines_never_use_an_installed_pool() {
-    // The serial MS-BFS algorithms and Pothen-Fan run every step inline on
-    // the calling thread, so a 4-thread pool around the solve changes
-    // nothing: the result equals the 1-thread solve mate for mate and
-    // counter for counter. Small scale gives frontiers and root sets large
-    // enough for the pool to split, so a serial solve that reached it
-    // would show.
+    // The serial MS-BFS algorithms, Pothen-Fan and push-relabel run every
+    // step inline on the calling thread, so a 4-thread pool around the
+    // solve changes nothing: the result equals the 1-thread solve mate for
+    // mate and counter for counter. Small scale gives frontiers, root sets
+    // and active sets large enough for the pool to split, so a serial
+    // solve that reached it would show.
     let seed = base_seed();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
@@ -184,6 +179,7 @@ fn serial_engines_never_use_an_installed_pool() {
             Algorithm::MsBfsDirOpt,
             Algorithm::MsBfsGraft,
             Algorithm::PothenFan,
+            Algorithm::PushRelabel,
         ] {
             let alone = solve(&g, alg, &opts(1, seed));
             let pooled = pool.install(|| solve(&g, alg, &opts(0, seed)));

@@ -123,12 +123,12 @@ proptest! {
     }
 }
 
-/// The paper's engine, and parallel Pothen-Fan, at two real threads. The
-/// trace is the only per-phase record of a run, so under genuine
-/// concurrency, not just on one thread, every stream must replay, close
-/// with the run's own counters, and account every traversed edge to
-/// exactly one phase. PF has no work cutoff, so its two-thread phases run
-/// on the pool.
+/// The paper's engine, parallel Pothen-Fan and parallel push-relabel, at
+/// two real threads. The trace is the only per-phase record of a run, so
+/// under genuine concurrency, not just on one thread, every stream must
+/// replay, close with the run's own counters, and account every traversed
+/// edge and every augmentation to exactly one phase. PF and PR have no
+/// work cutoff, so their two-thread phases run on the pool.
 #[test]
 fn two_thread_parallel_graft_traces_replay_and_add_up() {
     let suite = |name| gen::suite::by_name(name).unwrap().build(gen::Scale::Tiny);
@@ -145,7 +145,11 @@ fn two_thread_parallel_graft_traces_replay_and_add_up() {
         ..SolveOptions::default()
     };
     for (name, g) in &graphs {
-        for alg in [Algorithm::MsBfsGraftParallel, Algorithm::PothenFanParallel] {
+        for alg in [
+            Algorithm::MsBfsGraftParallel,
+            Algorithm::PothenFanParallel,
+            Algorithm::PushRelabelParallel,
+        ] {
             for rep in 0..8 {
                 let ctx = format!("{} on {name} rep {rep}", alg.name());
                 let sink = Arc::new(MemorySink::new());
@@ -166,6 +170,8 @@ fn two_thread_parallel_graft_traces_replay_and_add_up() {
                 );
                 let phase_edges: u64 = run.phases.iter().map(|p| p.edges_traversed).sum();
                 assert_eq!(phase_edges, run.edges_traversed, "{ctx}");
+                let phase_augs: u64 = run.phases.iter().map(|p| p.augmentations).sum();
+                assert_eq!(phase_augs, run.augmenting_paths, "{ctx}");
             }
         }
     }
