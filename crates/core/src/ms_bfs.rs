@@ -16,7 +16,7 @@
 //! Each phase (1) grows an alternating BFS forest from the frontier until
 //! it is empty, choosing top-down vs. bottom-up per level; (2) augments
 //! the matching along the one augmenting path recorded per *renewable*
-//! tree (`leaf[root] ≠ NONE`); (3) rebuilds the next frontier, either by
+//! tree (one whose leaf is set); (3) rebuilds the next frontier, either by
 //! **grafting** the `Y` vertices of renewable trees onto active trees (a
 //! bottom-up step restricted to `renewableY`) or by destroying the forest
 //! and restarting from the unmatched `X` vertices.
@@ -37,23 +37,44 @@
 //!   it scans.
 //!
 //! At the default α = 1 neither step runs unless it may scan no more
-//! edges than it saves. The frontier's and the unvisited `Y`'s sums are
-//! running counts: each claim subtracts its `Y`'s degree and adds its
-//! mate's, and the graft adds back the renewable `Y` it un-visits. The
-//! active and renewable sums come from the Statistics pass, which runs
-//! only when grafting is on or the tracer is enabled.
+//! edges than it saves. Every sum is a running count. Each claim
+//! subtracts its `Y`'s degree from the unvisited sum and adds its mate's
+//! to the frontier's, and the graft adds back the renewable `Y` it
+//! un-visits. The active and renewable sums come from the tree table.
 //!
-//! A rebuild advances the workspace epoch: every `visited`, `root_x` and
-//! `leaf` mark of the old forest turns stale at once, with no O(n) reset.
+//! ## The tree table
+//!
+//! Every tree of the forest has a dense id and a row in the workspace's
+//! tree table, a `Tree`: its root, its leaf, and the number and degree
+//! sum of its `X` and of its `Y` vertices. The claims keep the sums: each
+//! claimed `Y` and its mate count in their tree's row. A run of claims
+//! into one tree, as a frontier vertex's are, reaches the row in one add.
+//! So the facts a phase needs about its k trees cost O(k), not O(n):
+//!
+//! * Augment takes the rows whose leaf is set and whose root is still
+//!   free. Rows are numbered in ascending root order, so the inline
+//!   flips run in the order a scan of `X` would give.
+//! * Statistics sums the active rows' `X` and the renewable rows' `Y`.
+//! * A rebuild advances the workspace epoch, so every `visited` and
+//!   `root_x` mark of the old forest turns stale at once. Then it
+//!   re-plants the active rows, whose roots are exactly the free `X`, as
+//!   a table of one-vertex trees.
+//!
+//! The first plant of a solve reads the free `X` from the input
+//! matching's plain mates and sizes the table. After it, only three
+//! steps scan all of `X` or `Y`: a graft's filter of the renewable `Y`,
+//! a bottom-up level's refill of its unvisited-`Y` cache, and the epoch
+//! wrap.
 //!
 //! ## Pointer roles (§III-B)
 //!
 //! * `visited[y]` — `y` belongs to some tree this phase (trees stay
 //!   vertex-disjoint);
 //! * `parent[y]` — the `X` parent through which `y` was discovered;
-//! * `root[v]` — the unmatched root of the tree containing `v`;
-//! * `leaf[x₀]` — `NONE` while `T(x₀)` is *active*; the free `Y` endpoint
-//!   of the discovered augmenting path once the tree is *renewable*.
+//! * `root[v]` — the id of the tree containing `v`, whose row names its
+//!   unmatched root;
+//! * the row's `leaf` — `NONE` while the tree is *active*; the free `Y`
+//!   endpoint of the discovered augmenting path once it is *renewable*.
 //!
 //! Matched `X` vertices are only ever reached through their unique mate,
 //! so they need neither a visited flag nor a parent pointer.
@@ -61,14 +82,14 @@
 //! ## Inline and pool steps
 //!
 //! Each step (a BFS level, the augmentation, the statistics, the graft)
-//! is a loop over vertices around a per-vertex kernel, and each step
-//! decides for itself where it runs. The serial algorithms, and
+//! is a loop over vertices or trees around a per-item kernel, and each
+//! step decides for itself where it runs. The serial algorithms, and
 //! `MsBfsGraftParallel` in a one-thread pool, run every loop *inline* on
 //! the calling thread, in vertex order, over vectors reused from the
 //! workspace: byte-deterministic, and allocation-free when warm. In a
 //! pool solve a step also runs inline when its work is below
 //! `INLINE_WORK`: 1 + degree per item of a BFS level or graft, one per
-//! item of an O(n) step. A pool batch has a fixed cost, and a
+//! item of any other step. A pool batch has a fixed cost, and a
 //! high-diameter graph runs thousands of levels too small to pay it.
 //! Every other loop is a rayon parallel iterator, which maps the paper's
 //! OpenMP implementation onto rayon:
@@ -82,9 +103,12 @@
 //!   operations"). Inline, one thread runs the level, so a claim is a
 //!   load and a store.
 //! * **Benign `leaf` race.** Tasks finding paths in the same tree all
-//!   store to `leaf[root]`; the last write wins and one path per tree is
-//!   augmented. Overwritten endpoints are recycled by the renewable-tree
-//!   reset, so no matching opportunity is lost.
+//!   store to its row's `leaf`; the last write wins and one path per tree
+//!   is augmented. Overwritten endpoints are recycled by the
+//!   renewable-tree reset, so no matching opportunity is lost.
+//! * **Row sums by `fetch_add`.** Tasks claiming into the same tree add
+//!   their runs to its row with `fetch_add`; inline, an add is a load and
+//!   a store.
 //! * **Bottom-up needs no CAS.** Each candidate `Y` is owned by one task,
 //!   the only writer of its flags (§III-B).
 //! * **Parallel augmentation.** Paths of distinct trees are
@@ -163,7 +187,7 @@ impl MsBfsOptions {
 
 /// The work below which a step of a pool solve runs inline on the driving
 /// thread. Work is 1 + degree per item of a BFS level or graft, and one
-/// per item of an O(n) step.
+/// per item of any other step.
 ///
 /// A pool batch has a fixed cost: a double `Box` per piece, an mpsc
 /// channel, a latch and a worker wake-up, and its pieces claim by CAS into
@@ -179,17 +203,77 @@ impl MsBfsOptions {
 /// initializer runs serially below the same work, counted as `n + m`.
 pub(crate) const INLINE_WORK: usize = 65_536;
 
+/// One tree of the forest: a row of the workspace's tree table, indexed by
+/// the tree's id. It holds the tree's root, the free `Y` its augmenting
+/// path ends at (`NONE` while the tree is active), and the number and
+/// degree sum of its `X` and of its `Y` vertices. A tree gains vertices
+/// only through claims, which add them here. A graft moves `X` out of
+/// renewable trees without subtracting them, so a row's `X` sums hold
+/// only while it is active, the only time they are read.
+#[derive(Debug, Default)]
+pub(crate) struct Tree {
+    root: AtomicU32,
+    leaf: AtomicU32,
+    x: AtomicU64,
+    x_edges: AtomicU64,
+    y: AtomicU64,
+    y_edges: AtomicU64,
+}
+
+impl Tree {
+    #[inline]
+    fn root(&self) -> VertexId {
+        self.root.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn leaf(&self) -> VertexId {
+        self.leaf.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn is_active(&self) -> bool {
+        self.leaf() == NONE
+    }
+
+    /// Makes this row the active one-vertex tree of `root`, of degree
+    /// `deg`.
+    fn plant(&self, root: VertexId, deg: u64) {
+        let r = Ordering::Relaxed;
+        self.root.store(root, r);
+        self.leaf.store(NONE, r);
+        self.x.store(1, r);
+        self.x_edges.store(deg, r);
+        self.y.store(0, r);
+        self.y_edges.store(0, r);
+    }
+
+    /// Adds the claims that raised the counts of a [`LevelAcc`] from
+    /// `before` to `after` (see [`LevelAcc::claims`]): with `CAS` by
+    /// `fetch_add`, as concurrent tasks need, else by a load and a store.
+    fn add<const CAS: bool>(&self, before: [u64; 4], after: [u64; 4]) {
+        let sums = [&self.y, &self.y_edges, &self.x, &self.x_edges];
+        for ((sum, a), b) in sums.into_iter().zip(after).zip(before) {
+            if CAS {
+                sum.fetch_add(a - b, Ordering::Relaxed);
+            } else {
+                sum.store(sum.load(Ordering::Relaxed) + a - b, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 /// The engine's view of the matching's mates, converted to atomics, and
-/// of the workspace's atomic per-vertex arrays.
+/// of the workspace's atomic per-vertex arrays and tree table.
 struct Shared<'a> {
     g: &'a BipartiteCsr,
     /// Run every step on the calling thread (a serial algorithm or a
     /// one-thread pool); otherwise each step picks by its work.
     inline: bool,
     /// Current workspace epoch: `visited[y] == epoch` ⇔ visited in the
-    /// current forest; `root_x`/`leaf` entries are `(epoch << 32) | value`
-    /// packed. A rebuild advances it. `visited`, `root_x` and `leaf` span
-    /// the whole workspace, so that the wrap's clear reaches every mark.
+    /// current forest; `root_x` entries are `(epoch << 32) | tree`
+    /// packed. A rebuild advances it. `visited` and `root_x` span the
+    /// whole workspace, so that the wrap's clear reaches every mark.
     epoch: u32,
     mate_x: &'a [AtomicU32],
     mate_y: &'a [AtomicU32],
@@ -197,7 +281,8 @@ struct Shared<'a> {
     parent_y: &'a [AtomicU32],
     root_y: &'a [AtomicU32],
     root_x: &'a [AtomicU64],
-    leaf: &'a [AtomicU64],
+    /// The current forest's rows, one per tree id.
+    trees: &'a [Tree],
 }
 
 /// Output of one BFS level or graft: the next frontier and the sum of its
@@ -210,6 +295,10 @@ struct LevelAcc {
     visited: u64,
     visited_edges: u64,
     edges: u64,
+    /// The tree that the latest claims went to, and [`LevelAcc::claims`]
+    /// before the first of them: a run of claims not yet added to the
+    /// tree's row (see [`Shared::flush`]).
+    run: Option<(VertexId, [u64; 4])>,
 }
 
 impl LevelAcc {
@@ -225,6 +314,37 @@ impl LevelAcc {
         self.edges += other.edges;
         self
     }
+
+    /// The counts that claims raise, in the order [`Tree::add`] takes
+    /// them: the claimed `Y` and their degrees, the mates pushed to the
+    /// next frontier and theirs.
+    #[inline]
+    fn claims(&self) -> [u64; 4] {
+        let mates = self.next.len() as u64;
+        [self.visited, self.visited_edges, mates, self.next_edges]
+    }
+}
+
+/// Whether a step over `n` items that is not a BFS step runs inline:
+/// always in an inline solve, else when `n` is below [`INLINE_WORK`].
+fn scan_inline(inline: bool, n: usize) -> bool {
+    let inline = inline || n < INLINE_WORK;
+    #[cfg(test)]
+    tests::count_step(tests::SCAN, inline);
+    inline
+}
+
+/// Replaces `out` with the free `X` of the mates `mx`, ascending: the
+/// roots of a solve's first forest, read before `mx` becomes atomics.
+fn free_x(mx: &[VertexId], inline: bool, out: &mut Vec<VertexId>) {
+    let free = |x: &VertexId| mx[*x as usize] == NONE;
+    let ids = 0..mx.len() as VertexId;
+    if scan_inline(inline, mx.len()) {
+        out.clear();
+        out.extend(ids.filter(free));
+    } else {
+        *out = ids.into_par_iter().filter(free).collect();
+    }
 }
 
 impl Shared<'_> {
@@ -239,29 +359,40 @@ impl Shared<'_> {
     }
 
     #[inline]
-    fn root_of_x(&self, x: VertexId) -> VertexId {
+    fn tree_of_x(&self, x: VertexId) -> VertexId {
         unpack(self.epoch, self.root_x[x as usize].load(Ordering::Relaxed))
     }
 
     #[inline]
-    fn set_root_x(&self, x: VertexId, root: VertexId) {
-        self.root_x[x as usize].store(pack(self.epoch, root), Ordering::Relaxed);
+    fn set_tree_x(&self, x: VertexId, tree: VertexId) {
+        self.root_x[x as usize].store(pack(self.epoch, tree), Ordering::Relaxed);
     }
 
     #[inline]
-    fn leaf_of(&self, x: VertexId) -> VertexId {
-        unpack(self.epoch, self.leaf[x as usize].load(Ordering::Relaxed))
+    fn tree(&self, id: VertexId) -> &Tree {
+        &self.trees[id as usize]
     }
 
-    /// The root of `x`'s tree if that tree is active (not yet renewable),
+    /// The id of `x`'s tree if that tree is active (not yet renewable),
     /// else `NONE`.
     #[inline]
-    fn active_root(&self, x: VertexId) -> VertexId {
-        let root = self.root_of_x(x);
-        if root != NONE && self.leaf_of(root) == NONE {
-            root
+    fn active_tree(&self, x: VertexId) -> VertexId {
+        let tree = self.tree_of_x(x);
+        if tree != NONE && self.tree(tree).is_active() {
+            tree
         } else {
             NONE
+        }
+    }
+
+    /// Whether `y` is in a renewable tree. The visited check comes first:
+    /// `root_y` is meaningful (and in range after a graph change) only
+    /// for current-epoch vertices.
+    #[inline]
+    fn is_renewable_y(&self, y: VertexId) -> bool {
+        self.is_visited(y) && {
+            let tree = self.root_y[y as usize].load(Ordering::Relaxed);
+            tree != NONE && !self.tree(tree).is_active()
         }
     }
 
@@ -278,22 +409,43 @@ impl Shared<'_> {
         self.parent_y[y as usize].store(NONE, Ordering::Relaxed);
     }
 
-    /// Algorithm 5: pointer updates after the caller claimed `y` for the
-    /// tree `root` of its parent `x`.
+    /// Adds the run of claims in `acc`, if any, to its tree's row, by
+    /// `fetch_add` with `CAS`. A level flushes its runs before it ends.
     #[inline]
-    fn visit_claimed(&self, y: VertexId, x: VertexId, root: VertexId, acc: &mut LevelAcc) {
+    fn flush<const CAS: bool>(&self, acc: &mut LevelAcc) {
+        if let Some((tree, before)) = acc.run.take() {
+            self.tree(tree).add::<CAS>(before, acc.claims());
+        }
+    }
+
+    /// Algorithm 5: pointer updates after the caller claimed `y` for the
+    /// tree `tree` of its parent `x`. The claim joins `acc`'s run if that
+    /// is `tree`'s, else flushes it and starts one: consecutive claims
+    /// mostly go to one tree, and its row takes them in one add.
+    #[inline]
+    fn visit_claimed<const CAS: bool>(
+        &self,
+        y: VertexId,
+        x: VertexId,
+        tree: VertexId,
+        acc: &mut LevelAcc,
+    ) {
+        if !matches!(acc.run, Some((t, _)) if t == tree) {
+            self.flush::<CAS>(acc);
+            acc.run = Some((tree, acc.claims()));
+        }
         self.parent_y[y as usize].store(x, Ordering::Relaxed);
-        self.root_y[y as usize].store(root, Ordering::Relaxed);
+        self.root_y[y as usize].store(tree, Ordering::Relaxed);
         acc.visited += 1;
         acc.visited_edges += self.g.y_degree(y) as u64;
         let mate = self.mate_y[y as usize].load(Ordering::Relaxed);
         if mate != NONE {
-            self.set_root_x(mate, root);
+            self.set_tree_x(mate, tree);
             acc.next.push(mate);
             acc.next_edges += self.g.x_degree(mate) as u64;
         } else {
             // Benign race: last writer wins, one augmenting path per tree.
-            self.leaf[root as usize].store(pack(self.epoch, y), Ordering::Relaxed);
+            self.tree(tree).leaf.store(y, Ordering::Relaxed);
         }
     }
 
@@ -303,8 +455,8 @@ impl Shared<'_> {
     /// a plain store, exact when one thread runs the whole level.
     #[inline(always)]
     fn top_down_vertex<const CAS: bool>(&self, x: VertexId, acc: &mut LevelAcc) {
-        let root = self.active_root(x);
-        if root == NONE {
+        let tree = self.active_tree(x);
+        if tree == NONE {
             return; // the tree became renewable
         }
         for &y in self.g.x_neighbors(x) {
@@ -322,22 +474,23 @@ impl Shared<'_> {
                 true
             };
             if claimed {
-                self.visit_claimed(y, x, root, acc);
+                self.visit_claimed::<CAS>(y, x, tree, acc);
             }
         }
     }
 
     /// Algorithm 6 for the candidate `y` (unvisited during BFS, renewable
     /// during grafting): `y` joins the first active tree among its
-    /// neighbors' trees. Only its owning task writes its flags.
+    /// neighbors' trees. Only its owning task writes its flags; with
+    /// `CAS`, concurrent tasks share the tree rows.
     #[inline(always)]
-    fn bottom_up_vertex(&self, y: VertexId, acc: &mut LevelAcc) {
+    fn bottom_up_vertex<const CAS: bool>(&self, y: VertexId, acc: &mut LevelAcc) {
         for &x in self.g.y_neighbors(y) {
             acc.edges += 1;
-            let root = self.active_root(x);
-            if root != NONE {
+            let tree = self.active_tree(x);
+            if tree != NONE {
                 self.visited[y as usize].store(self.epoch, Ordering::Relaxed);
-                self.visit_claimed(y, x, root, acc);
+                self.visit_claimed::<CAS>(y, x, tree, acc);
                 break; // stop exploring y's neighbors (Algorithm 6 line 7)
             }
         }
@@ -353,15 +506,6 @@ impl Shared<'_> {
         inline
     }
 
-    /// Whether an O(n) step over `n` items runs inline: always in an
-    /// inline solve, else when `n` is below [`INLINE_WORK`].
-    fn scan_inline(&self, n: usize) -> bool {
-        let inline = self.inline || n < INLINE_WORK;
-        #[cfg(test)]
-        tests::count_step(tests::SCAN, inline);
-        inline
-    }
-
     /// One BFS step into `acc`: bottom-up over the candidate `Y` in
     /// `items`, or top-down from the frontier `items`; `edges` is the sum
     /// of their degrees.
@@ -371,30 +515,38 @@ impl Shared<'_> {
             (acc.next_edges, acc.visited, acc.visited_edges, acc.edges) = (0, 0, 0, 0);
             for &v in items {
                 if BOTTOM_UP {
-                    self.bottom_up_vertex(v, acc);
+                    self.bottom_up_vertex::<false>(v, acc);
                 } else {
                     self.top_down_vertex::<false>(v, acc);
                 }
             }
+            self.flush::<false>(acc);
         } else {
-            // Per-task accumulators, concatenated by `reduce`.
+            // Per-task accumulators, concatenated by `reduce`, which
+            // flushes the run each one ends with.
             *acc = items
                 .par_iter()
                 .fold(LevelAcc::default, |mut a, &v| {
                     if BOTTOM_UP {
-                        self.bottom_up_vertex(v, &mut a);
+                        self.bottom_up_vertex::<true>(v, &mut a);
                     } else {
                         self.top_down_vertex::<true>(v, &mut a);
                     }
                     a
                 })
-                .reduce(LevelAcc::default, LevelAcc::merge);
+                .reduce(LevelAcc::default, |mut a, mut b| {
+                    self.flush::<true>(&mut a);
+                    self.flush::<true>(&mut b);
+                    a.merge(b)
+                });
         }
     }
 
     /// Replaces `out` with the ids in `0..n` that satisfy `f`, ascending.
     fn filter_ids(&self, n: usize, out: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
-        if self.scan_inline(n) {
+        #[cfg(test)]
+        tests::count_range(n);
+        if scan_inline(self.inline, n) {
             out.clear();
             out.extend((0..n as VertexId).filter(|&v| f(v)));
         } else {
@@ -405,9 +557,25 @@ impl Shared<'_> {
         }
     }
 
+    /// Replaces `out` with the values `f` maps the current trees to, in
+    /// tree order; `f` takes a tree's id and row.
+    fn filter_trees(
+        &self,
+        out: &mut Vec<VertexId>,
+        f: impl Fn(VertexId, &Tree) -> Option<VertexId> + Sync,
+    ) {
+        let one = |(id, row): (usize, &Tree)| f(id as VertexId, row);
+        if scan_inline(self.inline, self.trees.len()) {
+            out.clear();
+            out.extend(self.trees.iter().enumerate().filter_map(one));
+        } else {
+            *out = self.trees.par_iter().enumerate().filter_map(one).collect();
+        }
+    }
+
     /// Keeps the entries of `list` that satisfy `f`, in order.
     fn retain(&self, list: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
-        if self.scan_inline(list.len()) {
+        if scan_inline(self.inline, list.len()) {
             list.retain(|&v| f(v));
         } else {
             *list = std::mem::take(list)
@@ -417,55 +585,54 @@ impl Shared<'_> {
         }
     }
 
-    /// The number of ids in `0..n` that `f` maps to `Some`, and the sum of
-    /// the values.
-    fn count_ids(&self, n: usize, f: impl Fn(VertexId) -> Option<u64> + Sync) -> (u64, u64) {
-        let one = |v| f(v).map_or((0, 0), |w| (1, w));
-        let add = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
-        if self.scan_inline(n) {
-            (0..n as VertexId).map(one).fold((0, 0), add)
+    /// The sums of `f` over the entries of `items`, component-wise.
+    fn sum<T: Sync, const N: usize>(
+        &self,
+        items: &[T],
+        f: impl Fn(&T) -> [u64; N] + Sync,
+    ) -> [u64; N] {
+        let add = |a: [u64; N], b: [u64; N]| std::array::from_fn(|i| a[i] + b[i]);
+        if scan_inline(self.inline, items.len()) {
+            items.iter().map(&f).fold([0; N], add)
         } else {
-            (0..n as VertexId)
-                .into_par_iter()
-                .map(one)
-                .reduce(|| (0, 0), add)
-        }
-    }
-
-    /// The sum of `f` over the entries of `items`.
-    fn sum(&self, items: &[VertexId], f: impl Fn(VertexId) -> u64 + Sync) -> u64 {
-        if self.scan_inline(items.len()) {
-            items.iter().map(|&v| f(v)).sum()
-        } else {
-            items.par_iter().map(|&v| f(v)).sum()
+            items.par_iter().map(&f).reduce(|| [0; N], add)
         }
     }
 
     /// Runs `f` on every entry of `items`.
     fn for_each(&self, items: &[VertexId], f: impl Fn(VertexId) + Sync) {
-        if self.scan_inline(items.len()) {
+        if scan_inline(self.inline, items.len()) {
             items.iter().for_each(|&v| f(v));
         } else {
             items.par_iter().for_each(|&v| f(v));
         }
     }
 
-    /// Every unmatched `X` vertex roots its own tree in the new `frontier`;
-    /// returns the sum of their degrees.
-    fn plant_roots(&self, frontier: &mut Vec<VertexId>) -> u64 {
-        self.filter_ids(self.g.num_x(), frontier, |x| self.is_free_x(x));
-        self.sum(frontier, |x| {
-            self.set_root_x(x, x);
-            self.g.x_degree(x) as u64
-        })
+    /// Plants one tree per vertex of the new `frontier`, all free `X`:
+    /// tree `t` is the one-vertex tree of `frontier[t]`. The caller has
+    /// set `trees` to the first `frontier.len()` rows. Returns the sum of
+    /// the roots' degrees.
+    fn plant(&self, frontier: &[VertexId]) -> u64 {
+        let one = |(id, &x): (usize, &VertexId)| {
+            let deg = self.g.x_degree(x) as u64;
+            self.trees[id].plant(x, deg);
+            self.set_tree_x(x, id as VertexId);
+            deg
+        };
+        if scan_inline(self.inline, frontier.len()) {
+            frontier.iter().enumerate().map(one).sum()
+        } else {
+            frontier.par_iter().enumerate().map(one).sum()
+        }
     }
 
-    /// Flips the augmenting path of the renewable tree rooted at `x0`;
-    /// returns its length in edges. Paths of distinct trees are
-    /// vertex-disjoint, so concurrent flips never touch the same slots.
-    fn augment_tree(&self, x0: VertexId) -> u64 {
+    /// Flips the augmenting path of the renewable tree `tree`; returns
+    /// its length in edges. Paths of distinct trees are vertex-disjoint,
+    /// so concurrent flips never touch the same slots.
+    fn augment_tree(&self, tree: VertexId) -> u64 {
+        let row = self.tree(tree);
+        let (x0, mut y) = (row.root(), row.leaf());
         let mut edges = 0u64;
-        let mut y = self.leaf_of(x0);
         loop {
             let x = self.parent_y[y as usize].load(Ordering::Relaxed);
             let next_y = self.mate_x[x as usize].load(Ordering::Relaxed);
@@ -478,6 +645,22 @@ impl Shared<'_> {
             y = next_y;
             edges += 1;
         }
+    }
+
+    /// `(active_x, active_edges, renewable_y, renewable_edges)` counted
+    /// over every `X` and `Y`, as the tree table's sums must give them:
+    /// the debug-build oracle of the Statistics step.
+    fn recount(&self) -> [u64; 4] {
+        let (g, mut sums) = (self.g, [0; 4]);
+        for x in (0..g.num_x() as VertexId).filter(|&x| self.active_tree(x) != NONE) {
+            sums[0] += 1;
+            sums[1] += g.x_degree(x) as u64;
+        }
+        for y in (0..g.num_y() as VertexId).filter(|&y| self.is_renewable_y(y)) {
+            sums[2] += 1;
+            sums[3] += g.y_degree(y) as u64;
+        }
+        sums
     }
 }
 
@@ -520,10 +703,16 @@ pub(crate) fn ms_bfs(
     };
     let mut unvisited = std::mem::take(&mut b.unvisited);
     let mut renewable = std::mem::take(&mut b.renewable);
-    let mut roots = std::mem::take(&mut b.roots);
-    // The input matching's mate vectors become the engine's atomics in
-    // place, and back after the solve: no copy and no allocation.
+    let mut augmented = std::mem::take(&mut b.augmented);
+    // The first forest: every unmatched X roots its own tree. The free X
+    // are read once from the input's plain mates, which then become the
+    // engine's atomics in place, and back after the solve: no copy and no
+    // allocation. The same read sizes the tree table.
     let (mx, my) = m.into_mates();
+    free_x(&mx, inline, &mut frontier);
+    if b.trees.len() < frontier.len() {
+        b.trees.resize_with(frontier.len(), Tree::default);
+    }
     let mate_x: Vec<AtomicU32> = mx.into_iter().map(AtomicU32::new).collect();
     let mate_y: Vec<AtomicU32> = my.into_iter().map(AtomicU32::new).collect();
     let mut sh = Shared {
@@ -536,13 +725,13 @@ pub(crate) fn ms_bfs(
         parent_y: &b.parent_y[..ny],
         root_y: &b.root_y[..ny],
         root_x: &b.root_x,
-        leaf: &b.leaf,
+        trees: &b.trees[..frontier.len()],
     };
 
     // The two switch rules weigh edges: the degrees of the frontier and
     // of the unvisited Y are running sums, kept by the steps that change
     // those sets, so no rule reads a degree of its own.
-    let mut frontier_edges = sh.plant_roots(&mut frontier);
+    let mut frontier_edges = sh.plant(&frontier);
     let mut num_unvisited_y = ny;
     let mut unvisited_edges = g.num_edges() as u64;
     // `unvisited` caches the unvisited Y for bottom-up levels: exact while
@@ -601,14 +790,16 @@ pub(crate) fn ms_bfs(
             p.levels += 1;
         }
 
-        // ---- Step 2: augment along one path per renewable tree. ----
+        // ---- Step 2: augment along one path per renewable tree: the
+        // trees whose leaf is set and whose root is still free (a tree
+        // renewable in an earlier phase has flipped its path). ----
         {
             let _t = Stopwatch::start(&mut stats.breakdown, Step::Augment);
-            sh.filter_ids(nx, &mut roots, |x0| {
-                sh.is_free_x(x0) && sh.root_of_x(x0) == x0 && sh.leaf_of(x0) != NONE
+            sh.filter_trees(&mut augmented, |id, row| {
+                (!row.is_active() && sh.is_free_x(row.root())).then_some(id)
             });
-            p.augmentations = roots.len() as u64;
-            p.path_edges = sh.sum(&roots, |x0| sh.augment_tree(x0));
+            p.augmentations = augmented.len() as u64;
+            [p.path_edges] = sh.sum(&augmented, |&id| [sh.augment_tree(id)]);
             stats.augmenting_paths += p.augmentations;
             stats.total_augmenting_path_edges += p.path_edges;
         }
@@ -616,68 +807,68 @@ pub(crate) fn ms_bfs(
         // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
         // without augmenting paths proves the matching maximum. ----
         if p.augmentations > 0 {
-            // Statistics feed the graft decision and the trace; with
-            // grafting off and the tracer disabled nothing reads them.
-            if opts.grafting || tracer.is_enabled() {
+            // The grafting decision and the trace read the sums of the
+            // active trees' X and of this phase's renewable trees' Y, the
+            // ones just augmented.
+            let graft = {
                 let _t = Stopwatch::start(&mut stats.breakdown, Step::Statistics);
-                let (active_x, active_edges) = sh.count_ids(nx, |x| {
-                    (sh.active_root(x) != NONE).then(|| g.x_degree(x) as u64)
-                });
-                // The visited check must come first: `root_y` is only
-                // meaningful (and only guaranteed in-range after a graph
-                // change) for current-epoch vertices.
-                sh.filter_ids(ny, &mut renewable, |y| {
-                    sh.is_visited(y) && {
-                        let r = sh.root_y[y as usize].load(Ordering::Relaxed);
-                        r != NONE && sh.leaf_of(r) != NONE
+                let [active_x, active_edges] = sh.sum(sh.trees, |row| {
+                    let r = Ordering::Relaxed;
+                    if row.is_active() {
+                        [row.x.load(r), row.x_edges.load(r)]
+                    } else {
+                        [0, 0]
                     }
                 });
-                let renewable_edges = sh.sum(&renewable, |y| g.y_degree(y) as u64);
-                p.graft = Some(GraftSummary {
+                let [renewable_y, renewable_edges] = sh.sum(&augmented, |&id| {
+                    let (row, r) = (sh.tree(id), Ordering::Relaxed);
+                    [row.y.load(r), row.y_edges.load(r)]
+                });
+                let sums = [active_x, active_edges, renewable_y, renewable_edges];
+                debug_assert_eq!(sh.recount(), sums, "tree table sums, phase {}", p.phase);
+                GraftSummary {
                     active_x,
-                    renewable_y: renewable.len() as u64,
+                    renewable_y,
                     active_edges,
                     renewable_edges,
                     grafted: graft_rule(active_edges, renewable_edges, opts.alpha, opts.grafting),
-                });
-            }
+                }
+            };
+            p.graft = Some(graft);
 
             let _t = Stopwatch::start(&mut stats.breakdown, Step::Graft);
             // Both branches un-visit vertices: invalidate the cache.
             unvisited_valid = false;
-            match p.graft {
-                Some(GraftSummary {
-                    grafted: true,
-                    renewable_edges,
-                    ..
-                }) => {
-                    // Tree grafting: a bottom-up step restricted to the
-                    // renewable Y vertices; any of them adjacent to an
-                    // active tree is adopted and its mate joins the new
-                    // frontier.
-                    sh.for_each(&renewable, |y| sh.unvisit(y));
-                    num_unvisited_y += renewable.len();
-                    unvisited_edges += renewable_edges;
-                    sh.level::<true>(&renewable, renewable_edges, &mut acc);
-                    num_unvisited_y -= acc.visited as usize;
-                    unvisited_edges -= acc.visited_edges;
-                    frontier_edges = acc.next_edges;
-                    stats.edges_traversed += acc.edges;
-                    std::mem::swap(&mut frontier, &mut acc.next);
-                }
-                _ => {
-                    // Destroy the forest: a new epoch un-visits every Y
-                    // and clears every root and leaf at once. Then restart
-                    // from the unmatched vertices.
-                    sh.epoch = next_epoch(sh.epoch, sh.visited, sh.root_x, sh.leaf);
-                    // Recorded at once: a solve that a panic at a later
-                    // phase boundary abandons must not leave marks of an
-                    // epoch that the next solve would issue again.
-                    b.epoch = sh.epoch;
-                    num_unvisited_y = ny;
-                    unvisited_edges = g.num_edges() as u64;
-                    frontier_edges = sh.plant_roots(&mut frontier);
-                }
+            if graft.grafted {
+                // Tree grafting: a bottom-up step restricted to the
+                // renewable Y vertices; any of them adjacent to an
+                // active tree is adopted and its mate joins the new
+                // frontier.
+                sh.filter_ids(ny, &mut renewable, |y| sh.is_renewable_y(y));
+                debug_assert_eq!(renewable.len() as u64, graft.renewable_y);
+                sh.for_each(&renewable, |y| sh.unvisit(y));
+                num_unvisited_y += renewable.len();
+                unvisited_edges += graft.renewable_edges;
+                sh.level::<true>(&renewable, graft.renewable_edges, &mut acc);
+                num_unvisited_y -= acc.visited as usize;
+                unvisited_edges -= acc.visited_edges;
+                frontier_edges = acc.next_edges;
+                stats.edges_traversed += acc.edges;
+                std::mem::swap(&mut frontier, &mut acc.next);
+            } else {
+                // Destroy the forest: a new epoch un-visits every Y and
+                // clears every root at once. Then restart from the
+                // unmatched X, the roots of the active trees, in order.
+                sh.epoch = next_epoch(sh.epoch, sh.visited, sh.root_x);
+                // Recorded at once: a solve that a panic at a later
+                // phase boundary abandons must not leave marks of an
+                // epoch that the next solve would issue again.
+                b.epoch = sh.epoch;
+                sh.filter_trees(&mut frontier, |_, row| row.is_active().then(|| row.root()));
+                sh.trees = &b.trees[..frontier.len()];
+                num_unvisited_y = ny;
+                unvisited_edges = g.num_edges() as u64;
+                frontier_edges = sh.plant(&frontier);
             }
         }
         p.edges_traversed = stats.edges_traversed - edges_at_start;
@@ -695,7 +886,7 @@ pub(crate) fn ms_bfs(
         b.next = acc.next;
         b.unvisited = unvisited;
         b.renewable = renewable;
-        b.roots = roots;
+        b.augmented = augmented;
     }
     // The parallel algorithm re-validates the mates its tasks wrote.
     let matching = if parallel {
@@ -715,16 +906,19 @@ mod tests {
     use crate::trace::RunSummary;
     use crate::verify::is_maximum;
     use crate::{solve_from_in, Algorithm, SolveOptions};
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
 
-    /// Step kinds counted by [`count_step`]: a BFS level or graft, and an
-    /// O(n) step.
+    /// Step kinds counted by [`count_step`]: a BFS level or graft, and any
+    /// other step.
     pub(super) const LEVEL: usize = 0;
     pub(super) const SCAN: usize = 1;
 
     thread_local! {
         /// Steps driven from this thread, as `[kind][pool, inline]`.
         static STEPS: Cell<[[u32; 2]; 2]> = const { Cell::new([[0; 2]; 2]) };
+        /// The length `n` of each step over the vertex ids `0..n` driven
+        /// from this thread.
+        static RANGES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Records where a step of `kind` ran.
@@ -734,6 +928,19 @@ mod tests {
             steps[kind][usize::from(inline)] += 1;
             s.set(steps);
         });
+    }
+
+    /// Records a step over the vertex ids `0..n`.
+    pub(super) fn count_range(n: usize) {
+        RANGES.with(|r| r.borrow_mut().push(n));
+    }
+
+    /// The result of `f`, and the lengths of the vertex-id ranges that the
+    /// steps it drove scanned.
+    fn ranges_of<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
+        RANGES.with(|r| r.borrow_mut().clear());
+        let out = f();
+        (out, RANGES.with(RefCell::take))
     }
 
     /// One solve with the serial flag: every step inline.
@@ -1036,6 +1243,39 @@ mod tests {
     }
 
     #[test]
+    fn phases_scan_trees_not_vertices() {
+        // From the seed-1 Karp-Sipser start, road_usa:tiny rebuilds its
+        // forest at least three times and neither grafts nor runs a
+        // bottom-up level. Plant, Augment, Statistics and the rebuild
+        // then loop over the trees, and the first plant reads the input
+        // mates without a vertex-id step.
+        let g = graft_gen::suite::by_name("road_usa")
+            .unwrap()
+            .build(graft_gen::Scale::Tiny);
+        let m0 = crate::init::Initializer::KarpSipser.run(&g, 1);
+        let ((levels, run), ranges) = ranges_of(|| levels_of(&g, m0));
+        let (grafts, rebuilds) = run.graft_counts();
+        assert_eq!(grafts, 0);
+        assert!(rebuilds >= 3, "{rebuilds} rebuilds");
+        assert!(levels.iter().all(|l| !l.3), "a level ran bottom-up");
+        let (nx, ny) = (g.num_x(), g.num_y());
+        assert_eq!(ranges, [], "steps over 0..n, nx = {nx}, ny = {ny}");
+    }
+
+    #[test]
+    fn a_warm_solve_from_a_perfect_matching_scans_no_vertex_range() {
+        let g = chain(1000);
+        let perfect = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft()).matching;
+        assert_eq!(perfect.cardinality(), 1000);
+        let (alg, opts) = (Algorithm::MsBfsGraft, SolveOptions::default());
+        let mut ws = SolveWorkspace::new();
+        solve_from_in(&g, perfect.clone(), alg, &opts, &mut ws);
+        let (out, ranges) = ranges_of(|| solve_from_in(&g, perfect, alg, &opts, &mut ws));
+        assert_eq!((out.stats.phases, out.stats.augmenting_paths), (1, 0));
+        assert_eq!(ranges, []);
+    }
+
+    #[test]
     fn stats_consistency() {
         let g = fig2_graph();
         let out = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft());
@@ -1062,39 +1302,55 @@ mod tests {
     fn pool_solves_run_steps_on_both_sides_of_the_cutoff() {
         // Sized from the cutoff, clamped so that a cutoff of 0 or
         // `usize::MAX` still builds a graph (and fails the test). `hubs`
-        // free X own `deg` free Y each, so the first level's work is at
-        // least twice the cutoff. Beside them, a chain of `len >= cutoff`
-        // pairs matched off by one: its free X walks one small level at a
-        // time to the free Y at the far end, and every O(n) step over X
-        // or Y exceeds the cutoff.
+        // free X own `deg` Y each, so the first level's work is at least
+        // twice the cutoff. The Y of even hubs are free; those of odd hubs
+        // are matched to private X of degree 1, so the first level's
+        // tasks add mates to the odd hubs' rows, and the Statistics step
+        // reads those rows (debug builds recount them). Beside them, a
+        // chain of `len >= cutoff` pairs matched off by one: its free X
+        // walks one small level at a time to the free Y at the far end.
+        // The first plant's read of all X exceeds the cutoff; the steps
+        // over the 257 trees do not.
         let c = INLINE_WORK.clamp(1024, 1 << 17) as VertexId;
         let (hubs, len) = (256, c);
         let deg = (2 * c).div_ceil(hubs);
         let (x0, y0) = (hubs, hubs * deg);
+        let private = x0 + len;
         let mut edges = Vec::new();
+        let mut matched = Vec::new();
         for h in 0..hubs {
             edges.extend((0..deg).map(|d| (h, h * deg + d)));
+            if h % 2 == 1 {
+                let first = private + h / 2 * deg;
+                matched.extend((0..deg).map(|d| (first + d, h * deg + d)));
+            }
         }
+        edges.extend(&matched);
         for i in 0..len {
             edges.push((x0 + i, y0 + i));
             if i > 0 {
                 edges.push((x0 + i, y0 + i - 1));
+                matched.push((x0 + i, y0 + i - 1));
             }
         }
-        let g = BipartiteCsr::from_edges((x0 + len) as usize, (y0 + len) as usize, &edges);
+        let nx = private + hubs / 2 * deg;
+        let g = BipartiteCsr::from_edges(nx as usize, (y0 + len) as usize, &edges);
         let mut m0 = Matching::for_graph(&g);
-        for i in 1..len {
-            m0.match_pair(x0 + i, y0 + i - 1);
+        for &(x, y) in &matched {
+            m0.match_pair(x, y);
         }
         let want = serial(&g, m0.clone(), &MsBfsOptions::graft());
-        assert_eq!(want.matching.cardinality(), (hubs + len) as usize);
+        // The even hubs, the private X and the chain match; the odd hubs
+        // stay free.
+        let cardinality = hubs / 2 + hubs / 2 * deg + len;
+        assert_eq!(want.matching.cardinality(), cardinality as usize);
         for threads in [2, 4] {
             for rep in 0..3 {
                 STEPS.with(|s| s.set([[0; 2]; 2]));
                 let out = par(&g, m0.clone(), &MsBfsOptions::graft(), threads);
                 let steps = STEPS.with(Cell::get);
                 let ctx = format!("{threads} threads, rep {rep}, [pool, inline] {steps:?}");
-                for (kind, name) in [(LEVEL, "level"), (SCAN, "O(n) step")] {
+                for (kind, name) in [(LEVEL, "level"), (SCAN, "other step")] {
                     assert!(steps[kind][0] > 0, "no {name} ran on the pool: {ctx}");
                     assert!(steps[kind][1] > 0, "no {name} ran inline: {ctx}");
                 }

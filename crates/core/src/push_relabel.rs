@@ -462,8 +462,9 @@ mod tests {
     #[test]
     fn pr_parallel_contention() {
         // Heavy stealing: 20,000 X vertices over 13,000 Y vertices with
-        // overlap. The pool gives each of its pieces at least 32 batches
-        // of `QUEUE_LIMIT`, so the first round's 40 batches run as two.
+        // overlap. The pool plans a round by its vertices and splits it
+        // down to single batches of `QUEUE_LIMIT`, so the first round's
+        // 40 batches run as 16 pieces, four per thread.
         let mut edges = Vec::new();
         for x in 0..20_000u32 {
             for k in 0..3u32 {

@@ -27,10 +27,12 @@ pub enum Step {
     BottomUp,
     /// Augmenting the matching along discovered paths.
     Augment,
-    /// Constructing the next frontier by tree grafting.
+    /// Constructing the next frontier: by tree grafting, with its filter
+    /// of the renewable `Y`, or by a rebuild.
     Graft,
-    /// Collecting the activeX/activeY/renewableY statistics that drive the
-    /// grafting decision (lines 2–4 of Algorithm 7).
+    /// Collecting the activeX/renewableY statistics that drive the
+    /// grafting decision (lines 2–4 of Algorithm 7): the MS-BFS engine
+    /// sums its tree table's rows, after every phase that augments.
     Statistics,
     /// Anything else (allocation, initialization of pointer arrays, ...).
     Other,

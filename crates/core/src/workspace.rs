@@ -18,14 +18,18 @@
 //! * `visited[y]` stores the epoch in which `y` was visited; `y` is
 //!   visited iff `visited[y] == epoch`, and un-visiting writes `0`
 //!   (epoch `0` is never issued).
-//! * `root[x]` and `leaf[x]` are read for *arbitrary* vertices (per edge
-//!   in the bottom-up step), so they cannot be guarded by a visited
-//!   check. They are packed as `(epoch << 32) | value` in a `u64`: a
-//!   stale entry fails the epoch compare and reads as [`NONE`].
+//! * `root[x]` is read for *arbitrary* vertices (per edge in the
+//!   bottom-up step), so it cannot be guarded by a visited check. It is
+//!   packed as `(epoch << 32) | value` in a `u64`: a stale entry fails the
+//!   epoch compare and reads as [`NONE`].
 //! * `parent[y]` and the `Y`-side `root[y]` are only ever read behind a
 //!   current-epoch visited check, so they need no versioning at all —
 //!   stale values are unreachable, even across solves on *different*
 //!   graphs (where a stale id could otherwise be out of range).
+//!
+//! The MS-BFS engine's `root` entries hold tree ids, which index its tree
+//! table. That table is per forest, not per vertex: each forest plants
+//! the rows it uses before any is read, so no row needs an epoch.
 //!
 //! When the epoch counter would wrap (once per 2³² epochs), the marks are
 //! fully cleared once and the epoch restarts — amortized cost zero. The
@@ -51,11 +55,12 @@
 //! workspace (see [`crate::solve_from_traced_in`]). The augmenting
 //! searches of [`crate::augment`] use `MsBuffers`.
 
+use crate::ms_bfs::Tree;
 use crate::pothen_fan as pf;
 use graft_graph::{VertexId, NONE};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// Packs `value` under `epoch` for the versioned `root`/`leaf` arrays.
+/// Packs `value` under `epoch` for the versioned `root_x` arrays.
 #[inline]
 pub(crate) fn pack(epoch: u32, value: VertexId) -> u64 {
     (u64::from(epoch) << 32) | u64::from(value)
@@ -73,22 +78,14 @@ pub(crate) fn unpack(epoch: u32, packed: u64) -> VertexId {
 }
 
 /// The epoch after `epoch` for the MS-BFS engine's stamped arrays. At
-/// `u32::MAX` it clears `visited`, `root_x` and `leaf` once and restarts
-/// at 1. A solve starts with one, and so does each rebuild of its forest.
-pub(crate) fn next_epoch(
-    epoch: u32,
-    visited: &[AtomicU32],
-    root_x: &[AtomicU64],
-    leaf: &[AtomicU64],
-) -> u32 {
+/// `u32::MAX` it clears `visited` and `root_x` once and restarts at 1. A
+/// solve starts with one, and so does each rebuild of its forest.
+pub(crate) fn next_epoch(epoch: u32, visited: &[AtomicU32], root_x: &[AtomicU64]) -> u32 {
     if epoch < u32::MAX {
         return epoch + 1;
     }
     visited.iter().for_each(|v| v.store(0, Ordering::Relaxed));
-    root_x
-        .iter()
-        .chain(leaf)
-        .for_each(|v| v.store(0, Ordering::Relaxed));
+    root_x.iter().for_each(|v| v.store(0, Ordering::Relaxed));
     1
 }
 
@@ -184,24 +181,29 @@ impl MsBuffers {
 }
 
 /// Buffers of the MS-BFS engine (all four MS algorithms): the atomic
-/// per-vertex arrays, versioned by the solve epoch, and the vectors of
-/// the inline steps. The mates are not here: the engine converts the
-/// input matching's own vectors to atomics in place.
+/// per-vertex arrays, versioned by the solve epoch, the tree table, and
+/// the vectors of the inline steps. The mates are not here: the engine
+/// converts the input matching's own vectors to atomics in place.
 #[derive(Debug, Default)]
 pub(crate) struct ParBuffers {
     pub(crate) epoch: u32,
     pub(crate) visited: Vec<AtomicU32>,
     pub(crate) parent_y: Vec<AtomicU32>,
+    /// The tree id of each `Y` and, epoch-packed, of each `X`.
     pub(crate) root_y: Vec<AtomicU32>,
     pub(crate) root_x: Vec<AtomicU64>,
-    pub(crate) leaf: Vec<AtomicU64>,
+    /// One row per tree of the current forest, indexed by tree id. The
+    /// engine grows it to the free `X` of a solve's input matching, the
+    /// most trees a forest of that solve has.
+    pub(crate) trees: Vec<Tree>,
     /// The frontier and next frontier (they ping-pong), the cached
-    /// unvisited `Y`, the renewable `Y`, and the renewable trees' roots.
+    /// unvisited `Y`, the renewable `Y`, and the ids of the trees that
+    /// augment.
     pub(crate) frontier: Vec<VertexId>,
     pub(crate) next: Vec<VertexId>,
     pub(crate) unvisited: Vec<VertexId>,
     pub(crate) renewable: Vec<VertexId>,
-    pub(crate) roots: Vec<VertexId>,
+    pub(crate) augmented: Vec<VertexId>,
 }
 
 impl ParBuffers {
@@ -210,7 +212,7 @@ impl ParBuffers {
     /// advances the epoch again at each rebuild and stores each in
     /// `epoch` at once.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize, inline: bool) -> u32 {
-        self.epoch = next_epoch(self.epoch, &self.visited, &self.root_x, &self.leaf);
+        self.epoch = next_epoch(self.epoch, &self.visited, &self.root_x);
         if self.visited.len() < ny {
             self.visited.resize_with(ny, || AtomicU32::new(0));
             self.parent_y.resize_with(ny, || AtomicU32::new(NONE));
@@ -218,16 +220,16 @@ impl ParBuffers {
         }
         if self.root_x.len() < nx {
             self.root_x.resize_with(nx, || AtomicU64::new(0));
-            self.leaf.resize_with(nx, || AtomicU64::new(0));
         }
-        // Each vector holds a set of distinct X or Y vertices. Reserved up
-        // front for the reason given in `MsBuffers::begin_solve`.
+        // Each vector holds a set of distinct X or Y vertices, or of trees.
+        // Reserved up front for the reason given in
+        // `MsBuffers::begin_solve`.
         if inline {
             reserve_to(&mut self.frontier, nx);
             reserve_to(&mut self.next, nx);
             reserve_to(&mut self.unvisited, ny);
             reserve_to(&mut self.renewable, ny);
-            reserve_to(&mut self.roots, nx);
+            reserve_to(&mut self.augmented, nx);
         }
         self.epoch
     }
@@ -236,12 +238,13 @@ impl ParBuffers {
         use std::mem::size_of;
         (self.visited.capacity() + self.parent_y.capacity() + self.root_y.capacity())
             * size_of::<AtomicU32>()
-            + (self.root_x.capacity() + self.leaf.capacity()) * size_of::<AtomicU64>()
+            + self.root_x.capacity() * size_of::<AtomicU64>()
+            + self.trees.capacity() * size_of::<Tree>()
             + (self.frontier.capacity()
                 + self.next.capacity()
                 + self.unvisited.capacity()
                 + self.renewable.capacity()
-                + self.roots.capacity())
+                + self.augmented.capacity())
                 * size_of::<VertexId>()
     }
 }
@@ -389,7 +392,8 @@ impl SolveWorkspace {
         *self = Self::default();
     }
 
-    /// Current heap footprint of the owned buffers, in bytes.
+    /// Current heap footprint of the owned buffers, in bytes, the MS-BFS
+    /// tree table included.
     pub fn footprint_bytes(&self) -> usize {
         self.ms.bytes() + self.par.bytes() + self.pf.bytes() + self.pr.bytes()
     }

@@ -34,6 +34,13 @@ pub trait Chunk: Sized + Send {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+    /// The number of elements the work spans, which plans the split:
+    /// [`Chunk::len`] for every chunk but a chunks iterator, whose
+    /// positions are windows of several elements, and the adaptors over
+    /// one.
+    fn elements(&self) -> usize {
+        self.len()
+    }
     /// Splits at position `mid` (`0 < mid < len`) into `[0, mid)` and
     /// `[mid, len)`.
     fn split_at(self, mid: usize) -> (Self, Self);
@@ -234,6 +241,9 @@ impl<'a, T: Sync> Chunk for ChunksChunk<'a, T> {
     fn len(&self) -> usize {
         self.slice.len().div_ceil(self.size)
     }
+    fn elements(&self) -> usize {
+        self.slice.len()
+    }
     fn split_at(self, mid: usize) -> (Self, Self) {
         // Split on a window boundary so window contents are unchanged.
         let (l, r) = self.slice.split_at(mid * self.size);
@@ -336,6 +346,9 @@ where
     fn len(&self) -> usize {
         self.base.len()
     }
+    fn elements(&self) -> usize {
+        self.base.elements()
+    }
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(mid);
         (
@@ -377,6 +390,9 @@ where
     fn len(&self) -> usize {
         self.base.len()
     }
+    fn elements(&self) -> usize {
+        self.base.elements()
+    }
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(mid);
         (
@@ -413,6 +429,9 @@ where
     fn len(&self) -> usize {
         self.base.len()
     }
+    fn elements(&self) -> usize {
+        self.base.elements()
+    }
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(mid);
         (
@@ -444,6 +463,9 @@ where
     type SeqIter = std::iter::Zip<A::SeqIter, B::SeqIter>;
     fn len(&self) -> usize {
         self.a.len().min(self.b.len())
+    }
+    fn elements(&self) -> usize {
+        self.a.elements().max(self.b.elements())
     }
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (al, ar) = self.a.split_at(mid);
@@ -491,6 +513,9 @@ impl<C: IndexedChunk> Chunk for EnumerateChunk<C> {
     fn len(&self) -> usize {
         self.base.len()
     }
+    fn elements(&self) -> usize {
+        self.base.elements()
+    }
     fn split_at(self, mid: usize) -> (Self, Self) {
         let (l, r) = self.base.split_at(mid);
         (
@@ -521,12 +546,14 @@ impl<C: IndexedChunk> IndexedChunk for EnumerateChunk<C> {}
 impl<C: Chunk> Par<C> {
     /// Splits into pieces per the pool plan, runs `work` on each piece (the
     /// whole chunk when sequential), and returns results in piece order.
+    /// The plan counts elements, so a chunks iterator splits down to
+    /// single windows, as rayon's does.
     fn drive<T, W>(self, work: W) -> Vec<T>
     where
         T: Send,
         W: Fn(C) -> T + Sync,
     {
-        match pool::plan(self.chunk.len()) {
+        match pool::plan(self.chunk.elements()) {
             Plan::Seq => vec![work(self.chunk)],
             Plan::Par(p, pieces) => {
                 let mut parts = Vec::with_capacity(pieces);
@@ -736,6 +763,21 @@ mod tests {
             },
         );
         assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), 45);
+    }
+
+    #[test]
+    fn chunks_plan_by_elements() {
+        // Two windows of 500 elements: too few positions for a piece of
+        // 32 each, but rayon splits a chunks iterator down to single
+        // windows, and so does the plan.
+        let data = vec![1u32; 1000];
+        let pieces: Vec<u64> = on_pool(2, || {
+            data.par_chunks(500)
+                .map(|c| c.len() as u64)
+                .fold(|| 0, |a, n| a + n)
+                .collect()
+        });
+        assert_eq!(pieces, [500, 500]);
     }
 
     #[test]

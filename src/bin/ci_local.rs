@@ -81,6 +81,35 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
+    // The scaling job's seeded stress at Medium scale: every parallel
+    // engine against its serial twin at widths 1/2/4/8, each solve
+    // certified. Tiny graphs run the MS-BFS engine's steps almost all
+    // inline; Medium ones keep its pool side under the differential. CI
+    // gives it 60 s.
+    Gate {
+        name: "stress (Medium, GRAFT_THREADS=4)",
+        args: &[
+            "run",
+            "--release",
+            "--offline",
+            "-q",
+            "-p",
+            "graft-bench",
+            "--bin",
+            "experiments",
+            "--",
+            "stress",
+            "--scale",
+            "medium",
+            "--budget-secs",
+            "20",
+            "--seed",
+            "7919",
+            "--out",
+            "results/stress-medium",
+        ],
+        env: &[("GRAFT_THREADS", "4")],
+    },
     Gate {
         name: "doc",
         args: &["doc", "--workspace", "--no-deps", "-q"],
