@@ -8,10 +8,11 @@ use crate::Config;
 use graft_core::{Algorithm, PushRelabelOptions, SolveOptions};
 
 /// For every suite graph, times the three algorithm families serially and
-/// with the full thread count, and reports relative speedups (slowest
-/// algorithm per graph = 1.0, the paper's normalization).
+/// with the full thread count ([`Config::all_cores_threads`]), and
+/// reports relative speedups (slowest algorithm per graph = 1.0, the
+/// paper's normalization).
 pub fn fig3(cfg: &Config) -> std::io::Result<()> {
-    let t_max = cfg.max_threads();
+    let t_max = cfg.all_cores_threads();
     let serial_algs = [
         Algorithm::MsBfsGraft,
         Algorithm::PothenFan,

@@ -8,13 +8,14 @@ use crate::Config;
 use graft_core::{solve_from_in, Algorithm, PushRelabelOptions, SolveOptions, SolveWorkspace};
 use graft_graph::Relabeling;
 
-/// Runs each parallel algorithm 10 times per graph; between runs the
-/// graph is relabeled with a random isomorphism, perturbing traversal
-/// order the way scheduling nondeterminism does on a busy machine, and
-/// reports the paper's sensitivity statistic ψ.
+/// Runs each parallel algorithm 10 times per graph at the full thread
+/// count ([`Config::all_cores_threads`]); between runs the graph is
+/// relabeled with a random isomorphism, perturbing traversal order the
+/// way scheduling nondeterminism does on a busy machine, and reports the
+/// paper's sensitivity statistic ψ.
 pub fn variability(cfg: &Config) -> std::io::Result<()> {
     let runs = 10usize;
-    let threads = cfg.max_threads();
+    let threads = cfg.all_cores_threads();
     let algs = [
         Algorithm::MsBfsGraftParallel,
         Algorithm::PothenFanParallel,
@@ -29,7 +30,7 @@ pub fn variability(cfg: &Config) -> std::io::Result<()> {
     };
     let mut r = Report::new(
         "variability_sensitivity",
-        format!("§V-B — parallel sensitivity ψ = 100·σ/μ over {runs} perturbed runs"),
+        format!("§V-B — parallel sensitivity ψ = 100·σ/μ over {runs} perturbed runs at {threads} threads"),
         &["graph", "ψ MS-BFS-Graft", "ψ PF", "ψ PR", "mean graft (s)"],
     );
     let mut psi_sums = [0.0f64; 3];

@@ -30,7 +30,8 @@ pub struct Config {
     /// Instance scale (tiny for smoke runs, small default, medium/large
     /// for real machines).
     pub scale: Scale,
-    /// Maximum thread count for parallel algorithms (0 = all cores).
+    /// Maximum thread count for parallel algorithms (0 = unset; see
+    /// [`Config::max_threads`] and [`Config::all_cores_threads`]).
     pub threads: usize,
     /// Repetitions per timing measurement.
     pub reps: usize,
@@ -71,5 +72,36 @@ impl Config {
         } else {
             rayon::current_num_threads()
         }
+    }
+
+    /// Thread count of the experiments whose parallel rows are the paper's
+    /// all-cores runs (`fig3`, `variability`). `0` resolves to every core
+    /// the host offers ([`std::thread::available_parallelism`]), not to
+    /// the ambient pool, which has one thread unless `GRAFT_THREADS` is
+    /// set.
+    pub fn all_cores_threads(&self) -> usize {
+        if self.threads > 0 {
+            self.threads
+        } else {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_cores_threads_resolves_an_unset_count_to_the_host_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let unset = Config::default();
+        assert_eq!(unset.all_cores_threads(), cores);
+        let set = Config {
+            threads: 3,
+            ..Config::default()
+        };
+        assert_eq!(set.all_cores_threads(), 3);
+        assert_eq!(set.max_threads(), 3);
     }
 }

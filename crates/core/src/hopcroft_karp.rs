@@ -13,10 +13,9 @@
 //! and every other algorithm is checked against it.
 
 use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome, Stop};
+use crate::{solve_from_in, Algorithm, Matching, Run, RunOutcome, SolveOptions, SolveWorkspace};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 const INF: u32 = u32::MAX;
 
@@ -31,22 +30,17 @@ const INF: u32 = u32::MAX;
 /// assert_eq!(out.matching.cardinality(), 2);
 /// ```
 pub fn hopcroft_karp(g: &BipartiteCsr, m: Matching) -> RunOutcome {
-    hopcroft_karp_until(g, m, Stop::default())
+    let (alg, opts) = (Algorithm::HopcroftKarp, SolveOptions::default());
+    solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
 }
 
-/// [`hopcroft_karp`], polling `stop` before each layering BFS.
-pub(crate) fn hopcroft_karp_until(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+/// [`hopcroft_karp`], polling the run's stop before each layering BFS.
+pub(crate) fn hopcroft_karp_until(g: &BipartiteCsr, mut m: Matching, run: &mut Run) -> Matching {
     let nx = g.num_x();
     let mut dist: Vec<u32> = vec![INF; nx];
     let mut queue: VecDeque<VertexId> = VecDeque::new();
 
-    while !stop.poll(&mut stats) {
+    while !run.poll() {
         // ---- BFS phase: layered distances over X vertices. ----
         queue.clear();
         for (x, d) in dist.iter_mut().enumerate() {
@@ -64,7 +58,7 @@ pub(crate) fn hopcroft_karp_until(g: &BipartiteCsr, mut m: Matching, stop: Stop<
                 continue; // deeper than the shortest augmenting path
             }
             for &y in g.x_neighbors(x) {
-                stats.edges_traversed += 1;
+                run.stats.edges_traversed += 1;
                 let mate = m.mate_of_y(y);
                 if mate == NONE {
                     if dist_free == INF {
@@ -79,22 +73,20 @@ pub(crate) fn hopcroft_karp_until(g: &BipartiteCsr, mut m: Matching, stop: Stop<
         if dist_free == INF {
             break; // no augmenting path: matching is maximum
         }
-        stats.phases += 1;
+        run.stats.phases += 1;
 
         // ---- DFS phase: extract a maximal set of disjoint shortest paths. ----
         let roots: Vec<VertexId> = m.unmatched_x().collect();
         for x0 in roots {
-            if dfs_augment(g, &mut m, &mut dist, dist_free, x0, &mut stats) {
+            if dfs_augment(g, &mut m, &mut dist, dist_free, x0, &mut run.stats) {
                 // Path length in edges = 2·dist_free − 1.
-                stats.augmenting_paths += 1;
-                stats.total_augmenting_path_edges += (2 * dist_free - 1) as u64;
+                run.stats.augmenting_paths += 1;
+                run.stats.total_augmenting_path_edges += (2 * dist_free - 1) as u64;
             }
         }
     }
 
-    stats.final_cardinality = m.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
+    m
 }
 
 /// Iterative layered DFS from `x0`; augments in place on success.

@@ -6,7 +6,8 @@
 //! cardinality matching. A simple greedy initializer is provided for
 //! ablation, and [`Initializer::None`] starts from the empty matching.
 //! Karp-Sipser also has a multithreaded form, [`parallel_karp_sipser`],
-//! which the solve dispatcher runs inside a parallel algorithm's pool.
+//! which the solve dispatcher runs for a parallel algorithm above one
+//! thread.
 
 mod greedy;
 mod karp_sipser;
@@ -51,7 +52,8 @@ impl Initializer {
     /// random choices of [`Initializer::RandomGreedy`],
     /// [`Initializer::KarpSipser`] and [`Initializer::KarpSipserTwo`];
     /// the other two ignore it. The solve dispatcher runs
-    /// [`parallel_karp_sipser`] instead for a parallel algorithm.
+    /// [`parallel_karp_sipser`] instead for a parallel algorithm above
+    /// one thread.
     pub fn run(self, g: &BipartiteCsr, seed: u64) -> Matching {
         match self {
             Initializer::None => Matching::for_graph(g),

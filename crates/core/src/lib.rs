@@ -8,21 +8,22 @@
 //! |---|---|---|
 //! | SS-DFS | `SsDfs` | serial, single-source |
 //! | SS-BFS | `SsBfs` | serial, single-source |
-//! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | one multi-source DFS engine, inline on one thread / on the thread pool |
+//! | Pothen-Fan (fairness + lookahead) | `PothenFan` / `PothenFanParallel` | one multi-source DFS engine, inline on one thread / on the thread pool above one thread |
 //! | Hopcroft-Karp | `HopcroftKarp` (also [`hopcroft_karp`], the oracle) | serial, `O(m√n)` |
-//! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | one double-push engine, inline on one thread / on the thread pool |
+//! | Push-relabel | `PushRelabel` / `PushRelabelParallel` | one double-push engine, inline on one thread / on the thread pool above one thread |
 //! | MS-BFS (+ direction opt., + grafting) | `MsBfs` / `MsBfsDirOpt` / `MsBfsGraft` | the MS-BFS engine with toggles, inline on one thread |
-//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool, steps below its work cutoff inline: the paper's parallel contribution |
+//! | **MS-BFS-Graft** | `MsBfsGraftParallel` | the same engine on the thread pool above one thread, steps below its work cutoff inline: the paper's parallel contribution |
 //!
 //! Every solve goes through one dispatcher, [`solve_from_traced_in`]: it
 //! starts from the caller's [`Matching`] or computes the configured one —
 //! by default the Karp-Sipser maximal matching ([`init::Initializer`]) as
-//! in the paper — sizes the thread pool for the parallel algorithms, runs
-//! the initializer and the engine in it, and returns a [`RunOutcome`]
-//! bundling the final matching with the instrumentation
-//! ([`stats::SearchStats`]) that the experiment harness uses to
-//! regenerate the paper's figures. [`solve`] and [`solve_from_in`] are
-//! its two shorthands.
+//! in the paper — decides the solve's width (one thread for the serial
+//! algorithms and for a parallel one at `threads: 1`), builds a thread
+//! pool only above one thread, runs the initializer and the engine, and
+//! returns a [`RunOutcome`] bundling the final matching with the
+//! instrumentation ([`stats::SearchStats`]) that the experiment harness
+//! uses to regenerate the paper's figures. [`solve`] and
+//! [`solve_from_in`] are its two shorthands.
 //!
 //! ```
 //! use graft_core::{solve, Algorithm, SolveOptions};
@@ -55,9 +56,17 @@ mod hopcroft_karp;
 
 #[cfg(test)]
 pub(crate) mod tests_support {
+    use crate::{Algorithm, Matching, RunOutcome, SolveOptions, SolveWorkspace};
     use graft_graph::{BipartiteCsr, GraphBuilder, VertexId};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// One solve of `alg` from `m` through the dispatcher, with default
+    /// options in a fresh workspace.
+    pub fn solve_from(g: &BipartiteCsr, m: Matching, alg: Algorithm) -> RunOutcome {
+        let opts = SolveOptions::default();
+        crate::solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
 
     /// Seeded random bipartite graph for unit tests.
     pub fn random_graph(nx: usize, ny: usize, m: usize, seed: u64) -> BipartiteCsr {
@@ -93,9 +102,10 @@ use pothen_fan::pothen_fan;
 use push_relabel::push_relabel;
 use ss::{ss_bfs, ss_dfs};
 
-use graft_graph::BipartiteCsr;
+use graft_graph::{BipartiteCsr, VertexId};
 use stats::SearchStats;
-use trace::TraceEvent;
+use std::time::Instant;
+use trace::{PhaseSummary, TraceEvent};
 
 /// The result of one solver run: the matching plus instrumentation.
 #[derive(Clone, Debug)]
@@ -219,16 +229,6 @@ impl Algorithm {
 #[derive(Clone, Copy)]
 pub struct Stop<'a>(pub &'a (dyn Fn(u32) -> bool + Sync));
 
-impl Stop<'_> {
-    /// Polls the callback with `stats.phases`, records the answer in
-    /// `stats.timed_out` and returns it.
-    #[inline]
-    pub(crate) fn poll(self, stats: &mut SearchStats) -> bool {
-        stats.timed_out = (self.0)(stats.phases);
-        stats.timed_out
-    }
-}
-
 impl Default for Stop<'_> {
     /// Never stops.
     fn default() -> Self {
@@ -242,6 +242,84 @@ impl std::fmt::Debug for Stop<'_> {
     }
 }
 
+/// The frame of one solve, which [`solve_from_traced_in`] builds and lends
+/// its engine: whether the solve runs on one thread, the stop and the
+/// tracer, and the run's counters. The dispatcher writes the
+/// cardinalities and the elapsed time around the engine call; the engine
+/// adds its phases.
+pub(crate) struct Run<'a> {
+    /// The solve's width is 1: every step runs inline on the calling
+    /// thread, and no pool is installed for it.
+    pub(crate) inline: bool,
+    pub(crate) tracer: &'a Tracer,
+    /// The engine adds its phases; the dispatcher writes the rest.
+    pub(crate) stats: SearchStats,
+    stop: Stop<'a>,
+    /// The start of the current phase, read only while tracing: the
+    /// untraced hot path must not pay for a clock read per phase.
+    phase_t0: Option<Instant>,
+}
+
+impl Run<'_> {
+    /// Polls the stop with the phases done, records the answer in
+    /// `stats.timed_out` and returns it.
+    #[inline]
+    pub(crate) fn poll(&mut self) -> bool {
+        self.stats.timed_out = (self.stop.0)(self.stats.phases);
+        self.stats.timed_out
+    }
+
+    /// Opens the next phase; returns its number.
+    pub(crate) fn begin_phase(&mut self) -> u64 {
+        self.phase_t0 = self.tracer.is_enabled().then(Instant::now);
+        u64::from(self.stats.phases) + 1
+    }
+
+    /// Closes the phase that [`Run::begin_phase`] opened: numbers `p`,
+    /// stamps its time, adds its counts to the run's and emits it:
+    /// `phase_end`, then `graft` when the phase made a graft-vs-rebuild
+    /// decision. [`trace::replay`] folds the pair back into an equal
+    /// [`PhaseSummary`].
+    pub(crate) fn end_phase(&mut self, p: &mut PhaseSummary) {
+        let s = &mut self.stats;
+        s.phases += 1;
+        s.augmenting_paths += p.augmentations;
+        s.total_augmenting_path_edges += p.path_edges;
+        s.edges_traversed += p.edges_traversed;
+        p.phase = u64::from(s.phases);
+        p.elapsed_us = self.phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
+        self.tracer.emit(|| TraceEvent::PhaseEnd {
+            phase: p.phase,
+            levels: p.levels,
+            bottom_up_levels: p.bottom_up_levels,
+            frontier_peak: p.frontier_peak,
+            augmentations: p.augmentations,
+            path_edges: p.path_edges,
+            edges_traversed: p.edges_traversed,
+            elapsed_us: p.elapsed_us,
+        });
+        if let Some(g) = p.graft {
+            self.tracer.emit(|| TraceEvent::Graft {
+                phase: p.phase,
+                active_x: g.active_x,
+                renewable_y: g.renewable_y,
+                active_edges: g.active_edges,
+                renewable_edges: g.renewable_edges,
+                grafted: g.grafted,
+            });
+        }
+    }
+
+    /// The one exit of the MS-BFS, Pothen-Fan and push-relabel engines,
+    /// inline and on the pool: their mates, with the cardinality their
+    /// augmentations counted. Debug builds check the count against the
+    /// mates (O(n)); release builds trust it.
+    pub(crate) fn matching(&self, mate_x: Vec<VertexId>, mate_y: Vec<VertexId>) -> Matching {
+        let counted = self.stats.initial_cardinality + self.stats.augmenting_paths as usize;
+        Matching::from_counted_mates(mate_x, mate_y, counted)
+    }
+}
+
 /// Options for the [`solve_from_traced_in`] dispatcher.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions<'a> {
@@ -249,9 +327,10 @@ pub struct SolveOptions<'a> {
     pub initializer: init::Initializer,
     /// Seed for the initializer's random choices.
     pub seed: u64,
-    /// Thread count for the parallel algorithms: the dispatcher runs the
-    /// engine in a pool of this size (0 = the ambient rayon pool). The
-    /// serial algorithms ignore it and never get a pool.
+    /// Thread count for the parallel algorithms (0 = the ambient rayon
+    /// pool's): above one, the dispatcher runs the engine in a pool of
+    /// this size; at one it builds no pool and runs the engine inline.
+    /// The serial algorithms ignore it and run on one thread.
     pub threads: usize,
     /// MS-BFS engine configuration.
     pub ms_bfs: MsBfsOptions,
@@ -323,20 +402,26 @@ fn effective_ms_opts(algorithm: Algorithm, opts: &SolveOptions) -> Option<MsBfsO
 /// push-relabel engines). `run_start` follows the initializer and carries
 /// its cardinality. A disabled tracer builds no event and reads no clock.
 ///
-/// A parallel algorithm with `opts.threads > 0` runs in a rayon pool of
-/// that many threads, built for this call; with `threads = 0` it uses the
-/// caller's ambient pool. The initializer runs in that pool too, and for a
-/// parallel algorithm `Initializer::KarpSipser` is
-/// [`init::parallel_karp_sipser`]: at one thread, or below the MS-BFS
-/// engine's inline cutoff, that is the serial [`init::karp_sipser`], so a
-/// one-thread solve's output does not depend on who ran the initializer.
-/// Serial algorithms never get or use a pool, and run the serial
-/// initializers.
+/// The dispatcher decides the solve's width once: 1 for a serial
+/// algorithm, `opts.threads` for a parallel one, or the ambient rayon
+/// pool's size when that is 0. At width 1 it builds no pool, runs the
+/// serial initializers and the engine inline on the calling thread, so a
+/// parallel algorithm equals its serial twin mate for mate. Above it, a
+/// parallel algorithm with `opts.threads > 0` runs in a rayon pool of
+/// that many threads, built for this call, and with `threads = 0` in the
+/// caller's ambient pool. The initializer runs in that pool too, and
+/// `Initializer::KarpSipser` is [`init::parallel_karp_sipser`], which
+/// below the MS-BFS engine's inline cutoff is the serial
+/// [`init::karp_sipser`].
+///
+/// The dispatcher also keeps the run's books: it records the initial and
+/// final cardinality and times the engine call, while the engine adds its
+/// phases to the same [`stats::SearchStats`].
 ///
 /// The per-vertex arrays and frontier vectors live in `ws` and are
 /// recycled across calls via an epoch/versioned-visited scheme, so a warm
-/// solve performs no `O(n)` clears and (for the serial algorithms that
-/// draw on `ws`) no heap allocations at all; the matching and
+/// solve performs no `O(n)` clears and (for the algorithms that draw on
+/// `ws`, at width 1) no heap allocations at all; the matching and
 /// [`stats::SearchStats`] counters are the same as from a fresh
 /// workspace. The four MS-BFS algorithms and both Pothen-Fan and both
 /// push-relabel algorithms draw on `ws`; the remaining algorithms ignore
@@ -351,11 +436,14 @@ pub fn solve_from_traced_in(
 ) -> RunOutcome {
     let m0 = m0.into();
     let ms_opts = effective_ms_opts(algorithm, opts);
-    let run = || {
+    let width = match (algorithm.is_parallel(), opts.threads) {
+        (false, _) => 1,
+        (true, 0) => rayon::current_num_threads(),
+        (true, threads) => threads,
+    };
+    let solve = || {
         let m0 = m0.unwrap_or_else(|| match opts.initializer {
-            init::Initializer::KarpSipser if algorithm.is_parallel() => {
-                init::parallel_karp_sipser(g, opts.seed)
-            }
+            init::Initializer::KarpSipser if width > 1 => init::parallel_karp_sipser(g, opts.seed),
             initializer => initializer.run(g, opts.seed),
         });
         tracer.emit(|| TraceEvent::RunStart {
@@ -368,35 +456,47 @@ pub fn solve_from_traced_in(
             direction_optimizing: ms_opts.is_some_and(|o| o.direction_optimizing),
             grafting: ms_opts.is_some_and(|o| o.grafting),
         });
-        let stop = opts.stop;
-        match algorithm {
-            Algorithm::SsDfs => ss_dfs(g, m0, stop),
-            Algorithm::SsBfs => ss_bfs(g, m0, stop),
-            Algorithm::PothenFan | Algorithm::PothenFanParallel => {
-                pothen_fan(g, m0, algorithm.is_parallel(), stop, tracer, ws)
-            }
-            Algorithm::HopcroftKarp => hopcroft_karp_until(g, m0, stop),
+        let mut run = Run {
+            inline: width == 1,
+            tracer,
+            stats: SearchStats {
+                initial_cardinality: m0.cardinality(),
+                ..SearchStats::default()
+            },
+            stop: opts.stop,
+            phase_t0: None,
+        };
+        let start = Instant::now();
+        let matching = match algorithm {
+            Algorithm::SsDfs => ss_dfs(g, m0, &mut run),
+            Algorithm::SsBfs => ss_bfs(g, m0, &mut run),
+            Algorithm::PothenFan | Algorithm::PothenFanParallel => pothen_fan(g, m0, &mut run, ws),
+            Algorithm::HopcroftKarp => hopcroft_karp_until(g, m0, &mut run),
             Algorithm::MsBfs
             | Algorithm::MsBfsDirOpt
             | Algorithm::MsBfsGraft
             | Algorithm::MsBfsGraftParallel => {
-                let ms_opts = ms_opts.expect("MS algorithm");
-                ms_bfs(g, m0, &ms_opts, algorithm.is_parallel(), stop, tracer, ws)
+                ms_bfs(g, m0, &ms_opts.expect("MS algorithm"), &mut run, ws)
             }
             Algorithm::PushRelabel | Algorithm::PushRelabelParallel => {
-                let parallel = algorithm.is_parallel();
-                push_relabel(g, m0, parallel, &opts.push_relabel, stop, tracer, ws)
+                push_relabel(g, m0, &opts.push_relabel, &mut run, ws)
             }
+        };
+        run.stats.elapsed = start.elapsed();
+        run.stats.final_cardinality = matching.cardinality();
+        RunOutcome {
+            matching,
+            stats: run.stats,
         }
     };
-    let out = if algorithm.is_parallel() && opts.threads > 0 {
+    let out = if width > 1 && opts.threads > 0 {
         rayon::ThreadPoolBuilder::new()
             .num_threads(opts.threads)
             .build()
             .expect("failed to build rayon pool")
-            .install(run)
+            .install(solve)
     } else {
-        run()
+        solve()
     };
     tracer.emit(|| TraceEvent::RunEnd {
         final_cardinality: out.stats.final_cardinality as u64,
@@ -567,7 +667,16 @@ mod tests {
         assert_eq!(SEEN.swap(0, Ordering::Relaxed), 3);
         let ambient = rayon::current_num_threads();
         solve(&g, Algorithm::MsBfsGraft, &opts);
-        assert_eq!(SEEN.load(Ordering::Relaxed), ambient);
+        assert_eq!(SEEN.swap(0, Ordering::Relaxed), ambient);
+        // At one thread a parallel algorithm builds no pool of its own, so
+        // inside an installed pool its stop sees that pool.
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .unwrap();
+        let one = SolveOptions { threads: 1, ..opts };
+        pool.install(|| solve(&g, Algorithm::MsBfsGraftParallel, &one));
+        assert_eq!(SEEN.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -84,8 +84,8 @@
 //! Each step (a BFS level, the augmentation, the statistics, the graft)
 //! is a loop over vertices or trees around a per-item kernel, and each
 //! step decides for itself where it runs. The serial algorithms, and
-//! `MsBfsGraftParallel` in a one-thread pool, run every loop *inline* on
-//! the calling thread, in vertex order, over vectors reused from the
+//! `MsBfsGraftParallel` at one thread, run every loop *inline* on the
+//! calling thread, in vertex order, over vectors reused from the
 //! workspace: byte-deterministic, and allocation-free when warm. In a
 //! pool solve a step also runs inline when its work is below
 //! `INLINE_WORK`: 1 + degree per item of a BFS level or graft, one per
@@ -122,16 +122,13 @@
 //! batch already orders every earlier write, and the next batch's tasks
 //! are published after the step's writes.
 
-use crate::stats::{SearchStats, Step, Stopwatch};
-use crate::trace::{
-    direction_rule, emit_phase, graft_rule, GraftSummary, PhaseSummary, TraceEvent, Tracer,
-};
+use crate::stats::{Step, Stopwatch};
+use crate::trace::{direction_rule, graft_rule, GraftSummary, PhaseSummary, TraceEvent};
 use crate::workspace::{next_epoch, pack, unpack, SolveWorkspace};
-use crate::{Matching, RunOutcome, Stop};
+use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Configuration of the MS-BFS engine.
 #[derive(Clone, Copy, Debug)]
@@ -267,8 +264,8 @@ impl Tree {
 /// of the workspace's atomic per-vertex arrays and tree table.
 struct Shared<'a> {
     g: &'a BipartiteCsr,
-    /// Run every step on the calling thread (a serial algorithm or a
-    /// one-thread pool); otherwise each step picks by its work.
+    /// Run every step on the calling thread (a one-thread solve);
+    /// otherwise each step picks by its work.
     inline: bool,
     /// Current workspace epoch: `visited[y] == epoch` ⇔ visited in the
     /// current forest; `root_x` entries are `(epoch << 32) | tree`
@@ -666,31 +663,22 @@ impl Shared<'_> {
 
 /// Maximum matching by the MS-BFS engine configured by `opts`, from `m`.
 ///
-/// With `parallel` false (the serial algorithms) every step runs inline,
-/// whatever pool is installed; otherwise on the ambient rayon pool, or
-/// inline if it has one thread or the step's work is below
-/// [`INLINE_WORK`]. Tracer events come from the driving
-/// thread between steps and only read engine state, so a disabled tracer
-/// changes nothing (`tests/trace_noninterference.rs`). A warm inline solve
-/// does not allocate (`tests/workspace_alloc.rs`), and every solve equals
-/// a fresh-workspace one (`tests/workspace_reuse.rs`).
+/// In a one-thread solve (`run.inline`) every step runs inline, whatever
+/// pool is installed; otherwise on the ambient rayon pool, or inline if
+/// the step's work is below [`INLINE_WORK`]. Tracer events come from the
+/// driving thread between steps and only read engine state, so a disabled
+/// tracer changes nothing (`tests/trace_noninterference.rs`). A warm
+/// inline solve does not allocate (`tests/workspace_alloc.rs`), and every
+/// solve equals a fresh-workspace one (`tests/workspace_reuse.rs`).
 pub(crate) fn ms_bfs(
     g: &BipartiteCsr,
     m: Matching,
     opts: &MsBfsOptions,
-    parallel: bool,
-    stop: Stop<'_>,
-    tracer: &Tracer,
+    run: &mut Run,
     ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+) -> Matching {
     let (nx, ny) = (g.num_x(), g.num_y());
-    let inline = !parallel || rayon::current_num_threads() == 1;
+    let (inline, tracer) = (run.inline, run.tracer);
     let b = &mut ws.par;
     let epoch = b.begin_solve(nx, ny, inline);
     // The vectors leave the workspace while `sh` borrows its arrays. Only
@@ -740,18 +728,13 @@ pub(crate) fn ms_bfs(
     let mut unvisited_valid = false;
 
     loop {
-        if stop.poll(&mut stats) {
+        if run.poll() {
             break;
         }
-        stats.phases += 1;
         let mut p = PhaseSummary {
-            phase: u64::from(stats.phases),
+            phase: run.begin_phase(),
             ..Default::default()
         };
-        let edges_at_start = stats.edges_traversed;
-        // Phase stopwatch exists only while tracing: the untraced hot
-        // path must not pay for a clock read per phase.
-        let phase_t0 = tracer.is_enabled().then(Instant::now);
 
         // ---- Step 1: grow the alternating BFS forest. ----
         while !frontier.is_empty() {
@@ -769,7 +752,7 @@ pub(crate) fn ms_bfs(
             p.frontier_peak = p.frontier_peak.max(frontier.len() as u64);
             p.bottom_up_levels += u64::from(bottom_up);
             if bottom_up {
-                let _t = Stopwatch::start(&mut stats.breakdown, Step::BottomUp);
+                let _t = Stopwatch::start(&mut run.stats.breakdown, Step::BottomUp);
                 if unvisited_valid {
                     sh.retain(&mut unvisited, |y| !sh.is_visited(y));
                 } else {
@@ -779,13 +762,13 @@ pub(crate) fn ms_bfs(
                 sh.retain(&mut unvisited, |y| !sh.is_visited(y));
                 unvisited_valid = true;
             } else {
-                let _t = Stopwatch::start(&mut stats.breakdown, Step::TopDown);
+                let _t = Stopwatch::start(&mut run.stats.breakdown, Step::TopDown);
                 sh.level::<false>(&frontier, frontier_edges, &mut acc);
             }
             num_unvisited_y -= acc.visited as usize;
             unvisited_edges -= acc.visited_edges;
             frontier_edges = acc.next_edges;
-            stats.edges_traversed += acc.edges;
+            p.edges_traversed += acc.edges;
             std::mem::swap(&mut frontier, &mut acc.next);
             p.levels += 1;
         }
@@ -794,14 +777,12 @@ pub(crate) fn ms_bfs(
         // trees whose leaf is set and whose root is still free (a tree
         // renewable in an earlier phase has flipped its path). ----
         {
-            let _t = Stopwatch::start(&mut stats.breakdown, Step::Augment);
+            let _t = Stopwatch::start(&mut run.stats.breakdown, Step::Augment);
             sh.filter_trees(&mut augmented, |id, row| {
                 (!row.is_active() && sh.is_free_x(row.root())).then_some(id)
             });
             p.augmentations = augmented.len() as u64;
             [p.path_edges] = sh.sum(&augmented, |&id| [sh.augment_tree(id)]);
-            stats.augmenting_paths += p.augmentations;
-            stats.total_augmenting_path_edges += p.path_edges;
         }
 
         // ---- Step 3: rebuild the frontier (Algorithm 7). A phase
@@ -811,7 +792,7 @@ pub(crate) fn ms_bfs(
             // active trees' X and of this phase's renewable trees' Y, the
             // ones just augmented.
             let graft = {
-                let _t = Stopwatch::start(&mut stats.breakdown, Step::Statistics);
+                let _t = Stopwatch::start(&mut run.stats.breakdown, Step::Statistics);
                 let [active_x, active_edges] = sh.sum(sh.trees, |row| {
                     let r = Ordering::Relaxed;
                     if row.is_active() {
@@ -836,7 +817,7 @@ pub(crate) fn ms_bfs(
             };
             p.graft = Some(graft);
 
-            let _t = Stopwatch::start(&mut stats.breakdown, Step::Graft);
+            let _t = Stopwatch::start(&mut run.stats.breakdown, Step::Graft);
             // Both branches un-visit vertices: invalidate the cache.
             unvisited_valid = false;
             if graft.grafted {
@@ -853,7 +834,7 @@ pub(crate) fn ms_bfs(
                 num_unvisited_y -= acc.visited as usize;
                 unvisited_edges -= acc.visited_edges;
                 frontier_edges = acc.next_edges;
-                stats.edges_traversed += acc.edges;
+                p.edges_traversed += acc.edges;
                 std::mem::swap(&mut frontier, &mut acc.next);
             } else {
                 // Destroy the forest: a new epoch un-visits every Y and
@@ -871,9 +852,7 @@ pub(crate) fn ms_bfs(
                 frontier_edges = sh.plant(&frontier);
             }
         }
-        p.edges_traversed = stats.edges_traversed - edges_at_start;
-        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-        emit_phase(tracer, &p);
+        run.end_phase(&mut p);
         if p.augmentations == 0 {
             break;
         }
@@ -888,24 +867,15 @@ pub(crate) fn ms_bfs(
         b.renewable = renewable;
         b.augmented = augmented;
     }
-    // The parallel algorithm re-validates the mates its tasks wrote.
-    let matching = if parallel {
-        Matching::from_mates(mx, my)
-    } else {
-        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
-        Matching::from_counted_mates(mx, my, counted)
-    };
-    stats.final_cardinality = matching.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching, stats }
+    run.matching(mx, my)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::RunSummary;
+    use crate::trace::{RunSummary, Tracer};
     use crate::verify::is_maximum;
-    use crate::{solve_from_in, Algorithm, SolveOptions};
+    use crate::{solve_from_in, Algorithm, RunOutcome, SolveOptions};
     use std::cell::{Cell, RefCell};
 
     /// Step kinds counted by [`count_step`]: a BFS level or graft, and any
@@ -943,28 +913,31 @@ mod tests {
         (out, RANGES.with(RefCell::take))
     }
 
-    /// One solve with the serial flag: every step inline.
-    fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
-        ms_bfs(
-            g,
-            m,
-            opts,
-            false,
-            Stop::default(),
-            &Tracer::disabled(),
-            &mut SolveWorkspace::new(),
-        )
-    }
-
-    /// One parallel solve in a `threads`-sized pool, through the dispatcher.
-    fn par(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions, threads: usize) -> RunOutcome {
+    /// One solve of `alg` configured by `opts` through the dispatcher, in
+    /// a `threads`-sized pool for the parallel algorithm.
+    fn run(
+        g: &BipartiteCsr,
+        m: Matching,
+        opts: &MsBfsOptions,
+        alg: Algorithm,
+        threads: usize,
+    ) -> RunOutcome {
         let opts = SolveOptions {
             threads,
             ms_bfs: *opts,
             ..SolveOptions::default()
         };
-        let alg = Algorithm::MsBfsGraftParallel;
         solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
+
+    /// One serial solve: every step inline.
+    fn serial(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions) -> RunOutcome {
+        run(g, m, opts, Algorithm::MsBfsGraft, 0)
+    }
+
+    /// One parallel solve in a `threads`-sized pool.
+    fn par(g: &BipartiteCsr, m: Matching, opts: &MsBfsOptions, threads: usize) -> RunOutcome {
+        run(g, m, opts, Algorithm::MsBfsGraftParallel, threads)
     }
 
     fn all_configs() -> [MsBfsOptions; 3] {

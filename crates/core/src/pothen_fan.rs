@@ -11,8 +11,8 @@
 //! alternating direction on even and odd phases (the "PF with fairness"
 //! the paper benchmarks, after Duff, Kaya & Uçar).
 //!
-//! One kernel, `Shared::dfs`, serves both algorithms. PF, and PF(par) in a
-//! one-thread pool, run each phase inline on the calling thread, root by
+//! One kernel, `Shared::dfs`, serves both algorithms. PF, and PF(par) at
+//! one thread, run each phase inline on the calling thread, root by
 //! root, where a claim is a load and a store. Otherwise each root is a
 //! rayon task (the parallel PF of Azad, Halappanavar, Rajamanickam, Boman,
 //! Khan & Pothen): a visited `Y` and a free `Y` are claimed by
@@ -22,13 +22,11 @@
 //! serialize the tail of a phase: the load imbalance the paper reports
 //! (§V-B) and the variability experiment reproduces.
 
-use crate::stats::SearchStats;
-use crate::trace::{emit_phase, PhaseSummary, Tracer};
+use crate::trace::PhaseSummary;
 use crate::workspace::{pack, Frame, SolveWorkspace};
-use crate::{Matching, RunOutcome, Stop};
+use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
-use std::time::Instant;
 
 // Under `--cfg graft_check` the mates, stamps and cursors are graft-check's
 // instrumented atomics, so the model suite explores the real search
@@ -160,29 +158,20 @@ impl Shared<'_> {
 }
 
 /// Maximum matching by Pothen-Fan with fairness and lookahead, from `m`,
-/// with `tracer` observing each phase (PF has no BFS levels).
+/// with the run's tracer observing each phase (PF has no BFS levels).
 ///
-/// With `parallel` false (PF) every phase runs inline, whatever pool is
-/// installed; otherwise (PF(par)) on the ambient rayon pool, or inline if
-/// it has one thread. The matching's mate vectors become the engine's
+/// In a one-thread solve (`run.inline`: PF, or PF(par) at one thread)
+/// every phase runs inline, whatever pool is installed; otherwise on the
+/// ambient rayon pool. The matching's mate vectors become the engine's
 /// atomics in place, and the stamps, cursors, roots and inline stack live
 /// in `ws`: a warm inline solve does not allocate.
 pub(crate) fn pothen_fan(
     g: &BipartiteCsr,
     m: Matching,
-    parallel: bool,
-    stop: Stop<'_>,
-    tracer: &Tracer,
+    run: &mut Run,
     ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+) -> Matching {
     let (nx, ny) = (g.num_x(), g.num_y());
-    let inline = !parallel || rayon::current_num_threads() == 1;
     let b = &mut ws.pf;
     let epoch = b.begin_solve(nx, ny);
     let mut roots = std::mem::take(&mut b.roots);
@@ -204,12 +193,12 @@ pub(crate) fn pothen_fan(
         roots.extend(
             (0..nx as VertexId).filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE),
         );
-        if roots.is_empty() || stop.poll(&mut stats) {
+        if roots.is_empty() || run.poll() {
             break;
         }
-        let phase_t0 = tracer.is_enabled().then(Instant::now);
+        run.begin_phase();
         let (stamp, fair_reverse) = (pack(epoch, phase), phase.is_multiple_of(2));
-        let mut p = if inline {
+        let mut p = if run.inline {
             let mut p = PhaseSummary::default();
             for &x0 in &roots {
                 sh.dfs::<false>(stamp, fair_reverse, x0, &mut stack, &mut p);
@@ -231,13 +220,7 @@ pub(crate) fn pothen_fan(
                     ..a
                 })
         };
-        stats.phases += 1;
-        stats.augmenting_paths += p.augmentations;
-        stats.total_augmenting_path_edges += p.path_edges;
-        stats.edges_traversed += p.edges_traversed;
-        p.phase = u64::from(stats.phases);
-        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-        emit_phase(tracer, &p);
+        run.end_phase(&mut p);
         if p.augmentations == 0 {
             break;
         }
@@ -246,16 +229,7 @@ pub(crate) fn pothen_fan(
 
     let mx = mate_x.into_iter().map(AtomicU32::into_inner).collect();
     let my = mate_y.into_iter().map(AtomicU32::into_inner).collect();
-    // The parallel algorithm re-validates the mates its tasks wrote.
-    let matching = if parallel {
-        Matching::from_mates(mx, my)
-    } else {
-        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
-        Matching::from_counted_mates(mx, my, counted)
-    };
-    stats.final_cardinality = matching.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching, stats }
+    run.matching(mx, my)
 }
 
 /// Test-only surface for the graft-check model suite: own the search
@@ -313,27 +287,25 @@ pub mod check_api {
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
-    use crate::{solve_from_in, Algorithm, SolveOptions};
+    use crate::{solve_from_in, Algorithm, RunOutcome, SolveOptions};
 
-    fn run_pf(g: &BipartiteCsr, m: Matching) -> RunOutcome {
-        pothen_fan(
-            g,
-            m,
-            false,
-            Stop::default(),
-            &Tracer::disabled(),
-            &mut SolveWorkspace::new(),
-        )
-    }
-
-    /// One PF(par) solve in a `threads`-sized pool, through the dispatcher.
-    fn pf_par(g: &BipartiteCsr, m: Matching, threads: usize) -> RunOutcome {
+    /// One solve of `alg` through the dispatcher, in a `threads`-sized
+    /// pool for PF(par).
+    fn solve(g: &BipartiteCsr, m: Matching, alg: Algorithm, threads: usize) -> RunOutcome {
         let opts = SolveOptions {
             threads,
             ..SolveOptions::default()
         };
-        let alg = Algorithm::PothenFanParallel;
         solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
+    }
+
+    fn run_pf(g: &BipartiteCsr, m: Matching) -> RunOutcome {
+        solve(g, m, Algorithm::PothenFan, 0)
+    }
+
+    /// One PF(par) solve in a `threads`-sized pool.
+    fn pf_par(g: &BipartiteCsr, m: Matching, threads: usize) -> RunOutcome {
+        solve(g, m, Algorithm::PothenFanParallel, threads)
     }
 
     fn chain(k: u32) -> BipartiteCsr {

@@ -19,22 +19,20 @@
 //! backward BFS from the free `Y` vertices after every `n / frequency`
 //! pushes; the paper sets the frequency to 2 on one thread and 16 on 40.
 //!
-//! One kernel, `Shared::push`, serves both algorithms. PR, and PR(par) in
-//! a one-thread pool, run inline on the calling thread in FIFO order,
+//! One kernel, `Shared::push`, serves both algorithms. PR, and PR(par) at
+//! one thread, run inline on the calling thread in FIFO order,
 //! where a steal is a load and a store. Otherwise the active set runs in
 //! rounds, each split into batches of at most [`QUEUE_LIMIT`] vertices
 //! (the paper's queue limit) for the pool: a steal is a
 //! `compare_exchange` on the authoritative `mate_y`, and a label rises by
 //! `fetch_max`.
 
-use crate::stats::SearchStats;
-use crate::trace::{emit_phase, PhaseSummary, Tracer};
+use crate::trace::PhaseSummary;
 use crate::workspace::SolveWorkspace;
-use crate::{Matching, RunOutcome, Stop};
+use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Instant;
 
 /// Most vertices in one batch of a pool round (the paper's queue limit).
 const QUEUE_LIMIT: usize = 500;
@@ -211,13 +209,13 @@ impl Shared<'_> {
 
 /// Maximum matching by push-relabel with double pushes, second-minimum
 /// relabeling and a global relabel after every `n / frequency` pushes,
-/// with `tracer` observing each phase: the span that one global relabel
-/// opens, its sweep included. `stop` is polled before every global
-/// relabel, the solve-opening one included.
+/// with the run's tracer observing each phase: the span that one global
+/// relabel opens, its sweep included. The run's stop is polled before
+/// every global relabel, the solve-opening one included.
 ///
-/// With `parallel` false (PR) the solve runs inline, whatever pool is
-/// installed; otherwise (PR(par)) on the ambient rayon pool, or inline if
-/// it has one thread. Inline, the active `X` vertices run in FIFO order
+/// In a one-thread solve (`run.inline`: PR, or PR(par) at one thread) the
+/// solve runs inline, whatever pool is installed; otherwise on the
+/// ambient rayon pool. Inline, the active `X` vertices run in FIFO order
 /// with the budget checked before each push; on the pool, in rounds, with
 /// the budget checked between them. The matching's mate vectors become
 /// the engine's atomics in place, and the labels, relabel queue and active
@@ -225,20 +223,12 @@ impl Shared<'_> {
 pub(crate) fn push_relabel(
     g: &BipartiteCsr,
     m: Matching,
-    parallel: bool,
     opts: &PushRelabelOptions,
-    stop: Stop<'_>,
-    tracer: &Tracer,
+    run: &mut Run,
     ws: &mut SolveWorkspace,
-) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+) -> Matching {
     let (nx, ny) = (g.num_x(), g.num_y());
-    let inline = !parallel || rayon::current_num_threads() == 1;
+    let inline = run.inline;
     let n = g.num_vertices().max(1) as f64;
     let budget = ((n / opts.global_relabel_frequency.max(0.01)) as u64).max(1);
     let b = &mut ws.pr;
@@ -264,14 +254,14 @@ pub(crate) fn push_relabel(
     // consistent.
     let (mut head, mut done) = (0, false);
     while !done {
-        if !inline || stats.phases == 0 {
+        if !inline || run.stats.phases == 0 {
             sh.reseed(&mut active);
             head = 0;
         }
-        if stop.poll(&mut stats) {
+        if run.poll() {
             break;
         }
-        let phase_t0 = tracer.is_enabled().then(Instant::now);
+        run.begin_phase();
         let mut p = PhaseSummary {
             edges_traversed: sh.relabel(&mut queue),
             ..PhaseSummary::default()
@@ -312,49 +302,33 @@ pub(crate) fn push_relabel(
                 }
             }
         }
-        stats.phases += 1;
-        stats.augmenting_paths += p.augmentations;
-        stats.edges_traversed += p.edges_traversed;
-        p.phase = u64::from(stats.phases);
-        p.elapsed_us = phase_t0.map_or(0, |t| t.elapsed().as_micros() as u64);
-        emit_phase(tracer, &p);
+        run.end_phase(&mut p);
     }
     (b.active, b.next, b.queue) = (active, next, queue);
 
     let mx = mate_x.into_iter().map(AtomicU32::into_inner).collect();
     let my = mate_y.into_iter().map(AtomicU32::into_inner).collect();
-    // The pool re-validates the mates its tasks wrote.
-    let matching = if inline {
-        let counted = stats.initial_cardinality + stats.augmenting_paths as usize;
-        Matching::from_counted_mates(mx, my, counted)
-    } else {
-        Matching::from_mates(mx, my)
-    };
-    stats.final_cardinality = matching.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching, stats }
+    run.matching(mx, my)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::is_maximum;
-    use crate::{solve_from_in, Algorithm, SolveOptions};
+    use crate::{solve_from_in, Algorithm, RunOutcome, SolveOptions, Stop};
 
     fn opts() -> PushRelabelOptions {
         PushRelabelOptions::default()
     }
 
+    /// One PR solve through the dispatcher.
     fn serial(g: &BipartiteCsr, m: Matching, opts: &PushRelabelOptions) -> RunOutcome {
-        push_relabel(
-            g,
-            m,
-            false,
-            opts,
-            Stop::default(),
-            &Tracer::disabled(),
-            &mut SolveWorkspace::new(),
-        )
+        let opts = SolveOptions {
+            push_relabel: *opts,
+            ..SolveOptions::default()
+        };
+        let alg = Algorithm::PushRelabel;
+        solve_from_in(g, m, alg, &opts, &mut SolveWorkspace::new())
     }
 
     /// One PR(par) solve in a `threads`-sized pool, through the dispatcher.

@@ -1,10 +1,8 @@
 //! Single-source BFS augmenting-path search (SS-BFS).
 
-use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome, Stop};
+use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Maximum matching by repeated single-source BFS with the failed-tree
 /// discard rule.
@@ -14,13 +12,7 @@ use std::time::Instant;
 /// along the discovered shortest (within the tree) path and the visited
 /// flags touched by *this* search are cleared; on failure the flags stay
 /// set, permanently discarding the dead tree (§II-C).
-pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, run: &mut Run) -> Matching {
     let mut visited = vec![false; g.num_y()];
     let mut parent_y: Vec<VertexId> = vec![NONE; g.num_y()];
     let mut queue: VecDeque<VertexId> = VecDeque::new();
@@ -28,10 +20,10 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
 
     let roots: Vec<VertexId> = m.unmatched_x().collect();
     for x0 in roots {
-        if stop.poll(&mut stats) {
+        if run.poll() {
             break;
         }
-        stats.phases += 1;
+        run.stats.phases += 1;
         queue.clear();
         touched.clear();
         queue.push_back(x0);
@@ -39,7 +31,7 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
 
         'search: while let Some(x) = queue.pop_front() {
             for &y in g.x_neighbors(x) {
-                stats.edges_traversed += 1;
+                run.stats.edges_traversed += 1;
                 if visited[y as usize] {
                     continue;
                 }
@@ -57,8 +49,8 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
 
         if end_y != NONE {
             let path = reconstruct(&m, &parent_y, end_y);
-            stats.augmenting_paths += 1;
-            stats.total_augmenting_path_edges += (path.len() - 1) as u64;
+            run.stats.augmenting_paths += 1;
+            run.stats.total_augmenting_path_edges += (path.len() - 1) as u64;
             m.augment(&path);
             // Success: un-hide the vertices this search visited.
             for &y in &touched {
@@ -68,9 +60,7 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
         // Failure: leave `visited` set — T(x₀) is discarded forever.
     }
 
-    stats.final_cardinality = m.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
+    m
 }
 
 /// Walks parent/mate pointers back from the unmatched endpoint `end_y` and
@@ -94,7 +84,9 @@ pub(crate) fn reconstruct(m: &Matching, parent_y: &[VertexId], end_y: VertexId) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_support::solve_from;
     use crate::verify::is_maximum;
+    use crate::Algorithm;
 
     #[test]
     fn perfect_matching_on_cycle() {
@@ -113,7 +105,7 @@ mod tests {
                 (0, 3),
             ],
         );
-        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
+        let out = solve_from(&g, Matching::for_graph(&g), Algorithm::SsBfs);
         assert_eq!(out.matching.cardinality(), 4);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -121,7 +113,7 @@ mod tests {
     #[test]
     fn stats_are_filled() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
+        let out = solve_from(&g, Matching::for_graph(&g), Algorithm::SsBfs);
         assert_eq!(out.stats.initial_cardinality, 0);
         assert_eq!(out.stats.final_cardinality, 2);
         assert_eq!(out.stats.phases, 2);
@@ -134,7 +126,7 @@ mod tests {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0); // forces an augmentation through x1
-        let out = ss_bfs(&g, m0, Stop::default());
+        let out = solve_from(&g, m0, Algorithm::SsBfs);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -142,7 +134,7 @@ mod tests {
     #[test]
     fn unmatchable_graph() {
         let g = BipartiteCsr::from_edges(3, 1, &[(0, 0), (1, 0), (2, 0)]);
-        let out = ss_bfs(&g, Matching::for_graph(&g), Stop::default());
+        let out = solve_from(&g, Matching::for_graph(&g), Algorithm::SsBfs);
         assert_eq!(out.matching.cardinality(), 1);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -154,7 +146,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0);
         m0.match_pair(2, 1);
-        let out = ss_bfs(&g, m0, Stop::default());
+        let out = solve_from(&g, m0, Algorithm::SsBfs);
         assert_eq!(out.matching.cardinality(), 3);
         assert_eq!(out.stats.total_augmenting_path_edges, 5);
     }

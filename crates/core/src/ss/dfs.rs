@@ -1,9 +1,7 @@
 //! Single-source DFS augmenting-path search (SS-DFS).
 
-use crate::stats::SearchStats;
-use crate::{Matching, RunOutcome, Stop};
+use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
-use std::time::Instant;
 
 /// Maximum matching by repeated single-source DFS with the failed-tree
 /// discard rule.
@@ -12,13 +10,7 @@ use std::time::Instant;
 /// frames) so that the long augmenting paths of Fig. 1c cannot overflow the
 /// call stack. As in [`ss_bfs`](super::ss_bfs), failed search trees stay
 /// hidden forever; successful searches un-hide only their own vertices.
-pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOutcome {
-    let start = Instant::now();
-    let mut stats = SearchStats {
-        initial_cardinality: m.cardinality(),
-        ..Default::default()
-    };
-
+pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, run: &mut Run) -> Matching {
     let mut visited = vec![false; g.num_y()];
     let mut touched: Vec<VertexId> = Vec::new();
     // DFS frames: the X vertex and the index of the next neighbor to scan.
@@ -26,10 +18,10 @@ pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
 
     let roots: Vec<VertexId> = m.unmatched_x().collect();
     for x0 in roots {
-        if stop.poll(&mut stats) {
+        if run.poll() {
             break;
         }
-        stats.phases += 1;
+        run.stats.phases += 1;
         stack.clear();
         touched.clear();
         stack.push((x0, 0));
@@ -45,7 +37,7 @@ pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
                 continue;
             }
             let y = nbrs[i];
-            stats.edges_traversed += 1;
+            run.stats.edges_traversed += 1;
             if visited[y as usize] {
                 continue;
             }
@@ -69,8 +61,8 @@ pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
                 path.push(x);
             }
             path.push(end_y);
-            stats.augmenting_paths += 1;
-            stats.total_augmenting_path_edges += (path.len() - 1) as u64;
+            run.stats.augmenting_paths += 1;
+            run.stats.total_augmenting_path_edges += (path.len() - 1) as u64;
             m.augment(&path);
             for &y in &touched {
                 visited[y as usize] = false;
@@ -78,20 +70,20 @@ pub(crate) fn ss_dfs(g: &BipartiteCsr, mut m: Matching, stop: Stop<'_>) -> RunOu
         }
     }
 
-    stats.final_cardinality = m.cardinality();
-    stats.elapsed = start.elapsed();
-    RunOutcome { matching: m, stats }
+    m
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_support::solve_from;
     use crate::verify::is_maximum;
+    use crate::Algorithm;
 
     #[test]
     fn dfs_matches_simple_path() {
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0), (1, 0), (1, 1)]);
-        let out = ss_dfs(&g, Matching::for_graph(&g), Stop::default());
+        let out = solve_from(&g, Matching::for_graph(&g), Algorithm::SsDfs);
         assert_eq!(out.matching.cardinality(), 2);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -114,7 +106,7 @@ mod tests {
         for i in 1..k as VertexId {
             m0.match_pair(i, i - 1);
         }
-        let out = ss_dfs(&g, m0, Stop::default());
+        let out = solve_from(&g, m0, Algorithm::SsDfs);
         assert_eq!(out.matching.cardinality(), k);
         assert!(is_maximum(&g, &out.matching));
         assert_eq!(out.stats.augmenting_paths, 1);
@@ -128,7 +120,7 @@ mod tests {
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0);
         m0.match_pair(2, 2);
-        let out = ss_dfs(&g, m0, Stop::default());
+        let out = solve_from(&g, m0, Algorithm::SsDfs);
         assert_eq!(out.matching.cardinality(), 3);
         assert!(is_maximum(&g, &out.matching));
     }
@@ -136,7 +128,7 @@ mod tests {
     #[test]
     fn dfs_empty_graph() {
         let g = BipartiteCsr::from_edges(2, 2, &[]);
-        let out = ss_dfs(&g, Matching::for_graph(&g), Stop::default());
+        let out = solve_from(&g, Matching::for_graph(&g), Algorithm::SsDfs);
         assert_eq!(out.matching.cardinality(), 0);
     }
 
@@ -157,10 +149,10 @@ mod tests {
                 (2, 3),
             ],
         );
-        let a = ss_dfs(&g, Matching::for_graph(&g), Stop::default())
+        let a = solve_from(&g, Matching::for_graph(&g), Algorithm::SsDfs)
             .matching
             .cardinality();
-        let b = crate::ss::ss_bfs(&g, Matching::for_graph(&g), Stop::default())
+        let b = solve_from(&g, Matching::for_graph(&g), Algorithm::SsBfs)
             .matching
             .cardinality();
         assert_eq!(a, b);

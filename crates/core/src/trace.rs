@@ -698,8 +698,9 @@ pub struct GraftSummary {
     pub grafted: bool,
 }
 
-/// One phase reconstructed from a trace. The MS-BFS and Pothen-Fan
-/// engines collect each phase into one of these and emit it as events.
+/// One phase reconstructed from a trace. The MS-BFS, Pothen-Fan and
+/// push-relabel engines collect each phase into one of these, which the
+/// solve's run frame adds to its counters and emits as events.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseSummary {
     /// Phase number, starting at 1.
@@ -720,32 +721,6 @@ pub struct PhaseSummary {
     pub elapsed_us: u64,
     /// The graft-vs-rebuild decision, when one was recorded.
     pub graft: Option<GraftSummary>,
-}
-
-/// Emits one finished engine phase: `phase_end`, then `graft` when the
-/// phase made a graft-vs-rebuild decision (every phase but a run's
-/// last). [`replay`] folds the pair back into an equal [`PhaseSummary`].
-pub(crate) fn emit_phase(tracer: &Tracer, p: &PhaseSummary) {
-    tracer.emit(|| TraceEvent::PhaseEnd {
-        phase: p.phase,
-        levels: p.levels,
-        bottom_up_levels: p.bottom_up_levels,
-        frontier_peak: p.frontier_peak,
-        augmentations: p.augmentations,
-        path_edges: p.path_edges,
-        edges_traversed: p.edges_traversed,
-        elapsed_us: p.elapsed_us,
-    });
-    if let Some(g) = p.graft {
-        tracer.emit(|| TraceEvent::Graft {
-            phase: p.phase,
-            active_x: g.active_x,
-            renewable_y: g.renewable_y,
-            active_edges: g.active_edges,
-            renewable_edges: g.renewable_edges,
-            grafted: g.grafted,
-        });
-    }
 }
 
 /// One run reconstructed (and validated) from a trace.

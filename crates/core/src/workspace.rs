@@ -6,8 +6,8 @@
 //! `root`, `leaf`, `visited`, the frontier vectors — from scratch on every
 //! solve. A resident service (`graft-svc`) pays that cost on every warm
 //! request. The workspace owns those arrays across solves, so a warm
-//! solve performs **zero heap allocations** in the serial algorithms
-//! (locked by `tests/workspace_alloc.rs`).
+//! one-thread solve performs **zero heap allocations** (locked by
+//! `tests/workspace_alloc.rs`).
 //!
 //! ## The epoch trick: reuse without O(n) clears
 //!
@@ -38,20 +38,21 @@
 //!
 //! ## Scope
 //!
-//! The serial algorithms that draw on the workspace (MS-BFS in all three
-//! configurations, Pothen-Fan, push-relabel) run allocation-free on a
-//! warm workspace. Each engine serves a serial and a parallel algorithm
-//! from one arena: the three MS-BFS configurations and MS-BFS-Graft(par)
-//! share `ParBuffers`, PF and PF(par) share `PfBuffers`, and PR and
-//! PR(par) share `PrBuffers`. No arena holds mates: each engine converts
-//! the caller's matching's mate vectors to atomics in place and back. A
-//! solve whose every step runs inline reuses its arena's vectors. On a
-//! pool of two or more threads an engine still reuses its atomic
-//! per-vertex arrays, but its fold/reduce accumulators (frontiers, DFS
-//! stacks, requeued vertices) allocate, and the MS-BFS steps it runs
-//! inline because their work is below the cutoff grow the vectors they
-//! touch, which the solve then drops rather than keeping them in the
-//! arena. Hopcroft-Karp and the single-source baselines ignore the
+//! The algorithms that draw on the workspace (MS-BFS in all three
+//! configurations, Pothen-Fan, push-relabel, and their parallel twins at
+//! one thread, where the dispatcher builds no pool) run allocation-free
+//! on a warm workspace. Each engine serves a serial and a parallel
+//! algorithm from one arena: the three MS-BFS configurations and
+//! MS-BFS-Graft(par) share `ParBuffers`, PF and PF(par) share
+//! `PfBuffers`, and PR and PR(par) share `PrBuffers`. No arena holds
+//! mates: each engine converts the caller's matching's mate vectors to
+//! atomics in place and back. A solve whose every step runs inline
+//! reuses its arena's vectors. On a pool of two or more threads an
+//! engine still reuses its atomic per-vertex arrays, but its fold/reduce
+//! accumulators (frontiers, DFS stacks, requeued vertices) allocate, and
+//! the MS-BFS steps it runs inline because their work is below the
+//! cutoff grow the vectors they touch, which the solve then drops rather
+//! than keeping them in the arena. Hopcroft-Karp and the single-source baselines ignore the
 //! workspace (see [`crate::solve_from_traced_in`]). The augmenting
 //! searches of [`crate::augment`] use `MsBuffers`.
 

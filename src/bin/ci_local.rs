@@ -52,6 +52,33 @@ const GATES: &[Gate] = &[
         args: &["test", "--workspace", "--offline", "-q"],
         env: &[("GRAFT_THREADS", "4")],
     },
+    // CI's bench-smoke job: four experiments at Tiny scale (about 0.4 s),
+    // written under target/ so that `results/` keeps its committed CSVs.
+    Gate {
+        name: "bench-smoke",
+        args: &[
+            "run",
+            "--release",
+            "--offline",
+            "-q",
+            "-p",
+            "graft-bench",
+            "--bin",
+            "experiments",
+            "--",
+            "table2",
+            "fig1",
+            "fig3",
+            "variability",
+            "--scale",
+            "tiny",
+            "--reps",
+            "1",
+            "--out",
+            "target/tmp/bench-smoke",
+        ],
+        env: &[],
+    },
     Gate {
         name: "perfbench",
         args: &[

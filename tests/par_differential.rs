@@ -86,6 +86,14 @@ fn parallel_engines_match_serial_at_every_width() {
                         "{ctx}: cardinality disagrees with serial {}",
                         serial.name()
                     );
+                    // Release builds trust the engines' counted
+                    // cardinality; `validate` above recounts the mates.
+                    let s = &out.stats;
+                    assert_eq!(
+                        s.final_cardinality,
+                        s.initial_cardinality + s.augmenting_paths as usize,
+                        "{ctx}: cardinality is not the initial one plus the paths"
+                    );
                     // König certificate: a vertex cover of equal size.
                     matching::verify::certify_maximum(&g, &out.matching)
                         .unwrap_or_else(|e| panic!("{ctx}: König certificate failed: {e}"));
@@ -162,37 +170,43 @@ fn one_thread_parallel_engines_match_installed_singleton_pool() {
 #[test]
 fn serial_engines_never_use_an_installed_pool() {
     // The serial MS-BFS algorithms, Pothen-Fan and push-relabel run every
-    // step inline on the calling thread, so a 4-thread pool around the
-    // solve changes nothing: the result equals the 1-thread solve mate for
-    // mate and counter for counter. Small scale gives frontiers, root sets
-    // and active sets large enough for the pool to split, so a serial
-    // solve that reached it would show.
+    // step inline on the calling thread, and so do the parallel ones at
+    // `threads: 1`, so a 4-thread pool around the solve changes nothing:
+    // the result equals the serial 1-thread solve mate for mate and counter
+    // for counter. Small scale gives frontiers, root sets and active sets
+    // large enough for the pool to split, so a solve that reached it would
+    // show.
     let seed = base_seed();
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .unwrap();
+    let serial = [
+        Algorithm::MsBfs,
+        Algorithm::MsBfsDirOpt,
+        Algorithm::MsBfsGraft,
+        Algorithm::PothenFan,
+        Algorithm::PushRelabel,
+    ]
+    .map(|alg| (alg, alg, 0));
+    let width_one = ENGINE_PAIRS.map(|(par, twin)| (par, twin, 1));
     for name in GRAPHS {
         let g = gen::suite::by_name(name).unwrap().build(gen::Scale::Small);
-        for alg in [
-            Algorithm::MsBfs,
-            Algorithm::MsBfsDirOpt,
-            Algorithm::MsBfsGraft,
-            Algorithm::PothenFan,
-            Algorithm::PushRelabel,
-        ] {
-            let alone = solve(&g, alg, &opts(1, seed));
-            let pooled = pool.install(|| solve(&g, alg, &opts(0, seed)));
-            let ctx = format!("{} on {name}", alg.name());
+        for (alg, twin, threads) in serial.into_iter().chain(width_one) {
+            let alone = solve(&g, twin, &opts(1, seed));
+            let pooled = pool.install(|| solve(&g, alg, &opts(threads, seed)));
+            let ctx = format!("{} at threads={threads} on {name}", alg.name());
             assert_eq!(
                 mates(&g, &alone.matching),
                 mates(&g, &pooled.matching),
-                "{ctx}: mates differ inside a 4-thread pool"
+                "{ctx}: mates differ from {} alone",
+                twin.name()
             );
             assert_eq!(
                 counters(&alone),
                 counters(&pooled),
-                "{ctx}: counters differ inside a 4-thread pool"
+                "{ctx}: counters differ from {} alone",
+                twin.name()
             );
         }
     }

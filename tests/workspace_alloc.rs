@@ -50,16 +50,21 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, TL_ALLOCS.with(Cell::get) - before)
 }
 
-/// The engines with a fully workspace-resident serial implementation.
-/// (SS-DFS/SS-BFS/HK keep their own local state and the parallel engines
-/// go through the rayon shim's fold/collect machinery, so they are
-/// allocation-*light* but not allocation-free.)
+/// The algorithms whose engine keeps every buffer in the workspace, solved
+/// at `threads: 1`: the serial ones, and the parallel ones, which at one
+/// thread build no pool and run their engine inline. (SS-DFS/SS-BFS/HK
+/// keep their own local state, and on a pool of two or more threads the
+/// parallel engines go through the rayon shim's fold/collect machinery,
+/// so they are allocation-*light* but not allocation-free.)
 const ZERO_ALLOC_ENGINES: &[Algorithm] = &[
     Algorithm::MsBfs,
     Algorithm::MsBfsDirOpt,
     Algorithm::MsBfsGraft,
+    Algorithm::MsBfsGraftParallel,
     Algorithm::PothenFan,
+    Algorithm::PothenFanParallel,
     Algorithm::PushRelabel,
+    Algorithm::PushRelabelParallel,
 ];
 
 #[test]
@@ -68,6 +73,7 @@ fn warm_solves_perform_zero_heap_allocations() {
     let m0 = matching::init::Initializer::KarpSipser.run(&g, 9);
     let opts = SolveOptions {
         initializer: matching::init::Initializer::None,
+        threads: 1,
         ..SolveOptions::default()
     };
     for &alg in ZERO_ALLOC_ENGINES {
@@ -108,6 +114,7 @@ fn warm_workspace_handles_smaller_graph_without_allocating() {
     let small = gen::preferential_attachment(400, 500, 3, 0.5, 3);
     let opts = SolveOptions {
         initializer: matching::init::Initializer::None,
+        threads: 1,
         ..SolveOptions::default()
     };
     for &alg in ZERO_ALLOC_ENGINES {
