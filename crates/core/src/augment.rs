@@ -114,28 +114,37 @@ pub fn augment_from_x<G: XYAdjacency + ?Sized>(
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
     debug_assert!(!m.is_x_matched(x0), "source x must be free");
-    x_side_search(g, m, std::iter::once(x0), budget, ws)
+    x_side_search(g, m, |_, sources| sources.push(x0), budget, ws)
 }
 
 /// BFS wave for an augmenting path from *every* free `X` vertex at once,
 /// applying the first one found. This is the repair used when an inserted
 /// edge joins two already-matched endpoints: any augmenting path the new
 /// edge enables still starts at some free `X` vertex, and the multi-source
-/// wave finds it without guessing which.
+/// wave finds it without guessing which. The sources are read by the
+/// matching's own scan into the workspace frontier: a warm search does
+/// not allocate.
 pub fn augment_from_free_x<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
     budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
-    let sources: Vec<VertexId> = m.unmatched_x().collect();
-    x_side_search(g, m, sources.into_iter(), budget, ws)
+    x_side_search(
+        g,
+        m,
+        |m, sources| sources.extend(m.unmatched_x()),
+        budget,
+        ws,
+    )
 }
 
+/// The BFS of [`augment_from_x`] and [`augment_from_free_x`], from the
+/// free `X` that `sources` appends to the (empty) first frontier.
 fn x_side_search<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
-    sources: impl Iterator<Item = VertexId>,
+    sources: impl FnOnce(&Matching, &mut Vec<VertexId>),
     budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
@@ -145,11 +154,11 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
     let mut next = std::mem::take(&mut ms.next);
     frontier.clear();
     next.clear();
-    for x in sources {
+    sources(m, &mut frontier);
+    for &x in &frontier {
         // `root_x` doubles as the X-side visited mark (epoch-packed, so
         // this costs no clear); the stored value is unused.
         ms.set_root_x(x, x);
-        frontier.push(x);
     }
 
     let mut traversed = 0u64;

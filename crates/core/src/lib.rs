@@ -60,6 +60,26 @@ pub(crate) mod tests_support {
     use graft_graph::{BipartiteCsr, GraphBuilder, VertexId};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The length `n` of each scan of a whole side, the vertex ids
+        /// `0..n`, driven from this thread.
+        static RANGES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Records a scan of the vertex ids `0..n`: an MS-BFS step over a
+    /// whole side, or a [`Matching::unmatched_x`] or `unmatched_y` scan.
+    pub fn count_range(n: usize) {
+        RANGES.with(|r| r.borrow_mut().push(n));
+    }
+
+    /// The result of `f`, and the lengths of the whole-side scans it drove.
+    pub fn ranges_of<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
+        RANGES.with(|r| r.borrow_mut().clear());
+        let out = f();
+        (out, RANGES.with(RefCell::take))
+    }
 
     /// One solve of `alg` from `m` through the dispatcher, with default
     /// options in a fresh workspace.

@@ -125,22 +125,19 @@ impl Matching {
         &self.mate_y
     }
 
-    /// Iterator over unmatched `X` vertices.
+    /// Iterator over unmatched `X` vertices, ascending. It tests 64 mates
+    /// at a time without a branch and skips a block with none free, so a
+    /// near-perfect matching costs about one branch per 64 `X`. It is the
+    /// one free-vertex scan of this crate: the MS-BFS and Pothen-Fan
+    /// engines read the roots of a solve through it, once.
     pub fn unmatched_x(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.mate_x
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m == NONE)
-            .map(|(x, _)| x as VertexId)
+        FreeIds::new(&self.mate_x)
     }
 
-    /// Iterator over unmatched `Y` vertices.
+    /// Iterator over unmatched `Y` vertices, ascending; scans as
+    /// [`Matching::unmatched_x`] does.
     pub fn unmatched_y(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.mate_y
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m == NONE)
-            .map(|(y, _)| y as VertexId)
+        FreeIds::new(&self.mate_y)
     }
 
     /// Iterator over the matched edges `(x, y)`.
@@ -287,6 +284,67 @@ impl Matching {
             return 0.0;
         }
         2.0 * self.cardinality as f64 / g.num_vertices() as f64
+    }
+}
+
+/// The ids `i` with `mates[i] == NONE`, ascending, found a block of
+/// [`FreeIds::BLOCK`] mates at a time: one branch-free test per block
+/// skips a block with no free entry, and a block with one yields its free
+/// entries from a bit mask.
+struct FreeIds<'a> {
+    /// The blocks not yet tested, numbered from the first.
+    blocks: std::iter::Enumerate<std::slice::Chunks<'a, VertexId>>,
+    /// The id of the first entry of the current block.
+    base: usize,
+    /// The current block's free entries not yet yielded: bit `i` is the
+    /// id `base + i`.
+    free: u64,
+}
+
+impl<'a> FreeIds<'a> {
+    const BLOCK: usize = u64::BITS as usize;
+
+    fn new(mates: &'a [VertexId]) -> Self {
+        #[cfg(test)]
+        crate::tests_support::count_range(mates.len());
+        Self {
+            blocks: mates.chunks(Self::BLOCK).enumerate(),
+            base: 0,
+            free: 0,
+        }
+    }
+
+    /// The free entries of `block` (at most [`FreeIds::BLOCK`] long) as a
+    /// bit mask. The none-free and all-free tests have no branch inside,
+    /// so they vectorize; only a block with some of each builds its mask
+    /// an entry at a time.
+    #[inline]
+    fn mask(block: &[VertexId]) -> u64 {
+        if !block.iter().fold(false, |any, &m| any | (m == NONE)) {
+            return 0;
+        }
+        if block.iter().fold(true, |all, &m| all & (m == NONE)) {
+            return u64::MAX >> (Self::BLOCK - block.len());
+        }
+        block
+            .iter()
+            .rev()
+            .fold(0, |mask, &m| (mask << 1) | u64::from(m == NONE))
+    }
+}
+
+impl Iterator for FreeIds<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        while self.free == 0 {
+            let (k, block) = self.blocks.next()?;
+            (self.base, self.free) = (k * Self::BLOCK, Self::mask(block));
+        }
+        let i = self.free.trailing_zeros() as usize;
+        self.free &= self.free - 1;
+        Some((self.base + i) as VertexId)
     }
 }
 

@@ -60,11 +60,13 @@
 //!   re-plants the active rows, whose roots are exactly the free `X`, as
 //!   a table of one-vertex trees.
 //!
-//! The first plant of a solve reads the free `X` from the input
-//! matching's plain mates and sizes the table. After it, only three
-//! steps scan all of `X` or `Y`: a graft's filter of the renewable `Y`,
-//! a bottom-up level's refill of its unvisited-`Y` cache, and the epoch
-//! wrap.
+//! The first plant of a solve reads the free `X` through
+//! [`Matching::unmatched_x`], which skips a block of matched mates with
+//! one test, inline at every width; the same read sizes the table. A warm
+//! solve from a maximum matching reads no more than that. After it, only
+//! three steps scan all of `X` or `Y`: a graft's filter of the renewable
+//! `Y`, a bottom-up level's refill of its unvisited-`Y` cache, and the
+//! epoch wrap.
 //!
 //! ## Pointer roles (§III-B)
 //!
@@ -331,19 +333,6 @@ fn scan_inline(inline: bool, n: usize) -> bool {
     inline
 }
 
-/// Replaces `out` with the free `X` of the mates `mx`, ascending: the
-/// roots of a solve's first forest, read before `mx` becomes atomics.
-fn free_x(mx: &[VertexId], inline: bool, out: &mut Vec<VertexId>) {
-    let free = |x: &VertexId| mx[*x as usize] == NONE;
-    let ids = 0..mx.len() as VertexId;
-    if scan_inline(inline, mx.len()) {
-        out.clear();
-        out.extend(ids.filter(free));
-    } else {
-        *out = ids.into_par_iter().filter(free).collect();
-    }
-}
-
 impl Shared<'_> {
     #[inline]
     fn is_visited(&self, y: VertexId) -> bool {
@@ -542,7 +531,7 @@ impl Shared<'_> {
     /// Replaces `out` with the ids in `0..n` that satisfy `f`, ascending.
     fn filter_ids(&self, n: usize, out: &mut Vec<VertexId>, f: impl Fn(VertexId) -> bool + Sync) {
         #[cfg(test)]
-        tests::count_range(n);
+        crate::tests_support::count_range(n);
         if scan_inline(self.inline, n) {
             out.clear();
             out.extend((0..n as VertexId).filter(|&v| f(v)));
@@ -693,11 +682,13 @@ pub(crate) fn ms_bfs(
     let mut renewable = std::mem::take(&mut b.renewable);
     let mut augmented = std::mem::take(&mut b.augmented);
     // The first forest: every unmatched X roots its own tree. The free X
-    // are read once from the input's plain mates, which then become the
-    // engine's atomics in place, and back after the solve: no copy and no
-    // allocation. The same read sizes the tree table.
+    // are read once, inline at every width, by the matching's own scan;
+    // its mates then become the engine's atomics in place, and back after
+    // the solve: no copy and no allocation. The same read sizes the tree
+    // table.
+    frontier.clear();
+    frontier.extend(m.unmatched_x());
     let (mx, my) = m.into_mates();
-    free_x(&mx, inline, &mut frontier);
     if b.trees.len() < frontier.len() {
         b.trees.resize_with(frontier.len(), Tree::default);
     }
@@ -873,10 +864,11 @@ pub(crate) fn ms_bfs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_support::ranges_of;
     use crate::trace::{RunSummary, Tracer};
     use crate::verify::is_maximum;
     use crate::{solve_from_in, Algorithm, RunOutcome, SolveOptions};
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
 
     /// Step kinds counted by [`count_step`]: a BFS level or graft, and any
     /// other step.
@@ -886,9 +878,6 @@ mod tests {
     thread_local! {
         /// Steps driven from this thread, as `[kind][pool, inline]`.
         static STEPS: Cell<[[u32; 2]; 2]> = const { Cell::new([[0; 2]; 2]) };
-        /// The length `n` of each step over the vertex ids `0..n` driven
-        /// from this thread.
-        static RANGES: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Records where a step of `kind` ran.
@@ -898,19 +887,6 @@ mod tests {
             steps[kind][usize::from(inline)] += 1;
             s.set(steps);
         });
-    }
-
-    /// Records a step over the vertex ids `0..n`.
-    pub(super) fn count_range(n: usize) {
-        RANGES.with(|r| r.borrow_mut().push(n));
-    }
-
-    /// The result of `f`, and the lengths of the vertex-id ranges that the
-    /// steps it drove scanned.
-    fn ranges_of<T>(f: impl FnOnce() -> T) -> (T, Vec<usize>) {
-        RANGES.with(|r| r.borrow_mut().clear());
-        let out = f();
-        (out, RANGES.with(RefCell::take))
     }
 
     /// One solve of `alg` configured by `opts` through the dispatcher, in
@@ -1108,20 +1084,25 @@ mod tests {
         assert_eq!(t[1].augmentations, 0); // certification phase
     }
 
-    /// The `(frontier, frontier_edges, unvisited_edges, bottom_up)` of
-    /// every level and the replayed run of a traced MS-BFS-Graft solve.
-    fn levels_of(g: &BipartiteCsr, m0: Matching) -> (Vec<(u64, u64, u64, bool)>, RunSummary) {
+    /// A level's `(frontier, frontier_edges, unvisited_edges, bottom_up)`.
+    type Level = (u64, u64, u64, bool);
+
+    /// The levels of a traced MS-BFS-Graft solve, its replayed run, and the
+    /// lengths of the whole-side scans the solve drove.
+    fn levels_of(g: &BipartiteCsr, m0: Matching) -> (Vec<Level>, RunSummary, Vec<usize>) {
         use crate::solve_from_traced_in;
         use crate::trace::{replay, MemorySink};
         let sink = std::sync::Arc::new(MemorySink::new());
-        let out = solve_from_traced_in(
-            g,
-            m0,
-            Algorithm::MsBfsGraft,
-            &SolveOptions::default(),
-            &Tracer::to_sink(sink.clone()),
-            &mut SolveWorkspace::new(),
-        );
+        let (out, ranges) = ranges_of(|| {
+            solve_from_traced_in(
+                g,
+                m0,
+                Algorithm::MsBfsGraft,
+                &SolveOptions::default(),
+                &Tracer::to_sink(sink.clone()),
+                &mut SolveWorkspace::new(),
+            )
+        });
         crate::verify::certify_maximum(g, &out.matching).unwrap();
         let events = sink.take();
         let levels = events
@@ -1137,7 +1118,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        (levels, replay(&events).unwrap().remove(0))
+        (levels, replay(&events).unwrap().remove(0), ranges)
     }
 
     #[test]
@@ -1152,7 +1133,7 @@ mod tests {
         for i in 2..n {
             m0.match_pair(i, i);
         }
-        let (levels, _) = levels_of(&g, m0);
+        let (levels, ..) = levels_of(&g, m0);
         assert_eq!(levels[0], (2, 4, 20, false));
     }
 
@@ -1166,7 +1147,7 @@ mod tests {
         let g = BipartiteCsr::from_edges(2, 9, &edges);
         let mut m0 = Matching::for_graph(&g);
         m0.match_pair(1, 0);
-        let (levels, _) = levels_of(&g, m0);
+        let (levels, ..) = levels_of(&g, m0);
         assert_eq!(levels[..2], [(1, 1, 10, false), (1, 9, 8, true)]);
     }
 
@@ -1197,7 +1178,7 @@ mod tests {
         // though 6 active X against 1 renewable Y would graft by vertices.
         for (extra, renewable_edges, grafted) in [(0, 2, true), (10, 12, false)] {
             let (g, m0) = graft_graph(extra);
-            let (levels, run) = levels_of(&g, m0);
+            let (levels, run, _) = levels_of(&g, m0);
             let want = GraftSummary {
                 active_x: 6,
                 renewable_y: 1,
@@ -1220,23 +1201,23 @@ mod tests {
         // From the seed-1 Karp-Sipser start, road_usa:tiny rebuilds its
         // forest at least three times and neither grafts nor runs a
         // bottom-up level. Plant, Augment, Statistics and the rebuild
-        // then loop over the trees, and the first plant reads the input
-        // mates without a vertex-id step.
+        // then loop over the trees: the solve reads all of X once, for
+        // the first plant's roots, and scans no other vertex range.
         let g = graft_gen::suite::by_name("road_usa")
             .unwrap()
             .build(graft_gen::Scale::Tiny);
         let m0 = crate::init::Initializer::KarpSipser.run(&g, 1);
-        let ((levels, run), ranges) = ranges_of(|| levels_of(&g, m0));
+        let (levels, run, ranges) = levels_of(&g, m0);
         let (grafts, rebuilds) = run.graft_counts();
         assert_eq!(grafts, 0);
         assert!(rebuilds >= 3, "{rebuilds} rebuilds");
         assert!(levels.iter().all(|l| !l.3), "a level ran bottom-up");
         let (nx, ny) = (g.num_x(), g.num_y());
-        assert_eq!(ranges, [], "steps over 0..n, nx = {nx}, ny = {ny}");
+        assert_eq!(ranges, [nx], "scans of 0..n, nx = {nx}, ny = {ny}");
     }
 
     #[test]
-    fn a_warm_solve_from_a_perfect_matching_scans_no_vertex_range() {
+    fn a_warm_solve_from_a_perfect_matching_reads_x_once() {
         let g = chain(1000);
         let perfect = serial(&g, Matching::for_graph(&g), &MsBfsOptions::graft()).matching;
         assert_eq!(perfect.cardinality(), 1000);
@@ -1245,7 +1226,7 @@ mod tests {
         solve_from_in(&g, perfect.clone(), alg, &opts, &mut ws);
         let (out, ranges) = ranges_of(|| solve_from_in(&g, perfect, alg, &opts, &mut ws));
         assert_eq!((out.stats.phases, out.stats.augmenting_paths), (1, 0));
-        assert_eq!(ranges, []);
+        assert_eq!(ranges, [g.num_x()]);
     }
 
     #[test]
@@ -1282,10 +1263,12 @@ mod tests {
         // reads those rows (debug builds recount them). Beside them, a
         // chain of `len >= cutoff` pairs matched off by one: its free X
         // walks one small level at a time to the free Y at the far end.
-        // The first plant's read of all X exceeds the cutoff; the steps
-        // over the 257 trees do not.
+        // Augment's filter and Statistics read the rows of all `hubs + 1`
+        // trees, above the cutoff; the sums over the `hubs / 2 + 1` trees
+        // that augment, and the rebuild's plant of the odd hubs, run
+        // below it.
         let c = INLINE_WORK.clamp(1024, 1 << 17) as VertexId;
-        let (hubs, len) = (256, c);
+        let (hubs, len) = (c, c);
         let deg = (2 * c).div_ceil(hubs);
         let (x0, y0) = (hubs, hubs * deg);
         let private = x0 + len;

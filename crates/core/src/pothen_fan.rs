@@ -1,9 +1,13 @@
 //! The Pothen-Fan engine (PF and PF(par)): multi-source DFS with lookahead
 //! and fairness, serial and multithreaded.
 //!
-//! Each phase runs a DFS from every unmatched `X` vertex. Per-phase
-//! `visited` stamps on `Y` keep the DFS trees vertex-disjoint, so a phase
-//! augments along a maximal set of vertex-disjoint augmenting paths.
+//! Each phase runs a DFS from every unmatched `X` vertex. The roots are
+//! read once per solve, through [`Matching::unmatched_x`], and each later
+//! phase keeps those still free: an augmentation only ever matches a free
+//! `X`, so the roots and their order are those a fresh scan would give.
+//! Per-phase `visited` stamps on `Y` keep the DFS trees vertex-disjoint,
+//! so a phase augments along a maximal set of vertex-disjoint augmenting
+//! paths.
 //! *Lookahead*: before descending, `x` scans for a free `Y` with a
 //! monotone per-vertex cursor (O(m) work over the run), and stamps the
 //! one it finds visited so that no later search of the phase enters the
@@ -176,6 +180,9 @@ pub(crate) fn pothen_fan(
     let epoch = b.begin_solve(nx, ny);
     let mut roots = std::mem::take(&mut b.roots);
     let mut stack = std::mem::take(&mut b.stack);
+    // The first phase's roots: every free X, read once by the matching's
+    // scan before its mates become the engine's atomics.
+    roots.extend(m.unmatched_x());
     let (mx, my) = m.into_mates();
     let mate_x: Vec<AtomicU32> = mx.into_iter().map(AtomicU32::new).collect();
     let mate_y: Vec<AtomicU32> = my.into_iter().map(AtomicU32::new).collect();
@@ -189,10 +196,6 @@ pub(crate) fn pothen_fan(
     };
 
     for phase in 1.. {
-        roots.clear();
-        roots.extend(
-            (0..nx as VertexId).filter(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE),
-        );
         if roots.is_empty() || run.poll() {
             break;
         }
@@ -224,6 +227,9 @@ pub(crate) fn pothen_fan(
         if p.augmentations == 0 {
             break;
         }
+        // An augmentation matches its root and rematches matched X, so
+        // the next phase's roots are this one's still free, in order.
+        roots.retain(|&x| sh.mate_x[x as usize].load(Ordering::Relaxed) == NONE);
     }
     (b.roots, b.stack) = (roots, stack);
 
@@ -286,6 +292,7 @@ pub mod check_api {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests_support::ranges_of;
     use crate::verify::is_maximum;
     use crate::{solve_from_in, Algorithm, RunOutcome, SolveOptions};
 
@@ -401,6 +408,24 @@ mod tests {
         let out = run_pf(&g, Matching::for_graph(&g));
         assert!(out.stats.phases >= 1);
         assert_eq!(out.stats.augmenting_paths, 2);
+    }
+
+    #[test]
+    fn a_multi_phase_solve_reads_x_once() {
+        // From the seed-1 Karp-Sipser start, road_usa:tiny takes PF
+        // several phases. The first reads the free X; each later one
+        // keeps the roots still free, which scans no vertex range.
+        let g = graft_gen::suite::by_name("road_usa")
+            .unwrap()
+            .build(graft_gen::Scale::Tiny);
+        let m0 = crate::init::Initializer::KarpSipser.run(&g, 1);
+        for alg in [Algorithm::PothenFan, Algorithm::PothenFanParallel] {
+            let (out, ranges) = ranges_of(|| solve(&g, m0.clone(), alg, 1));
+            let name = alg.name();
+            assert!(out.stats.phases >= 3, "{name}: {} phases", out.stats.phases);
+            assert_eq!(ranges, [g.num_x()], "{name}: scans of 0..n");
+            assert!(is_maximum(&g, &out.matching), "{name}");
+        }
     }
 
     #[test]

@@ -90,6 +90,28 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
+    // The benchmark's workloads end to end, 2 s each: perfbench exits
+    // non-zero when a reply misses the Hopcroft-Karp cardinality or an
+    // operation fails.
+    Gate {
+        name: "perfbench (workloads)",
+        args: &[
+            "run",
+            "--release",
+            "--offline",
+            "-q",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+            "--",
+            "--workload",
+            "all",
+            "--seed",
+            "1",
+            "--seconds",
+            "2",
+        ],
+        env: &[],
+    },
     // The scaling job checks the Small and Medium rows of the golden
     // work table and runs the Medium stress tests, which are too slow for
     // the debug test run.

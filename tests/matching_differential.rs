@@ -60,6 +60,56 @@ fn arb_ops(n: u32, len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// Sizes at and around multiples of the 64-entry block that the unmatched
+/// iterators test at once, the small size of the model test, and sizes of
+/// several blocks with a partial last one.
+fn arb_size() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        Just(0u32),
+        Just(1),
+        Just(10),
+        Just(63),
+        Just(64),
+        Just(65),
+        Just(127),
+        Just(128),
+        Just(129),
+        280u32..320,
+    ]
+}
+
+/// The `x` of the pairs `(x, x)` to match in `0..n`: each with one drawn
+/// probability, often 0 or 1; or all but one id next to a block boundary;
+/// or that id alone.
+fn arb_fill(n: u32) -> impl Strategy<Value = Vec<u32>> {
+    let percent = prop_oneof![Just(0u64), Just(100), 0u64..=100];
+    let by_percent = (percent, 0u64..u64::MAX).prop_map(move |(percent, seed)| {
+        (0..n)
+            .filter(|&x| splitmix(seed ^ u64::from(x)) % 100 < percent)
+            .collect()
+    });
+    let edges: Vec<u32> = [0, 1, 62, 63, 64, 65, 126, 127, 128, 129]
+        .into_iter()
+        .chain([n.wrapping_sub(2), n.wrapping_sub(1)])
+        .filter(|&v| v < n)
+        .collect();
+    let one = (0..edges.len().max(1), 0u8..2).prop_map(move |(i, alone)| {
+        let Some(&v) = edges.get(i) else {
+            return Vec::new();
+        };
+        (0..n).filter(|&x| (x == v) == (alone == 1)).collect()
+    });
+    prop_oneof![by_percent, one]
+}
+
+/// The splitmix64 finalizer: a well-mixed hash of `z`.
+fn splitmix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 fn agree(m: &Matching, model: &Model, n: u32) -> Result<(), TestCaseError> {
     prop_assert_eq!(m.cardinality(), model.xy.len());
     for x in 0..n {
@@ -109,13 +159,25 @@ proptest! {
         let rebuilt = Matching::from_mates(m.mates_x().to_vec(), m.mates_y().to_vec());
         prop_assert_eq!(rebuilt, m);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
-    fn unmatched_iterators_complement_edges(ops in arb_ops(10, 40)) {
-        let n = 10u32;
+    fn unmatched_iterators_complement_edges(
+        (n, fill, ops) in arb_size().prop_flat_map(|n| (Just(n), arb_fill(n), arb_ops(n.max(1), 40)))
+    ) {
         let mut m = Matching::empty(n as usize, n as usize);
+        // A fraction of the pairs (x, x) first, from none to all, so that
+        // a run of blocks holds no free vertex, every vertex, or some.
+        for x in fill {
+            m.match_pair(x, x);
+        }
         for op in ops {
             match op {
+                Op::MatchPair(x, y) | Op::Rematch(x, y) if x >= n || y >= n => {}
+                Op::UnmatchX(x) if x >= n => {}
                 Op::MatchPair(x, y) if !m.is_x_matched(x) && !m.is_y_matched(y) => {
                     m.match_pair(x, y)
                 }
@@ -126,14 +188,18 @@ proptest! {
                 _ => {}
             }
         }
-        let matched_x: Vec<u32> = m.edges().map(|(x, _)| x).collect();
+        // Both iterators give exactly the per-index filter, ascending.
+        let free = |mates: &[u32]| -> Vec<u32> { (0..n).filter(|&v| mates[v as usize] == NONE).collect() };
         let unmatched_x: Vec<u32> = m.unmatched_x().collect();
+        let unmatched_y: Vec<u32> = m.unmatched_y().collect();
+        prop_assert_eq!(&unmatched_x, &free(m.mates_x()), "n = {}", n);
+        prop_assert_eq!(&unmatched_y, &free(m.mates_y()), "n = {}", n);
+        let matched_x: Vec<u32> = m.edges().map(|(x, _)| x).collect();
         prop_assert_eq!(matched_x.len() + unmatched_x.len(), n as usize);
         for x in unmatched_x {
             prop_assert!(!matched_x.contains(&x));
         }
         let matched_y: Vec<u32> = m.edges().map(|(_, y)| y).collect();
-        let unmatched_y: Vec<u32> = m.unmatched_y().collect();
         prop_assert_eq!(matched_y.len() + unmatched_y.len(), n as usize);
     }
 }

@@ -7,6 +7,7 @@
 //! solver's allocations are attributed exactly and other test threads
 //! cannot interfere.
 
+use ms_bfs_graft::matching::augment_from_free_x;
 use ms_bfs_graft::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -129,5 +130,46 @@ fn warm_workspace_handles_smaller_graph_without_allocating() {
             "{}: smaller graph on warm workspace allocated {allocs} times",
             alg.name()
         );
+    }
+}
+
+/// `augment_from_free_x`, the repair search of `DynamicMatching` when an
+/// inserted edge joins two matched endpoints, reads its sources, every
+/// free `X`, into the workspace frontier: a warm search performs zero
+/// heap allocations, whether it augments or proves no path exists.
+#[test]
+fn warm_free_x_search_performs_zero_heap_allocations() {
+    let g = gen::preferential_attachment(2000, 2000, 4, 0.6, 21);
+    let opts = SolveOptions {
+        threads: 1,
+        ..SolveOptions::default()
+    };
+    let maximum = solve_from_in(
+        &g,
+        Matching::for_graph(&g),
+        Algorithm::MsBfsGraft,
+        &opts,
+        &mut SolveWorkspace::new(),
+    )
+    .matching;
+    let mut ws = SolveWorkspace::new();
+    for (name, m0, augments) in [
+        ("empty", Matching::for_graph(&g), true),
+        ("maximum", maximum, false),
+    ] {
+        assert!(
+            m0.unmatched_x().next().is_some(),
+            "{name}: no free X to search from"
+        );
+        // Round 1 grows the workspace; round 2, from the same matching
+        // cloned outside the counted region, must not allocate.
+        augment_from_free_x(&g, &mut m0.clone(), u64::MAX, &mut ws);
+        let mut m = m0.clone();
+        let (out, allocs) = allocs_during(|| augment_from_free_x(&g, &mut m, u64::MAX, &mut ws));
+        assert_eq!(
+            allocs, 0,
+            "{name}: warm free-X search allocated {allocs} times"
+        );
+        assert_eq!(out.augmented(), augments, "{name}: {out:?}");
     }
 }
