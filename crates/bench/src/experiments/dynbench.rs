@@ -4,8 +4,8 @@
 //! of fresh ones, ~1% of the edge count) against a pinned suite graph
 //! two ways:
 //!
-//! * **incremental** — one [`DynamicMatching`] absorbs each update via
-//!   bounded augmenting search (tombstone compaction included);
+//! * **incremental** — one [`DynamicMatching`] absorbs each update with
+//!   one augmenting search (tombstone compaction included);
 //! * **full re-solve** — the baseline without the subsystem: rebuild the
 //!   CSR from the updated edge list and solve MS-BFS-Graft from scratch
 //!   after every update (CSR build + initializer count toward its time —

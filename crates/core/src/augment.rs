@@ -2,22 +2,28 @@
 //!
 //! The solvers in this crate run to a fixed point on a static
 //! [`BipartiteCsr`]. A *dynamic* matching (the `graft-dyn` crate) instead
-//! repairs one edge update at a time, which needs exactly one bounded
-//! augmenting BFS per update — from a newly exposed vertex, or as a wave
-//! from every free `X` vertex. Those searches live here, inside
-//! graft-core, because they borrow the [`SolveWorkspace`] internals (the
-//! epoch-versioned visited marks and frontier vectors) that make the hot
-//! path allocation-free: `begin_solve` bumps the epoch instead of
-//! clearing, so a search on a warm workspace touches only the vertices it
-//! actually reaches.
+//! repairs one edge update at a time, which needs exactly one augmenting
+//! BFS per update — from a newly exposed vertex, or as a wave from every
+//! free `X` vertex. A search has no traversal budget: each vertex enters
+//! its frontier at most once, so it reads each edge of the view at most
+//! once, and it ends with a flipped path or a proof that none exists.
+//!
+//! Those searches live here, inside graft-core, because they run on the
+//! MS-BFS engine's arena of the [`SolveWorkspace`], the paper's
+//! `visited`, `parent` and `root` pointers (§III-B) with its frontier
+//! vectors. Opening a search advances the arena's epoch instead of
+//! clearing it, so a search on a warm workspace touches only the vertices
+//! it reaches and allocates nothing. A found path is flipped in place
+//! along its parent pointers, as Hopcroft-Karp's DFS flips its stack.
 //!
 //! The graph is abstracted behind [`XYAdjacency`] so the same search runs
 //! on a plain CSR *and* on graft-dyn's delta overlay (base CSR minus
 //! tombstones plus insert buffers) without materializing anything.
 
-use crate::workspace::SolveWorkspace;
+use crate::workspace::{pack, unpack, MsBuffers, SolveWorkspace};
 use crate::Matching;
 use graft_graph::{BipartiteCsr, VertexId, NONE};
+use std::sync::atomic::AtomicU32;
 
 /// An adjacency view of a bipartite graph, traversable from both sides
 /// with early exit.
@@ -55,7 +61,7 @@ impl XYAdjacency for BipartiteCsr {
     }
 }
 
-/// The result of one bounded augmenting-path search.
+/// The result of one augmenting-path search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AugmentOutcome {
     /// An augmenting path was found and applied: the matching grew by one.
@@ -72,13 +78,6 @@ pub enum AugmentOutcome {
         /// Edges traversed by the search.
         edges_traversed: u64,
     },
-    /// The traversal budget ran out before the search completed. The
-    /// matching is unchanged; the caller must fall back to an exact
-    /// re-solve to restore the maximum invariant.
-    BudgetExceeded {
-        /// Edges traversed before giving up (> the budget).
-        edges_traversed: u64,
-    },
 }
 
 impl AugmentOutcome {
@@ -93,28 +92,37 @@ impl AugmentOutcome {
             AugmentOutcome::Augmented {
                 edges_traversed, ..
             }
-            | AugmentOutcome::Exhausted { edges_traversed }
-            | AugmentOutcome::BudgetExceeded { edges_traversed } => edges_traversed,
+            | AugmentOutcome::Exhausted { edges_traversed } => edges_traversed,
         }
     }
 }
 
+/// Stamps `mark` with `epoch`; whether it was not stamped yet. A mark
+/// already stamped is not written again.
+fn stamp(mark: &mut AtomicU32, epoch: u32) -> bool {
+    let mark = mark.get_mut();
+    if *mark == epoch {
+        return false;
+    }
+    *mark = epoch;
+    true
+}
+
 /// BFS for an augmenting path from the single free `X` vertex `x0`,
-/// applying it to `m` if found. Traverses at most `budget` edges
-/// (pass `u64::MAX` for an exhaustive search).
+/// applying it to `m` if found.
 ///
 /// Alternating structure: edges `x → y` are traversed unmatched and
 /// `y → x` only through the matched edge, so any path found starts
 /// unmatched at `x0` and ends at a free `y` — exactly an augmenting path.
+/// The BFS finds a shortest one.
 pub fn augment_from_x<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
     x0: VertexId,
-    budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
     debug_assert!(!m.is_x_matched(x0), "source x must be free");
-    x_side_search(g, m, |_, sources| sources.push(x0), budget, ws)
+    x_side_search(g, m, |_, sources| sources.push(x0), ws)
 }
 
 /// BFS wave for an augmenting path from *every* free `X` vertex at once,
@@ -127,16 +135,9 @@ pub fn augment_from_x<G: XYAdjacency + ?Sized>(
 pub fn augment_from_free_x<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
-    budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
-    x_side_search(
-        g,
-        m,
-        |m, sources| sources.extend(m.unmatched_x()),
-        budget,
-        ws,
-    )
+    x_side_search(g, m, |m, sources| sources.extend(m.unmatched_x()), ws)
 }
 
 /// The BFS of [`augment_from_x`] and [`augment_from_free_x`], from the
@@ -145,93 +146,63 @@ fn x_side_search<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
     sources: impl FnOnce(&Matching, &mut Vec<VertexId>),
-    budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
-    let ms = &mut ws.ms;
-    ms.begin_solve(g.nx(), g.ny());
-    let mut frontier = std::mem::take(&mut ms.frontier);
-    let mut next = std::mem::take(&mut ms.next);
+    let epoch = ws.ms.begin_solve(g.nx(), g.ny(), true);
+    let MsBuffers {
+        visited,
+        parent_y,
+        root_x,
+        frontier,
+        next,
+        ..
+    } = &mut ws.ms;
     frontier.clear();
-    next.clear();
-    sources(m, &mut frontier);
-    for &x in &frontier {
+    sources(m, frontier);
+    for &x in frontier.iter() {
         // `root_x` doubles as the X-side visited mark (epoch-packed, so
         // this costs no clear); the stored value is unused.
-        ms.set_root_x(x, x);
+        *root_x[x as usize].get_mut() = pack(epoch, x);
     }
 
-    let mut traversed = 0u64;
-    let mut over_budget = false;
-    let mut found: Option<VertexId> = None;
-    while !frontier.is_empty() && found.is_none() && !over_budget {
-        for &x in &frontier {
-            g.for_each_x_neighbor(x, &mut |y| {
+    let (mut traversed, mut found) = (0u64, NONE);
+    while !frontier.is_empty() && found == NONE {
+        next.clear();
+        for &x in frontier.iter() {
+            let stopped = g.for_each_x_neighbor(x, &mut |y| {
                 traversed += 1;
-                if traversed > budget {
-                    over_budget = true;
-                    return true;
-                }
-                if ms.is_visited(y) {
+                if !stamp(&mut visited[y as usize], epoch) {
                     return false;
                 }
-                ms.set_visited(y);
-                ms.parent_y[y as usize] = x;
+                *parent_y[y as usize].get_mut() = x;
                 let xm = m.mate_of_y(y);
                 if xm == NONE {
-                    found = Some(y);
+                    found = y;
                     return true;
                 }
-                if ms.root_of_x(xm) == NONE {
-                    ms.set_root_x(xm, x);
+                let root = root_x[xm as usize].get_mut();
+                if unpack(epoch, *root) == NONE {
+                    *root = pack(epoch, x);
                     next.push(xm);
                 }
                 false
             });
-            if found.is_some() || over_budget {
+            if stopped {
                 break;
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
+        std::mem::swap(frontier, next);
     }
 
-    let outcome = match found {
-        _ if over_budget => AugmentOutcome::BudgetExceeded {
+    if found == NONE {
+        return AugmentOutcome::Exhausted {
             edges_traversed: traversed,
-        },
-        None => AugmentOutcome::Exhausted {
-            edges_traversed: traversed,
-        },
-        Some(y_end) => {
-            // Walk parents back to a (free) source, building the reversed
-            // interleaved path, then flip it into augment's order.
-            let mut path = std::mem::take(&mut ms.path);
-            path.clear();
-            path.push(y_end);
-            let mut x = ms.parent_y[y_end as usize];
-            loop {
-                path.push(x);
-                let ym = m.mate_of_x(x);
-                if ym == NONE {
-                    break;
-                }
-                path.push(ym);
-                x = ms.parent_y[ym as usize];
-            }
-            path.reverse();
-            m.augment(&path);
-            let path_len = path.len();
-            ms.path = path;
-            AugmentOutcome::Augmented {
-                path_len,
-                edges_traversed: traversed,
-            }
-        }
-    };
-    ms.frontier = frontier;
-    ms.next = next;
-    outcome
+        };
+    }
+    AugmentOutcome::Augmented {
+        path_len: m.flip_path_to_y(found, |y| *parent_y[y as usize].get_mut()),
+        edges_traversed: traversed,
+    }
 }
 
 /// BFS for an augmenting path from the single free `Y` vertex `y0`,
@@ -242,90 +213,60 @@ pub fn augment_from_y<G: XYAdjacency + ?Sized>(
     g: &G,
     m: &mut Matching,
     y0: VertexId,
-    budget: u64,
     ws: &mut SolveWorkspace,
 ) -> AugmentOutcome {
     debug_assert!(!m.is_y_matched(y0), "source y must be free");
-    let ms = &mut ws.ms;
-    ms.begin_solve(g.nx(), g.ny());
-    let mut frontier = std::mem::take(&mut ms.frontier);
-    let mut next = std::mem::take(&mut ms.next);
+    let epoch = ws.ms.begin_solve(g.nx(), g.ny(), true);
+    let MsBuffers {
+        visited,
+        root_x,
+        frontier,
+        next,
+        ..
+    } = &mut ws.ms;
     frontier.clear();
-    next.clear();
-    ms.set_visited(y0);
+    *visited[y0 as usize].get_mut() = epoch;
     frontier.push(y0);
 
-    let mut traversed = 0u64;
-    let mut over_budget = false;
-    let mut found: Option<VertexId> = None;
-    while !frontier.is_empty() && found.is_none() && !over_budget {
-        for &y in &frontier {
-            g.for_each_y_neighbor(y, &mut |x| {
+    let (mut traversed, mut found) = (0u64, NONE);
+    while !frontier.is_empty() && found == NONE {
+        next.clear();
+        for &y in frontier.iter() {
+            let stopped = g.for_each_y_neighbor(y, &mut |x| {
                 traversed += 1;
-                if traversed > budget {
-                    over_budget = true;
-                    return true;
-                }
                 // `root_x` stores the Y vertex that discovered `x`: the
                 // visited mark and the parent pointer in one packed slot.
-                if ms.root_of_x(x) != NONE {
+                let root = root_x[x as usize].get_mut();
+                if unpack(epoch, *root) != NONE {
                     return false;
                 }
-                ms.set_root_x(x, y);
+                *root = pack(epoch, y);
                 let ym = m.mate_of_x(x);
                 if ym == NONE {
-                    found = Some(x);
+                    found = x;
                     return true;
                 }
-                if !ms.is_visited(ym) {
-                    ms.set_visited(ym);
+                if stamp(&mut visited[ym as usize], epoch) {
                     next.push(ym);
                 }
                 false
             });
-            if found.is_some() || over_budget {
+            if stopped {
                 break;
             }
         }
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear();
+        std::mem::swap(frontier, next);
     }
 
-    let outcome = match found {
-        _ if over_budget => AugmentOutcome::BudgetExceeded {
+    if found == NONE {
+        return AugmentOutcome::Exhausted {
             edges_traversed: traversed,
-        },
-        None => AugmentOutcome::Exhausted {
-            edges_traversed: traversed,
-        },
-        Some(x_end) => {
-            // The parent walk already yields augment's order: the free
-            // `x` first, alternating back to the free `y0`.
-            let mut path = std::mem::take(&mut ms.path);
-            path.clear();
-            path.push(x_end);
-            let mut y = ms.root_of_x(x_end);
-            loop {
-                path.push(y);
-                let xm = m.mate_of_y(y);
-                if xm == NONE {
-                    break;
-                }
-                path.push(xm);
-                y = ms.root_of_x(xm);
-            }
-            m.augment(&path);
-            let path_len = path.len();
-            ms.path = path;
-            AugmentOutcome::Augmented {
-                path_len,
-                edges_traversed: traversed,
-            }
-        }
-    };
-    ms.frontier = frontier;
-    ms.next = next;
-    outcome
+        };
+    }
+    AugmentOutcome::Augmented {
+        path_len: m.flip_path_to_x(found, |x| unpack(epoch, *root_x[x as usize].get_mut())),
+        edges_traversed: traversed,
+    }
 }
 
 #[cfg(test)]
@@ -342,7 +283,7 @@ mod tests {
         let g = BipartiteCsr::from_edges(1, 1, &[(0, 0)]);
         let mut m = Matching::empty(1, 1);
         let mut ws = SolveWorkspace::new();
-        let out = augment_from_x(&g, &mut m, 0, u64::MAX, &mut ws);
+        let out = augment_from_x(&g, &mut m, 0, &mut ws);
         assert!(matches!(out, AugmentOutcome::Augmented { path_len: 2, .. }));
         assert_eq!(m.mate_of_x(0), 0);
     }
@@ -355,7 +296,7 @@ mod tests {
         m.match_pair(2, 1);
         let mut ws = SolveWorkspace::new();
         // Only augmenting path from x0: x0-y0-x1-y1-x2-y2.
-        let out = augment_from_x(&g, &mut m, 0, u64::MAX, &mut ws);
+        let out = augment_from_x(&g, &mut m, 0, &mut ws);
         assert!(matches!(out, AugmentOutcome::Augmented { path_len: 6, .. }));
         assert_eq!(m.cardinality(), 3);
         m.validate(&g).unwrap();
@@ -368,7 +309,7 @@ mod tests {
         m.match_pair(1, 0);
         m.match_pair(2, 1);
         let mut ws = SolveWorkspace::new();
-        let out = augment_from_y(&g, &mut m, 2, u64::MAX, &mut ws);
+        let out = augment_from_y(&g, &mut m, 2, &mut ws);
         assert!(matches!(out, AugmentOutcome::Augmented { path_len: 6, .. }));
         assert_eq!(m.cardinality(), 3);
         m.validate(&g).unwrap();
@@ -381,22 +322,9 @@ mod tests {
         let mut m = Matching::empty(2, 1);
         m.match_pair(0, 0);
         let mut ws = SolveWorkspace::new();
-        let out = augment_from_x(&g, &mut m, 1, u64::MAX, &mut ws);
+        let out = augment_from_x(&g, &mut m, 1, &mut ws);
         assert!(matches!(out, AugmentOutcome::Exhausted { .. }));
         assert_eq!(m.cardinality(), 1);
-    }
-
-    #[test]
-    fn budget_exhaustion_leaves_matching_unchanged() {
-        let g = path_graph();
-        let mut m = Matching::empty(3, 3);
-        m.match_pair(1, 0);
-        m.match_pair(2, 1);
-        let before = m.clone();
-        let mut ws = SolveWorkspace::new();
-        let out = augment_from_x(&g, &mut m, 0, 1, &mut ws);
-        assert!(matches!(out, AugmentOutcome::BudgetExceeded { .. }));
-        assert_eq!(m, before);
     }
 
     #[test]
@@ -409,7 +337,7 @@ mod tests {
         m.match_pair(0, 0);
         m.match_pair(1, 1);
         let mut ws = SolveWorkspace::new();
-        let out = augment_from_free_x(&g, &mut m, u64::MAX, &mut ws);
+        let out = augment_from_free_x(&g, &mut m, &mut ws);
         assert!(out.augmented());
         assert_eq!(m.cardinality(), 3);
         m.validate(&g).unwrap();
@@ -424,7 +352,7 @@ mod tests {
             let g = crate::tests_support::random_graph(30, 30, 90, seed);
             let mut m = Matching::empty(30, 30);
             loop {
-                let out = augment_from_free_x(&g, &mut m, u64::MAX, &mut ws);
+                let out = augment_from_free_x(&g, &mut m, &mut ws);
                 if !out.augmented() {
                     break;
                 }

@@ -233,6 +233,51 @@ impl Matching {
         self.cardinality += 1;
     }
 
+    /// Augments in place along the path a search found to the free `y`:
+    /// `parent(y)` is the `X` through which the search reached `y`, and
+    /// the path runs back through mates and parents to a free `X`.
+    /// Returns the number of vertices on the path.
+    pub(crate) fn flip_path_to_y(
+        &mut self,
+        mut y: VertexId,
+        mut parent: impl FnMut(VertexId) -> VertexId,
+    ) -> usize {
+        debug_assert_eq!(self.mate_y[y as usize], NONE, "path must end unmatched");
+        let mut len = 0;
+        loop {
+            let x = parent(y);
+            let next = self.mate_x[x as usize];
+            self.rematch(x, y);
+            len += 2;
+            if next == NONE {
+                return len;
+            }
+            y = next;
+        }
+    }
+
+    /// [`Matching::flip_path_to_y`] with the sides swapped, for a search
+    /// from a free `Y`: `parent(x)` is the `Y` through which the search
+    /// reached the free `x`.
+    pub(crate) fn flip_path_to_x(
+        &mut self,
+        mut x: VertexId,
+        mut parent: impl FnMut(VertexId) -> VertexId,
+    ) -> usize {
+        debug_assert_eq!(self.mate_x[x as usize], NONE, "path must end unmatched");
+        let mut len = 0;
+        loop {
+            let y = parent(x);
+            let next = self.mate_y[y as usize];
+            self.rematch(x, y);
+            len += 2;
+            if next == NONE {
+                return len;
+            }
+            x = next;
+        }
+    }
+
     /// Consumes the matching, returning the `(mate_x, mate_y)` arrays.
     pub fn into_mates(self) -> (Vec<VertexId>, Vec<VertexId>) {
         (self.mate_x, self.mate_y)

@@ -126,7 +126,7 @@
 
 use crate::stats::{Step, Stopwatch};
 use crate::trace::{direction_rule, graft_rule, GraftSummary, PhaseSummary, TraceEvent};
-use crate::workspace::{next_epoch, pack, unpack, SolveWorkspace};
+use crate::workspace::{next_epoch, pack, unpack, MsBuffers, SolveWorkspace};
 use crate::{Matching, Run};
 use graft_graph::{BipartiteCsr, VertexId, NONE};
 use rayon::prelude::*;
@@ -668,7 +668,7 @@ pub(crate) fn ms_bfs(
 ) -> Matching {
     let (nx, ny) = (g.num_x(), g.num_y());
     let (inline, tracer) = (run.inline, run.tracer);
-    let b = &mut ws.par;
+    let b = &mut ws.ms;
     let epoch = b.begin_solve(nx, ny, inline);
     // The vectors leave the workspace while `sh` borrows its arrays. Only
     // an inline solve returns them; the inline steps of a pool solve grow
@@ -831,7 +831,7 @@ pub(crate) fn ms_bfs(
                 // Destroy the forest: a new epoch un-visits every Y and
                 // clears every root at once. Then restart from the
                 // unmatched X, the roots of the active trees, in order.
-                sh.epoch = next_epoch(sh.epoch, sh.visited, sh.root_x);
+                sh.epoch = next_epoch(sh.epoch, || MsBuffers::clear(sh.visited, sh.root_x));
                 // Recorded at once: a solve that a panic at a later
                 // phase boundary abandons must not leave marks of an
                 // epoch that the next solve would issue again.

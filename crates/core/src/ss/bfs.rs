@@ -48,10 +48,9 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, run: &mut Run) -> Matchi
         }
 
         if end_y != NONE {
-            let path = reconstruct(&m, &parent_y, end_y);
+            let path_len = m.flip_path_to_y(end_y, |y| parent_y[y as usize]);
             run.stats.augmenting_paths += 1;
-            run.stats.total_augmenting_path_edges += (path.len() - 1) as u64;
-            m.augment(&path);
+            run.stats.total_augmenting_path_edges += (path_len - 1) as u64;
             // Success: un-hide the vertices this search visited.
             for &y in &touched {
                 visited[y as usize] = false;
@@ -61,24 +60,6 @@ pub(crate) fn ss_bfs(g: &BipartiteCsr, mut m: Matching, run: &mut Run) -> Matchi
     }
 
     m
-}
-
-/// Walks parent/mate pointers back from the unmatched endpoint `end_y` and
-/// returns the interleaved path `[x₀, y₁, …, end_y]`.
-pub(crate) fn reconstruct(m: &Matching, parent_y: &[VertexId], end_y: VertexId) -> Vec<VertexId> {
-    let mut path = vec![end_y];
-    let mut x = parent_y[end_y as usize];
-    loop {
-        path.push(x);
-        let y = m.mate_of_x(x);
-        if y == NONE {
-            break;
-        }
-        path.push(y);
-        x = parent_y[y as usize];
-    }
-    path.reverse();
-    path
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@
 //! one thread, where the dispatcher builds no pool) run allocation-free
 //! on a warm workspace. Each engine serves a serial and a parallel
 //! algorithm from one arena: the three MS-BFS configurations and
-//! MS-BFS-Graft(par) share `ParBuffers`, PF and PF(par) share
+//! MS-BFS-Graft(par) share `MsBuffers`, PF and PF(par) share
 //! `PfBuffers`, and PR and PR(par) share `PrBuffers`. No arena holds
 //! mates: each engine converts the caller's matching's mate vectors to
 //! atomics in place and back. A solve whose every step runs inline
@@ -53,8 +53,13 @@
 //! the MS-BFS steps it runs inline because their work is below the
 //! cutoff grow the vectors they touch, which the solve then drops rather
 //! than keeping them in the arena. Hopcroft-Karp and the single-source baselines ignore the
-//! workspace (see [`crate::solve_from_traced_in`]). The augmenting
-//! searches of [`crate::augment`] use `MsBuffers`.
+//! workspace (see [`crate::solve_from_traced_in`]).
+//!
+//! The augmenting searches of [`crate::augment`] run on the MS arena too:
+//! its `visited`, `parent_y` and `root_x` marks, and its `frontier` and
+//! `next`. Each search opens a new epoch the way a solve does, so a
+//! workspace that has solved a graph with MS-BFS runs its searches on
+//! that graph without growing.
 
 use crate::ms_bfs::Tree;
 use crate::pothen_fan as pf;
@@ -78,15 +83,15 @@ pub(crate) fn unpack(epoch: u32, packed: u64) -> VertexId {
     }
 }
 
-/// The epoch after `epoch` for the MS-BFS engine's stamped arrays. At
-/// `u32::MAX` it clears `visited` and `root_x` once and restarts at 1. A
-/// solve starts with one, and so does each rebuild of its forest.
-pub(crate) fn next_epoch(epoch: u32, visited: &[AtomicU32], root_x: &[AtomicU64]) -> u32 {
+/// The epoch after `epoch` for a stamped arena. At `u32::MAX` it calls
+/// `clear`, which resets every mark the arena stamps, once, and restarts
+/// at 1. An MS solve or search opens with one, and so does each rebuild
+/// of an MS forest; a PF solve opens with one.
+pub(crate) fn next_epoch(epoch: u32, clear: impl FnOnce()) -> u32 {
     if epoch < u32::MAX {
         return epoch + 1;
     }
-    visited.iter().for_each(|v| v.store(0, Ordering::Relaxed));
-    root_x.iter().for_each(|v| v.store(0, Ordering::Relaxed));
+    clear();
     1
 }
 
@@ -97,96 +102,15 @@ fn reserve_to<T>(v: &mut Vec<T>, want: usize) {
     }
 }
 
-/// Buffers of the single-source augmenting searches in [`crate::augment`].
+/// Buffers of the MS-BFS engine (all four MS algorithms) and of the
+/// augmenting searches of [`crate::augment`]: the atomic per-vertex
+/// arrays, versioned by the epoch, the tree table, and the vectors of the
+/// inline steps. The mates are not here: the engine converts the input
+/// matching's own vectors to atomics in place, and a search reads the
+/// caller's matching. A search stamps `visited` and `root_x` with its
+/// epoch and keeps its parent pointers in `parent_y` and `root_x`.
 #[derive(Debug, Default)]
 pub(crate) struct MsBuffers {
-    /// Current solve epoch; `0` means "never used".
-    pub(crate) epoch: u32,
-    /// `visited[y] == epoch` ⇔ `y` was reached by the current search.
-    pub(crate) visited: Vec<u32>,
-    /// `X` parent of `y`; read only behind a visited check.
-    pub(crate) parent_y: Vec<VertexId>,
-    /// Epoch-packed tree root of `x` (read per edge — cannot be guarded).
-    pub(crate) root_x: Vec<u64>,
-    /// Current BFS frontier (ping-pongs with `next`).
-    pub(crate) frontier: Vec<VertexId>,
-    /// Next BFS frontier (ping-pongs with `frontier`).
-    pub(crate) next: Vec<VertexId>,
-    /// Augmenting-path reconstruction buffer.
-    pub(crate) path: Vec<VertexId>,
-}
-
-impl MsBuffers {
-    /// Starts a search on an `nx`×`ny` graph: advances the epoch (every
-    /// mark from earlier searches becomes stale) and grows the buffers.
-    /// No O(n) clear happens except on the 2³²-solve epoch wrap.
-    pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) {
-        if self.epoch == u32::MAX {
-            self.visited.iter_mut().for_each(|v| *v = 0);
-            self.root_x.iter_mut().for_each(|v| *v = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        if self.visited.len() < ny {
-            self.visited.resize(ny, 0);
-            self.parent_y.resize(ny, NONE);
-        }
-        if self.root_x.len() < nx {
-            self.root_x.resize(nx, 0);
-        }
-        // Frontier capacities are reserved up front rather than left to
-        // amortized growth: `frontier`/`next` swap roles every level, so
-        // a buffer can face a larger level in solve k+1 than it ever held
-        // in solve k even on the identical instance — which would
-        // reallocate on the warm path.
-        reserve_to(&mut self.frontier, nx);
-        reserve_to(&mut self.next, nx);
-        // An augmenting path alternates X and Y vertices, so its length
-        // is bounded by twice the smaller side plus the free endpoint.
-        reserve_to(&mut self.path, 2 * nx.min(ny) + 1);
-        self.frontier.clear();
-        self.next.clear();
-        self.path.clear();
-    }
-
-    #[inline]
-    pub(crate) fn is_visited(&self, y: VertexId) -> bool {
-        self.visited[y as usize] == self.epoch
-    }
-
-    #[inline]
-    pub(crate) fn set_visited(&mut self, y: VertexId) {
-        self.visited[y as usize] = self.epoch;
-    }
-
-    #[inline]
-    pub(crate) fn root_of_x(&self, x: VertexId) -> VertexId {
-        unpack(self.epoch, self.root_x[x as usize])
-    }
-
-    #[inline]
-    pub(crate) fn set_root_x(&mut self, x: VertexId, root: VertexId) {
-        self.root_x[x as usize] = pack(self.epoch, root);
-    }
-
-    fn bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.visited.capacity() * size_of::<u32>()
-            + self.root_x.capacity() * size_of::<u64>()
-            + (self.parent_y.capacity()
-                + self.frontier.capacity()
-                + self.next.capacity()
-                + self.path.capacity())
-                * size_of::<VertexId>()
-    }
-}
-
-/// Buffers of the MS-BFS engine (all four MS algorithms): the atomic
-/// per-vertex arrays, versioned by the solve epoch, the tree table, and
-/// the vectors of the inline steps. The mates are not here: the engine
-/// converts the input matching's own vectors to atomics in place.
-#[derive(Debug, Default)]
-pub(crate) struct ParBuffers {
     pub(crate) epoch: u32,
     pub(crate) visited: Vec<AtomicU32>,
     pub(crate) parent_y: Vec<AtomicU32>,
@@ -207,13 +131,16 @@ pub(crate) struct ParBuffers {
     pub(crate) augmented: Vec<VertexId>,
 }
 
-impl ParBuffers {
-    /// See [`MsBuffers::begin_solve`]; returns the new epoch. Reserves the
-    /// vectors only for a solve whose steps run `inline`. The engine
-    /// advances the epoch again at each rebuild and stores each in
-    /// `epoch` at once.
+impl MsBuffers {
+    /// Opens an MS solve or a search on an `nx`×`ny` graph: advances the
+    /// epoch and stores it at once, so every mark of earlier solves and
+    /// searches turns stale, grows the per-vertex arrays, and returns the
+    /// new epoch. No O(n) clear happens except at the epoch wrap. The
+    /// vectors are reserved only for a solve whose steps run `inline`, as
+    /// a search's do. The engine advances the epoch again at each rebuild
+    /// and stores each in `epoch` at once.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize, inline: bool) -> u32 {
-        self.epoch = next_epoch(self.epoch, &self.visited, &self.root_x);
+        self.epoch = next_epoch(self.epoch, || Self::clear(&self.visited, &self.root_x));
         if self.visited.len() < ny {
             self.visited.resize_with(ny, || AtomicU32::new(0));
             self.parent_y.resize_with(ny, || AtomicU32::new(NONE));
@@ -223,8 +150,11 @@ impl ParBuffers {
             self.root_x.resize_with(nx, || AtomicU64::new(0));
         }
         // Each vector holds a set of distinct X or Y vertices, or of trees.
-        // Reserved up front for the reason given in
-        // `MsBuffers::begin_solve`.
+        // Capacities are reserved up front rather than left to amortized
+        // growth: `frontier`/`next` swap roles every level, so a buffer
+        // can face a larger level in solve k+1 than it ever held in solve
+        // k even on the identical instance, which would reallocate on the
+        // warm path.
         if inline {
             reserve_to(&mut self.frontier, nx);
             reserve_to(&mut self.next, nx);
@@ -233,6 +163,12 @@ impl ParBuffers {
             reserve_to(&mut self.augmented, nx);
         }
         self.epoch
+    }
+
+    /// The epoch wrap's clear: resets the marks this arena stamps.
+    pub(crate) fn clear(visited: &[AtomicU32], root_x: &[AtomicU64]) {
+        visited.iter().for_each(|v| v.store(0, Ordering::Relaxed));
+        root_x.iter().for_each(|v| v.store(0, Ordering::Relaxed));
     }
 
     fn bytes(&self) -> usize {
@@ -276,14 +212,12 @@ pub(crate) struct PfBuffers {
 impl PfBuffers {
     /// See [`MsBuffers::begin_solve`]; returns the new epoch.
     pub(crate) fn begin_solve(&mut self, nx: usize, ny: usize) -> u32 {
-        if self.epoch == u32::MAX {
+        self.epoch = next_epoch(self.epoch, || {
             // Instrumented atomics have no `get_mut`: store instead.
             let clear = |v: &pf::AtomicU64| v.store(0, pf::Ordering::Relaxed);
             self.visited.iter().for_each(clear);
             self.lookahead.iter().for_each(clear);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
+        });
         if self.visited.len() < ny {
             self.visited.resize_with(ny, Default::default);
         }
@@ -375,7 +309,6 @@ impl PrBuffers {
 #[derive(Debug, Default)]
 pub struct SolveWorkspace {
     pub(crate) ms: MsBuffers,
-    pub(crate) par: ParBuffers,
     pub(crate) pf: PfBuffers,
     pub(crate) pr: PrBuffers,
 }
@@ -396,7 +329,7 @@ impl SolveWorkspace {
     /// Current heap footprint of the owned buffers, in bytes, the MS-BFS
     /// tree table included.
     pub fn footprint_bytes(&self) -> usize {
-        self.ms.bytes() + self.par.bytes() + self.pf.bytes() + self.pr.bytes()
+        self.ms.bytes() + self.pf.bytes() + self.pr.bytes()
     }
 
     /// Jumps every epoch counter to `u32::MAX`, so the *next* solve takes
@@ -406,7 +339,6 @@ impl SolveWorkspace {
     #[doc(hidden)]
     pub fn force_epoch_wrap(&mut self) {
         self.ms.epoch = u32::MAX;
-        self.par.epoch = u32::MAX;
         self.pf.epoch = u32::MAX;
     }
 }
@@ -416,6 +348,7 @@ mod tests {
     use super::*;
     use crate::trace::{replay, MemorySink, RunSummary};
     use crate::verify::is_maximum;
+    use crate::{augment_from_free_x, augment_from_x, augment_from_y};
     use crate::{solve_from_in, solve_from_traced_in, Algorithm, Matching, RunOutcome};
     use crate::{SolveOptions, Tracer};
     use graft_graph::BipartiteCsr;
@@ -450,14 +383,28 @@ mod tests {
         let mut ws = SolveWorkspace::new();
         assert_eq!(ws.footprint_bytes(), 0);
         let opts = SolveOptions::default();
-        solve_from_in(
+        let mut m = solve_from_in(
             &g,
             Matching::for_graph(&g),
             Algorithm::MsBfsGraft,
             &opts,
             &mut ws,
+        )
+        .matching;
+        let grown = ws.footprint_bytes();
+        assert!(grown > 0);
+        // The repair searches run on the arena the solve grew: unmatch
+        // (2, 2) and search from each end, then from every free X.
+        m.unmatch_x(2);
+        assert!(augment_from_x(&g, &mut m, 2, &mut ws).augmented());
+        m.unmatch_x(2);
+        assert!(augment_from_y(&g, &mut m, 2, &mut ws).augmented());
+        assert!(!augment_from_free_x(&g, &mut m, &mut ws).augmented());
+        assert_eq!(
+            ws.footprint_bytes(),
+            grown,
+            "the searches grew the workspace"
         );
-        assert!(ws.footprint_bytes() > 0);
         ws.shrink();
         assert_eq!(ws.footprint_bytes(), 0);
     }
@@ -486,8 +433,8 @@ mod tests {
         // Seed the buffers with real marks, then jump to the wrap point.
         traced(&g, Matching::for_graph(&g), Algorithm::MsBfsGraft, &mut ws);
         ws.pf.epoch = u32::MAX - 1;
-        ws.par.epoch = u32::MAX - 1;
-        // An MS solve advances `par.epoch` once, and once per rebuild.
+        ws.ms.epoch = u32::MAX - 1;
+        // An MS solve advances `ms.epoch` once, and once per rebuild.
         let mut advances = 0;
         for _ in 0..4 {
             for alg in [
@@ -508,7 +455,7 @@ mod tests {
         // second wraps to 1, and each later one adds 1.
         assert!(advances >= 2);
         assert_eq!(
-            u64::from(ws.par.epoch),
+            u64::from(ws.ms.epoch),
             advances - 1,
             "wrapped and restarted"
         );
@@ -532,9 +479,9 @@ mod tests {
             let mut ws = SolveWorkspace::new();
             traced(&g, Matching::for_graph(&g), alg, &mut ws);
             // The solve starts at `u32::MAX` and its first rebuild wraps.
-            ws.par.epoch = u32::MAX - 1;
+            ws.ms.epoch = u32::MAX - 1;
             let (wrapped, _) = traced(&g, m0.clone(), alg, &mut ws);
-            assert_eq!(ws.par.epoch as u64, rebuilds, "{alg:?}");
+            assert_eq!(ws.ms.epoch as u64, rebuilds, "{alg:?}");
             assert_eq!(
                 wrapped.matching.mates_x(),
                 fresh.matching.mates_x(),

@@ -6,8 +6,8 @@
 //! the same principle across graph **versions**: [`DynamicMatching`]
 //! owns a CSR base graph plus a delta overlay (per-side insert buffers
 //! and tombstones) and keeps a live maximum [`Matching`] as edges are
-//! inserted and deleted, one bounded augmenting BFS per update instead
-//! of a full re-solve.
+//! inserted and deleted, one augmenting BFS per update instead of a
+//! full re-solve.
 //!
 //! The repair rules (proofs in DESIGN.md §14):
 //!
@@ -28,11 +28,12 @@
 //!   *prove* the matching is maximum at one less.
 //!
 //! Searches run against the overlay view without materializing anything
-//! and reuse a [`SolveWorkspace`], so the hot path is allocation-free.
-//! Every search carries a traversal budget; if it runs out, the overlay
+//! and reuse a [`SolveWorkspace`], so the hot path is allocation-free. A
+//! search has no traversal budget: it reads each live edge at most once
+//! and always ends with a flipped path or a proof that none exists. When
+//! tombstones outgrow [`DynConfig::rebuild_tombstone_ratio`], the overlay
 //! is compacted into a fresh CSR and MS-BFS-Graft is warm-started from
-//! the surviving matching — the same fallback that fires when tombstones
-//! outgrow [`DynConfig::rebuild_tombstone_ratio`].
+//! the surviving matching.
 //!
 //! ```
 //! use graft_graph::BipartiteCsr;
@@ -67,12 +68,6 @@ use graft_graph::{compact_edge_list, BipartiteCsr, VertexId};
 /// Tuning knobs for [`DynamicMatching`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynConfig {
-    /// Edge-traversal budget per repair search. `0` (the default) means
-    /// *auto*: `4 * live_edges + 64`, which no single BFS can exceed, so
-    /// searches are effectively exhaustive and the budget only guards
-    /// against adversarial adjacency views. Small explicit budgets force
-    /// the rebuild fallback (used by tests).
-    pub search_budget: u64,
     /// When `tombstones > ratio * base_edges`, compact the overlay into
     /// a fresh CSR and warm-start a full solve. `0.25` by default.
     pub rebuild_tombstone_ratio: f64,
@@ -81,7 +76,6 @@ pub struct DynConfig {
 impl Default for DynConfig {
     fn default() -> Self {
         Self {
-            search_budget: 0,
             rebuild_tombstone_ratio: 0.25,
         }
     }
@@ -166,8 +160,8 @@ impl UpdateOutcome {
 pub struct UpdateReport {
     /// How the update resolved.
     pub outcome: UpdateOutcome,
-    /// Whether this update triggered a compaction + warm re-solve
-    /// (budget exhaustion or the tombstone-ratio policy).
+    /// Whether this update triggered a compaction + warm re-solve (the
+    /// tombstone-ratio policy).
     pub rebuilt: bool,
     /// Matching cardinality after the update.
     pub cardinality: usize,
@@ -411,14 +405,6 @@ impl DynamicMatching {
         edges
     }
 
-    fn effective_budget(&self) -> u64 {
-        if self.config.search_budget > 0 {
-            self.config.search_budget
-        } else {
-            4 * self.num_edges() as u64 + 64
-        }
-    }
-
     fn check_range(&self, x: VertexId, y: VertexId) -> Result<(), UpdateError> {
         if (x as usize) >= self.base.num_x() || (y as usize) >= self.base.num_y() {
             return Err(UpdateError::OutOfRange {
@@ -458,12 +444,11 @@ impl DynamicMatching {
 
         // Repair: the new edge is the only change, so the case analysis
         // on its endpoints is exhaustive.
-        let budget = self.effective_budget();
         let x_free = !self.matching.is_x_matched(x);
         let y_free = !self.matching.is_y_matched(y);
-        let (outcome, mut rebuilt, path_len, traversed) = if x_free && y_free {
+        let (outcome, path_len, traversed) = if x_free && y_free {
             self.matching.match_pair(x, y);
-            (UpdateOutcome::Matched, false, 2, 0)
+            (UpdateOutcome::Matched, 2, 0)
         } else {
             let search = {
                 // Field-disjoint borrows: the view reads the graph parts
@@ -476,9 +461,9 @@ impl DynamicMatching {
                     tomb_y: &self.tomb_y,
                 };
                 if x_free {
-                    augment_from_x(&view, &mut self.matching, x, budget, &mut self.ws)
+                    augment_from_x(&view, &mut self.matching, x, &mut self.ws)
                 } else if y_free {
-                    augment_from_y(&view, &mut self.matching, y, budget, &mut self.ws)
+                    augment_from_y(&view, &mut self.matching, y, &mut self.ws)
                 } else if self.matching.cardinality() == self.matching.mates_x().len()
                     || self.matching.cardinality() == self.matching.mates_y().len()
                 {
@@ -486,26 +471,16 @@ impl DynamicMatching {
                     // any supergraph, no search needed.
                     AugmentOutcome::Exhausted { edges_traversed: 0 }
                 } else {
-                    augment_from_free_x(&view, &mut self.matching, budget, &mut self.ws)
+                    augment_from_free_x(&view, &mut self.matching, &mut self.ws)
                 }
             };
             match search {
                 AugmentOutcome::Augmented {
                     path_len,
                     edges_traversed,
-                } => (UpdateOutcome::Augmented, false, path_len, edges_traversed),
+                } => (UpdateOutcome::Augmented, path_len, edges_traversed),
                 AugmentOutcome::Exhausted { edges_traversed } => {
-                    (UpdateOutcome::NoPath, false, 0, edges_traversed)
-                }
-                AugmentOutcome::BudgetExceeded { edges_traversed } => {
-                    let before = self.cardinality();
-                    self.rebuild();
-                    let outcome = if self.cardinality() > before {
-                        UpdateOutcome::Augmented
-                    } else {
-                        UpdateOutcome::NoPath
-                    };
-                    (outcome, true, 0, edges_traversed)
+                    (UpdateOutcome::NoPath, 0, edges_traversed)
                 }
             }
         };
@@ -517,10 +492,9 @@ impl DynamicMatching {
             edges_traversed: traversed,
             cardinality: self.cardinality() as u64,
         });
-        rebuilt |= self.maybe_compact();
         Ok(UpdateReport {
             outcome,
-            rebuilt,
+            rebuilt: self.maybe_compact(),
             cardinality: self.cardinality(),
             edges_traversed: traversed,
         })
@@ -546,14 +520,13 @@ impl DynamicMatching {
         }
 
         let was_matched = self.matching.mate_of_x(x) == y;
-        let (outcome, mut rebuilt, traversed) = if !was_matched {
-            (UpdateOutcome::Removed, false, 0)
+        let (outcome, traversed) = if !was_matched {
+            (UpdateOutcome::Removed, 0)
         } else {
             self.matching.unmatch_x(x);
             // Any augmenting path for the shrunk matching terminates at
             // x or y (else it would have augmented the old maximum), so
             // two exhausted searches are a maximality proof.
-            let budget = self.effective_budget();
             let view = LiveView {
                 base: &self.base,
                 extra_x: &self.extra_x,
@@ -561,55 +534,30 @@ impl DynamicMatching {
                 tomb_x: &self.tomb_x,
                 tomb_y: &self.tomb_y,
             };
-            let first = augment_from_x(&view, &mut self.matching, x, budget, &mut self.ws);
+            let first = augment_from_x(&view, &mut self.matching, x, &mut self.ws);
             let mut traversed = first.edges_traversed();
-            let resolution = match first {
-                AugmentOutcome::Augmented { .. } => Some(UpdateOutcome::Repaired),
-                AugmentOutcome::BudgetExceeded { .. } => None,
-                AugmentOutcome::Exhausted { .. } => {
-                    let second = augment_from_y(&view, &mut self.matching, y, budget, &mut self.ws);
-                    traversed += second.edges_traversed();
-                    match second {
-                        AugmentOutcome::Augmented { .. } => Some(UpdateOutcome::Repaired),
-                        AugmentOutcome::Exhausted { .. } => Some(UpdateOutcome::Degraded),
-                        AugmentOutcome::BudgetExceeded { .. } => None,
-                    }
-                }
+            let repaired = first.augmented() || {
+                let second = augment_from_y(&view, &mut self.matching, y, &mut self.ws);
+                traversed += second.edges_traversed();
+                second.augmented()
             };
-            match resolution {
-                Some(outcome) => {
-                    self.tracer.emit(|| TraceEvent::DynRepair {
-                        x: x as u64,
-                        y: y as u64,
-                        repaired: outcome == UpdateOutcome::Repaired,
-                        edges_traversed: traversed,
-                        cardinality: self.cardinality() as u64,
-                    });
-                    (outcome, false, traversed)
-                }
-                None => {
-                    let before = self.cardinality();
-                    self.rebuild();
-                    let outcome = if self.cardinality() == before + 1 {
-                        UpdateOutcome::Repaired
-                    } else {
-                        UpdateOutcome::Degraded
-                    };
-                    self.tracer.emit(|| TraceEvent::DynRepair {
-                        x: x as u64,
-                        y: y as u64,
-                        repaired: outcome == UpdateOutcome::Repaired,
-                        edges_traversed: traversed,
-                        cardinality: self.cardinality() as u64,
-                    });
-                    (outcome, true, traversed)
-                }
-            }
+            self.tracer.emit(|| TraceEvent::DynRepair {
+                x: x as u64,
+                y: y as u64,
+                repaired,
+                edges_traversed: traversed,
+                cardinality: self.cardinality() as u64,
+            });
+            let outcome = if repaired {
+                UpdateOutcome::Repaired
+            } else {
+                UpdateOutcome::Degraded
+            };
+            (outcome, traversed)
         };
-        rebuilt |= self.maybe_compact();
         Ok(UpdateReport {
             outcome,
-            rebuilt,
+            rebuilt: self.maybe_compact(),
             cardinality: self.cardinality(),
             edges_traversed: traversed,
         })
@@ -626,9 +574,9 @@ impl DynamicMatching {
     }
 
     /// Compacts the overlay into a fresh CSR and warm-starts a serial
-    /// MS-BFS-Graft solve from the surviving matching. Automatic on
-    /// budget exhaustion and on the tombstone-ratio policy; public for
-    /// callers that want to schedule compaction themselves.
+    /// MS-BFS-Graft solve from the surviving matching. Automatic under
+    /// the tombstone-ratio policy; public for callers that want to
+    /// schedule compaction themselves.
     pub fn force_rebuild(&mut self) {
         self.rebuild();
     }
@@ -852,7 +800,6 @@ mod tests {
             g,
             DynConfig {
                 rebuild_tombstone_ratio: 1e9,
-                ..DynConfig::default()
             },
         );
         dm.delete_edge(0, 0).unwrap();
@@ -872,7 +819,6 @@ mod tests {
             g,
             DynConfig {
                 rebuild_tombstone_ratio: 0.25,
-                ..DynConfig::default()
             },
         );
         dm.delete_edge(0, 0).unwrap();
@@ -883,25 +829,6 @@ mod tests {
         assert_eq!(dm.rebuilds(), 1);
         assert_eq!(dm.tombstones(), 0);
         assert_eq!(dm.num_edges(), 7);
-        assert_invariants(&dm);
-    }
-
-    #[test]
-    fn tiny_budget_falls_back_to_rebuild() {
-        // A long alternating chain makes the repair search traverse more
-        // than one edge, so a budget of 1 must trip the rebuild path.
-        let g = BipartiteCsr::from_edges(3, 3, &[(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]);
-        let mut dm = DynamicMatching::with_config(
-            g,
-            DynConfig {
-                search_budget: 1,
-                rebuild_tombstone_ratio: 1e9,
-            },
-        );
-        assert_eq!(dm.cardinality(), 3);
-        let r = dm.delete_edge(0, dm.matching().mate_of_x(0)).unwrap();
-        assert!(r.rebuilt, "budget 1 cannot finish the repair search");
-        assert!(dm.rebuilds() >= 1);
         assert_invariants(&dm);
     }
 
@@ -950,7 +877,6 @@ mod tests {
                 b.build(),
                 DynConfig {
                     rebuild_tombstone_ratio: 0.3,
-                    ..DynConfig::default()
                 },
             );
             for _ in 0..60 {

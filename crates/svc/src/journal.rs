@@ -181,6 +181,14 @@ impl Journal {
         Ok(())
     }
 
+    /// Makes the next append for `name` answer
+    /// [`AppendOutcome::NeedsRewrite`], for when the file's records of
+    /// `name` no longer fold to the server's journal of it: a restored
+    /// delta that did not replay as recorded.
+    pub fn require_rewrite(&self, name: &str) {
+        self.lock().graphs.remove(name);
+    }
+
     /// Appends one sealed `update` record for an accepted edge update.
     /// Under [`FsyncPolicy::Always`] the record is flushed and fsynced
     /// before this returns, so the caller's ack implies durability.

@@ -93,8 +93,8 @@ pub struct Metrics {
     /// `UPDATE`s rejected with a typed error (unknown graph, missing
     /// edge, out-of-range endpoint).
     pub updates_err: AtomicU64,
-    /// Dynamic-matching overlay compactions (budget exhaustion or the
-    /// tombstone-ratio policy), summed across graphs.
+    /// Dynamic-matching overlay compactions (the tombstone-ratio
+    /// policy), summed across graphs.
     pub rebuilds: AtomicU64,
     /// Time from submit to worker pickup.
     pub wait: Histogram,

@@ -180,17 +180,9 @@ struct DynState {
 }
 
 impl DynState {
-    /// Folds one accepted update into the journal: an insert cancels a
-    /// pending delete of the same edge (and vice versa) instead of
-    /// recording both.
+    /// Folds one update that changed the graph into the journal.
     fn journal(&mut self, add: bool, x: u32, y: u32) {
-        if add {
-            if !self.dels.remove(&(x, y)) {
-                self.adds.insert((x, y));
-            }
-        } else if !self.adds.remove(&(x, y)) {
-            self.dels.insert((x, y));
-        }
+        snapshot::fold_update(&mut self.adds, &mut self.dels, add, (x, y));
     }
 }
 
@@ -446,15 +438,29 @@ fn run_update(
         if let Some(delta) = restored {
             // An edge that no longer replays (the graph's source file
             // changed underneath the snapshot, say) drops that edge,
-            // not the whole graph.
+            // not the whole graph. Only the records that changed the
+            // graph are journaled, as on the live path: a stale add of
+            // an edge the source already has would cancel a later
+            // delete of it.
+            let mut exact = true;
             for &(x, y) in &delta.adds {
-                if state.dm.insert_edge(x, y).is_ok() {
-                    state.journal(true, x, y);
+                match state.dm.insert_edge(x, y) {
+                    Ok(r) if r.outcome != UpdateOutcome::Noop => state.journal(true, x, y),
+                    _ => exact = false,
                 }
             }
             for &(x, y) in &delta.dels {
-                if state.dm.delete_edge(x, y).is_ok() {
-                    state.journal(false, x, y);
+                match state.dm.delete_edge(x, y) {
+                    Ok(_) => state.journal(false, x, y),
+                    Err(_) => exact = false,
+                }
+            }
+            if !exact {
+                // The file still holds the delta as recorded, and
+                // appended records would fold onto it: the graph's next
+                // journal write rewrites the file.
+                if let Some(j) = journal {
+                    j.require_rewrite(&spec.name);
                 }
             }
         }

@@ -468,6 +468,23 @@ fn is_blank(bytes: &[u8]) -> bool {
     bytes.iter().all(|b| b.is_ascii_whitespace())
 }
 
+/// Folds one accepted edge update into a graph's pending delta: an
+/// insert cancels a pending delete of the same edge and vice versa,
+/// instead of recording both. The server's live journal and the `update`
+/// records of a load both fold through it, so append-then-load equals the
+/// state the server acked.
+pub(crate) fn fold_update(
+    adds: &mut BTreeSet<(u32, u32)>,
+    dels: &mut BTreeSet<(u32, u32)>,
+    add: bool,
+    edge: (u32, u32),
+) {
+    let (undo, record) = if add { (dels, adds) } else { (adds, dels) };
+    if !undo.remove(&edge) {
+        record.insert(edge);
+    }
+}
+
 /// Per-graph live delta sets during a v3 replay: (adds, dels).
 type LiveDeltas = BTreeMap<String, (BTreeSet<(u32, u32)>, BTreeSet<(u32, u32)>)>;
 
@@ -548,16 +565,7 @@ fn load_v3(lines: &[RawLine<'_>], header_idx: usize) -> LoadReport {
                     };
                     let edge = (u32_field(&o, "x")?, u32_field(&o, "y")?);
                     let (adds, dels) = live.entry(name.to_string()).or_default();
-                    // Same cancellation semantics as the server's live
-                    // journal: an insert cancels a pending delete of the
-                    // same edge and vice versa.
-                    if add {
-                        if !dels.remove(&edge) {
-                            adds.insert(edge);
-                        }
-                    } else if !adds.remove(&edge) {
-                        dels.insert(edge);
-                    }
+                    fold_update(adds, dels, add, edge);
                 }
                 "rebuilds" => rebuilds = o.u64("count")?,
                 other => return Err(format!("unknown record kind `{other}`")),

@@ -79,6 +79,31 @@ const GATES: &[Gate] = &[
         ],
         env: &[],
     },
+    // CI's dynbench job: the incremental-vs-re-solve gate (every update's
+    // cardinality equals a from-scratch solve's, and the stream beats
+    // per-update re-solves), written under target/ like bench-smoke.
+    Gate {
+        name: "dynbench",
+        args: &[
+            "run",
+            "--release",
+            "--offline",
+            "-q",
+            "-p",
+            "graft-bench",
+            "--bin",
+            "experiments",
+            "--",
+            "dynbench",
+            "--scale",
+            "tiny",
+            "--reps",
+            "1",
+            "--out",
+            "target/tmp/dynbench",
+        ],
+        env: &[],
+    },
     Gate {
         name: "perfbench",
         args: &[

@@ -3,13 +3,15 @@
 //! while a mirror edge set feeds from-scratch solves; after every SOLVE
 //! checkpoint (and at the end of every stream) the incremental
 //! cardinality must equal what **every** engine computes from scratch on
-//! the same live edge set.
+//! the same live edge set. A last property bounds the total length of the
+//! paths the repair search flips while a forest grows.
 
 use ms_bfs_graft::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use dyn_matching::UpdateOutcome;
+use matching::{augment_from_x, AugmentOutcome, XYAdjacency};
 
 #[derive(Clone, Debug)]
 enum DynOp {
@@ -193,5 +195,116 @@ fn structured_graphs_long_streams() {
             }
         }
         check_against_all_engines(nx, ny, &live, &dm).unwrap();
+    }
+}
+
+/// A forest whose `X` vertices arrive one at a time, each with all its
+/// edges.
+#[derive(Debug)]
+struct GrowingForest {
+    g: BipartiteCsr,
+    arrivals: Vec<VertexId>,
+}
+
+/// Grows a random forest on `n` vertices: a vertex starts a new tree with
+/// probability `new_tree`/64, else it hangs off one of the `reach`
+/// vertices before it, so a small reach grows long paths and a large one
+/// bushy trees. Vertices at even depth are `X`, at odd depth `Y`. The `X`
+/// arrive in a random order.
+fn arb_growing_forest() -> impl Strategy<Value = GrowingForest> {
+    (2usize..400, 1usize..40, 0u64..8).prop_flat_map(|(n, reach, new_tree)| {
+        (
+            proptest::collection::vec(0u64..u64::MAX, n),
+            proptest::collection::vec(0u64..u64::MAX, n),
+        )
+            .prop_map(move |(draws, keys)| {
+                let (mut depth, mut id) = (vec![0usize; n], vec![0u32; n]);
+                let (mut nx, mut ny, mut edges) = (0u32, 0u32, Vec::new());
+                for (i, &d) in draws.iter().enumerate() {
+                    let parent = (i > 0 && d % 64 >= new_tree)
+                        .then(|| i - 1 - (d >> 6) as usize % reach.min(i));
+                    if let Some(p) = parent {
+                        depth[i] = depth[p] + 1;
+                    }
+                    let side = if depth[i] % 2 == 0 { &mut nx } else { &mut ny };
+                    id[i] = *side;
+                    *side += 1;
+                    if let Some(p) = parent {
+                        let (x, y) = if depth[i] % 2 == 0 { (i, p) } else { (p, i) };
+                        edges.push((id[x], id[y]));
+                    }
+                }
+                let mut arrivals: Vec<VertexId> = (0..nx).collect();
+                arrivals.sort_by_key(|&x| keys[x as usize]);
+                GrowingForest {
+                    g: BipartiteCsr::from_edges(nx as usize, ny as usize, &edges),
+                    arrivals,
+                }
+            })
+    })
+}
+
+/// The graph as it stands after some arrivals: the `X` that have not
+/// arrived yet are hidden, with their edges.
+struct Arrived<'a> {
+    g: &'a BipartiteCsr,
+    arrived: &'a [bool],
+}
+
+impl XYAdjacency for Arrived<'_> {
+    fn nx(&self) -> usize {
+        self.g.num_x()
+    }
+
+    fn ny(&self) -> usize {
+        self.g.num_y()
+    }
+
+    fn for_each_x_neighbor(&self, x: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
+        self.arrived[x as usize] && self.g.x_neighbors(x).iter().any(|&y| f(y))
+    }
+
+    fn for_each_y_neighbor(&self, y: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
+        (self.g.y_neighbors(y).iter())
+            .filter(|&&x| self.arrived[x as usize])
+            .any(|&x| f(x))
+    }
+}
+
+/// Bosek, Leniowski, Sankowski and Zych-Pawlewicz prove that when the `X`
+/// of a forest arrive one at a time with all their edges, augmenting
+/// along a shortest augmenting path from each arrival costs O(n log n)
+/// path edges in total, n the number of vertices, and that the bound is
+/// tight. `augment_from_x` is a BFS, so it finds a shortest path. The
+/// bound has no stated constant: this one is twice the largest ratio seen
+/// on these forests (0.5, at n = 2 and 4; at most 0.21 from n = 100 on).
+const REPAIR_PATH_EDGES_PER_N_LOG_N: f64 = 1.0;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // One repair search per arrival keeps the matching maximum, and the
+    // paths it flips stay within the bound.
+    #[test]
+    fn repair_paths_on_growing_forests_stay_within_n_log_n(f in arb_growing_forest()) {
+        let g = &f.g;
+        let mut arrived = vec![false; g.num_x()];
+        let (mut m, mut ws) = (Matching::for_graph(g), SolveWorkspace::new());
+        let mut path_edges = 0u64;
+        for &x in &f.arrivals {
+            arrived[x as usize] = true;
+            let view = Arrived { g, arrived: &arrived };
+            if let AugmentOutcome::Augmented { path_len, .. } = augment_from_x(&view, &mut m, x, &mut ws) {
+                path_edges += path_len as u64 - 1;
+            }
+        }
+        let maximum = matching::hopcroft_karp(g, Matching::for_graph(g)).matching;
+        prop_assert_eq!(m.cardinality(), maximum.cardinality());
+        let n = (g.num_x() + g.num_y()) as f64;
+        let ratio = path_edges as f64 / (n * n.log2());
+        prop_assert!(
+            ratio <= REPAIR_PATH_EDGES_PER_N_LOG_N,
+            "{path_edges} path edges on {n} vertices: {ratio:.3} n log2 n"
+        );
     }
 }

@@ -535,3 +535,47 @@ fn acked_update_survives_immediate_crash() {
     assert_eq!(c.req("SHUTDOWN"), "OK bye");
     handle.join().unwrap();
 }
+
+/// A restored delta that no longer replays as recorded must not undo a
+/// later acked update. The journal below adds `(0, 0)`, which
+/// kkt_power:tiny already has (as when an `.mtx` source gained the edge
+/// between runs), so its replay inserts nothing; an acked `DEL 0 0` must
+/// then be durable as a delete, both in the crash image (the adopted file
+/// plus whatever the ack wrote) and in the file the drain leaves.
+#[test]
+fn acked_delete_survives_a_stale_restored_add() {
+    let g = gen::suite::by_name("kkt_power")
+        .unwrap()
+        .build(gen::Scale::Tiny);
+    assert!(g.has_edge(0, 0), "the source must already have the edge");
+    let disk = clean_disk(41, None);
+    let stale = Snapshot {
+        entries: vec![suite_entry("g")],
+        deltas: vec![SnapshotDelta {
+            name: "g".to_string(),
+            adds: vec![(0, 0)],
+            dels: vec![],
+        }],
+        rebuilds: 0,
+    };
+    disk.preload(
+        &Path::new(DIR).join(snapshot::SNAPSHOT_FILE),
+        snapshot::render(&stale).as_bytes(),
+    );
+    let (addr, _shutdown, handle) = spawn_on(Arc::clone(&disk));
+    let mut c = Client::connect(&addr);
+    let reply = c.req("UPDATE g DEL 0 0");
+    assert!(reply.starts_with("OK"), "the delete must be acked: {reply}");
+    let crashed = disk.crash();
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap();
+    for (what, image) in [("crash image", crashed), ("drained file", disk.crash())] {
+        let report = snapshot::load_on(image.as_ref(), Path::new(DIR), None)
+            .unwrap_or_else(|e| panic!("{what} must load: {e}"));
+        let delta = report.snapshot.deltas.iter().find(|d| d.name == "g");
+        assert!(
+            delta.is_some_and(|d| d.dels.contains(&(0, 0)) && d.adds.is_empty()),
+            "{what}: the acked DEL 0 0 must be durable: {delta:?}"
+        );
+    }
+}

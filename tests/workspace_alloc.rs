@@ -163,9 +163,9 @@ fn warm_free_x_search_performs_zero_heap_allocations() {
         );
         // Round 1 grows the workspace; round 2, from the same matching
         // cloned outside the counted region, must not allocate.
-        augment_from_free_x(&g, &mut m0.clone(), u64::MAX, &mut ws);
+        augment_from_free_x(&g, &mut m0.clone(), &mut ws);
         let mut m = m0.clone();
-        let (out, allocs) = allocs_during(|| augment_from_free_x(&g, &mut m, u64::MAX, &mut ws));
+        let (out, allocs) = allocs_during(|| augment_from_free_x(&g, &mut m, &mut ws));
         assert_eq!(
             allocs, 0,
             "{name}: warm free-X search allocated {allocs} times"

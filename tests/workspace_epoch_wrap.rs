@@ -8,6 +8,7 @@
 //! against fresh-workspace solves — before the wrap, across it, and for
 //! several solves after.
 
+use matching::{augment_from_free_x, augment_from_x, augment_from_y, AugmentOutcome};
 use ms_bfs_graft::prelude::*;
 
 /// Runs `body` on an installed 1-thread pool. Byte-exact equality is a
@@ -44,9 +45,34 @@ fn assert_same_outcome(alg: Algorithm, stage: &str, a: &RunOutcome, b: &RunOutco
     );
 }
 
+/// A fixed sequence of the repair searches of a dynamic matching from
+/// `m0` on `ws`: from a free `X`, from every free `X` and from a free
+/// `Y`, three times. Each search gives its outcome and the mates after it.
+fn repair_searches(
+    g: &BipartiteCsr,
+    m0: &Matching,
+    ws: &mut SolveWorkspace,
+) -> Vec<(AugmentOutcome, Vec<VertexId>)> {
+    let mut m = m0.clone();
+    let mut out = Vec::new();
+    for round in 0..3 {
+        let x = m.unmatched_x().nth(round);
+        if let Some(x) = x {
+            out.push((augment_from_x(g, &mut m, x, ws), m.mates_x().to_vec()));
+        }
+        out.push((augment_from_free_x(g, &mut m, ws), m.mates_x().to_vec()));
+        let y = m.unmatched_y().filter(|&y| g.y_degree(y) > 0).nth(round);
+        if let Some(y) = y {
+            out.push((augment_from_y(g, &mut m, y, ws), m.mates_x().to_vec()));
+        }
+    }
+    out
+}
+
 /// Every engine solves identically on a workspace whose very next solve
 /// crosses the wrap — dirty marks from a *different* graph included, so
-/// the full clear (not epoch staleness) is what hides them.
+/// the full clear (not epoch staleness) is what hides them. The repair
+/// searches, which run on the MS-BFS arena, do too.
 #[test]
 fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
     on_one_thread(|| {
@@ -78,6 +104,18 @@ fn wrap_with_dirty_marks_from_another_graph_is_invisible() {
                 let again = solve_from_in(&small, m0_small.clone(), alg, &opts, &mut ws);
                 assert_same_outcome(alg, &format!("post-wrap rep {rep}"), &fresh, &again);
             }
+        }
+        // The repair searches from a maximal matching, which leaves them
+        // paths to flip. The first one wraps.
+        let m = matching::init::Initializer::Greedy.run(&small, 5);
+        let fresh = repair_searches(&small, &m, &mut SolveWorkspace::new());
+        let mut ws = SolveWorkspace::new();
+        solve_from_in(&big, m0_big.clone(), Algorithm::MsBfsGraft, &opts, &mut ws);
+        ws.force_epoch_wrap();
+        let wrapped = repair_searches(&small, &m, &mut ws);
+        assert_eq!(wrapped.len(), fresh.len());
+        for (i, (a, b)) in wrapped.iter().zip(&fresh).enumerate() {
+            assert_eq!(a, b, "repair search {i} after the wrap");
         }
     });
 }

@@ -4,6 +4,7 @@
 //! statistics to fresh-workspace solves. This is the contract that lets
 //! graft-svc keep one workspace per worker for the life of the process.
 
+use matching::{augment_from_free_x, augment_from_x, augment_from_y, AugmentOutcome};
 use ms_bfs_graft::prelude::*;
 
 /// Every engine, the parallel ones included: on one thread all of them
@@ -82,8 +83,34 @@ fn assert_same_outcome(alg: Algorithm, round: usize, gi: usize, a: &RunOutcome, 
     );
 }
 
+/// A fixed sequence of the repair searches of a dynamic matching from
+/// `m0` on `ws`: from a free `X`, from every free `X` and from a free
+/// `Y`, three times. Each search gives its outcome and the mates after it.
+fn repair_searches(
+    g: &BipartiteCsr,
+    m0: &Matching,
+    ws: &mut SolveWorkspace,
+) -> Vec<(AugmentOutcome, Vec<VertexId>)> {
+    let mut m = m0.clone();
+    let mut out = Vec::new();
+    for round in 0..3 {
+        let x = m.unmatched_x().nth(round);
+        if let Some(x) = x {
+            out.push((augment_from_x(g, &mut m, x, ws), m.mates_x().to_vec()));
+        }
+        out.push((augment_from_free_x(g, &mut m, ws), m.mates_x().to_vec()));
+        let y = m.unmatched_y().filter(|&y| g.y_degree(y) > 0).nth(round);
+        if let Some(y) = y {
+            out.push((augment_from_y(g, &mut m, y, ws), m.mates_x().to_vec()));
+        }
+    }
+    out
+}
+
 /// One workspace, every engine, three graphs, three rounds: 99 recycled
-/// solves all matching their fresh twins exactly.
+/// solves all matching their fresh twins exactly. The repair searches,
+/// which share the MS-BFS arena, run on the same workspace after each
+/// graph's solves and match theirs too.
 #[test]
 fn recycled_workspace_matches_fresh_solves_exactly() {
     on_one_thread(|| {
@@ -91,6 +118,11 @@ fn recycled_workspace_matches_fresh_solves_exactly() {
         let inits: Vec<Matching> = gs
             .iter()
             .map(|g| matching::init::Initializer::KarpSipser.run(g, 0xBEEF))
+            .collect();
+        // Maximal matchings leave the searches paths to flip.
+        let maximal: Vec<Matching> = gs
+            .iter()
+            .map(|g| matching::init::Initializer::Greedy.run(g, 5))
             .collect();
         let opts = SolveOptions {
             initializer: matching::init::Initializer::None,
@@ -107,6 +139,9 @@ fn recycled_workspace_matches_fresh_solves_exactly() {
                     let reused = solve_from_in(g, m0.clone(), alg, &opts, &mut ws);
                     assert_same_outcome(alg, round, gi, &fresh, &reused);
                 }
+                let fresh = repair_searches(g, &maximal[gi], &mut SolveWorkspace::new());
+                let reused = repair_searches(g, &maximal[gi], &mut ws);
+                assert_eq!(reused, fresh, "repair searches, round {round} graph {gi}");
             }
         }
     });
