@@ -9,9 +9,11 @@
 //! experiments loadgen [--connections N] [--requests N] [--batch N] [--seed S]
 //!             [--open-loop-rate R] [--virtual-open-loop] [--scale ...] [--threads N] [--out DIR]
 //! experiments stress [--seed S] [--budget-secs N] [--scale ...] [--out DIR]
+//! experiments abtest --base-bin PATH --head-bin PATH --workload W --out FILE
+//!             [--pairs N] [--seconds S] [--seed S]
 //! ```
 
-use graft_bench::experiments::{LoadgenOptions, StressOptions};
+use graft_bench::experiments::{AbtestOptions, LoadgenOptions, StressOptions};
 use graft_bench::{experiments, Config};
 use graft_gen::Scale;
 
@@ -21,6 +23,7 @@ fn usage() -> ! {
          \x20      experiments trace-report <file.jsonl>\n\
          \x20      experiments loadgen [--connections N] [--requests N] [--batch N] [--seed S] [--open-loop-rate R] [--virtual-open-loop]\n\
          \x20      experiments stress [--seed S] [--budget-secs N]\n\
+         \x20      experiments abtest --base-bin PATH --head-bin PATH --workload W --out FILE [--pairs N] [--seconds S] [--seed S]\n\
          experiments: all table1 table2 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 variability ablation_alpha ablation_init dist anatomy perf-gate scaling stress dynbench loadgen"
     );
     std::process::exit(2);
@@ -35,6 +38,19 @@ fn main() {
             Ok(()) => std::process::exit(0),
             Err(e) => {
                 eprintln!("trace-report failed: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+    if args.first().map(String::as_str) == Some("abtest") {
+        let opts = AbtestOptions::parse(&args[1..]).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage()
+        });
+        match experiments::abtest(&opts) {
+            Ok(()) => std::process::exit(0),
+            Err(e) => {
+                eprintln!("abtest failed: {e}");
                 std::process::exit(1);
             }
         }

@@ -2,6 +2,7 @@
 //! index mapping experiment ids to paper content.
 
 mod ablation;
+mod abtest;
 mod anatomy;
 mod dist;
 mod dynbench;
@@ -21,6 +22,7 @@ mod tables;
 mod variability;
 
 pub use ablation::{ablation_alpha, ablation_init};
+pub use abtest::{abtest, AbtestOptions, ABTEST_SCHEMA};
 pub use anatomy::anatomy;
 pub use dist::dist;
 pub use dynbench::{dynbench, DYNBENCH_FILE, DYNBENCH_SCHEMA, DYNBENCH_SPEEDUP_MIN};

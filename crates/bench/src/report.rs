@@ -204,15 +204,18 @@ pub(crate) struct Artifact {
 }
 
 impl Artifact {
-    /// Opens an artifact of `schema`, measured at `scale` on this host.
-    pub(crate) fn new(schema: &str, scale: Scale) -> Self {
+    /// Opens an artifact of `schema`, measured on this host, at `scale`
+    /// when the experiment has one.
+    pub(crate) fn new(schema: &str, scale: impl Into<Option<Scale>>) -> Self {
         let sys = SystemInfo::collect();
         let mut a = Self {
             json: String::from("{\n"),
         };
         a.field("schema", format_args!("\"{}\"", escape(schema)));
         a.field("git_sha", format_args!("\"{}\"", escape(&git_sha())));
-        a.field("scale", format_args!("\"{scale:?}\""));
+        if let Some(scale) = scale.into() {
+            a.field("scale", format_args!("\"{scale:?}\""));
+        }
         a.field(
             "system",
             format_args!(
@@ -247,12 +250,10 @@ impl Artifact {
             .iter()
             .map(|v| format!("\"{}\"", escape(v)))
             .collect();
-        let _ = writeln!(self.json, "  \"violations\": [{}],", quoted.join(", "));
-        let _ = writeln!(self.json, "  \"pass\": {}\n}}", violations.is_empty());
+        self.field("violations", format_args!("[{}]", quoted.join(", ")));
+        self.field("pass", violations.is_empty());
         std::fs::create_dir_all(dir)?;
-        let path = dir.join(file);
-        std::fs::write(&path, &self.json)?;
-        println!("  → {}", path.display());
+        self.finish(&dir.join(file))?;
         if violations.is_empty() {
             Ok(())
         } else {
@@ -262,6 +263,17 @@ impl Artifact {
                 violations.join("; ")
             )))
         }
+    }
+
+    /// Closes the artifact without a verdict and writes it to `path`.
+    pub(crate) fn finish(mut self, path: &Path) -> io::Result<()> {
+        // Every field ends in `,\n`; the last one closes the object.
+        let fields = self.json.trim_end_matches([',', '\n']).len();
+        self.json.truncate(fields);
+        self.json.push_str("\n}\n");
+        std::fs::write(path, &self.json)?;
+        println!("  → {}", path.display());
+        Ok(())
     }
 }
 

@@ -108,6 +108,17 @@ pub struct SearchStats {
     /// of single-source searches for SS algorithms).
     pub phases: u32,
     /// Number of augmenting paths applied.
+    ///
+    /// A solve that completes (not [`timed_out`](Self::timed_out)) with
+    /// none returns its input matching mate for mate, whatever the
+    /// algorithm, and every algorithm finds none from a maximum matching
+    /// (`tests/all_algorithms_agree.rs` pins both at widths 1 and 2).
+    /// Outside push-relabel only an augmentation moves a mate. A
+    /// push-relabel steal moves one without augmenting, but a solve from
+    /// a maximum matching opens with a global relabel that leaves every
+    /// free `X` unreachable, so it pushes nothing. A push-relabel solve
+    /// that stopped early may already have moved mates by steals, which
+    /// is why `graft-svc` keeps only completed results.
     pub augmenting_paths: u64,
     /// Total length (in edges) of all applied augmenting paths.
     pub total_augmenting_path_edges: u64,

@@ -11,7 +11,14 @@
 //! matching produced by the last completed solve. A later solve of the
 //! same graph starts from it instead of from scratch, so repeat solves
 //! converge in fewer phases (one certification phase, zero augmentations,
-//! once the cached matching is maximum).
+//! once the cached matching is maximum). The cached `Arc<Matching>` is
+//! never lent to a solve, so a solve that panics cannot take it down with
+//! it. A server worker starts from a clone of it, or from its own copy of
+//! the matching when that copy came from the very `Arc` that `get`
+//! returned (`Arc::ptr_eq`). A solve that augmented nothing changed no
+//! mate, so it hands that same `Arc` back to
+//! [`store_warm_for`](GraphRegistry::store_warm_for) and keeps its result
+//! as the copy; any other result is stored as a new `Arc`.
 //!
 //! Snapshot restore goes through [`GraphRegistry::restore`], which
 //! remembers sources and warm starts **without materializing** anything
@@ -86,8 +93,9 @@ struct Inner {
     /// Warm starts restored from a snapshot, waiting for their graph to
     /// be materialized. Only then are they checked against the real
     /// graph dimensions and built into a matching, so a journal's `ny`
-    /// never sizes an allocation on its own.
-    pending_warm: HashMap<String, WarmStart>,
+    /// never sizes an allocation on its own. Each sits behind an `Arc`,
+    /// so a snapshot copies it outside the lock.
+    pending_warm: HashMap<String, Arc<WarmStart>>,
     reloads: u64,
 }
 
@@ -277,7 +285,7 @@ impl GraphRegistry {
         inner.sources.insert(name.to_string(), source);
         match warm {
             Some(w) => {
-                inner.pending_warm.insert(name.to_string(), w);
+                inner.pending_warm.insert(name.to_string(), Arc::new(w));
             }
             None => {
                 inner.pending_warm.remove(name);
@@ -288,26 +296,42 @@ impl GraphRegistry {
     /// The registry's durable state, for the snapshot writer: every
     /// registered source plus its current warm matching (cached or still
     /// pending from a restore), in name order for deterministic files.
+    ///
+    /// Only `Arc`s are cloned under the lock; the O(n) flattening of each
+    /// warm matching runs after it is released, so a snapshot never
+    /// stalls the solves and stores of other graphs.
     pub fn snapshot_entries(&self) -> Vec<SnapshotEntry> {
-        let inner = self.lock();
-        let mut names: Vec<&String> = inner.sources.keys().collect();
-        names.sort();
-        names
+        enum Warm {
+            Cached(Arc<Matching>),
+            Pending(Arc<WarmStart>),
+        }
+        let held: Vec<(String, GraphSource, Option<Warm>)> = {
+            let inner = self.lock();
+            inner
+                .sources
+                .iter()
+                .map(|(name, source)| {
+                    let warm = match inner.cache.peek(name).and_then(|e| e.warm.as_ref()) {
+                        Some(m) => Some(Warm::Cached(Arc::clone(m))),
+                        None => inner.pending_warm.get(name).cloned().map(Warm::Pending),
+                    };
+                    (name.clone(), source.clone(), warm)
+                })
+                .collect()
+        };
+        let mut entries: Vec<SnapshotEntry> = held
             .into_iter()
-            .map(|name| {
-                let warm = inner
-                    .cache
-                    .peek(name)
-                    .and_then(|e| e.warm.as_deref())
-                    .map(WarmStart::from_matching)
-                    .or_else(|| inner.pending_warm.get(name).cloned());
-                SnapshotEntry {
-                    name: name.clone(),
-                    source: inner.sources[name].clone(),
-                    warm,
-                }
+            .map(|(name, source, warm)| SnapshotEntry {
+                name,
+                source,
+                warm: warm.map(|w| match w {
+                    Warm::Cached(m) => WarmStart::from_matching(&m),
+                    Warm::Pending(w) => (*w).clone(),
+                }),
             })
-            .collect()
+            .collect();
+        entries.sort_by(|a, b| a.name.cmp(&b.name));
+        entries
     }
 
     /// Saves `matching` as the warm start for whatever graph is cached
@@ -328,11 +352,16 @@ impl GraphRegistry {
     /// evicted, re-registered by `LOAD`/`GEN`, or reloaded after an LRU
     /// eviction meanwhile: a reload builds a new `Arc`, so a solve that
     /// races one drops its warm start and the next solve runs cold.
-    pub fn store_warm_for(&self, name: &str, graph: &Arc<BipartiteCsr>, matching: Matching) {
+    ///
+    /// A warm solve that changed no mate hands back the very `Arc` its
+    /// `get` returned, so the entry keeps that allocation (and the
+    /// solving worker's copy still matches it); the store still refreshes
+    /// the entry's recency and counts a cache lookup.
+    pub fn store_warm_for(&self, name: &str, graph: &Arc<BipartiteCsr>, matching: Arc<Matching>) {
         let mut inner = self.lock();
         if let Some(e) = inner.cache.get_mut(name) {
             if Arc::ptr_eq(&e.graph, graph) {
-                e.warm = Some(Arc::new(matching));
+                e.warm = Some(matching);
             }
         }
     }

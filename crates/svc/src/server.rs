@@ -52,7 +52,9 @@ use crate::registry::{
 use crate::scheduler::Scheduler;
 use crate::snapshot::{self, Snapshot, SnapshotDelta};
 use graft_core::trace::RingSink;
-use graft_core::{solve_from_traced_in, Algorithm, SolveOptions, SolveWorkspace, Stop, Tracer};
+use graft_core::{
+    solve_from_traced_in, Algorithm, Matching, SolveOptions, SolveWorkspace, Stop, Tracer,
+};
 use graft_dyn::{DynConfig, DynamicMatching, UpdateOutcome};
 use graft_sim::{Clock, Conn, Disk, Listener, RealDisk, TcpTransport, Transport, WallClock};
 use std::collections::{BTreeSet, HashMap};
@@ -286,13 +288,31 @@ pub struct Server {
 }
 
 /// Per-worker solver state: a resident [`SolveWorkspace`] (grown on
-/// demand to the largest graph this worker has solved) plus the last
-/// observed shrink generation. `EVICT` bumps the shared generation; each
-/// worker compares lazily before its next solve and releases the buffers,
-/// so a workspace sized for an evicted giant does not pin its footprint.
+/// demand to the largest graph this worker has solved), the worker's own
+/// copy of a cached warm matching, and the last observed shrink
+/// generation. `EVICT` bumps the shared generation; each worker compares
+/// lazily before its next job and releases the buffers and the copy, so
+/// state sized for an evicted giant does not pin its footprint.
+#[derive(Default)]
 struct WorkerState {
     ws: SolveWorkspace,
+    /// The matching this worker's last warm solve returned unchanged,
+    /// beside the registry's `Arc` it equals. A warm solve whose `get`
+    /// returns that same `Arc` runs on this copy instead of cloning it.
+    warm: Option<(Arc<Matching>, Matching)>,
     seen_shrink_gen: u64,
+}
+
+impl WorkerState {
+    /// Releases the workspace buffers and the warm copy if `EVICT` has
+    /// moved the shrink generation to `gen` since the last job.
+    fn observe_shrink_gen(&mut self, gen: u64) {
+        if self.seen_shrink_gen != gen {
+            self.ws.shrink();
+            self.warm = None;
+            self.seen_shrink_gen = gen;
+        }
+    }
 }
 
 // One parameter per piece of per-worker/shared state the job touches;
@@ -307,7 +327,7 @@ fn run_job(
     journal: Option<&Journal>,
     phase_hook: &(dyn Fn(u32) + Sync),
     clock: &dyn Clock,
-    ws: &mut SolveWorkspace,
+    worker: &mut WorkerState,
 ) -> JobReply {
     match job {
         Job::Sleep(ms) => {
@@ -350,15 +370,21 @@ fn run_job(
                 stop: Stop(&stop),
                 ..SolveOptions::default()
             };
-            let warm_used = warm.is_some() && !cold;
+            let warm = warm.filter(|_| !cold);
             metrics
                 .solve_threads_used
                 .fetch_add(threads.max(1) as u64, Ordering::Relaxed);
             let t0 = clock.now();
-            // Without a warm start the dispatcher runs the initializer,
-            // inside the solve's pool.
-            let m0 = warm.filter(|_| !cold).map(|m0| (*m0).clone());
-            let out = solve_from_traced_in(&graph, m0, algorithm, &opts, tracer, ws);
+            // The worker's copy leaves its state before the engine runs,
+            // so a solve abandoned by a panic loses only that copy; the
+            // registry's matching is never lent. Without a warm start the
+            // dispatcher runs the initializer, inside the solve's pool.
+            let held = worker.warm.take();
+            let m0 = warm.as_ref().map(|w| match held {
+                Some((of, copy)) if Arc::ptr_eq(&of, w) => copy,
+                _ => (**w).clone(),
+            });
+            let out = solve_from_traced_in(&graph, m0, algorithm, &opts, tracer, &mut worker.ws);
             let solve_us = clock.now().saturating_duration_since(t0).as_micros() as u64;
             metrics.solve.record(solve_us);
             if out.stats.timed_out {
@@ -378,10 +404,23 @@ fn run_job(
                 s.final_cardinality,
                 s.phases,
                 s.augmenting_paths,
-                warm_used,
+                warm.is_some(),
                 solve_us,
             );
-            registry.store_warm_for(&name, &graph, out.matching);
+            match warm {
+                // A completed solve that augmented nothing changed no
+                // mate: the registry's matching stays published, and the
+                // result stays with the worker for its next warm solve.
+                Some(w) if s.augmenting_paths == 0 => {
+                    debug_assert!(
+                        out.matching == *w,
+                        "a solve without augmentations moved mates"
+                    );
+                    registry.store_warm_for(&name, &graph, Arc::clone(&w));
+                    worker.warm = Some((w, out.matching));
+                }
+                _ => registry.store_warm_for(&name, &graph, Arc::new(out.matching)),
+            }
             metrics.record_solve(algorithm, &name, solve_us);
             Ok(line)
         }
@@ -735,16 +774,9 @@ impl Server {
                     cfg.queue_capacity,
                     Arc::clone(&metrics),
                     Arc::clone(&clock),
-                    || WorkerState {
-                        ws: SolveWorkspace::new(),
-                        seen_shrink_gen: 0,
-                    },
+                    WorkerState::default,
                     move |job, state: &mut WorkerState| {
-                        let gen = shrink_gen.load(Ordering::Relaxed);
-                        if state.seen_shrink_gen != gen {
-                            state.ws.shrink();
-                            state.seen_shrink_gen = gen;
-                        }
+                        state.observe_shrink_gen(shrink_gen.load(Ordering::Relaxed));
                         run_job(
                             job,
                             &registry,
@@ -758,7 +790,7 @@ impl Server {
                                 }
                             },
                             &*clock,
-                            &mut state.ws,
+                            state,
                         )
                     },
                 )
@@ -1443,9 +1475,27 @@ mod tests {
         registry
     }
 
-    /// Runs `job` against `registry` with `phase_hook`, on `clock`.
+    /// Runs `job` against `registry` with `phase_hook`, on `clock`, on a
+    /// fresh worker.
     fn run(
         registry: &GraphRegistry,
+        job: Job,
+        phase_hook: &(dyn Fn(u32) + Sync),
+        clock: &dyn Clock,
+    ) -> JobReply {
+        run_on(
+            registry,
+            &mut WorkerState::default(),
+            job,
+            phase_hook,
+            clock,
+        )
+    }
+
+    /// [`run`] on `worker`, whose state carries over between calls.
+    fn run_on(
+        registry: &GraphRegistry,
+        worker: &mut WorkerState,
         job: Job,
         phase_hook: &(dyn Fn(u32) + Sync),
         clock: &dyn Clock,
@@ -1459,8 +1509,190 @@ mod tests {
             None,
             phase_hook,
             clock,
-            &mut SolveWorkspace::new(),
+            worker,
         )
+    }
+
+    /// The registry's cached warm matching of `g`.
+    fn cached(registry: &GraphRegistry) -> Option<Arc<Matching>> {
+        registry.get("g").unwrap().1
+    }
+
+    /// The value of `key=` in a reply line.
+    fn reply_field<'a>(line: &'a str, key: &str) -> &'a str {
+        line.split_whitespace()
+            .find_map(|t| t.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("no {key} in {line}"))
+    }
+
+    /// A worker that has run a cold Hopcroft-Karp solve of `g` and then a
+    /// warm MS-BFS-Graft one, which kept its result: the worker, that
+    /// result's registry `Arc` and the maximum cardinality.
+    fn worker_with_a_copy(registry: &GraphRegistry) -> (WorkerState, Arc<Matching>, String) {
+        let mut worker = WorkerState::default();
+        let no_hook = &|_| {};
+        let hk = run_on(
+            registry,
+            &mut worker,
+            solve_job("g", Algorithm::HopcroftKarp, true),
+            no_hook,
+            &WallClock,
+        )
+        .unwrap();
+        assert!(worker.warm.is_none(), "a cold solve kept a copy");
+        let before = cached(registry).expect("the cold solve stored its matching");
+        let warm = run_on(
+            registry,
+            &mut worker,
+            solve_job("g", Algorithm::MsBfsGraft, false),
+            no_hook,
+            &WallClock,
+        )
+        .unwrap();
+        assert_eq!(reply_field(&warm, "warm"), "true", "{warm}");
+        assert_eq!(reply_field(&warm, "augmentations"), "0", "{warm}");
+        let (of, copy) = worker
+            .warm
+            .as_ref()
+            .expect("the warm solve kept its result");
+        assert!(Arc::ptr_eq(of, &before) && **of == *copy);
+        assert!(
+            Arc::ptr_eq(&cached(registry).unwrap(), &before),
+            "the registry's Arc was replaced"
+        );
+        let cardinality = reply_field(&hk, "cardinality").to_string();
+        (worker, before, cardinality)
+    }
+
+    #[test]
+    fn a_second_warm_solve_runs_on_the_workers_copy() {
+        let registry = registry_with("kkt_power:tiny");
+        let (mut worker, cached_arc, cardinality) = worker_with_a_copy(&registry);
+        let buffer = worker.warm.as_ref().unwrap().1.mates_x().as_ptr();
+        let reply = run_on(
+            &registry,
+            &mut worker,
+            solve_job("g", Algorithm::MsBfsGraft, false),
+            &|_| {},
+            &WallClock,
+        )
+        .unwrap();
+        assert_eq!(reply_field(&reply, "warm"), "true", "{reply}");
+        assert_eq!(reply_field(&reply, "cardinality"), cardinality, "{reply}");
+        let (of, copy) = worker.warm.as_ref().expect("the copy came back");
+        assert_eq!(
+            copy.mates_x().as_ptr(),
+            buffer,
+            "the solve cloned instead of using the copy"
+        );
+        assert!(Arc::ptr_eq(of, &cached_arc));
+        assert!(Arc::ptr_eq(&cached(&registry).unwrap(), &cached_arc));
+    }
+
+    #[test]
+    fn a_warm_start_that_augments_publishes_a_new_arc() {
+        let registry = registry_with("kkt_power:tiny");
+        let (mut worker, _, cardinality) = worker_with_a_copy(&registry);
+        let (g, _) = registry.get("g").unwrap();
+        registry.store_warm("g", Matching::for_graph(&g));
+        let seeded = cached(&registry).unwrap();
+        let reply = run_on(
+            &registry,
+            &mut worker,
+            solve_job("g", Algorithm::MsBfsGraft, false),
+            &|_| {},
+            &WallClock,
+        )
+        .unwrap();
+        assert_eq!(reply_field(&reply, "warm"), "true", "{reply}");
+        assert_ne!(reply_field(&reply, "augmentations"), "0", "{reply}");
+        let published = cached(&registry).unwrap();
+        assert!(
+            !Arc::ptr_eq(&published, &seeded),
+            "the result was not published"
+        );
+        assert_eq!(published.cardinality().to_string(), cardinality);
+        assert!(
+            worker.warm.is_none(),
+            "the worker kept a matching that moved"
+        );
+    }
+
+    #[test]
+    fn a_warm_solve_that_panics_leaves_the_registry_matching() {
+        let registry = registry_with("kkt_power:tiny");
+        let (mut worker, cached_arc, cardinality) = worker_with_a_copy(&registry);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let hook = |_| panic!("injected phase fault");
+            run_on(
+                &registry,
+                &mut worker,
+                solve_job("g", Algorithm::MsBfsGraft, false),
+                &hook,
+                &WallClock,
+            )
+        }));
+        assert!(panicked.is_err());
+        assert!(
+            worker.warm.is_none(),
+            "the copy must leave the worker before the engine runs"
+        );
+        assert!(Arc::ptr_eq(&cached(&registry).unwrap(), &cached_arc));
+        let next = run_on(
+            &registry,
+            &mut worker,
+            solve_job("g", Algorithm::MsBfsGraft, false),
+            &|_| {},
+            &WallClock,
+        )
+        .unwrap();
+        assert_eq!(reply_field(&next, "warm"), "true", "{next}");
+        assert_eq!(reply_field(&next, "cardinality"), cardinality, "{next}");
+    }
+
+    #[test]
+    fn a_timed_out_warm_solve_publishes_nothing() {
+        let registry = registry_with("road_usa:tiny");
+        let (g, _) = registry.get("g").unwrap();
+        registry.store_warm("g", Matching::for_graph(&g));
+        let seeded = cached(&registry).unwrap();
+        let clock = SimClock::new();
+        let job = Job::Solve {
+            name: "g".to_string(),
+            algorithm: Algorithm::MsBfsGraft,
+            deadline: Some(clock.now() + Duration::from_secs(3600)),
+            threads: 1,
+            cold: false,
+            submitted: clock.now(),
+        };
+        // The first phase runs and augments; the poll after it stops.
+        let hook = |phases_done| {
+            if phases_done == 0 {
+                clock.advance(Duration::from_secs(7200));
+            }
+        };
+        let mut worker = WorkerState::default();
+        let reply = run_on(&registry, &mut worker, job, &hook, &clock);
+        assert!(
+            matches!(reply, Err(SvcError::DeadlineExceeded { .. })),
+            "{reply:?}"
+        );
+        assert!(Arc::ptr_eq(&cached(&registry).unwrap(), &seeded));
+        assert!(worker.warm.is_none());
+    }
+
+    #[test]
+    fn a_bumped_shrink_generation_drops_the_copy() {
+        let registry = registry_with("kkt_power:tiny");
+        let (mut worker, _, _) = worker_with_a_copy(&registry);
+        worker.observe_shrink_gen(0);
+        assert!(
+            worker.warm.is_some(),
+            "an unchanged generation dropped the copy"
+        );
+        worker.observe_shrink_gen(1);
+        assert!(worker.warm.is_none());
+        assert_eq!(worker.ws.footprint_bytes(), 0);
     }
 
     #[test]

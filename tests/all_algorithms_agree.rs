@@ -116,6 +116,31 @@ fn stats_are_consistent_across_suite() {
     }
 }
 
+/// From a maximum matching every algorithm, at one and two threads,
+/// finds no augmenting path, completes, and returns its input mate for
+/// mate: the fact that lets the service keep a warm solve's result in
+/// place of the cached matching it started from.
+#[test]
+fn a_solve_from_a_maximum_matching_changes_no_mate() {
+    for entry in gen::suite::suite() {
+        let g = entry.build(gen::Scale::Tiny);
+        let max = matching::hopcroft_karp(&g, Matching::for_graph(&g)).matching;
+        for threads in [1, 2] {
+            let opts = SolveOptions {
+                threads,
+                ..SolveOptions::default()
+            };
+            for alg in Algorithm::ALL {
+                let ctx = format!("{} on {} at {threads} threads", alg.name(), entry.name);
+                let out = solve_from_in(&g, max.clone(), alg, &opts, &mut SolveWorkspace::new());
+                assert_eq!(out.stats.augmenting_paths, 0, "{ctx}");
+                assert!(!out.stats.timed_out, "{ctx}");
+                assert!(out.matching == max, "{ctx}: the mates moved");
+            }
+        }
+    }
+}
+
 #[test]
 fn mtx_roundtrip_preserves_matching_number() {
     let entry = gen::suite::by_name("amazon0312").unwrap();
