@@ -9,7 +9,7 @@
 //! experiments loadgen [--connections N] [--requests N] [--batch N] [--seed S]
 //!             [--open-loop-rate R] [--virtual-open-loop] [--scale ...] [--threads N] [--out DIR]
 //! experiments stress [--seed S] [--budget-secs N] [--scale ...] [--out DIR]
-//! experiments abtest --base-bin PATH --head-bin PATH --workload W --out FILE
+//! experiments abtest (--base REV | --base-bin PATH --head-bin PATH) --workload W --out FILE
 //!             [--pairs N] [--seconds S] [--seed S]
 //! ```
 
@@ -23,7 +23,7 @@ fn usage() -> ! {
          \x20      experiments trace-report <file.jsonl>\n\
          \x20      experiments loadgen [--connections N] [--requests N] [--batch N] [--seed S] [--open-loop-rate R] [--virtual-open-loop]\n\
          \x20      experiments stress [--seed S] [--budget-secs N]\n\
-         \x20      experiments abtest --base-bin PATH --head-bin PATH --workload W --out FILE [--pairs N] [--seconds S] [--seed S]\n\
+         \x20      experiments abtest (--base REV | --base-bin PATH --head-bin PATH) --workload W --out FILE [--pairs N] [--seconds S] [--seed S]\n\
          experiments: all table1 table2 fig1 fig3 fig4 fig5 fig6 fig7 fig8 fig9 variability ablation_alpha ablation_init dist anatomy perf-gate scaling stress dynbench loadgen"
     );
     std::process::exit(2);

@@ -1,9 +1,14 @@
-//! `abtest` — an alternating A/B of two prebuilt perfbench binaries.
+//! `abtest` — an alternating A/B of two perfbench binaries.
 //!
 //! Absolute timings on a shared host drift between sessions by more than
 //! the effects a change claims, so a claim compares a base and a head
 //! binary run back to back on one host:
 //!
+//! * the binaries are either prebuilt (`--base-bin`, `--head-bin`) or
+//!   built here (`--base REV`): the base from a detached `git worktree`
+//!   of `REV` under `target/abtest/`, removed once the base is built, and
+//!   the head from the checkout as it stands, each with `--offline` into
+//!   a target directory of its own there;
 //! * pair `i` runs both binaries on one fresh seed, `seed + i`, the base
 //!   first in even pairs and the head first in odd ones, so neither side
 //!   always runs on the warmer machine;
@@ -27,19 +32,35 @@ use crate::report::{median, percentile, sorted, Artifact};
 use graft_core::json::escape;
 use std::fmt::Write as _;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 /// Schema identifier embedded in the JSON artifact; bump on layout change.
 pub const ABTEST_SCHEMA: &str = "graft-bench/abtest/v1";
 
+/// Where the two perfbench binaries come from.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Binaries {
+    /// `--base-bin P --head-bin P`: prebuilt.
+    Prebuilt {
+        /// The perfbench binary of the base commit.
+        base: PathBuf,
+        /// The perfbench binary of the change.
+        head: PathBuf,
+    },
+    /// `--base REV`: the base built from revision `REV`, the head from
+    /// the checkout.
+    Build {
+        /// The base revision, as `git rev-parse` reads it.
+        rev: String,
+    },
+}
+
 /// What `experiments abtest` compares.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AbtestOptions {
-    /// The perfbench binary of the base commit.
-    pub base_bin: PathBuf,
-    /// The perfbench binary of the change.
-    pub head_bin: PathBuf,
+    /// The base and head perfbench binaries.
+    pub binaries: Binaries,
     /// The perfbench workload, e.g. `serve-kkt`.
     pub workload: String,
     /// Alternating pairs of runs.
@@ -53,16 +74,19 @@ pub struct AbtestOptions {
 }
 
 impl AbtestOptions {
-    /// Parses `--base-bin P --head-bin P --workload W --out F [--pairs N]
-    /// [--seconds S] [--seed N]` (defaults: 10 pairs of 30 s from seed 1).
+    /// Parses `(--base REV | --base-bin P --head-bin P) --workload W --out
+    /// F [--pairs N] [--seconds S] [--seed N]` (defaults: 10 pairs of 30 s
+    /// from seed 1).
     pub fn parse(args: &[String]) -> Result<Self, String> {
-        let (mut base, mut head, mut workload, mut out) = (None, None, None, None);
+        let (mut rev, mut base, mut head) = (None, None, None);
+        let (mut workload, mut out) = (None, None);
         let (mut pairs, mut seconds, mut seed) = (10, 30, 1);
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
             let bad = || format!("bad value `{value}` for {flag}");
             match flag.as_str() {
+                "--base" => rev = Some(value.clone()),
                 "--base-bin" => base = Some(PathBuf::from(value)),
                 "--head-bin" => head = Some(PathBuf::from(value)),
                 "--workload" => workload = Some(value.clone()),
@@ -76,9 +100,18 @@ impl AbtestOptions {
         fn required<T>(v: Option<T>, flag: &str) -> Result<T, String> {
             v.ok_or_else(|| format!("{flag} is required"))
         }
+        let binaries = match (rev, base, head) {
+            (Some(rev), None, None) => Binaries::Build { rev },
+            (Some(_), _, _) => {
+                return Err("--base takes the place of --base-bin and --head-bin".into())
+            }
+            (None, base, head) => Binaries::Prebuilt {
+                base: required(base, "--base or --base-bin")?,
+                head: required(head, "--head-bin")?,
+            },
+        };
         Ok(Self {
-            base_bin: required(base, "--base-bin")?,
-            head_bin: required(head, "--head-bin")?,
+            binaries,
             workload: required(workload, "--workload")?,
             pairs,
             seconds,
@@ -337,11 +370,121 @@ struct Run {
     cpu: Option<[f64; 2]>,
 }
 
-fn run_once(opts: &AbtestOptions, side: Side, seed: u64) -> io::Result<Output> {
-    let bin = match side {
-        Side::Base => &opts.base_bin,
-        Side::Head => &opts.head_bin,
+/// `git -C root`, arguments to follow.
+fn git(root: &Path) -> Command {
+    let mut cmd = Command::new("git");
+    cmd.arg("-C").arg(root);
+    cmd
+}
+
+/// Runs `cmd`, returning its standard output trimmed, or its standard
+/// error when it fails.
+fn stdout_of(cmd: &mut Command) -> io::Result<String> {
+    let out = cmd.output()?;
+    if !out.status.success() {
+        return Err(io::Error::other(format!(
+            "{cmd:?}: {}",
+            String::from_utf8_lossy(&out.stderr).trim()
+        )));
+    }
+    Ok(String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// A detached worktree at `root/rel`, removed when dropped. `git -C
+/// root` reads a relative path from `root`, so git is handed `rel`.
+struct Worktree {
+    root: PathBuf,
+    rel: PathBuf,
+}
+
+impl Worktree {
+    /// Checks `commit` out at `root/rel`, first removing what an
+    /// interrupted run left there.
+    fn add(root: &Path, rel: &Path, commit: &str) -> io::Result<Self> {
+        let _ = stdout_of(git(root).args(["worktree", "remove", "--force"]).arg(rel));
+        let path = root.join(rel);
+        if path.exists() {
+            std::fs::remove_dir_all(path)?;
+        }
+        stdout_of(git(root).args(["worktree", "prune"]))?;
+        stdout_of(
+            git(root)
+                .args(["worktree", "add", "--detach"])
+                .arg(rel)
+                .arg(commit),
+        )?;
+        Ok(Self {
+            root: root.to_path_buf(),
+            rel: rel.to_path_buf(),
+        })
+    }
+
+    /// The checkout, as seen from the working directory.
+    fn path(&self) -> PathBuf {
+        self.root.join(&self.rel)
+    }
+}
+
+impl Drop for Worktree {
+    fn drop(&mut self) {
+        let removed = stdout_of(
+            git(&self.root)
+                .args(["worktree", "remove", "--force"])
+                .arg(&self.rel),
+        );
+        if let Err(e) = removed {
+            eprintln!("abtest: {e}");
+        }
+    }
+}
+
+/// Builds the perfbench of the source tree `src` into `target_dir` and
+/// returns the binary's path.
+fn build_perfbench(src: &Path, target_dir: &Path) -> io::Result<PathBuf> {
+    let manifest = src.join("perfbench").join("Cargo.toml");
+    println!(
+        "abtest: building {} into {}",
+        manifest.display(),
+        target_dir.display()
+    );
+    let status = Command::new("cargo")
+        .args([
+            "build",
+            "--release",
+            "--offline",
+            "--quiet",
+            "--manifest-path",
+        ])
+        .arg(&manifest)
+        .arg("--target-dir")
+        .arg(target_dir)
+        .status()?;
+    if !status.success() {
+        return Err(io::Error::other(format!(
+            "building {} failed ({status})",
+            manifest.display()
+        )));
+    }
+    Ok(target_dir.join("release").join("perfbench"))
+}
+
+/// `--base REV`: resolves `rev` in the repository at `root`, builds its
+/// perfbench from a worktree under `target/abtest/` and the checkout's
+/// into a second target directory there, and returns the commit with the
+/// base and head binaries (relative to `root` when `root` is).
+fn build_binaries(root: &Path, rev: &str) -> io::Result<(String, PathBuf, PathBuf)> {
+    let commit =
+        stdout_of(git(root).args(["rev-parse", "--verify", &format!("{rev}^{{commit}}")]))?;
+    let rel = Path::new("target").join("abtest");
+    let base = {
+        let tree = Worktree::add(root, &rel.join("base-src"), &commit)?;
+        build_perfbench(&tree.path(), &root.join(&rel).join("base"))?
     };
+    let head = build_perfbench(root, &root.join(&rel).join("head"))?;
+    Ok((commit, base, head))
+}
+
+fn run_once(bin: &Path, opts: &AbtestOptions, seed: u64) -> io::Result<Output> {
     let out = Command::new(bin)
         .args(["--workload", &opts.workload])
         .args(["--seed", &seed.to_string()])
@@ -407,7 +550,8 @@ fn compare(name: &str, extra: &str, base: Vec<f64>, head: Vec<f64>, lower: Optio
 }
 
 /// Runs the A/B and writes its artifact to `opts.out`; writes nothing
-/// unless every run was correct.
+/// unless every run was correct. `--base REV` resolves `REV` in the
+/// repository of the working directory and builds there.
 pub fn abtest(opts: &AbtestOptions) -> io::Result<()> {
     if opts.pairs == 0 {
         return Err(io::Error::new(
@@ -415,6 +559,16 @@ pub fn abtest(opts: &AbtestOptions) -> io::Result<()> {
             "abtest needs at least one pair",
         ));
     }
+    let (base_commit, base_bin, head_bin) = match &opts.binaries {
+        Binaries::Prebuilt { base, head } => (None, base.clone(), head.clone()),
+        Binaries::Build { rev } => {
+            let root = PathBuf::from(stdout_of(
+                git(Path::new(".")).args(["rev-parse", "--show-cdup"]),
+            )?);
+            let (commit, base, head) = build_binaries(&root, rev)?;
+            (Some(commit), base, head)
+        }
+    };
     let mut runs: Vec<Run> = Vec::with_capacity(2 * opts.pairs);
     for pair in 0..opts.pairs {
         let seed = opts.seed + pair as u64;
@@ -424,8 +578,12 @@ pub fn abtest(opts: &AbtestOptions) -> io::Result<()> {
             [Side::Head, Side::Base]
         };
         for (i, side) in order.into_iter().enumerate() {
+            let bin = match side {
+                Side::Base => &base_bin,
+                Side::Head => &head_bin,
+            };
             let before = cpu_times();
-            let output = run_once(opts, side, seed)?;
+            let output = run_once(bin, opts, seed)?;
             let cpu = cpu_shares(before, cpu_times());
             let values: Vec<String> = output
                 .metrics
@@ -521,13 +679,16 @@ pub fn abtest(opts: &AbtestOptions) -> io::Result<()> {
     let mut artifact = Artifact::new(ABTEST_SCHEMA, None);
     artifact.field("workload", format_args!("\"{}\"", escape(&opts.workload)));
     artifact.field("seconds", opts.seconds);
+    if let Some(commit) = &base_commit {
+        artifact.field("base_commit", format_args!("\"{}\"", escape(commit)));
+    }
     artifact.field(
         "base_bin",
-        format_args!("\"{}\"", escape(&opts.base_bin.display().to_string())),
+        format_args!("\"{}\"", escape(&base_bin.display().to_string())),
     );
     artifact.field(
         "head_bin",
-        format_args!("\"{}\"", escape(&opts.head_bin.display().to_string())),
+        format_args!("\"{}\"", escape(&head_bin.display().to_string())),
     );
     artifact.field("seeds", format_args!("[{}]", seeds.join(", ")));
     artifact.field("metrics", format_args!("[{}\n  ]", metrics.join(",")));
@@ -617,12 +778,101 @@ mod tests {
                 .collect();
         let opts = AbtestOptions::parse(&args).unwrap();
         assert_eq!((opts.pairs, opts.seconds, opts.seed), (6, 30, 1));
-        assert_eq!(opts.base_bin, PathBuf::from("a"));
+        assert_eq!(
+            opts.binaries,
+            Binaries::Prebuilt {
+                base: PathBuf::from("a"),
+                head: PathBuf::from("b")
+            }
+        );
         assert!(AbtestOptions::parse(&args[..6])
             .unwrap_err()
             .contains("--out"));
         let zero: Vec<String> = [&args[..], &["--pairs".into(), "0".into()]].concat();
         assert!(AbtestOptions::parse(&zero).is_err());
+    }
+
+    #[test]
+    fn base_takes_a_revision_in_place_of_the_two_binaries() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split(' ').map(String::from).collect();
+            AbtestOptions::parse(&args)
+        };
+        let opts = parse("--base HEAD~1 --workload cold-kkt --out x.json --seed 5").unwrap();
+        assert_eq!(
+            opts.binaries,
+            Binaries::Build {
+                rev: "HEAD~1".into()
+            }
+        );
+        assert_eq!((opts.workload.as_str(), opts.seed), ("cold-kkt", 5));
+        for both in [
+            "--base HEAD --base-bin a --workload w --out x",
+            "--base HEAD --head-bin b --workload w --out x",
+        ] {
+            assert!(
+                parse(both).unwrap_err().contains("--base takes the place"),
+                "{both}"
+            );
+        }
+        assert!(parse("--workload w --out x")
+            .unwrap_err()
+            .contains("--base or --base-bin"));
+        assert!(parse("--base-bin a --workload w --out x")
+            .unwrap_err()
+            .contains("--head-bin"));
+        assert!(parse("--base").unwrap_err().contains("needs a value"));
+    }
+
+    /// A repository with one commit and no perfbench, reached through a
+    /// path relative to the working directory, as `--show-cdup` gives it
+    /// from a subdirectory. A worktree is checked out where the build
+    /// reads it, a failed base build removes its worktree, and a bad
+    /// revision fails before anything is built.
+    #[test]
+    fn a_base_worktree_is_checked_out_under_the_root_and_removed() {
+        // Nested deeper than the working directory, so that a path read
+        // against the root twice lands somewhere else.
+        let depth = std::env::current_dir().unwrap().components().count();
+        let top = std::env::temp_dir().join(format!("graft_abtest_git_{}", std::process::id()));
+        let dir = (0..depth).fold(top.clone(), |d, _| d.join("d"));
+        let root = (1..depth)
+            .map(|_| "..")
+            .collect::<PathBuf>()
+            .join(dir.strip_prefix("/").unwrap());
+        let _ = std::fs::remove_dir_all(&top);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("README"), "base\n").unwrap();
+        for args in [
+            &["init", "-q"][..],
+            &["add", "README"],
+            &[
+                "-c",
+                "user.name=t",
+                "-c",
+                "user.email=t@t",
+                "commit",
+                "-q",
+                "-m",
+                "base",
+            ],
+        ] {
+            stdout_of(git(&root).args(args)).unwrap();
+        }
+        let tree = Worktree::add(&root, Path::new("wt"), "HEAD").unwrap();
+        let readme = std::fs::read_to_string(tree.path().join("README"));
+        assert_eq!(readme.unwrap(), "base\n");
+        drop(tree);
+        assert!(!dir.join("wt").exists());
+
+        let err = build_binaries(&root, "HEAD").unwrap_err();
+        assert!(err.to_string().contains("failed"), "{err}");
+        assert!(!dir.join("target/abtest/base-src").exists());
+        let trees = stdout_of(git(&root).args(["worktree", "list"])).unwrap();
+        assert_eq!(trees.lines().count(), 1, "{trees}");
+        let err = build_binaries(&root, "no-such-rev").unwrap_err();
+        assert!(err.to_string().contains("rev-parse"), "{err}");
+        std::fs::remove_dir_all(&top).unwrap();
     }
 
     /// Writes an executable stub that logs `<tag> <args>` to `log` and
@@ -649,8 +899,10 @@ mod tests {
         let wrong = stub(&dir, "wrong", &log, &perfbench_output(0.1, 0.1, false));
         let out = dir.join("out").join("ab.json");
         let opts = AbtestOptions {
-            base_bin: base,
-            head_bin: head,
+            binaries: Binaries::Prebuilt {
+                base: base.clone(),
+                head,
+            },
             workload: "serve-kkt".into(),
             pairs: 3,
             seconds: 1,
@@ -708,7 +960,7 @@ mod tests {
 
         let wrong_out = dir.join("wrong.json");
         let opts = AbtestOptions {
-            head_bin: wrong,
+            binaries: Binaries::Prebuilt { base, head: wrong },
             out: wrong_out.clone(),
             ..opts
         };

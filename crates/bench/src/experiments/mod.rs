@@ -22,7 +22,7 @@ mod tables;
 mod variability;
 
 pub use ablation::{ablation_alpha, ablation_init};
-pub use abtest::{abtest, AbtestOptions, ABTEST_SCHEMA};
+pub use abtest::{abtest, AbtestOptions, Binaries, ABTEST_SCHEMA};
 pub use anatomy::anatomy;
 pub use dist::dist;
 pub use dynbench::{dynbench, DYNBENCH_FILE, DYNBENCH_SCHEMA, DYNBENCH_SPEEDUP_MIN};

@@ -4,7 +4,8 @@
 //! IPDPS 2015) is that work already done — alive trees, a partial
 //! matching — should be *repaired*, not recomputed. This crate applies
 //! the same principle across graph **versions**: [`DynamicMatching`]
-//! owns a CSR base graph plus a delta overlay (per-side insert buffers
+//! shares an immutable CSR base graph (an `Arc`, such as the service
+//! registry's own) and owns a delta overlay (per-side insert buffers
 //! and tombstones) and keeps a live maximum [`Matching`] as edges are
 //! inserted and deleted, one augmenting BFS per update instead of a
 //! full re-solve.
@@ -52,6 +53,7 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 use std::time::Instant;
 
 use graft_core::trace::TraceEvent;
@@ -59,7 +61,7 @@ use graft_core::{
     augment_from_free_x, augment_from_x, augment_from_y, solve_from_in, Algorithm, AugmentOutcome,
     Matching, SolveOptions, SolveWorkspace, Tracer, XYAdjacency,
 };
-use graft_graph::{compact_edge_list, BipartiteCsr, VertexId};
+use graft_graph::{BipartiteCsr, VertexId};
 
 // ---------------------------------------------------------------------------
 // Configuration and reports
@@ -255,7 +257,9 @@ fn sorted_remove(vec: &mut Vec<VertexId>, v: VertexId) -> bool {
 /// maintained matching is maximum on the *live* graph after every
 /// accepted update.
 pub struct DynamicMatching {
-    base: BipartiteCsr,
+    /// Shared, never mutated: the service hands in its registry's graph,
+    /// and a rebuild installs a fresh one.
+    base: Arc<BipartiteCsr>,
     /// Per-`X` sorted insert buffers (edges live but not in `base`).
     extra_x: Vec<Vec<VertexId>>,
     /// Mirror of `extra_x`, keyed by `Y`.
@@ -275,13 +279,15 @@ pub struct DynamicMatching {
 
 impl DynamicMatching {
     /// Wraps `base`, solving it to a maximum matching with serial
-    /// MS-BFS-Graft (Karp-Sipser initialized) before any update.
-    pub fn new(base: BipartiteCsr) -> Self {
+    /// MS-BFS-Graft (Karp-Sipser initialized) before any update. An
+    /// `Arc` is shared, not copied.
+    pub fn new(base: impl Into<Arc<BipartiteCsr>>) -> Self {
         Self::with_config(base, DynConfig::default())
     }
 
     /// [`new`](Self::new) with explicit tuning knobs.
-    pub fn with_config(base: BipartiteCsr, config: DynConfig) -> Self {
+    pub fn with_config(base: impl Into<Arc<BipartiteCsr>>, config: DynConfig) -> Self {
+        let base = base.into();
         let m0 = Matching::for_graph(&base);
         Self::warm(base, m0, config)
     }
@@ -290,13 +296,18 @@ impl DynamicMatching {
     /// matching of it — e.g. the surviving matching after a restart —
     /// and solving the remainder. Panics if `m0`'s dimensions disagree
     /// with `base`.
-    pub fn with_warm_start(base: BipartiteCsr, m0: Matching, config: DynConfig) -> Self {
+    pub fn with_warm_start(
+        base: impl Into<Arc<BipartiteCsr>>,
+        m0: Matching,
+        config: DynConfig,
+    ) -> Self {
+        let base = base.into();
         assert_eq!(m0.mates_x().len(), base.num_x(), "matching |X| mismatch");
         assert_eq!(m0.mates_y().len(), base.num_y(), "matching |Y| mismatch");
         Self::warm(base, m0, config)
     }
 
-    fn warm(base: BipartiteCsr, m0: Matching, config: DynConfig) -> Self {
+    fn warm(base: Arc<BipartiteCsr>, m0: Matching, config: DynConfig) -> Self {
         let mut ws = SolveWorkspace::new();
         let opts = SolveOptions::default();
         let out = solve_from_in(&base, m0, Algorithm::MsBfsGraft, &opts, &mut ws);
@@ -383,26 +394,25 @@ impl DynamicMatching {
     /// Materializes the live graph as a fresh CSR (the overlay is left
     /// untouched). This is what differential tests solve from scratch to
     /// check the incremental cardinality against.
+    ///
+    /// Row `x` is handed to the CSR build as the base row minus its
+    /// tombstones, then its inserts: not sorted as a whole, but the live
+    /// edges hold no duplicate, and the build sorts each row.
     pub fn materialize(&self) -> BipartiteCsr {
-        let mut edges = self.live_edges();
-        compact_edge_list(&mut edges);
-        BipartiteCsr::from_edges(self.base.num_x(), self.base.num_y(), &edges)
-    }
-
-    fn live_edges(&self) -> Vec<(VertexId, VertexId)> {
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for (x, y) in self.base.edges() {
-            let tombs = &self.tomb_x[x as usize];
-            if tombs.is_empty() || tombs.binary_search(&y).is_err() {
-                edges.push((x, y));
+        let mut x_ptr = Vec::with_capacity(self.base.num_x() + 1);
+        let mut x_adj = Vec::with_capacity(self.num_edges());
+        x_ptr.push(0);
+        for (x, (tombs, extra)) in self.tomb_x.iter().zip(&self.extra_x).enumerate() {
+            let base = self.base.x_neighbors(x as VertexId);
+            if tombs.is_empty() {
+                x_adj.extend_from_slice(base);
+            } else {
+                x_adj.extend(base.iter().filter(|y| tombs.binary_search(y).is_err()));
             }
+            x_adj.extend_from_slice(extra);
+            x_ptr.push(x_adj.len());
         }
-        for (x, ys) in self.extra_x.iter().enumerate() {
-            for &y in ys {
-                edges.push((x as VertexId, y));
-            }
-        }
-        edges
+        BipartiteCsr::from_x_csr(self.base.num_x(), self.base.num_y(), x_ptr, x_adj)
     }
 
     fn check_range(&self, x: VertexId, y: VertexId) -> Result<(), UpdateError> {
@@ -584,9 +594,7 @@ impl DynamicMatching {
     fn rebuild(&mut self) {
         let started = Instant::now();
         let discarded = self.tomb_count;
-        let mut edges = self.live_edges();
-        compact_edge_list(&mut edges);
-        let fresh = BipartiteCsr::from_edges(self.base.num_x(), self.base.num_y(), &edges);
+        let fresh = Arc::new(self.materialize());
         // The surviving matching only uses live edges, so it is a valid
         // warm start on the compacted graph.
         let m0 = std::mem::replace(&mut self.matching, Matching::empty(0, 0));

@@ -1,13 +1,28 @@
-//! Edge-list accumulation and counting-sort CSR construction.
+//! Edge-list accumulation and the one CSR build behind every constructor.
+//!
+//! Every [`BipartiteCsr`] is built the same way, whether its edges come
+//! from a [`GraphBuilder`], a borrowed edge list
+//! ([`BipartiteCsr::from_edges`]) or raw `X` rows
+//! ([`BipartiteCsr::from_x_csr`]):
+//!
+//! 1. a counting sort of the edges by `x` straight into the final `x_adj`
+//!    (a builder drops its edge list right after it);
+//! 2. an in-place sort and dedup of each row, compacting `x_adj` and
+//!    `x_ptr`;
+//! 3. a transpose of the deduplicated `X` side into the `Y` side: a degree
+//!    count, a prefix sum and a scatter in ascending `x`, so every `Y` row
+//!    comes out sorted and duplicate-free without a sort of its own.
+//!
+//! Time is `O(n + m log d)` (`d` = the largest degree), the cost profile of
+//! the matrix assembly the paper performs when converting UF-collection
+//! matrices. Memory peaks at the edge list plus the `X` side while the
+//! edges are scattered, and at the finished CSR afterwards: never above
+//! edge list + CSR + `O(n)`.
 
 use crate::csr::BipartiteCsr;
 use crate::VertexId;
 
 /// Accumulates edges and produces a normalized [`BipartiteCsr`].
-///
-/// Construction is `O(n + m log d)` (counting sort into rows, then a sort +
-/// dedup per row, `d` = max degree): the same cost profile as the matrix
-/// assembly the paper performs when converting UF-collection matrices.
 ///
 /// ```
 /// use graft_graph::GraphBuilder;
@@ -89,13 +104,6 @@ impl GraphBuilder {
         self.edges.len() != before
     }
 
-    /// Normalizes the pending edge list in place (sort + dedup) via
-    /// [`compact_edge_list`], so `len` reports distinct edges. `build`
-    /// produces the same graph with or without this call.
-    pub fn compact(&mut self) {
-        compact_edge_list(&mut self.edges);
-    }
-
     /// Number of edges accumulated so far (duplicates still counted).
     pub fn len(&self) -> usize {
         self.edges.len()
@@ -106,89 +114,98 @@ impl GraphBuilder {
         self.edges.is_empty()
     }
 
-    /// Builds the CSR graph: counting-sort into rows, sort + dedup each
-    /// neighbor list, then derive the Y-side CSR the same way.
+    /// Builds the CSR graph (see the [module docs](self)). The edge list
+    /// is freed as soon as it has been sorted into rows.
     pub fn build(self) -> BipartiteCsr {
-        let Self { nx, ny, edges } = self;
-
-        // X side: counting sort by x.
-        let (x_ptr, mut x_adj) = bucket(nx, edges.iter().map(|&(x, y)| (x as usize, y)));
-        let (x_ptr, x_adj) = sort_dedup_rows(nx, x_ptr, &mut x_adj);
-
-        // Y side: rebuild from the deduplicated X side so both directions
-        // agree exactly.
-        let mut yx = Vec::with_capacity(x_adj.len());
-        for x in 0..nx {
-            for &y in &x_adj[x_ptr[x]..x_ptr[x + 1]] {
-                yx.push((y as usize, x as VertexId));
-            }
-        }
-        let (y_ptr, mut y_adj) = bucket(ny, yx.into_iter());
-        // Rows arrive in ascending x order, so each bucket is already
-        // sorted and duplicate-free; sort_dedup_rows is a cheap no-op pass
-        // kept for defence in depth.
-        let (y_ptr, y_adj) = sort_dedup_rows(ny, y_ptr, &mut y_adj);
-
-        BipartiteCsr::from_parts_unchecked(nx, ny, x_ptr, x_adj, y_ptr, y_adj)
+        let (x_ptr, x_adj) = rows_by_x(self.nx, &self.edges);
+        drop(self.edges);
+        from_x_rows(self.nx, self.ny, x_ptr, x_adj)
     }
 }
 
-/// Sorts an `(x, y)` edge list lexicographically and removes duplicates
-/// in place — the normalization [`GraphBuilder::build`] applies per row,
-/// exposed for callers that maintain explicit edge lists (the graft-dyn
-/// delta overlay compacts its surviving-edge list with this before
-/// rebuilding a fresh CSR).
-pub fn compact_edge_list(edges: &mut Vec<(VertexId, VertexId)>) {
-    edges.sort_unstable();
-    edges.dedup();
+/// Counting sort of `edges` by `x`: row `x` holds the `y` of every edge
+/// `(x, y)`, in input order. Endpoints must be in range.
+pub(crate) fn rows_by_x(nx: usize, edges: &[(VertexId, VertexId)]) -> (Vec<usize>, Vec<VertexId>) {
+    counting_sort(nx, edges.len(), || edges.iter().copied())
 }
 
-/// Counting sort of `(row, col)` pairs into CSR buckets.
-fn bucket(
-    n: usize,
-    pairs: impl Iterator<Item = (usize, VertexId)> + Clone,
-) -> (Vec<usize>, Vec<VertexId>) {
-    let mut counts = vec![0usize; n + 1];
-    for (r, _) in pairs.clone() {
-        counts[r + 1] += 1;
+/// Finishes a build from `X` rows that may be unsorted or hold
+/// duplicates: sorts and dedups each row in place, then transposes the
+/// result into the `Y` side. Row `x` spans `x_adj[x_ptr[x]..x_ptr[x + 1]]`
+/// (entries before `x_ptr[0]` are ignored); pointers and ids must be in
+/// range.
+pub(crate) fn from_x_rows(
+    nx: usize,
+    ny: usize,
+    mut x_ptr: Vec<usize>,
+    mut x_adj: Vec<VertexId>,
+) -> BipartiteCsr {
+    sort_dedup_rows_in_place(&mut x_ptr, &mut x_adj);
+    // Rows are read in ascending `x`, so each `Y` row is sorted and
+    // duplicate-free as it is written.
+    let (y_ptr, y_adj) = counting_sort(ny, x_adj.len(), || {
+        (0..nx).flat_map(|x| {
+            x_adj[x_ptr[x]..x_ptr[x + 1]]
+                .iter()
+                .map(move |&y| (y, x as VertexId))
+        })
+    });
+    BipartiteCsr::from_parts_unchecked(nx, ny, x_ptr, x_adj, y_ptr, y_adj)
+}
+
+/// Counting sort of the `m` `(row, value)` pairs that `pairs` yields (the
+/// same ones on each of its two calls) into `n` CSR rows, each in the
+/// order the pairs came.
+fn counting_sort<I>(n: usize, m: usize, pairs: impl Fn() -> I) -> (Vec<usize>, Vec<VertexId>)
+where
+    I: Iterator<Item = (VertexId, VertexId)>,
+{
+    let mut ptr = vec![0usize; n + 1];
+    pairs().for_each(|(r, _)| ptr[r as usize + 1] += 1);
+    for r in 0..n {
+        ptr[r + 1] += ptr[r];
     }
-    for i in 0..n {
-        counts[i + 1] += counts[i];
-    }
-    let ptr = counts.clone();
-    let total = ptr[n];
-    let mut adj = vec![0 as VertexId; total];
-    let mut cursor = ptr.clone();
-    for (r, c) in pairs {
-        adj[cursor[r]] = c;
-        cursor[r] += 1;
-    }
+    let mut adj = vec![0 as VertexId; m];
+    pairs().for_each(|(r, v)| {
+        let next = &mut ptr[r as usize];
+        adj[*next] = v;
+        *next += 1;
+    });
+    // Each `ptr[r]` now holds the end of row `r`, the start of row `r + 1`.
+    ptr.copy_within(0..n, 1);
+    ptr[0] = 0;
     (ptr, adj)
 }
 
-/// Sorts each CSR row and removes duplicates, compacting the arrays.
-fn sort_dedup_rows(n: usize, ptr: Vec<usize>, adj: &mut [VertexId]) -> (Vec<usize>, Vec<VertexId>) {
-    let mut new_ptr = vec![0usize; n + 1];
-    let mut new_adj = Vec::with_capacity(adj.len());
-    for v in 0..n {
-        let row = &mut adj[ptr[v]..ptr[v + 1]];
-        row.sort_unstable();
-        let mut prev = None;
-        for &y in row.iter() {
-            if prev != Some(y) {
-                new_adj.push(y);
-                prev = Some(y);
+/// Sorts each row and removes its duplicates in place, moving the rows
+/// down over the gaps and shrinking `adj` to the distinct entries.
+fn sort_dedup_rows_in_place(ptr: &mut [usize], adj: &mut Vec<VertexId>) {
+    let mut start = ptr[0];
+    let mut len = 0;
+    ptr[0] = 0;
+    for end_of_row in ptr.iter_mut().skip(1) {
+        let end = *end_of_row;
+        adj[start..end].sort_unstable();
+        let row_start = len;
+        for i in start..end {
+            let v = adj[i];
+            if len == row_start || adj[len - 1] != v {
+                adj[len] = v;
+                len += 1;
             }
         }
-        new_ptr[v + 1] = new_adj.len();
+        *end_of_row = len;
+        start = end;
     }
-    new_adj.shrink_to_fit();
-    (new_ptr, new_adj)
+    adj.truncate(len);
+    adj.shrink_to_fit();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn build_empty() {
@@ -267,29 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_edge_list_sorts_and_dedups() {
-        let mut edges = vec![(2, 0), (0, 1), (2, 0), (0, 0), (0, 1)];
-        compact_edge_list(&mut edges);
-        assert_eq!(edges, vec![(0, 0), (0, 1), (2, 0)]);
-        let mut empty: Vec<(VertexId, VertexId)> = Vec::new();
-        compact_edge_list(&mut empty);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn builder_compact_matches_build_output() {
-        let mut a = GraphBuilder::new(3, 3);
-        let mut b = GraphBuilder::new(3, 3);
-        for &(x, y) in &[(1, 1), (0, 2), (1, 1), (2, 0), (0, 2)] {
-            a.add_edge(x, y);
-            b.add_edge(x, y);
-        }
-        b.compact();
-        assert_eq!(b.len(), 3, "compact dedups the pending list");
-        assert_eq!(a.build(), b.build());
-    }
-
-    #[test]
     fn reverse_insertion_order_sorted() {
         let mut b = GraphBuilder::new(1, 100);
         for y in (0..100).rev() {
@@ -298,5 +292,82 @@ mod tests {
         let g = b.build();
         let expect: Vec<u32> = (0..100).collect();
         assert_eq!(g.x_neighbors(0), expect.as_slice());
+    }
+
+    /// `x_ptr`, `x_adj`, `y_ptr` and `y_adj`.
+    type Arrays = (Vec<usize>, Vec<VertexId>, Vec<usize>, Vec<VertexId>);
+
+    /// The CSR arrays of `edges` built the naive way: a sorted set of
+    /// pairs per side, turned into rows.
+    fn reference(nx: usize, ny: usize, edges: &[(VertexId, VertexId)]) -> Arrays {
+        let rows = |n: usize, pairs: BTreeSet<(VertexId, VertexId)>| {
+            let mut ptr = vec![0usize; n + 1];
+            for &(r, _) in &pairs {
+                ptr[r as usize + 1] += 1;
+            }
+            for r in 0..n {
+                ptr[r + 1] += ptr[r];
+            }
+            (ptr, pairs.iter().map(|&(_, v)| v).collect::<Vec<_>>())
+        };
+        let (x_ptr, x_adj) = rows(nx, edges.iter().copied().collect());
+        let (y_ptr, y_adj) = rows(ny, edges.iter().map(|&(x, y)| (y, x)).collect());
+        (x_ptr, x_adj, y_ptr, y_adj)
+    }
+
+    fn arrays(g: &BipartiteCsr) -> Arrays {
+        (
+            g.x_ptr().to_vec(),
+            g.x_adj().to_vec(),
+            g.y_ptr().to_vec(),
+            g.y_adj().to_vec(),
+        )
+    }
+
+    /// Up to 12 × 12 vertices, either side possibly empty, and up to 60
+    /// edges drawn from a small range, so rows and columns go empty and
+    /// edges repeat.
+    fn arb_edges() -> impl Strategy<Value = (usize, usize, Vec<(VertexId, VertexId)>)> {
+        (0usize..12, 0usize..12).prop_flat_map(|(nx, ny)| {
+            proptest::collection::vec((0u32..12, 0u32..12), 0..60).prop_map(move |raw| {
+                let edges = raw
+                    .into_iter()
+                    .filter(|&(x, y)| (x as usize) < nx && (y as usize) < ny)
+                    .collect();
+                (nx, ny, edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn build_matches_a_naive_reference((nx, ny, edges) in arb_edges()) {
+            let expected = reference(nx, ny, &edges);
+            let mut b = GraphBuilder::new(nx, ny);
+            for &(x, y) in &edges {
+                b.add_edge(x, y);
+            }
+            let built = b.build();
+            prop_assert_eq!(arrays(&built), expected.clone());
+            prop_assert!(built.validate().is_ok());
+            prop_assert_eq!(&BipartiteCsr::from_edges(nx, ny, &edges), &built);
+
+            // The same edges as raw rows, unsorted and with duplicates.
+            let mut by_x = edges.clone();
+            by_x.sort_by_key(|&(x, _)| x);
+            let mut x_ptr = vec![0usize; nx + 1];
+            for &(x, _) in &by_x {
+                x_ptr[x as usize + 1] += 1;
+            }
+            for x in 0..nx {
+                x_ptr[x + 1] += x_ptr[x];
+            }
+            let x_adj = by_x.iter().map(|&(_, y)| y).collect();
+            let from_rows = BipartiteCsr::from_x_csr(nx, ny, x_ptr, x_adj);
+            prop_assert_eq!(arrays(&from_rows), expected);
+            prop_assert!(from_rows.validate().is_ok());
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The bipartite compressed-sparse-row graph type.
 
-use crate::{GraphBuilder, GraphError, VertexId};
+use crate::{builder, GraphError, VertexId};
 
 /// A bipartite graph `G(X ∪ Y, E)` stored in CSR form on **both** sides.
 ///
@@ -31,14 +31,10 @@ impl BipartiteCsr {
     /// Builds a graph from an edge list of `(x, y)` pairs.
     ///
     /// Duplicate edges are merged; edges are sorted per vertex. Panics if
-    /// any endpoint is out of range (use [`GraphBuilder`] for fallible
-    /// construction).
+    /// any endpoint is out of range (use
+    /// [`BipartiteCsr::try_from_edges`] for fallible construction).
     pub fn from_edges(nx: usize, ny: usize, edges: &[(VertexId, VertexId)]) -> Self {
-        let mut b = GraphBuilder::new(nx, ny);
-        for &(x, y) in edges {
-            b.add_edge(x, y);
-        }
-        b.build()
+        Self::try_from_edges(nx, ny, edges).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`BipartiteCsr::from_edges`] for untrusted
@@ -57,13 +53,11 @@ impl BipartiteCsr {
         ny: usize,
         edges: &[(VertexId, VertexId)],
     ) -> Result<Self, GraphError> {
-        if nx >= VertexId::MAX as usize {
-            return Err(GraphError::TooManyVertices { requested: nx });
+        for n in [nx, ny] {
+            if n >= VertexId::MAX as usize {
+                return Err(GraphError::TooManyVertices { requested: n });
+            }
         }
-        if ny >= VertexId::MAX as usize {
-            return Err(GraphError::TooManyVertices { requested: ny });
-        }
-        let mut b = GraphBuilder::with_capacity(nx, ny, edges.len());
         for &(x, y) in edges {
             if (x as usize) >= nx {
                 return Err(GraphError::XOutOfRange { x, nx });
@@ -71,27 +65,31 @@ impl BipartiteCsr {
             if (y as usize) >= ny {
                 return Err(GraphError::YOutOfRange { y, ny });
             }
-            b.add_edge(x, y);
         }
-        Ok(b.build())
+        let (x_ptr, x_adj) = builder::rows_by_x(nx, edges);
+        Ok(builder::from_x_rows(nx, ny, x_ptr, x_adj))
     }
 
     /// Constructs directly from raw CSR arrays.
     ///
     /// `x_adj` neighbor lists may be unsorted or contain duplicates; they
-    /// are normalized here and the `Y`-side CSR is derived. Panics if the
-    /// pointers are malformed or a neighbor id is out of range.
+    /// are normalized in place and the `Y`-side CSR is derived. Panics if
+    /// the pointers are malformed or a neighbor id is out of range.
     pub fn from_x_csr(nx: usize, ny: usize, x_ptr: Vec<usize>, x_adj: Vec<VertexId>) -> Self {
+        assert!(
+            nx < VertexId::MAX as usize && ny < VertexId::MAX as usize,
+            "a side exceeds the u32 vertex-id space"
+        );
         assert_eq!(x_ptr.len(), nx + 1, "x_ptr must have nx+1 entries");
         assert_eq!(*x_ptr.last().unwrap(), x_adj.len(), "x_ptr must end at |E|");
-        let mut b = GraphBuilder::new(nx, ny);
-        for x in 0..nx {
-            assert!(x_ptr[x] <= x_ptr[x + 1], "x_ptr must be non-decreasing");
-            for &y in &x_adj[x_ptr[x]..x_ptr[x + 1]] {
-                b.add_edge(x as VertexId, y);
-            }
+        assert!(
+            x_ptr.windows(2).all(|w| w[0] <= w[1]),
+            "x_ptr must be non-decreasing"
+        );
+        if let Some(&y) = x_adj[x_ptr[0]..].iter().find(|&&y| y as usize >= ny) {
+            panic!("y vertex {y} out of range (ny = {ny})");
         }
-        b.build()
+        builder::from_x_rows(nx, ny, x_ptr, x_adj)
     }
 
     pub(crate) fn from_parts_unchecked(
@@ -385,6 +383,11 @@ mod tests {
         let g = BipartiteCsr::from_x_csr(2, 3, vec![0, 3, 4], vec![2, 0, 2, 1]);
         assert_eq!(g.x_neighbors(0), &[0, 2]);
         assert_eq!(g.x_neighbors(1), &[1]);
+        assert!(g.validate().is_ok());
+        // Entries before `x_ptr[0]` belong to no row.
+        let g = BipartiteCsr::from_x_csr(1, 3, vec![1, 3], vec![2, 1, 1]);
+        assert_eq!(g.x_neighbors(0), &[1]);
+        assert_eq!(g.x_ptr(), &[0, 1]);
         assert!(g.validate().is_ok());
     }
 

@@ -45,7 +45,7 @@ pub mod mtx;
 pub mod ops;
 mod permute;
 
-pub use builder::{compact_edge_list, GraphBuilder};
+pub use builder::GraphBuilder;
 pub use csr::BipartiteCsr;
 pub use degree::{DegreeHistogram, DegreeStats};
 pub use error::GraphError;

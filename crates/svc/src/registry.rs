@@ -124,6 +124,12 @@ pub fn approx_graph_bytes(g: &BipartiteCsr) -> usize {
 /// ([`graft_gen::suite::SuiteEntry::estimated_shape`]). Admission control
 /// sheds oversized `LOAD`/`GEN` requests on this estimate before any
 /// large allocation happens.
+///
+/// Building the graph peaks above this estimate for a moment: the
+/// builder's edge list (8 bytes per input edge, duplicates included) is
+/// live while the edges are sorted into `X` rows, and is freed before the
+/// `Y` side is allocated. A load therefore peaks at no more than the
+/// estimate plus that list.
 pub fn estimate_source_bytes(source: &GraphSource) -> Result<usize, SvcError> {
     match source {
         GraphSource::MtxFile(path) => {

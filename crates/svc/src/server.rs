@@ -448,17 +448,16 @@ fn run_update(
     let mut guard = lock_recover(&slot);
     let t0 = clock.now();
     if guard.is_none() {
-        // Lazy creation: clone the registered CSR, warm-start from the
+        // Lazy creation: share the registered CSR, warm-start from the
         // registry's last matching when the dimensions line up, then
         // replay the snapshot-restored journal (if any) against it.
-        let (graph, warm) = match registry.get(&spec.name) {
+        let (base, warm) = match registry.get(&spec.name) {
             Ok(g) => g,
             Err(e) => {
                 metrics.updates_err.fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
         };
-        let base = (*graph).clone();
         let mut dm = match warm {
             Some(m0)
                 if m0.mates_x().len() == base.num_x() && m0.mates_y().len() == base.num_y() =>
@@ -1562,6 +1561,37 @@ mod tests {
         );
         let cardinality = reply_field(&hk, "cardinality").to_string();
         (worker, before, cardinality)
+    }
+
+    #[test]
+    fn an_update_shares_the_registered_graph() {
+        let registry = registry_with("kkt_power:tiny");
+        let (graph, _) = registry.get("g").unwrap();
+        let handles = Arc::strong_count(&graph);
+        let (x, y) = graph.edges().next().expect("kkt_power has edges");
+        let spec = UpdateSpec {
+            name: "g".into(),
+            add: false,
+            x,
+            y,
+        };
+        let store = DynStore::default();
+        let reply = run_update(
+            &spec,
+            &registry,
+            &Metrics::new(),
+            &Tracer::disabled(),
+            &store,
+            None,
+            &WallClock,
+        )
+        .unwrap();
+        assert_eq!(reply_field(&reply, "rebuilds"), "0", "{reply}");
+        assert_eq!(
+            Arc::strong_count(&graph),
+            handles + 1,
+            "the dynamic state copied the registered graph"
+        );
     }
 
     #[test]
