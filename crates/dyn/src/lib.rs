@@ -5,9 +5,9 @@
 //! matching — should be *repaired*, not recomputed. This crate applies
 //! the same principle across graph **versions**: [`DynamicMatching`]
 //! shares an immutable CSR base graph (an `Arc`, such as the service
-//! registry's own) and owns a delta overlay (per-side insert buffers
-//! and tombstones) and keeps a live maximum [`Matching`] as edges are
-//! inserted and deleted, one augmenting BFS per update instead of a
+//! registry's own), holds a copy-on-write live row for each vertex whose
+//! row an update changed, and keeps a live maximum [`Matching`] as edges
+//! are inserted and deleted, one augmenting BFS per update instead of a
 //! full re-solve.
 //!
 //! The repair rules (proofs in DESIGN.md §14):
@@ -28,13 +28,13 @@
 //!   would have augmented the old maximum), so two exhausted searches
 //!   *prove* the matching is maximum at one less.
 //!
-//! Searches run against the overlay view without materializing anything
-//! and reuse a [`SolveWorkspace`], so the hot path is allocation-free. A
-//! search has no traversal budget: it reads each live edge at most once
-//! and always ends with a flipped path or a proof that none exists. When
-//! tombstones outgrow [`DynConfig::rebuild_tombstone_ratio`], the overlay
-//! is compacted into a fresh CSR and MS-BFS-Graft is warm-started from
-//! the surviving matching.
+//! A search reads each vertex's live row, or its base row when it has
+//! none, without materializing anything, and reuses a [`SolveWorkspace`].
+//! It has no traversal budget: it reads each live edge at most once and
+//! always ends with a flipped path or a proof that none exists. When
+//! tombstones outgrow [`DynConfig::rebuild_tombstone_ratio`], the live
+//! rows are compacted into a fresh CSR and MS-BFS-Graft is warm-started
+//! from the surviving matching.
 //!
 //! ```
 //! use graft_graph::BipartiteCsr;
@@ -52,6 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -70,7 +71,7 @@ use graft_graph::{BipartiteCsr, VertexId};
 /// Tuning knobs for [`DynamicMatching`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DynConfig {
-    /// When `tombstones > ratio * base_edges`, compact the overlay into
+    /// When `tombstones > ratio * base_edges`, compact the live rows into
     /// a fresh CSR and warm-start a full solve. `0.25` by default.
     pub rebuild_tombstone_ratio: f64,
 }
@@ -83,7 +84,7 @@ impl Default for DynConfig {
     }
 }
 
-/// A rejected update. The overlay and matching are unchanged.
+/// A rejected update. The graph and matching are unchanged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateError {
     /// An endpoint is outside the graph's fixed vertex ranges.
@@ -173,21 +174,41 @@ pub struct UpdateReport {
 }
 
 // ---------------------------------------------------------------------------
-// Overlay view
+// Live graph
 // ---------------------------------------------------------------------------
 
-/// Borrowed live view: base CSR minus tombstones plus insert buffers.
-/// Split off from [`DynamicMatching`] so searches can borrow the graph
-/// immutably while the matching and workspace are borrowed mutably.
-struct LiveView<'a> {
-    base: &'a BipartiteCsr,
-    extra_x: &'a [Vec<VertexId>],
-    extra_y: &'a [Vec<VertexId>],
-    tomb_x: &'a [Vec<VertexId>],
-    tomb_y: &'a [Vec<VertexId>],
+/// Vertex → its live sorted row, held only while that row differs from
+/// the vertex's base row.
+type LiveRows = HashMap<VertexId, Vec<VertexId>>;
+
+/// The live graph: the shared base CSR and the live rows of the vertices
+/// that updates changed. Split off from [`DynamicMatching`] so searches
+/// can borrow the graph immutably while the matching and workspace are
+/// borrowed mutably.
+struct LiveGraph {
+    /// Shared, never mutated: the service hands in its registry's graph,
+    /// and a rebuild installs a fresh one.
+    base: Arc<BipartiteCsr>,
+    rows_x: LiveRows,
+    /// Mirror of `rows_x`, keyed by `Y`.
+    rows_y: LiveRows,
 }
 
-impl XYAdjacency for LiveView<'_> {
+impl LiveGraph {
+    fn x_row(&self, x: VertexId) -> &[VertexId] {
+        self.rows_x
+            .get(&x)
+            .map_or_else(|| self.base.x_neighbors(x), Vec::as_slice)
+    }
+
+    fn y_row(&self, y: VertexId) -> &[VertexId] {
+        self.rows_y
+            .get(&y)
+            .map_or_else(|| self.base.y_neighbors(y), Vec::as_slice)
+    }
+}
+
+impl XYAdjacency for LiveGraph {
     fn nx(&self) -> usize {
         self.base.num_x()
     }
@@ -197,29 +218,26 @@ impl XYAdjacency for LiveView<'_> {
     }
 
     fn for_each_x_neighbor(&self, x: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        let tombs = &self.tomb_x[x as usize];
-        for &y in self.base.x_neighbors(x) {
-            if !tombs.is_empty() && tombs.binary_search(&y).is_ok() {
-                continue;
-            }
-            if f(y) {
-                return true;
-            }
-        }
-        self.extra_x[x as usize].iter().any(|&y| f(y))
+        self.x_row(x).iter().any(|&y| f(y))
     }
 
     fn for_each_y_neighbor(&self, y: VertexId, f: &mut dyn FnMut(VertexId) -> bool) -> bool {
-        let tombs = &self.tomb_y[y as usize];
-        for &x in self.base.y_neighbors(y) {
-            if !tombs.is_empty() && tombs.binary_search(&x).is_ok() {
-                continue;
-            }
-            if f(x) {
-                return true;
-            }
-        }
-        self.extra_y[y as usize].iter().any(|&x| f(x))
+        self.y_row(y).iter().any(|&x| f(x))
+    }
+}
+
+/// Adds (`add`) or removes `u` in `v`'s live row: the row is copied from
+/// `base` on its first edit and dropped once it equals `base` again.
+fn edit_row(rows: &mut LiveRows, base: &[VertexId], v: VertexId, u: VertexId, add: bool) {
+    let row = rows.entry(v).or_insert_with(|| base.to_vec());
+    let changed = if add {
+        sorted_insert(row, u)
+    } else {
+        sorted_remove(row, u)
+    };
+    debug_assert!(changed, "edit of ({v}, {u}) changed no row");
+    if row.as_slice() == base {
+        rows.remove(&v);
     }
 }
 
@@ -257,18 +275,10 @@ fn sorted_remove(vec: &mut Vec<VertexId>, v: VertexId) -> bool {
 /// maintained matching is maximum on the *live* graph after every
 /// accepted update.
 pub struct DynamicMatching {
-    /// Shared, never mutated: the service hands in its registry's graph,
-    /// and a rebuild installs a fresh one.
-    base: Arc<BipartiteCsr>,
-    /// Per-`X` sorted insert buffers (edges live but not in `base`).
-    extra_x: Vec<Vec<VertexId>>,
-    /// Mirror of `extra_x`, keyed by `Y`.
-    extra_y: Vec<Vec<VertexId>>,
-    /// Per-`X` sorted tombstones (edges in `base` but deleted).
-    tomb_x: Vec<Vec<VertexId>>,
-    /// Mirror of `tomb_x`, keyed by `Y`.
-    tomb_y: Vec<Vec<VertexId>>,
+    graph: LiveGraph,
+    /// Live edges not in the base.
     extra_count: usize,
+    /// Base edges deleted and not restored.
     tomb_count: usize,
     matching: Matching,
     ws: SolveWorkspace,
@@ -279,8 +289,8 @@ pub struct DynamicMatching {
 
 impl DynamicMatching {
     /// Wraps `base`, solving it to a maximum matching with serial
-    /// MS-BFS-Graft (Karp-Sipser initialized) before any update. An
-    /// `Arc` is shared, not copied.
+    /// MS-BFS-Graft from the empty matching before any update. An `Arc`
+    /// is shared, not copied.
     pub fn new(base: impl Into<Arc<BipartiteCsr>>) -> Self {
         Self::with_config(base, DynConfig::default())
     }
@@ -311,13 +321,12 @@ impl DynamicMatching {
         let mut ws = SolveWorkspace::new();
         let opts = SolveOptions::default();
         let out = solve_from_in(&base, m0, Algorithm::MsBfsGraft, &opts, &mut ws);
-        let (nx, ny) = (base.num_x(), base.num_y());
         Self {
-            base,
-            extra_x: vec![Vec::new(); nx],
-            extra_y: vec![Vec::new(); ny],
-            tomb_x: vec![Vec::new(); nx],
-            tomb_y: vec![Vec::new(); ny],
+            graph: LiveGraph {
+                base,
+                rows_x: LiveRows::new(),
+                rows_y: LiveRows::new(),
+            },
             extra_count: 0,
             tomb_count: 0,
             matching: out.matching,
@@ -337,30 +346,30 @@ impl DynamicMatching {
 
     /// `|X|` of the (fixed) vertex ranges.
     pub fn num_x(&self) -> usize {
-        self.base.num_x()
+        self.graph.base.num_x()
     }
 
     /// `|Y|` of the (fixed) vertex ranges.
     pub fn num_y(&self) -> usize {
-        self.base.num_y()
+        self.graph.base.num_y()
     }
 
     /// Number of live edges (base minus tombstones plus inserts).
     pub fn num_edges(&self) -> usize {
-        self.base.num_edges() - self.tomb_count + self.extra_count
+        self.graph.base.num_edges() - self.tomb_count + self.extra_count
     }
 
-    /// Inserted edges currently held in the overlay (not yet compacted).
+    /// Inserted edges not in the base CSR (not yet compacted).
     pub fn pending_inserts(&self) -> usize {
         self.extra_count
     }
 
-    /// Deleted base edges currently tombstoned (not yet compacted).
+    /// Deleted base edges not yet restored or compacted.
     pub fn tombstones(&self) -> usize {
         self.tomb_count
     }
 
-    /// How many times the overlay was compacted into a fresh CSR.
+    /// How many times the live rows were compacted into a fresh CSR.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
     }
@@ -382,49 +391,45 @@ impl DynamicMatching {
 
     /// Whether `(x, y)` is live (out-of-range endpoints are `false`).
     pub fn has_edge(&self, x: VertexId, y: VertexId) -> bool {
-        if (x as usize) >= self.base.num_x() || (y as usize) >= self.base.num_y() {
-            return false;
-        }
-        if self.extra_x[x as usize].binary_search(&y).is_ok() {
-            return true;
-        }
-        self.base.has_edge(x, y) && self.tomb_x[x as usize].binary_search(&y).is_err()
+        self.check_range(x, y).is_ok() && self.graph.x_row(x).binary_search(&y).is_ok()
     }
 
-    /// Materializes the live graph as a fresh CSR (the overlay is left
+    /// Materializes the live graph as a fresh CSR (the live rows are left
     /// untouched). This is what differential tests solve from scratch to
     /// check the incremental cardinality against.
-    ///
-    /// Row `x` is handed to the CSR build as the base row minus its
-    /// tombstones, then its inserts: not sorted as a whole, but the live
-    /// edges hold no duplicate, and the build sorts each row.
     pub fn materialize(&self) -> BipartiteCsr {
-        let mut x_ptr = Vec::with_capacity(self.base.num_x() + 1);
+        let (nx, ny) = (self.num_x(), self.num_y());
+        let mut x_ptr = Vec::with_capacity(nx + 1);
         let mut x_adj = Vec::with_capacity(self.num_edges());
         x_ptr.push(0);
-        for (x, (tombs, extra)) in self.tomb_x.iter().zip(&self.extra_x).enumerate() {
-            let base = self.base.x_neighbors(x as VertexId);
-            if tombs.is_empty() {
-                x_adj.extend_from_slice(base);
-            } else {
-                x_adj.extend(base.iter().filter(|y| tombs.binary_search(y).is_err()));
-            }
-            x_adj.extend_from_slice(extra);
+        for x in 0..nx as VertexId {
+            x_adj.extend_from_slice(self.graph.x_row(x));
             x_ptr.push(x_adj.len());
         }
-        BipartiteCsr::from_x_csr(self.base.num_x(), self.base.num_y(), x_ptr, x_adj)
+        BipartiteCsr::from_x_csr(nx, ny, x_ptr, x_adj)
     }
 
     fn check_range(&self, x: VertexId, y: VertexId) -> Result<(), UpdateError> {
-        if (x as usize) >= self.base.num_x() || (y as usize) >= self.base.num_y() {
-            return Err(UpdateError::OutOfRange {
-                x,
-                y,
-                nx: self.base.num_x(),
-                ny: self.base.num_y(),
-            });
+        let (nx, ny) = (self.num_x(), self.num_y());
+        if (x as usize) >= nx || (y as usize) >= ny {
+            return Err(UpdateError::OutOfRange { x, y, nx, ny });
         }
         Ok(())
+    }
+
+    /// The one structural edit, shared by insert and delete: adds (`add`)
+    /// the absent edge `(x, y)` or removes the live one, in both
+    /// endpoints' live rows and in the counts.
+    fn edit(&mut self, x: VertexId, y: VertexId, add: bool) {
+        let g = &mut self.graph;
+        match (add, g.base.has_edge(x, y)) {
+            (true, true) => self.tomb_count -= 1,
+            (true, false) => self.extra_count += 1,
+            (false, true) => self.tomb_count += 1,
+            (false, false) => self.extra_count -= 1,
+        }
+        edit_row(&mut g.rows_x, g.base.x_neighbors(x), x, y, add);
+        edit_row(&mut g.rows_y, g.base.y_neighbors(y), y, x, add);
     }
 
     /// Inserts the edge `(x, y)` and repairs the matching. Inserting a
@@ -441,16 +446,7 @@ impl DynamicMatching {
             });
         }
 
-        // Structural add: resurrect a tombstoned base edge, else buffer.
-        if self.base.has_edge(x, y) {
-            sorted_remove(&mut self.tomb_x[x as usize], y);
-            sorted_remove(&mut self.tomb_y[y as usize], x);
-            self.tomb_count -= 1;
-        } else {
-            sorted_insert(&mut self.extra_x[x as usize], y);
-            sorted_insert(&mut self.extra_y[y as usize], x);
-            self.extra_count += 1;
-        }
+        self.edit(x, y, true);
 
         // Repair: the new edge is the only change, so the case analysis
         // on its endpoints is exhaustive.
@@ -460,29 +456,21 @@ impl DynamicMatching {
             self.matching.match_pair(x, y);
             (UpdateOutcome::Matched, 2, 0)
         } else {
-            let search = {
-                // Field-disjoint borrows: the view reads the graph parts
-                // while the matching and workspace are mutated.
-                let view = LiveView {
-                    base: &self.base,
-                    extra_x: &self.extra_x,
-                    extra_y: &self.extra_y,
-                    tomb_x: &self.tomb_x,
-                    tomb_y: &self.tomb_y,
-                };
-                if x_free {
-                    augment_from_x(&view, &mut self.matching, x, &mut self.ws)
-                } else if y_free {
-                    augment_from_y(&view, &mut self.matching, y, &mut self.ws)
-                } else if self.matching.cardinality() == self.matching.mates_x().len()
-                    || self.matching.cardinality() == self.matching.mates_y().len()
-                {
-                    // One side is saturated: the matching is maximum on
-                    // any supergraph, no search needed.
-                    AugmentOutcome::Exhausted { edges_traversed: 0 }
-                } else {
-                    augment_from_free_x(&view, &mut self.matching, &mut self.ws)
-                }
+            // Field-disjoint borrows: the search reads the graph while
+            // the matching and workspace are mutated.
+            let view = &self.graph;
+            let search = if x_free {
+                augment_from_x(view, &mut self.matching, x, &mut self.ws)
+            } else if y_free {
+                augment_from_y(view, &mut self.matching, y, &mut self.ws)
+            } else if self.matching.cardinality() == self.matching.mates_x().len()
+                || self.matching.cardinality() == self.matching.mates_y().len()
+            {
+                // One side is saturated: the matching is maximum on any
+                // supergraph, no search needed.
+                AugmentOutcome::Exhausted { edges_traversed: 0 }
+            } else {
+                augment_from_free_x(view, &mut self.matching, &mut self.ws)
             };
             match search {
                 AugmentOutcome::Augmented {
@@ -519,15 +507,7 @@ impl DynamicMatching {
             return Err(UpdateError::MissingEdge { x, y });
         }
 
-        // Structural remove: drop a buffered insert, else tombstone.
-        if sorted_remove(&mut self.extra_x[x as usize], y) {
-            sorted_remove(&mut self.extra_y[y as usize], x);
-            self.extra_count -= 1;
-        } else {
-            sorted_insert(&mut self.tomb_x[x as usize], y);
-            sorted_insert(&mut self.tomb_y[y as usize], x);
-            self.tomb_count += 1;
-        }
+        self.edit(x, y, false);
 
         let was_matched = self.matching.mate_of_x(x) == y;
         let (outcome, traversed) = if !was_matched {
@@ -537,17 +517,11 @@ impl DynamicMatching {
             // Any augmenting path for the shrunk matching terminates at
             // x or y (else it would have augmented the old maximum), so
             // two exhausted searches are a maximality proof.
-            let view = LiveView {
-                base: &self.base,
-                extra_x: &self.extra_x,
-                extra_y: &self.extra_y,
-                tomb_x: &self.tomb_x,
-                tomb_y: &self.tomb_y,
-            };
-            let first = augment_from_x(&view, &mut self.matching, x, &mut self.ws);
+            let view = &self.graph;
+            let first = augment_from_x(view, &mut self.matching, x, &mut self.ws);
             let mut traversed = first.edges_traversed();
             let repaired = first.augmented() || {
-                let second = augment_from_y(&view, &mut self.matching, y, &mut self.ws);
+                let second = augment_from_y(view, &mut self.matching, y, &mut self.ws);
                 traversed += second.edges_traversed();
                 second.augmented()
             };
@@ -574,7 +548,7 @@ impl DynamicMatching {
     }
 
     fn maybe_compact(&mut self) -> bool {
-        let threshold = self.config.rebuild_tombstone_ratio * self.base.num_edges() as f64;
+        let threshold = self.config.rebuild_tombstone_ratio * self.graph.base.num_edges() as f64;
         if self.tomb_count as f64 > threshold {
             self.rebuild();
             true
@@ -583,14 +557,8 @@ impl DynamicMatching {
         }
     }
 
-    /// Compacts the overlay into a fresh CSR and warm-starts a serial
-    /// MS-BFS-Graft solve from the surviving matching. Automatic under
-    /// the tombstone-ratio policy; public for callers that want to
-    /// schedule compaction themselves.
-    pub fn force_rebuild(&mut self) {
-        self.rebuild();
-    }
-
+    /// Compacts the live rows into a fresh CSR and warm-starts a serial
+    /// MS-BFS-Graft solve from the surviving matching.
     fn rebuild(&mut self) {
         let started = Instant::now();
         let discarded = self.tomb_count;
@@ -608,24 +576,14 @@ impl DynamicMatching {
             &mut self.ws,
         );
         self.matching = out.matching;
-        self.base = fresh;
-        for v in &mut self.extra_x {
-            v.clear();
-        }
-        for v in &mut self.extra_y {
-            v.clear();
-        }
-        for v in &mut self.tomb_x {
-            v.clear();
-        }
-        for v in &mut self.tomb_y {
-            v.clear();
-        }
+        self.graph.base = fresh;
+        self.graph.rows_x.clear();
+        self.graph.rows_y.clear();
         self.extra_count = 0;
         self.tomb_count = 0;
         self.rebuilds += 1;
         self.tracer.emit(|| TraceEvent::DynRebuild {
-            edges: self.base.num_edges() as u64,
+            edges: self.graph.base.num_edges() as u64,
             tombstones: discarded as u64,
             cardinality: self.cardinality() as u64,
             elapsed_us: started.elapsed().as_micros() as u64,
@@ -637,8 +595,10 @@ impl DynamicMatching {
 mod tests {
     use super::*;
     use graft_core::solve;
+    use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn oracle_cardinality(g: &BipartiteCsr) -> usize {
         solve(g, Algorithm::HopcroftKarp, &SolveOptions::default())
@@ -847,11 +807,16 @@ mod tests {
 
         let sink = Arc::new(MemorySink::new());
         let g = BipartiteCsr::from_edges(2, 2, &[(0, 0)]);
-        let mut dm = DynamicMatching::new(g);
+        // Any tombstone outgrows a ratio of 0: the delete rebuilds.
+        let mut dm = DynamicMatching::with_config(
+            g,
+            DynConfig {
+                rebuild_tombstone_ratio: 0.0,
+            },
+        );
         dm.set_tracer(Tracer::to_sink(sink.clone()));
         dm.insert_edge(1, 1).unwrap();
-        dm.delete_edge(0, 0).unwrap();
-        dm.force_rebuild();
+        assert!(dm.delete_edge(0, 0).unwrap().rebuilt);
         let events = sink.snapshot();
         let kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         assert!(kinds.contains(&"dyn_augment"), "kinds: {kinds:?}");
@@ -901,6 +866,96 @@ mod tests {
                 }
             }
             assert_invariants(&dm);
+        }
+    }
+
+    /// Checks the live graph after an update against the model edge set
+    /// `live`: the materialized CSR holds exactly `live`, every vertex's
+    /// live row is its materialized row, `has_edge` agrees with it on
+    /// every pair, the counts match, and no vertex whose row equals its
+    /// base row holds a copy.
+    fn check_live_rows(
+        dm: &DynamicMatching,
+        live: &BTreeSet<(u32, u32)>,
+    ) -> Result<(), TestCaseError> {
+        let m = dm.materialize();
+        prop_assert!(m.edges().eq(live.iter().copied()), "materialized != model");
+        dm.matching().validate(&m).map_err(TestCaseError::fail)?;
+        let g = &dm.graph;
+        for x in 0..dm.num_x() as VertexId {
+            prop_assert_eq!(g.x_row(x), m.x_neighbors(x));
+            for y in 0..dm.num_y() as VertexId {
+                prop_assert_eq!(dm.has_edge(x, y), m.has_edge(x, y));
+            }
+        }
+        for y in 0..dm.num_y() as VertexId {
+            prop_assert_eq!(g.y_row(y), m.y_neighbors(y));
+        }
+        let in_base = live.iter().filter(|&&(x, y)| g.base.has_edge(x, y)).count();
+        prop_assert_eq!(dm.tombstones(), g.base.num_edges() - in_base);
+        prop_assert_eq!(dm.pending_inserts(), live.len() - in_base);
+        for (&x, row) in &g.rows_x {
+            prop_assert!(
+                row != g.base.x_neighbors(x),
+                "x{x} holds a copy of its base row"
+            );
+        }
+        for (&y, row) in &g.rows_y {
+            prop_assert!(
+                row != g.base.y_neighbors(y),
+                "y{y} holds a copy of its base row"
+            );
+        }
+        Ok(())
+    }
+
+    // Random insert/delete streams, with deletes of base edges that are
+    // restored at once or by a later toggle, with and without compaction.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn live_rows_follow_random_update_streams(
+            base in proptest::collection::vec((0u32..9, 0u32..7), 0..30),
+            compact in 0u8..2,
+            ops in proptest::collection::vec((0u8..4, 0u32..9, 0u32..7, 0usize..64), 1..60),
+        ) {
+            let g = BipartiteCsr::from_edges(9, 7, &base);
+            let base: Vec<(u32, u32)> = g.edges().collect();
+            let mut live: BTreeSet<(u32, u32)> = base.iter().copied().collect();
+            let rebuild_tombstone_ratio = if compact == 1 { 0.3 } else { f64::INFINITY };
+            let mut dm = DynamicMatching::with_config(g, DynConfig { rebuild_tombstone_ratio });
+            for (kind, x, y, k) in ops {
+                let nth_live = live.iter().nth(k % live.len().max(1)).copied();
+                let nth_base = base.get(k % base.len().max(1)).copied();
+                match (kind, nth_live, nth_base) {
+                    (0, _, _) => {
+                        dm.insert_edge(x, y).unwrap();
+                        live.insert((x, y));
+                    }
+                    (1, Some((x, y)), _) => {
+                        dm.delete_edge(x, y).unwrap();
+                        live.remove(&(x, y));
+                    }
+                    // Toggle a base edge: a later toggle restores it.
+                    (2, _, Some((x, y))) if live.remove(&(x, y)) => {
+                        dm.delete_edge(x, y).unwrap();
+                    }
+                    (2, _, Some((x, y))) => {
+                        dm.insert_edge(x, y).unwrap();
+                        live.insert((x, y));
+                    }
+                    // Delete a live base edge and restore it at once.
+                    (3, _, Some((x, y))) if live.remove(&(x, y)) => {
+                        dm.delete_edge(x, y).unwrap();
+                        check_live_rows(&dm, &live)?;
+                        dm.insert_edge(x, y).unwrap();
+                        live.insert((x, y));
+                    }
+                    _ => continue,
+                }
+                check_live_rows(&dm, &live)?;
+            }
         }
     }
 }
