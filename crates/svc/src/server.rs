@@ -223,10 +223,14 @@ impl DynStore {
     /// Forgets `name`'s dynamic state and any restored-but-unreplayed
     /// delta, so the name's next `UPDATE` starts from whatever graph is
     /// registered under it then. `EVICT` and every successful
-    /// `LOAD`/`GEN` call this.
-    fn forget(&self, name: &str) {
+    /// `LOAD`/`GEN` call this. The journal's records of `name` describe
+    /// the old graph, so the name's next journal write is a full rewrite.
+    fn forget(&self, name: &str, journal: Option<&Journal>) {
         lock_recover(&self.states).remove(name);
         lock_recover(&self.restored).remove(name);
+        if let Some(j) = journal {
+            j.require_rewrite(name);
+        }
     }
 }
 
@@ -925,6 +929,7 @@ impl Server {
             let metrics = Arc::clone(&self.metrics);
             let sched = Arc::clone(&self.sched);
             let dyn_store = Arc::clone(&self.dyn_store);
+            let journal = self.journal.clone();
             let health = Arc::clone(&self.health);
             let drain = drain.clone();
             let trace = Arc::clone(&self.trace);
@@ -939,6 +944,7 @@ impl Server {
                     metrics: &metrics,
                     sched: &sched,
                     dyn_store: &dyn_store,
+                    journal: journal.as_deref(),
                     trace: &trace,
                     health: &health,
                     drain: &drain,
@@ -1003,6 +1009,7 @@ struct ConnCtx<'a> {
     metrics: &'a Metrics,
     sched: &'a Scheduler<Job, JobReply>,
     dyn_store: &'a DynStore,
+    journal: Option<&'a Journal>,
     trace: &'a RingSink,
     health: &'a AtomicU8,
     /// The drain trigger `SHUTDOWN` pulls.
@@ -1043,7 +1050,7 @@ fn register_guarded(ctx: &ConnCtx<'_>, name: &str, source: GraphSource) -> Strin
     match catch_unwind(AssertUnwindSafe(|| ctx.registry.register(name, source))) {
         Ok(Ok(info)) => {
             // The old graph's dynamic state must not answer for the new one.
-            ctx.dyn_store.forget(name);
+            ctx.dyn_store.forget(name, ctx.journal);
             info_line(name, info)
         }
         Ok(Err(e)) => err_line(&e),
@@ -1176,7 +1183,7 @@ fn dispatch(req: Request, ctx: &ConnCtx<'_>) -> Step {
             let evicted = ctx.registry.evict(&name);
             // Dynamic state (and any restored-but-unreplayed delta) goes
             // with the registration: an evicted name is fully forgotten.
-            ctx.dyn_store.forget(&name);
+            ctx.dyn_store.forget(&name, ctx.journal);
             if evicted {
                 // Tell workers their resident workspaces may now be
                 // oversized; each shrinks lazily before its next solve.

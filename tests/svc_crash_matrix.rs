@@ -416,11 +416,14 @@ impl Client {
     }
 }
 
+/// Acks are durable (`fsync: Always`), and no periodic save runs between
+/// an ack and the crash image a test takes.
 fn serve_cfg() -> svc::ServeConfig {
     svc::ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         state_dir: Some(PathBuf::from(DIR)),
         fsync: FsyncPolicy::Always,
+        snapshot_interval_ms: 0,
         ..svc::ServeConfig::default()
     }
 }
@@ -578,4 +581,44 @@ fn acked_delete_survives_a_stale_restored_add() {
             "{what}: the acked DEL 0 0 must be durable: {delta:?}"
         );
     }
+}
+
+/// A `GEN` over a registered name starts the name's journal over: an
+/// update acked after it is durable against the new source, not appended
+/// after the old source's records. The image is taken before `SHUTDOWN`,
+/// whose drain save rewrites the file either way.
+#[test]
+fn updates_after_a_re_gen_are_journaled_against_the_new_source() {
+    let road = gen::suite::by_name("road_usa")
+        .unwrap()
+        .build(gen::Scale::Tiny);
+    let y = road.x_neighbors(1)[0];
+    let disk = clean_disk(51, None);
+    let (addr, _shutdown, handle) = spawn_on(Arc::clone(&disk));
+    let mut c = Client::connect(&addr);
+    assert!(c.req("GEN g kkt_power:tiny").starts_with("OK"));
+    let reply = c.req("UPDATE g DEL 0 0");
+    assert!(reply.starts_with("OK"), "{reply}");
+    assert!(c.req("GEN g road_usa:tiny").starts_with("OK"));
+    let reply = c.req(&format!("UPDATE g DEL 1 {y}"));
+    assert!(reply.starts_with("OK"), "{reply}");
+    let image = disk.crash();
+    assert_eq!(c.req("SHUTDOWN"), "OK bye");
+    handle.join().unwrap();
+    let snap = snapshot::load_on(image.as_ref(), Path::new(DIR), None)
+        .expect("the image loads")
+        .snapshot;
+    let entry = snap.entries.iter().find(|e| e.name == "g");
+    assert!(
+        entry.is_some_and(|e| matches!(
+            &e.source,
+            svc::GraphSource::Suite { name, .. } if name == "road_usa"
+        )),
+        "g must be registered from road_usa:tiny: {entry:?}"
+    );
+    let delta = snap.deltas.iter().find(|d| d.name == "g");
+    assert!(
+        delta.is_some_and(|d| d.dels == [(1, y)] && d.adds.is_empty()),
+        "g's journal must hold only the road delete (1, {y}): {delta:?}"
+    );
 }
