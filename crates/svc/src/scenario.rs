@@ -58,10 +58,10 @@ pub struct ScenarioConfig {
     /// Arm the server's seed-derived fault plan (panics, delays, I/O
     /// errors at named sites).
     pub with_faults: bool,
-    /// Deliberately break the drain grace period (see
-    /// [`ServeConfig::broken_drain_timer`]); the scenario then reports a
-    /// `drain-timeout` violation. Exists to prove the harness catches
-    /// and replays an injected timing bug.
+    /// Deliberately break the drain grace period (`drain_ms: 0`, so
+    /// in-flight jobs are abandoned at shutdown); the scenario then
+    /// reports a `drain-timeout` violation. Exists to prove the harness
+    /// catches and replays an injected timing bug.
     pub broken_drain_timer: bool,
     /// Give the server a seeded [`SimDisk`] (`--fsync always`, write
     /// faults derived from the master seed) and, after shutdown,
@@ -266,7 +266,11 @@ impl Scenario {
             // state dir.)
             workers: 1,
             queue_capacity: 16,
-            drain_ms: 2_000,
+            drain_ms: if self.cfg.broken_drain_timer {
+                0
+            } else {
+                2_000
+            },
             snapshot_interval_ms: 0,
             state_dir: sim_disk.as_ref().map(|_| PathBuf::from(SIM_STATE_DIR)),
             fsync: FsyncPolicy::Always,
@@ -274,7 +278,6 @@ impl Scenario {
                 .cfg
                 .with_faults
                 .then(|| format!("seed={},rate=8,max=16", mix64(seed ^ 0xfa_17))),
-            broken_drain_timer: self.cfg.broken_drain_timer,
             ..ServeConfig::default()
         };
         let disk: Arc<dyn Disk> = match &sim_disk {

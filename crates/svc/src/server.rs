@@ -107,12 +107,6 @@ pub struct ServeConfig {
     /// Fault-injection spec (see [`FaultPlan::from_spec`]); `None` (the
     /// default) injects nothing and costs nothing on the hot path.
     pub fault_spec: Option<String>,
-    /// Test-only: collapse the drain grace period to zero so in-flight
-    /// jobs are abandoned at shutdown. Exists to prove the simulation
-    /// harness catches (and replays) a real timing bug; never set in
-    /// production.
-    #[doc(hidden)]
-    pub broken_drain_timer: bool,
 }
 
 impl Default for ServeConfig {
@@ -131,7 +125,6 @@ impl Default for ServeConfig {
             snapshot_interval_ms: 30_000,
             fsync: FsyncPolicy::Drain,
             fault_spec: None,
-            broken_drain_timer: false,
         }
     }
 }
@@ -965,11 +958,7 @@ impl Server {
         // accept-error exit path.)
         self.health.store(HEALTH_DRAINING, Ordering::SeqCst);
         self.sched.shutdown();
-        let grace = if self.cfg.broken_drain_timer {
-            Duration::ZERO
-        } else {
-            Duration::from_millis(self.cfg.drain_ms)
-        };
+        let grace = Duration::from_millis(self.cfg.drain_ms);
         let drained = self.sched.drain_within(grace);
         if !drained {
             self.metrics.drain_timeouts.fetch_add(1, Ordering::Relaxed);
