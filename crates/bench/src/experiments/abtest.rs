@@ -7,8 +7,9 @@
 //! * the binaries are either prebuilt (`--base-bin`, `--head-bin`) or
 //!   built here (`--base REV`): the base from a detached `git worktree`
 //!   of `REV` under `target/abtest/`, removed once the base is built, and
-//!   the head from the checkout as it stands, each with `--offline` into
-//!   a target directory of its own there;
+//!   the head from the checkout, each with `--offline` into a target
+//!   directory of its own there; a checkout with an uncommitted change to
+//!   a tracked file is refused, since the artifact names its HEAD;
 //! * pair `i` runs both binaries on one fresh seed, `seed + i`, the base
 //!   first in even pairs and the head first in odd ones, so neither side
 //!   always runs on the warmer machine;
@@ -471,10 +472,20 @@ fn build_perfbench(src: &Path, target_dir: &Path) -> io::Result<PathBuf> {
 /// `--base REV`: resolves `rev` in the repository at `root`, builds its
 /// perfbench from a worktree under `target/abtest/` and the checkout's
 /// into a second target directory there, and returns the commit with the
-/// base and head binaries (relative to `root` when `root` is).
+/// base and head binaries (relative to `root` when `root` is). The
+/// checkout must have no uncommitted change to a tracked file: the head
+/// binary is built from the working tree, and the artifact names HEAD.
 fn build_binaries(root: &Path, rev: &str) -> io::Result<(String, PathBuf, PathBuf)> {
     let commit =
         stdout_of(git(root).args(["rev-parse", "--verify", &format!("{rev}^{{commit}}")]))?;
+    let dirty = stdout_of(git(root).args(["status", "--porcelain", "--untracked-files=no"]))?;
+    if !dirty.is_empty() {
+        return Err(io::Error::other(format!(
+            "the head would be built with uncommitted changes that its git_sha does not \
+             hold; commit or stash them first: {}",
+            dirty.lines().collect::<Vec<_>>().join(", ")
+        )));
+    }
     let rel = Path::new("target").join("abtest");
     let base = {
         let tree = Worktree::add(root, &rel.join("base-src"), &commit)?;
@@ -872,6 +883,15 @@ mod tests {
         assert_eq!(trees.lines().count(), 1, "{trees}");
         let err = build_binaries(&root, "no-such-rev").unwrap_err();
         assert!(err.to_string().contains("rev-parse"), "{err}");
+
+        // An edit to a tracked file is refused, by name, before a build.
+        std::fs::write(dir.join("README"), "edited\n").unwrap();
+        let err = build_binaries(&root, "HEAD").unwrap_err().to_string();
+        assert!(
+            err.contains("uncommitted") && err.contains("README"),
+            "{err}"
+        );
+        assert!(!dir.join("target/abtest/base-src").exists());
         std::fs::remove_dir_all(&top).unwrap();
     }
 
