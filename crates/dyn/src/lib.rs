@@ -189,6 +189,7 @@ struct LiveGraph {
     /// Shared, never mutated: the service hands in its registry's graph,
     /// and a rebuild installs a fresh one.
     base: Arc<BipartiteCsr>,
+    /// The live rows of the edited `X` vertices.
     rows_x: LiveRows,
     /// Mirror of `rows_x`, keyed by `Y`.
     rows_y: LiveRows,
