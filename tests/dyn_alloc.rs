@@ -24,8 +24,8 @@ thread_local! {
     static ALLOCATED: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Moves this thread's live-byte count by `freed`/`got` and adds `got` to
-/// its allocated bytes.
+/// Counts `got` bytes as allocated and live on this thread, and `freed`
+/// bytes as no longer live.
 fn track(got: usize, freed: usize) {
     LIVE.with(|l| l.set(l.get() + got as isize - freed as isize));
     ALLOCATED.with(|a| a.set(a.get() + got));
